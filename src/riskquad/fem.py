@@ -1,19 +1,22 @@
 """Structured bilinear finite elements on a rectangle.
 
 Q1 quadrilateral elements on a uniform grid with 2x2 Gauss quadrature,
-sparse symmetric assembly, symmetric Dirichlet elimination with lifted
-right-hand sides, and cached SPD factorizations.  All elements are
+sparse symmetric assembly into a CSR pattern cached per mesh, symmetric
+Dirichlet elimination with lifted right-hand sides, and cached banded
+Cholesky factorizations in the mesh's own node order.  All elements are
 congruent axis-aligned rectangles, so the reference-element tables are
 shared and every assembly loop is vectorized over elements.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import NumericalError
 
@@ -73,6 +76,7 @@ class Mesh:
             self.neumann_edges = np.empty((0, 2), dtype=int)
 
         self._build_reference_tables()
+        self._build_csr_pattern()
 
     @property
     def n_nodes(self):
@@ -124,6 +128,20 @@ class Mesh:
         )
         self.mass_tab = np.einsum("qa,qb->qab", phi, phi)
 
+    def _build_csr_pattern(self):
+        # Entry (e, a, b) of an element table lands at row conn[e, a] and
+        # column conn[e, b]; csr_slot[16 e + 4 a + b] is its position in the
+        # CSR data array, so assembly is one bincount.  The index arrays are
+        # shared by every matrix assembled on this mesh and kept read-only.
+        n = self.n_nodes
+        rows = np.repeat(self.conn, 4, axis=1).ravel()
+        cols = np.tile(self.conn, (1, 4)).ravel()
+        keys, self.csr_slot = np.unique(rows * n + cols, return_inverse=True)
+        self.csr_indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        self.csr_indices = (keys % n).astype(np.int32)
+        self.csr_indptr.flags.writeable = False
+        self.csr_indices.flags.writeable = False
+
     # -- pointwise evaluation at quadrature points -------------------------
 
     def interp_gauss(self, f):
@@ -145,10 +163,10 @@ def build_mesh(nx, ny, lx, ly, dirichlet_sides=("left", "right")):
 
 
 def _scatter_matrix(mesh, loc):
-    rows = np.broadcast_to(mesh.conn[:, :, None], loc.shape).ravel()
-    cols = np.broadcast_to(mesh.conn[:, None, :], loc.shape).ravel()
+    data = np.bincount(mesh.csr_slot, weights=loc.ravel(),
+                       minlength=len(mesh.csr_indices))
     n = mesh.n_nodes
-    return sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return sp.csr_matrix((data, mesh.csr_indices, mesh.csr_indptr), shape=(n, n))
 
 
 def assemble_mass(mesh):
@@ -250,15 +268,21 @@ def mass_cholesky(mesh):
 
 
 class SolveCounter:
-    """Counts PDE solves; can be paused while auxiliary work runs."""
+    """Counts PDE solves; can be paused while auxiliary work runs.
+
+    Ticks are serialized by a lock, so solvers shared across a thread pool
+    keep the count exact.
+    """
 
     def __init__(self):
         self.count = 0
         self._enabled = True
+        self._lock = threading.Lock()
 
-    def tick(self):
-        if self._enabled:
-            self.count += 1
+    def tick(self, n=1):
+        with self._lock:
+            if self._enabled:
+                self.count += n
 
     @contextmanager
     def paused(self):
@@ -273,44 +297,72 @@ class SolveCounter:
 class SpdSolver:
     """Cached factorization of an SPD operator with Dirichlet elimination.
 
-    Dirichlet rows and columns are eliminated symmetrically (unit diagonal,
-    lifted right-hand side), so the constrained operator stays SPD.  Small
-    systems are factorized with a sparse direct solver; large ones fall back
-    to Jacobi-preconditioned conjugate gradients.  Every solve verifies the
-    residual against ``rtol`` and ticks the optional counter.  The solver is
-    immutable after construction and may be shared across independent
-    right-hand sides.
+    Dirichlet rows and columns are eliminated symmetrically on the CSR data
+    (unit diagonal, lifted right-hand side), so the constrained operator
+    stays SPD.  Small systems are factorized by LAPACK banded Cholesky in the
+    operator's own node order, with the bandwidth read from its sparsity
+    pattern; an operator that is not positive definite raises
+    ``NumericalError``.  Large ones fall back to Jacobi-preconditioned
+    conjugate gradients.  Every solve, block solves included, verifies the
+    residual of each right-hand side against ``rtol`` and ticks the optional
+    counter once per right-hand side.  The solver is immutable after
+    construction and may be shared across independent right-hand sides.
     """
 
     def __init__(self, op, dirichlet_nodes=None, rtol=1e-10, counter=None,
                  direct_limit=100_000):
-        self.op = op.tocsr()
-        self.n = self.op.shape[0]
+        op = op.tocsr()
+        if not op.has_canonical_format:
+            op = op.copy()
+            op.sum_duplicates()
+        self.op = op
+        self.n = op.shape[0]
         self.rtol = float(rtol)
         self.counter = counter
+        rows = np.repeat(np.arange(self.n), np.diff(op.indptr))
+        cols = op.indices
         if dirichlet_nodes is None or len(dirichlet_nodes) == 0:
             self.dirichlet = np.empty(0, dtype=int)
-            constrained = self.op
+            self.constrained = op
         else:
             self.dirichlet = np.asarray(dirichlet_nodes, dtype=int)
-            keep = np.ones(self.n)
-            keep[self.dirichlet] = 0.0
-            pin = 1.0 - keep
-            D = sp.diags(keep)
-            constrained = D @ self.op @ D + sp.diags(pin)
-        self.constrained = constrained.tocsr()
+            pinned = np.zeros(self.n, dtype=bool)
+            pinned[self.dirichlet] = True
+            data = op.data.copy()
+            data[pinned[rows] | pinned[cols]] = 0.0
+            pinned_diag = pinned[rows] & (rows == cols)
+            if np.count_nonzero(pinned_diag) != np.count_nonzero(pinned):
+                raise ValueError("operator has no diagonal entry at a Dirichlet node")
+            data[pinned_diag] = 1.0
+            self.constrained = sp.csr_matrix((data, op.indices, op.indptr),
+                                             shape=op.shape)
         self._direct = self.n <= direct_limit
         if self._direct:
-            self._lu = spla.splu(self.constrained.tocsc())
+            self._factor = self._banded_cholesky(rows, cols)
         else:
             inv_diag = 1.0 / self.constrained.diagonal()
             self._precond = spla.LinearOperator(
                 (self.n, self.n), matvec=lambda x: inv_diag * x
             )
 
+    def _banded_cholesky(self, rows, cols):
+        # Row i of the lower triangle is column i of the upper one, so entry
+        # (i, j <= i) goes to row i, position bw - (i - j), of a C-ordered
+        # (n, bw + 1) array; its transpose is LAPACK's upper band storage.
+        offset = rows - cols
+        bw = int(offset.max(initial=0))
+        lower = offset >= 0
+        band = np.zeros((self.n, bw + 1))
+        band.ravel()[(rows[lower] + 1) * bw + cols[lower]] = (
+            self.constrained.data[lower])
+        try:
+            return cholesky_banded(band.T, overwrite_ab=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"operator is not positive definite: {exc}") from exc
+
     def _raw_solve(self, b):
         if self._direct:
-            return self._lu.solve(b)
+            return cho_solve_banded((self._factor, False), b, check_finite=False)
         x, info = spla.cg(self.constrained, b, rtol=self.rtol, atol=0.0,
                           maxiter=10 * self.n, M=self._precond)
         if info != 0:
@@ -319,6 +371,20 @@ class SpdSolver:
                 f"conjugate gradients stopped after budget (info={info})",
                 residual=res,
             )
+        return x
+
+    def _checked(self, x, b):
+        """Verify every column's residual, tick once per column, return x."""
+        res = np.linalg.norm(self.constrained @ x - b, axis=0)
+        ref = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+        if not np.all(res <= self.rtol * ref):
+            worst = float(np.max(res))
+            raise NumericalError(
+                f"linear solve residual {worst:.3e} exceeds tolerance",
+                residual=worst,
+            )
+        if self.counter is not None:
+            self.counter.tick(1 if x.ndim == 1 else x.shape[1])
         return x
 
     def solve(self, load, bc_values=0.0):
@@ -336,25 +402,21 @@ class SpdSolver:
                 lift[d] = vals
                 b -= self.op @ lift
             b[d] = vals
-        u = self._raw_solve(b)
-        res = np.linalg.norm(self.constrained @ u - b)
-        ref = max(np.linalg.norm(b), 1e-300)
-        if res > self.rtol * ref:
-            raise NumericalError(
-                f"linear solve residual {res:.3e} exceeds tolerance", residual=res
-            )
-        if self.counter is not None:
-            self.counter.tick()
-        return u
+        return self._checked(self._raw_solve(b), b)
 
     def solve_many(self, loads):
-        """Direct solve for a (n, k) block of homogeneous-BC right-hand sides."""
+        """Solve for a (n, k) block of homogeneous-BC right-hand sides.
+
+        Each column is checked and counted exactly like a ``solve``.
+        """
         B = np.array(loads, dtype=float)
         if self.dirichlet.size:
             B[self.dirichlet, :] = 0.0
-        if not self._direct:
-            return np.column_stack([self._raw_solve(B[:, j]) for j in range(B.shape[1])])
-        return self._lu.solve(B)
+        if self._direct:
+            X = self._raw_solve(B)
+        else:
+            X = np.column_stack([self._raw_solve(B[:, j]) for j in range(B.shape[1])])
+        return self._checked(X, B)
 
 
 def solve_spd(op, rhs, dirichlet_nodes=None, bc_values=0.0, rtol=1e-10):

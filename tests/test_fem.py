@@ -1,9 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from riskquad.errors import NumericalError
 from riskquad.fem import (
+    SolveCounter,
     SpdSolver,
     assemble_mass,
     assemble_weighted_stiffness,
@@ -13,6 +18,7 @@ from riskquad.fem import (
     solve_spd,
     stiffness_matrix_1d,
 )
+from riskquad.random_field import field_on_mesh, neumann_trace_space
 
 
 def test_canonical_mesh_counts():
@@ -201,3 +207,103 @@ def test_mass_cholesky_exact():
     M = assemble_mass(mesh)
     L = mass_cholesky(mesh)
     assert abs(L @ L.T - M).max() < 1e-15
+
+
+def _spsolve_constrained(op, dirichlet, rhs, bc):
+    """Reference: eliminate with sparse products, lift, and solve with SuperLU."""
+    keep = np.ones(op.shape[0])
+    keep[dirichlet] = 0.0
+    D = sp.diags(keep)
+    constrained = (D @ op @ D + sp.diags(1.0 - keep)).tocsc()
+    lift = np.zeros(op.shape[0])
+    lift[dirichlet] = bc
+    b = rhs - op @ lift
+    b[dirichlet] = bc
+    return spla.spsolve(constrained, b)
+
+
+def _assert_matches_spsolve(op, dirichlet, rhs, bc=0.0):
+    u = SpdSolver(op, dirichlet).solve(rhs, bc)
+    ref = _spsolve_constrained(op, dirichlet, rhs, bc)
+    assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_banded_cholesky_matches_spsolve_per_draw_operators():
+    mesh = build_mesh(79, 39, 2.0, 1.0)
+    gf = field_on_mesh(mesh, 2e-2, 4.0)
+    draws = gf.sample_batch(3, seed=11)
+    rng = np.random.default_rng(4)
+    bc = np.where(np.isclose(mesh.node_x[mesh.dirichlet_nodes], 0.0), 1.0, 0.0)
+    for m in draws.T:
+        K = assemble_weighted_stiffness(mesh, m)
+        rhs = rng.standard_normal(mesh.n_nodes)
+        _assert_matches_spsolve(K, mesh.dirichlet_nodes, rhs, bc)
+        _assert_matches_spsolve(K, mesh.dirichlet_nodes, rhs,
+                                rng.standard_normal(len(mesh.dirichlet_nodes)))
+
+
+def test_banded_cholesky_matches_spsolve_covariance_and_trace_mass():
+    mesh = build_mesh(79, 39, 2.0, 1.0)
+    rng = np.random.default_rng(6)
+    gf = field_on_mesh(mesh, 2e-2, 4.0)
+    A = gf.kappa * gf.space.natural_stiffness + gf.alpha * gf.space.mass
+    _assert_matches_spsolve(A, [], rng.standard_normal(mesh.n_nodes))
+    trace = neumann_trace_space(mesh)
+    _assert_matches_spsolve(trace.mass, [], rng.standard_normal(trace.dim))
+
+
+def test_indefinite_operator_raises():
+    mesh = build_mesh(6, 4, 2.0, 1.0)
+    K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
+    # the shift lies inside the spectrum of K v = lambda M v
+    shifted = K - 50.0 * assemble_mass(mesh)
+    with pytest.raises(NumericalError):
+        SpdSolver(shifted, mesh.dirichlet_nodes)
+
+
+def test_solve_many_checks_and_counts_every_column():
+    mesh = build_mesh(7, 3, 2.0, 1.0)
+    K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
+    counter = SolveCounter()
+    solver = SpdSolver(K, mesh.dirichlet_nodes, counter=counter)
+    B = np.random.default_rng(8).standard_normal((mesh.n_nodes, 5))
+    X = solver.solve_many(B)
+    assert counter.count == 5
+    for j in range(5):
+        assert np.allclose(X[:, j], solver.solve(B[:, j]), rtol=0.0, atol=1e-12)
+    assert counter.count == 10
+
+
+def test_solve_many_bad_block_raises():
+    mesh = build_mesh(7, 3, 2.0, 1.0)
+    K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
+    counter = SolveCounter()
+    B = np.random.default_rng(9).standard_normal((mesh.n_nodes, 3))
+    B[4, 1] = np.nan
+    with pytest.raises(NumericalError):
+        SpdSolver(K, mesh.dirichlet_nodes, counter=counter).solve_many(B)
+    # an unreachable tolerance fails on the residual of a finite block
+    strict = SpdSolver(K, mesh.dirichlet_nodes, rtol=1e-30, counter=counter)
+    with pytest.raises(NumericalError):
+        strict.solve_many(np.nan_to_num(B))
+    assert counter.count == 0
+
+
+def test_solve_counter_exact_under_threads():
+    counter = SolveCounter()
+    per_thread, n_threads = 20_000, 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: [counter.tick() for _ in range(per_thread)])
+            for _ in range(n_threads)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert counter.count == per_thread * n_threads

@@ -235,6 +235,43 @@ def test_rate_study_exact_for_linear_state_map():
     assert np.all(study.err_lin > 1e-6)
 
 
+def _rate_study_per_eps(problem, gf, z, eps_list, n_mc, seed):
+    """Reference: evaluate both expansions afresh on every draw at every eps."""
+    surr = problem.surrogate(z)
+    base = gf.zero_mean_batch(n_mc, seed)
+    err_lin, err_quad = [], []
+    for e in eps_list:
+        fields = gf.mean[:, None] + np.sqrt(e) * base
+        theta = np.array([problem.objective(z, f) for f in fields.T])
+        lin = np.array([surr.eval_lin(f) for f in fields.T])
+        quad = np.array([surr.eval_quad(f) for f in fields.T])
+        err_lin.append(np.mean(np.abs(theta - lin)))
+        err_quad.append(np.mean(np.abs(theta - quad)))
+    return np.array(err_lin), np.array(err_quad)
+
+
+def test_rate_study_matches_per_eps_evaluation():
+    mesh = build_mesh(12, 6, 2.0, 1.0)
+    problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.12))
+    gf = field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+    z = np.full(problem.n_controls, 4.0)
+    eps_list = [1.0, 0.5, 0.25]
+    study = truncation_rate_study(problem, gf, z, eps_list, n_mc=10, seed=2)
+    err_lin, err_quad = _rate_study_per_eps(problem, gf, z, eps_list, 10, 2)
+    assert np.allclose(study.err_lin, err_lin, rtol=1e-12, atol=0.0)
+    assert np.allclose(study.err_quad, err_quad, rtol=1e-12, atol=0.0)
+
+
+def test_rate_study_one_hessian_action_per_draw(tiny_flow):
+    _, problem, gf = tiny_flow
+    z = np.full(problem.n_controls, 4.0)
+    start = problem.counter.count
+    truncation_rate_study(problem, gf, z, [1.0, 0.5, 0.25], n_mc=4, seed=0)
+    # surrogate workspace (2) + one Hessian action (2) per draw; the
+    # per-draw objectives use their own solvers, which count too
+    assert problem.counter.count - start == 2 + 2 * 4 + 3 * 4
+
+
 def test_rate_study_slopes_small_mesh():
     mesh = build_mesh(16, 8, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.1))
