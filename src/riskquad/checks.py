@@ -24,105 +24,91 @@ def _rel(err, ref):
     return err / max(ref, 1e-300)
 
 
-def check_flow_gradient(problem, gf, z, n_dirs=3, seed=0, h=FD_STEP):
-    """Max relative FD error of the parameter gradient of the flow objective."""
+def _central(f, h):
+    """Second-order central difference of f at 0."""
+    return (f(h) - f(-h)) / (2.0 * h)
+
+
+def _gradient_error(surr, gf, objective_at, n_dirs, seed, h):
+    """Max relative FD error of <grad, d> over random directions d, with
+    ``objective_at(d)`` the objective at the anchor plus d."""
     rng = np.random.default_rng(seed)
-    surr = problem.surrogate(z)
     worst = 0.0
     for _ in range(n_dirs):
         d = gf.sample(rng=rng) - gf.mean
-        exact = surr.space.inner(surr.grad, d)
-        plus = problem.objective(z, problem.mean + h * d)
-        minus = problem.objective(z, problem.mean - h * d)
-        fd = (plus - minus) / (2.0 * h)
-        worst = max(worst, _rel(abs(exact - fd), abs(fd)))
+        fd = _central(lambda t: objective_at(t * d), h)
+        worst = max(worst, _rel(abs(surr.space.inner(surr.grad, d) - fd), abs(fd)))
     return worst
 
 
-def check_flow_hessian(problem, gf, z, n_dirs=2, seed=1, h=FD_STEP):
-    """Max relative FD error of the Hessian action against gradient differences."""
+def _hessian_error(surr, gf, grad_at, n_dirs, seed, h):
+    """Max relative FD error of the Hessian action against differences of
+    ``grad_at(d)``, the parameter gradient at the anchor plus d."""
     rng = np.random.default_rng(seed)
-    surr = problem.surrogate(z)
-    mesh = problem.mesh
-    worst = 0.0
-    for _ in range(n_dirs):
-        zeta = gf.sample(rng=rng) - gf.mean
-        psi = surr.hess_action(zeta)
-        plus = PoissonFlowProblem(
-            mesh, wells=problem.wells, mean=problem.mean + h * zeta
-        )
-        minus = PoissonFlowProblem(
-            mesh, wells=problem.wells, mean=problem.mean - h * zeta
-        )
-        fd = (plus.surrogate(z).grad - minus.surrogate(z).grad) / (2.0 * h)
-        err = surr.space.norm(psi - fd)
-        worst = max(worst, _rel(err, surr.space.norm(psi)))
-    return worst
-
-
-def check_semilinear_gradient(problem, gf, z, n_dirs=3, seed=2, h=FD_STEP):
-    rng = np.random.default_rng(seed)
-    m_bar = gf.mean
-    surr = problem.surrogate(z, m_bar)
-    worst = 0.0
-    for _ in range(n_dirs):
-        d = gf.sample(rng=rng) - gf.mean
-        exact = surr.space.inner(surr.grad, d)
-        fd = (
-            problem.objective(z, m_bar + h * d)
-            - problem.objective(z, m_bar - h * d)
-        ) / (2.0 * h)
-        worst = max(worst, _rel(abs(exact - fd), abs(fd)))
-    return worst
-
-
-def check_semilinear_hessian(problem, gf, z, n_dirs=2, seed=3, h=FD_STEP):
-    rng = np.random.default_rng(seed)
-    m_bar = gf.mean
-    surr = problem.surrogate(z, m_bar)
     worst = 0.0
     for _ in range(n_dirs):
         d = gf.sample(rng=rng) - gf.mean
         psi = surr.hess_action(d)
-        fd = (
-            problem.surrogate(z, m_bar + h * d).grad
-            - problem.surrogate(z, m_bar - h * d).grad
-        ) / (2.0 * h)
-        err = surr.space.norm(psi - fd)
+        err = surr.space.norm(psi - _central(lambda t: grad_at(t * d), h))
         worst = max(worst, _rel(err, surr.space.norm(psi)))
     return worst
+
+
+def _control_error(value, grad, z, components, h):
+    """Max relative componentwise FD error of a control gradient."""
+    worst = 0.0
+    for i in components:
+        e = np.zeros(len(z))
+        e[i] = 1.0
+        fd = _central(lambda t: value(np.asarray(z, dtype=float) + t * e), h)
+        worst = max(worst, _rel(abs(grad[i] - fd), abs(fd)))
+    return worst
+
+
+def check_flow_gradient(problem, gf, z, n_dirs=3, seed=0, h=FD_STEP):
+    """Max relative FD error of the parameter gradient of the flow objective."""
+    return _gradient_error(
+        problem.surrogate(z), gf, lambda d: problem.objective(z, problem.mean + d),
+        n_dirs, seed, h,
+    )
+
+
+def check_flow_hessian(problem, gf, z, n_dirs=2, seed=1, h=FD_STEP):
+    """Max relative FD error of the Hessian action against gradient differences."""
+    def grad_at(d):
+        moved = PoissonFlowProblem(problem.mesh, wells=problem.wells,
+                                   mean=problem.mean + d)
+        return moved.surrogate(z).grad
+    return _hessian_error(problem.surrogate(z), gf, grad_at, n_dirs, seed, h)
+
+
+def check_semilinear_gradient(problem, gf, z, n_dirs=3, seed=2, h=FD_STEP):
+    return _gradient_error(
+        problem.surrogate(z, gf.mean), gf,
+        lambda d: problem.objective(z, gf.mean + d), n_dirs, seed, h,
+    )
+
+
+def check_semilinear_hessian(problem, gf, z, n_dirs=2, seed=3, h=FD_STEP):
+    return _hessian_error(
+        problem.surrogate(z, gf.mean), gf,
+        lambda d: problem.surrogate(z, gf.mean + d).grad, n_dirs, seed, h,
+    )
 
 
 def check_ouu_gradient(problem, gf, cfg, z, components=None, h=FD_STEP):
     """Max relative componentwise FD error of the risk-objective gradient."""
     obj = RiskAverseObjective(problem, gf, cfg, nominal_control=z)
-    report, state = obj.evaluate(z)
-    grad = obj.gradient(state)
+    grad = obj.value_and_grad(z)[1]
     idx = range(len(z)) if components is None else components
-    worst = 0.0
-    for i in idx:
-        zp = np.array(z, dtype=float)
-        zp[i] += h
-        zm = np.array(z, dtype=float)
-        zm[i] -= h
-        fd = (obj.evaluate(zp)[0].value - obj.evaluate(zm)[0].value) / (2.0 * h)
-        worst = max(worst, _rel(abs(grad[i] - fd), abs(fd)))
-    return worst
+    return _control_error(lambda zk: obj.evaluate(zk)[0].value, grad, z, idx, h)
 
 
 def check_saa_gradient(problem, gf, z, n_mc=6, components=(0, 7), seed=4,
                        h=FD_STEP, beta=1.0, gamma=1e-5):
     saa = SaaObjective(problem, gf, n_mc, beta, gamma, seed=seed)
-    _, grad = saa.value_and_grad(z)
-    worst = 0.0
-    for i in components:
-        zp = np.array(z, dtype=float)
-        zp[i] += h
-        zm = np.array(z, dtype=float)
-        zm[i] -= h
-        fd = (saa.evaluate(zp)[0] - saa.evaluate(zm)[0]) / (2.0 * h)
-        worst = max(worst, _rel(abs(grad[i] - fd), abs(fd)))
-    return worst
+    grad = saa.value_and_grad(z)[1]
+    return _control_error(lambda zk: saa.evaluate(zk)[0], grad, z, components, h)
 
 
 def run_derivative_checks(seed=0):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .config import (
 from .errors import ConfigError, NumericalError
 from .fem import build_mesh
 from .ouu import (
-    OuuConfig,
     evaluate_true_risk,
     optimize,
     optimize_saa,
@@ -192,20 +192,18 @@ def cmd_compare_mc(args):
     rows = []
     controls = []
     meta = []
+    base = build_ouu_config(cfg.ouu, seed=cfg.seed)
     for beta in exp.compare_betas:
         mesh, gf, problem = build_setup(cfg)
-        schedule = (0.0, beta) if beta > 0 else (beta,)
+        leg_cfg = replace(
+            base, beta=beta, beta_schedule=(0.0, beta) if beta > 0 else (beta,),
+            max_iter=exp.compare_max_iter,
+        )
         for method in exp.compare_methods:
             if method in ("quad_randomized", "quad_eigenbasis"):
                 mode = "randomized" if method == "quad_randomized" else "eigenbasis"
                 for n_tr in exp.compare_n_tr:
-                    ouu_cfg = OuuConfig(
-                        beta=beta, gamma=cfg.ouu.gamma, n_tr=n_tr,
-                        trace_mode=mode, beta_schedule=schedule,
-                        grad_reduction_tol=cfg.ouu.grad_reduction_tol,
-                        max_iter=exp.compare_max_iter, seed=cfg.seed,
-                        z_min=cfg.ouu.z_min, z_max=cfg.ouu.z_max,
-                    )
+                    ouu_cfg = replace(leg_cfg, n_tr=n_tr, trace_mode=mode)
                     res = optimize(
                         problem, gf, ouu_cfg,
                         z0=np.full(problem.n_controls, cfg.ouu.z0),
@@ -214,13 +212,7 @@ def cmd_compare_mc(args):
                     meta.append((method, beta, n_tr, 4 + 4 * n_tr))
             elif method == "saa":
                 for n_mc in exp.compare_n_mc:
-                    ouu_cfg = OuuConfig(
-                        beta=beta, gamma=cfg.ouu.gamma, n_tr=cfg.ouu.n_tr,
-                        trace_mode="randomized", beta_schedule=schedule,
-                        grad_reduction_tol=cfg.ouu.grad_reduction_tol,
-                        max_iter=exp.compare_max_iter, seed=cfg.seed,
-                        z_min=cfg.ouu.z_min, z_max=cfg.ouu.z_max,
-                    )
+                    ouu_cfg = replace(leg_cfg, trace_mode="randomized")
                     res = optimize_saa(problem, gf, ouu_cfg, n_mc)
                     controls.append(res.z)
                     meta.append((method, beta, n_mc, 2 * n_mc))
@@ -291,8 +283,12 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None,
                         help=f"output directory (or ${OUTDIR_ENV})")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap on concurrent PDE solves")
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="worker threads for the Monte Carlo draws; results and solve "
+             "counts do not depend on it, and it gives no speed-up at present "
+             "because the banded Cholesky factorization holds the interpreter lock",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("truncation-study").set_defaults(fn=cmd_truncation_study)
     sub.add_parser("optimize").set_defaults(fn=cmd_optimize)

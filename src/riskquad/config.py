@@ -244,18 +244,9 @@ def build_wells(spec):
 
 
 def build_ouu_config(spec, seed=0):
-    return OuuConfig(
-        beta=spec.beta,
-        gamma=spec.gamma,
-        n_tr=spec.n_tr,
-        trace_mode=spec.trace_mode,
-        beta_schedule=tuple(spec.beta_schedule),
-        grad_reduction_tol=spec.grad_reduction_tol,
-        max_iter=spec.max_iter,
-        seed=seed,
-        z_min=spec.z_min,
-        z_max=spec.z_max,
-    )
+    """Runtime OuuConfig from the config section, which adds only ``z0``."""
+    names = [f.name for f in dataclasses.fields(OuuConfig) if f.name != "seed"]
+    return OuuConfig(seed=seed, **{name: getattr(spec, name) for name in names})
 
 
 def build_setup(cfg):

@@ -2,10 +2,10 @@
 
 Q1 quadrilateral elements on a uniform grid with 2x2 Gauss quadrature,
 sparse symmetric assembly into a CSR pattern cached per mesh, symmetric
-Dirichlet elimination with lifted right-hand sides, and cached banded
-Cholesky factorizations in the mesh's own node order.  All elements are
-congruent axis-aligned rectangles, so the reference-element tables are
-shared and every assembly loop is vectorized over elements.
+Dirichlet elimination with lifted right-hand sides, cached banded Cholesky
+factorizations in the mesh's own node order, and kernels for blocks of
+probe fields.  All elements are congruent axis-aligned rectangles, so the
+reference-element tables are shared and every loop is vectorized over elements.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from .errors import NumericalError
 
 SIDES = ("left", "right", "bottom", "top")
+PAIR_CHUNK = 256  # elements per chunk of the products in _pair_sums
 
 
 class Mesh:
@@ -127,6 +128,17 @@ class Mesh:
             "qa,qb->qab", dphy, dphy
         )
         self.mass_tab = np.einsum("qa,qb->qab", phi, phi)
+        # coupling_tab[q (+4 for y), 4a + b] = d_{x,y}phi[q, a] * phi[q, b]
+        self.coupling_tab = np.vstack([
+            np.einsum("qa,qb->qab", dphx, phi).reshape(4, 16),
+            np.einsum("qa,qb->qab", dphy, phi).reshape(4, 16),
+        ])
+        # pair_tab[4a + b, q (+4 for x, +8 for y)]: phi[q, a] times phi, dphx,
+        # dphy at [q, b], mapping element products of two fields to Gauss sums
+        self.pair_tab = np.hstack([
+            np.einsum("qa,qb->abq", phi, d).reshape(16, 4)
+            for d in (phi, dphx, dphy)
+        ])
 
     def _build_csr_pattern(self):
         # Entry (e, a, b) of an element table lands at row conn[e, a] and
@@ -215,6 +227,44 @@ def grad_dot_load(mesh, coef_gauss, u, v):
     gvx, gvy = mesh.grad_gauss(v)
     s = mesh.qw * coef_gauss * (gux * gvx + guy * gvy)
     return _scatter_vector(mesh, s @ mesh.phi)
+
+
+def assemble_coupling(mesh, coef_gauss, u):
+    """Matrix B with B z = weighted_stiffness_apply(mesh, coef_gauss * z_gauss, u)
+    for every nodal field z; its transpose gives B^T w = grad_dot_load(mesh,
+    coef_gauss, w, u).
+    """
+    gx, gy = mesh.grad_gauss(u)
+    t = mesh.qw * coef_gauss
+    return _scatter_matrix(mesh, np.hstack([t * gx, t * gy]) @ mesh.coupling_tab)
+
+
+def _pair_sums(mesh, A, V):
+    """Gauss-point sums over columns k of interp(A_k) times interp(V_k),
+    d/dx V_k and d/dy V_k, as three (n_elems, 4) arrays.
+
+    The element products P[e, a, b] = sum_k A[conn[e, a], k] V[conn[e, b], k]
+    are formed over fixed chunks of elements, so the gathered temporaries
+    stay small whatever the number of columns.
+    """
+    P = np.empty((mesh.n_elems, 16))
+    for j in range(0, mesh.n_elems, PAIR_CHUNK):
+        conn = mesh.conn[j:j + PAIR_CHUNK]
+        P[j:j + PAIR_CHUNK] = (A[conn] @ V[conn].transpose(0, 2, 1)).reshape(-1, 16)
+    return np.split(P @ mesh.pair_tab, 3, axis=1)
+
+
+def interp_dot(mesh, A, V):
+    """Sum over columns k of interp_gauss(A[:, k]) * interp_gauss(V[:, k])."""
+    return _pair_sums(mesh, A, V)[0]
+
+
+def weighted_stiffness_sum(mesh, coef_gauss, A, V):
+    """Sum over columns k of weighted_stiffness_apply(mesh,
+    coef_gauss * interp_gauss(A[:, k]), V[:, k]) for (n, k) blocks A and V."""
+    _, sx, sy = _pair_sums(mesh, A, V)
+    t = mesh.qw * coef_gauss
+    return _scatter_vector(mesh, (t * sx) @ mesh.dphx + (t * sy) @ mesh.dphy)
 
 
 def nodal_load(mesh, values_gauss):
@@ -362,7 +412,9 @@ class SpdSolver:
 
     def _raw_solve(self, b):
         if self._direct:
-            return cho_solve_banded((self._factor, False), b, check_finite=False)
+            # C order, so that later sparse products need not copy the block
+            return np.ascontiguousarray(
+                cho_solve_banded((self._factor, False), b, check_finite=False))
         x, info = spla.cg(self.constrained, b, rtol=self.rtol, atol=0.0,
                           maxiter=10 * self.n, M=self._precond)
         if info != 0:
@@ -417,6 +469,10 @@ class SpdSolver:
         else:
             X = np.column_stack([self._raw_solve(B[:, j]) for j in range(B.shape[1])])
         return self._checked(X, B)
+
+    def apply_inverse(self, b):
+        """Homogeneous-BC solve of a vector (n,) or of each column of (n, k)."""
+        return self.solve(b) if np.ndim(b) == 1 else self.solve_many(b)
 
 
 def solve_spd(op, rhs, dirichlet_nodes=None, bc_values=0.0, rtol=1e-10):

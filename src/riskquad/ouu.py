@@ -11,9 +11,10 @@ replaced by fixed-probe estimates, and a quadratic control cost:
 with psi_j the Hessian action on probe j and w the probe weight.  The probe
 vectors are drawn once per optimization, so J is a smooth deterministic
 function of z.  Its exact gradient is assembled from a cascade of adjoint
-solves (one per incremental pair, then two aggregate solves), which makes
-the cost of one objective-plus-gradient evaluation exactly 4 + 4*n_tr PDE
-solves regardless of the parameter dimension.
+solves (one incremental pair per probe, applied to the probe block at once,
+then two aggregate solves), which makes the cost of one objective-plus-
+gradient evaluation exactly 4 + 4*n_tr PDE solves regardless of the
+parameter dimension.
 """
 
 from __future__ import annotations
@@ -22,8 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import grad_dot_load, weighted_stiffness_apply
+from .fem import (
+    grad_dot_load,
+    interp_dot,
+    weighted_stiffness_apply,
+    weighted_stiffness_sum,
+)
 from .optim import minimize_box_lbfgs
+from .surrogate import trace_probes
 from .utils import map_indexed
 
 
@@ -77,28 +84,27 @@ class RiskReport:
 
 @dataclass
 class OuuState:
-    """Everything the gradient cascade reuses from one objective evaluation."""
+    """What the gradient cascade reuses from one objective evaluation; the
+    incremental blocks hold one column per probe."""
 
     z: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
-    misfit: np.ndarray
-    inc_states: list
-    inc_adjoints: list
-    psi_loads: list
-    grad_load: np.ndarray
+    ws: object
+    inc_u: np.ndarray
+    inc_p: np.ndarray
     c_grad: np.ndarray
-    c_psi: list
+    c_psi: np.ndarray
     report: RiskReport = None
 
 
 class RiskAverseObjective:
     """The risk-averse objective bound to a flow problem and a Gaussian law.
 
-    Probe vectors are frozen at construction: random draws from N(0, C) in
-    randomized mode, sqrt(C) images of dominant preconditioned-Hessian
-    eigenvectors at the nominal control in eigenbasis mode (that one-time
-    construction is excluded from solve accounting).
+    Probe vectors are frozen at construction, one per row of ``probes``:
+    random draws from N(0, C) in randomized mode, sqrt(C) images of dominant
+    preconditioned-Hessian eigenvectors at the nominal control in eigenbasis
+    mode (that one-time construction is excluded from solve accounting).
+    Objective and gradient apply the incremental kernel to the whole probe
+    block at once.
     """
 
     def __init__(self, problem, gf, cfg, nominal_control=None):
@@ -107,24 +113,17 @@ class RiskAverseObjective:
         self.cfg = cfg
         self.beta = cfg.beta
         if cfg.n_tr == 0:
-            self.probes = []
-            self.weight = 0.0
-        elif cfg.trace_mode == "randomized":
-            self.probes = gf.draw_trace_vectors(cfg.n_tr, cfg.seed)
-            self.weight = 1.0 / cfg.n_tr
-        else:
+            self.probes, self.weight = np.empty((0, problem.mesh.n_nodes)), 0.0
+            return
+        surr = None
+        if cfg.trace_mode == "eigenbasis":
             if nominal_control is None:
                 raise ValueError("eigenbasis mode needs a nominal control")
             with problem.counter.paused():
                 surr = problem.surrogate(np.asarray(nominal_control, float))
-                basis = gf.preconditioned_eigenpairs(
-                    surr.hess_action, cfg.n_tr, seed=cfg.seed
-                )
-            self.probes = [gf.apply_sqrt_C(v) for v in basis.vectors.T]
-            self.weight = 1.0
-        self._probes_gauss = [
-            problem.mesh.interp_gauss(zeta) for zeta in self.probes
-        ]
+        self.probes, self.weight = trace_probes(
+            surr, gf, cfg.trace_mode, cfg.n_tr, cfg.seed
+        )
 
     def with_beta(self, beta):
         """Same frozen probes, different risk-aversion weight."""
@@ -133,12 +132,11 @@ class RiskAverseObjective:
         other.beta = float(beta)
         return other
 
-    def _apply_C_to_load(self, load):
-        """Covariance action on a dual vector: C (M^{-1} load) as a field."""
-        inner = self.gf.solver_A.solve(load)
-        return self.gf.scale * self.gf.solver_A.solve(
-            self.problem.space.mass @ inner
-        )
+    def _apply_C_to_loads(self, loads):
+        """Covariance action on the dual vectors in the columns of ``loads``:
+        C (M^{-1} load), as fields."""
+        solve = self.gf.solver_A.solve_many
+        return self.gf.scale * solve(self.problem.space.mass @ solve(loads))
 
     # -- objective ------------------------------------------------------------
 
@@ -150,33 +148,13 @@ class RiskAverseObjective:
         ws = pr.workspace(z)
         theta_bar = 0.5 * float(ws.misfit @ ws.misfit)
         grad_load = grad_dot_load(pr.mesh, pr.em_gauss, ws.u, ws.p)
-        c_grad = self._apply_C_to_load(grad_load)
+        zeta = self.probes.T
+        inc_u, inc_p, psi = pr.incremental(ws, zeta)
+        c_all = self._apply_C_to_loads(np.column_stack([grad_load, psi]))
+        c_grad, c_psi = c_all[:, 0], c_all[:, 1:]
         grad_term = float(grad_load @ c_grad)
-
-        inc_states, inc_adjoints, psi_loads, c_psi = [], [], [], []
-        tr_hc = 0.0
-        tr_hc_sq = 0.0
-        for zeta, zg in zip(self.probes, self._probes_gauss):
-            cg = pr.em_gauss * zg
-            inc_u = pr.anchor_solver.solve(
-                -weighted_stiffness_apply(pr.mesh, cg, ws.u)
-            )
-            inc_p = pr.anchor_solver.solve(
-                -pr.space.mass @ (pr.obs_fields @ pr.observe(inc_u))
-                - weighted_stiffness_apply(pr.mesh, cg, ws.p)
-            )
-            w_psi = (
-                grad_dot_load(pr.mesh, cg, ws.u, ws.p)
-                + grad_dot_load(pr.mesh, pr.em_gauss, inc_u, ws.p)
-                + grad_dot_load(pr.mesh, pr.em_gauss, ws.u, inc_p)
-            )
-            cp = self._apply_C_to_load(w_psi)
-            inc_states.append(inc_u)
-            inc_adjoints.append(inc_p)
-            psi_loads.append(w_psi)
-            c_psi.append(cp)
-            tr_hc += self.weight * float(zeta @ w_psi)
-            tr_hc_sq += self.weight * float(w_psi @ cp)
+        tr_hc = self.weight * float(np.sum(zeta * psi))
+        tr_hc_sq = self.weight * float(np.sum(psi * c_psi))
 
         control_cost = 0.5 * self.cfg.gamma * float(z @ z)
         mean_term = theta_bar + 0.5 * tr_hc
@@ -189,9 +167,8 @@ class RiskAverseObjective:
             pde_solves=pr.counter.count - start,
         )
         state = OuuState(
-            z=z, u=ws.u, p=ws.p, misfit=ws.misfit, inc_states=inc_states,
-            inc_adjoints=inc_adjoints, psi_loads=psi_loads,
-            grad_load=grad_load, c_grad=c_grad, c_psi=c_psi, report=report,
+            z=z, ws=ws, inc_u=inc_u, inc_p=inc_p, c_grad=c_grad, c_psi=c_psi,
+            report=report,
         )
         return report, state
 
@@ -200,46 +177,32 @@ class RiskAverseObjective:
     def gradient(self, state):
         """Control gradient from a previous evaluation's state.
 
-        Solves the adjoint cascade (one pair per probe, then the two
-        aggregate equations), costing exactly 2 + 2*n_tr additional PDE
+        Solves the adjoint cascade (one incremental pair per probe, then the
+        two aggregate equations), costing exactly 2 + 2*n_tr additional PDE
         solves, and returns gamma*z - <f_i, u*>.
         """
         pr = self.problem
-        mesh = pr.mesh
+        mesh, em, ws = pr.mesh, pr.em_gauss, state.ws
         start = pr.counter.count
-        half_w = 0.5 * self.weight
-        beta = self.beta
-
-        agg_p = np.zeros(mesh.n_nodes)  # sum_j of zeta_j-weighted adj pieces
-        agg_u = np.zeros(mesh.n_nodes)
-        b3 = np.zeros(mesh.n_nodes)
-        b4 = -pr.space.mass @ (pr.obs_fields @ state.misfit)
-
-        cg_grad = pr.em_gauss * mesh.interp_gauss(beta * state.c_grad)
-        b3 -= weighted_stiffness_apply(mesh, cg_grad, state.u)
-        b4 -= weighted_stiffness_apply(mesh, cg_grad, state.p)
-
-        for j, zeta_g in enumerate(self._probes_gauss):
-            mix = half_w * (self.probes[j] + beta * state.c_psi[j])
-            mix_g = pr.em_gauss * mesh.interp_gauss(mix)
-            adj_inc_p = pr.anchor_solver.solve(
-                -weighted_stiffness_apply(mesh, mix_g, state.u)
-            )
-            adj_inc_u = pr.anchor_solver.solve(
-                -pr.space.mass @ (pr.obs_fields @ pr.observe(adj_inc_p))
-                - weighted_stiffness_apply(mesh, mix_g, state.p)
-            )
-            zg = pr.em_gauss * zeta_g
-            agg_p += weighted_stiffness_apply(mesh, zg, adj_inc_p)
-            agg_u += weighted_stiffness_apply(mesh, zg, adj_inc_u)
-            b3 -= weighted_stiffness_apply(mesh, mix_g * zeta_g, state.u)
-            b3 -= weighted_stiffness_apply(mesh, mix_g, state.inc_states[j])
-            b4 -= weighted_stiffness_apply(mesh, mix_g * zeta_g, state.p)
-            b4 -= weighted_stiffness_apply(mesh, mix_g, state.inc_adjoints[j])
-
-        adj_p = pr.anchor_solver.solve(b3 - agg_p)
+        zeta = self.probes.T
+        mix = 0.5 * self.weight * (zeta + self.beta * state.c_psi)
+        adj_inc_p, adj_inc_u, _ = pr.incremental(ws, mix)
+        coef = em * (self.beta * mesh.interp_gauss(state.c_grad)
+                     + interp_dot(mesh, mix, zeta))
+        b3 = -(
+            weighted_stiffness_apply(mesh, coef, ws.u)
+            + weighted_stiffness_sum(mesh, em, mix, state.inc_u)
+            + weighted_stiffness_sum(mesh, em, zeta, adj_inc_p)
+        )
+        b4 = -(
+            pr.space.mass @ (pr.obs_fields @ ws.misfit)
+            + weighted_stiffness_apply(mesh, coef, ws.p)
+            + weighted_stiffness_sum(mesh, em, mix, state.inc_p)
+            + weighted_stiffness_sum(mesh, em, zeta, adj_inc_u)
+        )
+        adj_p = pr.anchor_solver.solve(b3)
         adj_u = pr.anchor_solver.solve(
-            b4 - pr.space.mass @ (pr.obs_fields @ pr.observe(adj_p)) - agg_u
+            b4 - pr.space.mass @ (pr.obs_fields @ pr.observe(adj_p))
         )
         grad = self.cfg.gamma * state.z - pr.source_fields.T @ (
             pr.space.mass @ adj_u
@@ -278,6 +241,34 @@ class ContinuationResult:
         return self.legs[-1].report
 
 
+def _continuation(problem, base, cfg, z0, value, grad, report):
+    """Projected L-BFGS over ``base.with_beta(beta)`` for each beta of the
+    schedule, each leg warm-started from the previous optimum.
+
+    ``value(obj, z) -> (f, aux)`` and ``grad(obj, z, aux)`` evaluate one
+    leg's objective; ``report(aux)`` is stored with the leg.
+    """
+    z = np.asarray(z0, dtype=float).copy()
+    legs = []
+    for beta in cfg.beta_schedule or (cfg.beta,):
+        obj = base.with_beta(beta)
+        res = minimize_box_lbfgs(
+            lambda zk, _o=obj: value(_o, zk),
+            lambda zk, aux, _o=obj: grad(_o, zk, aux),
+            z, cfg.z_min, cfg.z_max,
+            rel_tol=cfg.grad_reduction_tol, max_iter=cfg.max_iter,
+            solve_count=lambda: problem.counter.count,
+        )
+        z = res.z
+        legs.append(
+            ContinuationLeg(
+                beta=beta, rows=res.rows, converged=res.converged,
+                degraded=res.degraded, report=report(res.aux), z=z.copy(),
+            )
+        )
+    return ContinuationResult(z=z, legs=legs, degraded=any(l.degraded for l in legs))
+
+
 def optimize(problem, gf, cfg, z0=None, nominal_control=None):
     """Risk-averse control by projected L-BFGS with beta continuation.
 
@@ -286,40 +277,20 @@ def optimize(problem, gf, cfg, z0=None, nominal_control=None):
     gradient norm has dropped by ``cfg.grad_reduction_tol`` relative to its
     value at the leg's start.
     """
-    z0 = (
-        np.full(problem.n_controls, 4.0) if z0 is None
-        else np.asarray(z0, dtype=float)
-    )
+    z0 = np.full(problem.n_controls, 4.0) if z0 is None else z0
     base = RiskAverseObjective(
         problem, gf, cfg,
         nominal_control=z0 if nominal_control is None else nominal_control,
     )
-    schedule = cfg.beta_schedule if cfg.beta_schedule else (cfg.beta,)
-    z = z0.copy()
-    legs = []
-    for beta in schedule:
-        obj = base.with_beta(beta)
 
-        def value_fn(zk, _obj=obj):
-            report, state = _obj.evaluate(zk)
-            return report.value, state
+    def value(obj, zk):
+        report, state = obj.evaluate(zk)
+        return report.value, state
 
-        def grad_fn(zk, state, _obj=obj):
-            return _obj.gradient(state)
-
-        res = minimize_box_lbfgs(
-            value_fn, grad_fn, z, cfg.z_min, cfg.z_max,
-            rel_tol=cfg.grad_reduction_tol, max_iter=cfg.max_iter,
-            solve_count=lambda: problem.counter.count,
-        )
-        z = res.z
-        legs.append(
-            ContinuationLeg(
-                beta=beta, rows=res.rows, converged=res.converged,
-                degraded=res.degraded, report=res.aux.report, z=z.copy(),
-            )
-        )
-    return ContinuationResult(z=z, legs=legs, degraded=any(l.degraded for l in legs))
+    return _continuation(
+        problem, base, cfg, z0, value,
+        lambda obj, zk, state: obj.gradient(state), lambda state: state.report,
+    )
 
 
 # -- sample average approximation baseline -------------------------------------
@@ -389,34 +360,15 @@ def saa_objective_gradient(problem, gf, z, n_mc, beta, gamma, seed=0, eps=1.0):
 
 def optimize_saa(problem, gf, cfg, n_mc, z0=None, seed=None):
     """Beta continuation over the sample-average objective."""
-    z0 = (
-        np.full(problem.n_controls, 4.0) if z0 is None
-        else np.asarray(z0, dtype=float)
-    )
+    z0 = np.full(problem.n_controls, 4.0) if z0 is None else z0
     saa = SaaObjective(
         problem, gf, n_mc, cfg.beta, cfg.gamma,
         seed=cfg.seed if seed is None else seed,
     )
-    schedule = cfg.beta_schedule if cfg.beta_schedule else (cfg.beta,)
-    z = z0.copy()
-    legs = []
-    for beta in schedule:
-        obj = saa.with_beta(beta)
-        res = minimize_box_lbfgs(
-            lambda zk, _o=obj: _o.evaluate(zk),
-            lambda zk, aux, _o=obj: _o.gradient(zk, aux),
-            z, cfg.z_min, cfg.z_max,
-            rel_tol=cfg.grad_reduction_tol, max_iter=cfg.max_iter,
-            solve_count=lambda: problem.counter.count,
-        )
-        z = res.z
-        legs.append(
-            ContinuationLeg(
-                beta=beta, rows=res.rows, converged=res.converged,
-                degraded=res.degraded, report=None, z=z.copy(),
-            )
-        )
-    return ContinuationResult(z=z, legs=legs, degraded=any(l.degraded for l in legs))
+    return _continuation(
+        problem, saa, cfg, z0, SaaObjective.evaluate, SaaObjective.gradient,
+        lambda aux: None,
+    )
 
 
 # -- Monte Carlo evaluation of the true risk ------------------------------------
@@ -440,6 +392,9 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, eps=1.0,
     Each draw costs one assembly+solve at its own parameter (no reuse is
     possible across draws).  When ``with_surrogates`` is set, the linear and
     quadratic expansion values on the same draws are returned too.
+    ``threads`` spreads the draws over a thread pool; results and solve
+    counts do not depend on it, and it gives no speed-up at present because
+    the banded Cholesky factorization holds the interpreter lock.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be positive")

@@ -18,9 +18,10 @@ import numpy as np
 from .fem import (
     SolveCounter,
     SpdSolver,
+    assemble_coupling,
+    assemble_weighted_mass,
     assemble_weighted_stiffness,
     grad_dot_load,
-    weighted_stiffness_apply,
 )
 from .random_field import volume_space
 from .surrogate import QuadraticSurrogate
@@ -107,12 +108,14 @@ def mollifier_fields(mesh, space, points, sigma):
 
 @dataclass
 class PdeWorkspace:
-    """State/adjoint pair at the anchor field for one control vector."""
+    """State/adjoint pair at the anchor field for one control vector, with
+    the incremental coupling matrices once ``incremental`` has built them."""
 
     z: np.ndarray
     u: np.ndarray
     p: np.ndarray
     misfit: np.ndarray
+    couplings: tuple = None
 
 
 class PoissonFlowProblem:
@@ -217,23 +220,35 @@ class PoissonFlowProblem:
             grad_dot_load(self.mesh, self.em_gauss, ws.u, ws.p)
         )
 
+    def incremental(self, ws, zeta):
+        """Incremental states, adjoints and Hessian loads for a direction (n,)
+        or for each column of an (n, k) block (2 counted solves per column).
+
+        With B_u zeta = weighted_stiffness_apply(em * zeta_gauss, u), B_p the
+        same with p, and M_w the mass matrix weighted by em grad u . grad p,
+        the Hessian load is M_w zeta + B_p^T inc_u + B_u^T inc_p.  The three
+        matrices are built once per workspace and cached on it.
+        """
+        if ws.couplings is None:
+            mesh, em = self.mesh, self.em_gauss
+            (ux, uy), (px, py) = mesh.grad_gauss(ws.u), mesh.grad_gauss(ws.p)
+            ws.couplings = (
+                assemble_coupling(mesh, em, ws.u),
+                assemble_coupling(mesh, em, ws.p),
+                assemble_weighted_mass(mesh, em * (ux * px + uy * py)),
+            )
+        B_u, B_p, M_w = ws.couplings
+        solve = self.anchor_solver.apply_inverse
+        inc_u = solve(-(B_u @ zeta))
+        inc_p = solve(
+            -self.space.mass @ (self.obs_fields @ self.observe(inc_u)) - B_p @ zeta
+        )
+        return inc_u, inc_p, M_w @ zeta + B_p.T @ inc_u + B_u.T @ inc_p
+
     def hess_action(self, ws, zeta):
-        """Hessian-vector product via incremental state/adjoint (2 solves)."""
-        cg = self.em_gauss * self.mesh.interp_gauss(zeta)
-        inc_u = self.anchor_solver.solve(
-            -weighted_stiffness_apply(self.mesh, cg, ws.u)
-        )
-        obs_inc = self.observe(inc_u)
-        inc_p = self.anchor_solver.solve(
-            -self.space.mass @ (self.obs_fields @ obs_inc)
-            - weighted_stiffness_apply(self.mesh, cg, ws.p)
-        )
-        load = (
-            grad_dot_load(self.mesh, cg, ws.u, ws.p)
-            + grad_dot_load(self.mesh, self.em_gauss, inc_u, ws.p)
-            + grad_dot_load(self.mesh, self.em_gauss, ws.u, inc_p)
-        )
-        return self.space.project(load)
+        """Hessian action on a direction (n,) or on each column of an (n, k)
+        block, via the incremental state/adjoint pair (2 solves per column)."""
+        return self.space.project(self.incremental(ws, zeta)[2])
 
     def surrogate(self, z):
         """Quadratic expansion of m -> objective about the anchor field."""

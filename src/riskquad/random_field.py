@@ -56,8 +56,9 @@ class FieldSpace:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
     def project(self, load):
-        """Nodal representation of a linear functional: solve M g = load."""
-        return self._projector.solve(load)
+        """Nodal representation of a linear functional (n,) or of each column
+        of an (n, k) block: solve M g = load."""
+        return self._projector.apply_inverse(load)
 
     def orthonormalize(self, B):
         """M-orthonormalize the columns of B via QR in the L^T image."""
@@ -160,25 +161,24 @@ class GaussianField:
     # -- covariance actions -------------------------------------------------
 
     def apply_C(self, f):
-        """Covariance action on a field: scale * A^{-1} M A^{-1} M f."""
-        y = self.solver_A.solve(self.space.mass @ np.asarray(f))
-        return self.scale * self.solver_A.solve(self.space.mass @ y)
+        """Covariance action on a field or on each column of a block:
+        scale * A^{-1} M A^{-1} M f."""
+        y = self.solver_A.apply_inverse(self.space.mass @ np.asarray(f))
+        return self.scale * self.solver_A.apply_inverse(self.space.mass @ y)
 
     def apply_sqrt_C(self, f):
-        """M-self-adjoint square root action: sqrt(scale) * A^{-1} M f."""
-        return np.sqrt(self.scale) * self.solver_A.solve(
-            self.space.mass @ np.asarray(f)
-        )
+        """M-self-adjoint square root action on a field or on each column of
+        a block: sqrt(scale) * A^{-1} M f."""
+        y = self.solver_A.apply_inverse(self.space.mass @ np.asarray(f))
+        return np.sqrt(self.scale) * y
 
     # -- sampling -------------------------------------------------------------
 
     def _colored(self, normals):
         """Map standard normals to zero-mean draws with covariance matrix
         scale * A^{-1} M A^{-1} (nodal values)."""
-        noise = self.space.sqrt_mass @ normals
-        if noise.ndim == 1:
-            return np.sqrt(self.scale) * self.solver_A.solve(noise)
-        return np.sqrt(self.scale) * self.solver_A.solve_many(noise)
+        y = self.solver_A.apply_inverse(self.space.sqrt_mass @ normals)
+        return np.sqrt(self.scale) * y
 
     def sample(self, eps=1.0, rng=None):
         """One draw from N(mean, eps*scale*C)."""
@@ -202,10 +202,11 @@ class GaussianField:
         return self._colored(rng.standard_normal((self.dim, n)))
 
     def draw_trace_vectors(self, n_tr, seed):
-        """n_tr zero-mean draws used as trace-estimation probes."""
+        """(n_tr, dim) array of zero-mean draws, one trace-estimation probe
+        per row."""
         if n_tr < 1:
             raise ValueError("n_tr must be at least 1")
-        return list(self.zero_mean_batch(n_tr, seed).T)
+        return self.zero_mean_batch(n_tr, seed).T
 
     # -- spectral machinery ---------------------------------------------------
 
@@ -213,10 +214,11 @@ class GaussianField:
                                   seed=7, oversample=8):
         """Dominant eigenpairs of sqrt(C) H sqrt(C) without forming matrices.
 
-        ``hess_action`` must be self-adjoint in the M inner product.  Block
-        subspace iteration with M-orthonormalization and Rayleigh-Ritz
-        extraction; stops when the leading k Ritz values change by less than
-        ``tol`` relatively.  Returned vectors are M-orthonormal.
+        ``hess_action`` must be self-adjoint in the M inner product and act
+        on each column of an (n, b) block.  Block subspace iteration with
+        M-orthonormalization and Rayleigh-Ritz extraction, one block Hessian
+        action per sweep; stops when the leading k Ritz values change by less
+        than ``tol`` relatively.  Returned vectors are M-orthonormal.
         """
         n = self.dim
         if not 1 <= k <= n:
@@ -226,9 +228,7 @@ class GaussianField:
         Q = self.space.orthonormalize(rng.standard_normal((n, b)))
         lam_prev = None
         for _ in range(max_iter):
-            Y = np.column_stack(
-                [self.apply_sqrt_C(hess_action(self.apply_sqrt_C(q))) for q in Q.T]
-            )
+            Y = self.apply_sqrt_C(hess_action(self.apply_sqrt_C(Q)))
             if np.max(np.abs(Y)) < 1e-300:
                 return EigenBasis(np.zeros(k), Q[:, :k])
             S = Q.T @ (self.space.mass @ Y)

@@ -88,11 +88,11 @@ class SemilinearProblem:
         return self.trace_space.dim
 
     def boundary_load(self, m_bnd):
-        """Volume load of the Neumann boundary term <m, v> on the trace."""
-        out = np.zeros(self.mesh.n_nodes)
-        out[self.trace_space.node_index] = self.trace_space.mass @ np.asarray(
-            m_bnd, float
-        )
+        """Volume load of the Neumann boundary term <m, v> on the trace, for a
+        flux (nb,) or for each column of an (nb, k) block."""
+        m_bnd = np.asarray(m_bnd, float)
+        out = np.zeros((self.mesh.n_nodes,) + m_bnd.shape[1:])
+        out[self.trace_space.node_index] = self.trace_space.mass @ m_bnd
         return out
 
     def boundary_trace(self, u):
@@ -159,17 +159,15 @@ class SemilinearProblem:
         return -self.boundary_trace(ws.p)
 
     def hess_action(self, ws, m_hat):
-        """Hessian action on a boundary flux direction (2 linearized solves)."""
-        inc_u = ws.solver.solve(self.boundary_load(m_hat))
+        """Hessian action on a boundary flux direction (nb,) or on each column
+        of an (nb, k) block (2 linearized solves per direction)."""
+        solve = ws.solver.apply_inverse
+        inc_u = solve(self.boundary_load(m_hat))
         load = self.space.mass @ inc_u
         if self.c > 0.0:
-            prod = (
-                self.mesh.interp_gauss(ws.u)
-                * self.mesh.interp_gauss(ws.p)
-                * self.mesh.interp_gauss(inc_u)
-            )
-            load = load + 6.0 * self.c * nodal_load(self.mesh, prod)
-        inc_p = ws.solver.solve(-load)
+            up = self.mesh.interp_gauss(ws.u) * self.mesh.interp_gauss(ws.p)
+            load = load + assemble_weighted_mass(self.mesh, 6.0 * self.c * up) @ inc_u
+        inc_p = solve(-load)
         return -self.boundary_trace(inc_p)
 
     def surrogate(self, z, m_bar=None):

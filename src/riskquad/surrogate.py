@@ -29,8 +29,9 @@ from .utils import map_indexed
 class QuadraticSurrogate:
     """Second-order expansion of the parameter-to-objective map.
 
-    ``hess_action`` maps a field to the Hessian-vector product and must be
-    self-adjoint in the M inner product of ``space``.  ``counter`` points at
+    ``hess_action`` maps a field (n,) to the Hessian-vector product, or an
+    (n, k) block to the products with each column, and must be self-adjoint
+    in the M inner product of ``space``.  ``counter`` points at
     the owning problem's solve counter when there is one, so auxiliary work
     (eigenbasis construction) can be excluded from solve accounting.
     """
@@ -61,55 +62,54 @@ class TraceEstimate:
     """Estimates of tr(sqrt(C) H sqrt(C)) and of the trace of its square.
 
     ``probes`` are the fields the Hessian was applied to and ``psi`` the
-    corresponding Hessian actions; ``weight`` is the quadrature weight of
-    each term (1/n_tr for random probes, 1 for eigenbasis sums).
+    corresponding Hessian actions, one per row; ``weight`` is the quadrature
+    weight of each term (1/n_tr for random probes, 1 for eigenbasis sums).
     """
 
     mode: str
     n_tr: int
     tr_hc: float
     tr_hc_sq: float
-    probes: list
-    psi: list
+    probes: np.ndarray
+    psi: np.ndarray
     seed: int
     weight: float
 
 
-def estimate_traces(surr, gf, mode="randomized", n_tr=40, seed=0, basis=None):
-    """Estimate both covariance-preconditioned traces of the Hessian.
+def trace_probes(surr, gf, mode, n_tr, seed, basis=None):
+    """(n_tr, dim) array of trace probes, one per row, and the term weight.
 
-    randomized: probes are draws from N(0, C); the averaged quadratic forms
-    are unbiased for both traces.  eigenbasis: probes are sqrt(C) images of
-    the dominant eigenvectors of sqrt(C) H sqrt(C) (computed here unless a
-    ``basis`` is passed; that construction is excluded from solve
-    accounting).  Either way the Hessian is applied once per probe, i.e.
-    2*n_tr PDE solves.
+    randomized: draws from N(0, C), weight 1/n_tr (unbiased for both traces).
+    eigenbasis: sqrt(C) images of the dominant eigenvectors of sqrt(C) H
+    sqrt(C), weight 1; computed here, outside solve accounting, unless a
+    ``basis`` is passed.
     """
     if n_tr < 1:
         raise ValueError("n_tr must be at least 1")
     if mode == "randomized":
-        probes = gf.draw_trace_vectors(n_tr, seed)
-        weight = 1.0 / n_tr
-    elif mode == "eigenbasis":
-        if basis is None:
-            pause = surr.counter.paused() if surr.counter is not None else nullcontext()
-            with pause:
-                basis = gf.preconditioned_eigenpairs(surr.hess_action, n_tr, seed=seed)
-        probes = [gf.apply_sqrt_C(v) for v in basis.vectors.T]
-        weight = 1.0
-    else:
+        return gf.draw_trace_vectors(n_tr, seed), 1.0 / n_tr
+    if mode != "eigenbasis":
         raise ValueError(f"unknown trace mode {mode!r}")
+    if basis is None:
+        pause = surr.counter.paused() if surr.counter is not None else nullcontext()
+        with pause:
+            basis = gf.preconditioned_eigenpairs(surr.hess_action, n_tr, seed=seed)
+    return gf.apply_sqrt_C(basis.vectors).T, 1.0
 
-    psi = [surr.hess_action(zeta) for zeta in probes]
-    tr_hc = weight * sum(
-        surr.space.inner(zeta, ps) for zeta, ps in zip(probes, psi)
-    )
-    tr_hc_sq = weight * sum(
-        surr.space.inner(ps, gf.apply_C(ps)) for ps in psi
-    )
+
+def estimate_traces(surr, gf, mode="randomized", n_tr=40, seed=0, basis=None):
+    """Estimate both covariance-preconditioned traces of the Hessian with the
+    probes of ``trace_probes``; the Hessian is applied to the probe block
+    once, i.e. 2*n_tr PDE solves.
+    """
+    probes, weight = trace_probes(surr, gf, mode, n_tr, seed, basis)
+    psi = surr.hess_action(probes.T)
+    mass = surr.space.mass
+    tr_hc = weight * float(np.sum(probes.T * (mass @ psi)))
+    tr_hc_sq = weight * float(np.sum(psi * (mass @ gf.apply_C(psi))))
     return TraceEstimate(
         mode=mode, n_tr=n_tr, tr_hc=tr_hc, tr_hc_sq=tr_hc_sq,
-        probes=probes, psi=psi, seed=seed, weight=weight,
+        probes=probes, psi=psi.T, seed=seed, weight=weight,
     )
 
 
@@ -158,7 +158,10 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0, threads=1):
     at eps is then anchor + sqrt(eps) b_i, and both expansions are
     polynomials in sqrt(eps) with coefficients <g, b_i> and <H b_i, b_i>,
     so each draw costs one Hessian action for the whole eps range.  Also
-    returns least-squares log-log slopes over the eps range.
+    returns least-squares log-log slopes over the eps range.  ``threads``
+    spreads the draws at each eps over a thread pool; results and solve
+    counts do not depend on it, and it gives no speed-up at present because
+    the banded Cholesky factorization holds the interpreter lock.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if np.any(eps <= 0.0):

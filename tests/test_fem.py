@@ -10,13 +10,19 @@ from riskquad.errors import NumericalError
 from riskquad.fem import (
     SolveCounter,
     SpdSolver,
+    assemble_coupling,
     assemble_mass,
+    assemble_weighted_mass,
     assemble_weighted_stiffness,
     build_mesh,
+    grad_dot_load,
+    interp_dot,
     mass_cholesky,
     mass_matrix_1d,
     solve_spd,
     stiffness_matrix_1d,
+    weighted_stiffness_apply,
+    weighted_stiffness_sum,
 )
 from riskquad.random_field import field_on_mesh, neumann_trace_space
 
@@ -307,3 +313,47 @@ def test_solve_counter_exact_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert counter.count == per_thread * n_threads
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.fixture(scope="module")
+def canonical_fields():
+    mesh = build_mesh(79, 39, 2.0, 1.0)
+    rng = np.random.default_rng(11)
+    em = np.exp(mesh.interp_gauss(0.5 * rng.standard_normal(mesh.n_nodes)))
+    u, p, zeta, w = rng.standard_normal((4, mesh.n_nodes))
+    return mesh, em, u, p, zeta, w
+
+
+def test_coupling_matrix_matches_matrix_free_kernels(canonical_fields):
+    mesh, em, u, _, zeta, w = canonical_fields
+    B = assemble_coupling(mesh, em, u)
+    cg = em * mesh.interp_gauss(zeta)
+    assert _rel(B @ zeta, weighted_stiffness_apply(mesh, cg, u)) <= 1e-12
+    assert _rel(B.T @ w, grad_dot_load(mesh, em, w, u)) <= 1e-12
+
+
+def test_weighted_mass_coupling_matches_grad_dot_load(canonical_fields):
+    mesh, em, u, p, zeta, _ = canonical_fields
+    ux, uy = mesh.grad_gauss(u)
+    px, py = mesh.grad_gauss(p)
+    M_w = assemble_weighted_mass(mesh, em * (ux * px + uy * py))
+    cg = em * mesh.interp_gauss(zeta)
+    assert _rel(M_w @ zeta, grad_dot_load(mesh, cg, u, p)) <= 1e-12
+
+
+def test_block_reductions_match_column_sums(canonical_fields):
+    mesh, em, *_ = canonical_fields
+    rng = np.random.default_rng(12)
+    A, V = rng.standard_normal((2, mesh.n_nodes, 11))
+    cols = range(A.shape[1])
+    ref = sum(
+        weighted_stiffness_apply(mesh, em * mesh.interp_gauss(A[:, k]), V[:, k])
+        for k in cols
+    )
+    assert _rel(weighted_stiffness_sum(mesh, em, A, V), ref) <= 1e-12
+    ref = sum(mesh.interp_gauss(A[:, k]) * mesh.interp_gauss(V[:, k]) for k in cols)
+    assert _rel(interp_dot(mesh, A, V), ref) <= 1e-12

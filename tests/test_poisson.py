@@ -223,3 +223,15 @@ def test_solve_accounting(small_problem):
     rng = np.random.default_rng(13)
     problem.hess_action(ws, rng.standard_normal(problem.mesh.n_nodes))
     assert problem.counter.count - start == 4
+
+
+def test_block_hessian_matches_columns(small_problem):
+    mesh, problem, _ = small_problem
+    ws = problem.workspace(np.full(problem.n_controls, 4.0))
+    Z = np.random.default_rng(8).standard_normal((mesh.n_nodes, 5))
+    start = problem.counter.count
+    block = problem.hess_action(ws, Z)
+    assert problem.counter.count - start == 2 * Z.shape[1]
+    for k in range(Z.shape[1]):
+        col = problem.hess_action(ws, Z[:, k])
+        assert np.linalg.norm(block[:, k] - col) <= 1e-12 * np.linalg.norm(col)

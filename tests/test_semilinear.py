@@ -162,3 +162,14 @@ def test_hessian_norm_mesh_stable():
 def test_negative_c_rejected():
     with pytest.raises(ValueError):
         SemilinearProblem(build_mesh(4, 4, 1.0, 1.0), c=-1.0)
+
+
+def test_block_hessian_matches_columns(setup):
+    mesh, problem, _ = setup
+    assert problem.c > 0.0
+    ws = problem.workspace(np.ones(mesh.n_nodes), np.zeros(problem.boundary_dim))
+    M = np.random.default_rng(9).standard_normal((problem.boundary_dim, 4))
+    block = problem.hess_action(ws, M)
+    for k in range(M.shape[1]):
+        col = problem.hess_action(ws, M[:, k])
+        assert np.linalg.norm(block[:, k] - col) <= 1e-12 * np.linalg.norm(col)
