@@ -193,8 +193,8 @@ def cmd_compare_mc(args):
     controls = []
     meta = []
     base = build_ouu_config(cfg.ouu, seed=cfg.seed)
+    mesh, gf, problem = build_setup(cfg)
     for beta in exp.compare_betas:
-        mesh, gf, problem = build_setup(cfg)
         leg_cfg = replace(
             base, beta=beta, beta_schedule=(0.0, beta) if beta > 0 else (beta,),
             max_iter=exp.compare_max_iter,

@@ -116,17 +116,14 @@ _SECTION_TYPES = {
 def _from_dict(cls, data, path=""):
     if not isinstance(data, dict):
         raise ConfigError(f"section {path or cls.__name__!r} must be a mapping")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown config keys at {path or '<root>'}: {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
         here = f"{path}.{name}" if path else name
-        f = fields[name]
-        if dataclasses.is_dataclass(f.type) or name in _SECTION_TYPES:
-            sub = _SECTION_TYPES.get(name, f.type)
-            kwargs[name] = _from_dict(sub, value, here)
+        if name in _SECTION_TYPES:
+            kwargs[name] = _from_dict(_SECTION_TYPES[name], value, here)
         else:
             kwargs[name] = value
     try:
@@ -145,13 +142,16 @@ def config_to_dict(cfg):
     return dataclasses.asdict(cfg)
 
 
-def load_config(path):
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+
+
+def load_config(path):
+    return config_from_dict(_read_json(path))
 
 
 def save_config(cfg, path):
@@ -198,12 +198,7 @@ def resolve_config(profile=None, config_path=None, overrides=None):
         )
     data = dict(PROFILES[profile])
     if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                file_data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        data = _merge(data, file_data)
+        data = _merge(data, _read_json(config_path))
     if overrides:
         data = _merge(data, overrides)
     return config_from_dict(data)
@@ -246,7 +241,10 @@ def build_wells(spec):
 def build_ouu_config(spec, seed=0):
     """Runtime OuuConfig from the config section, which adds only ``z0``."""
     names = [f.name for f in dataclasses.fields(OuuConfig) if f.name != "seed"]
-    return OuuConfig(seed=seed, **{name: getattr(spec, name) for name in names})
+    try:
+        return OuuConfig(seed=seed, **{name: getattr(spec, name) for name in names})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"ouu: {exc}") from exc
 
 
 def build_setup(cfg):

@@ -15,7 +15,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import NumericalError
@@ -349,18 +348,16 @@ class SpdSolver:
 
     Dirichlet rows and columns are eliminated symmetrically on the CSR data
     (unit diagonal, lifted right-hand side), so the constrained operator
-    stays SPD.  Small systems are factorized by LAPACK banded Cholesky in the
-    operator's own node order, with the bandwidth read from its sparsity
-    pattern; an operator that is not positive definite raises
-    ``NumericalError``.  Large ones fall back to Jacobi-preconditioned
-    conjugate gradients.  Every solve, block solves included, verifies the
-    residual of each right-hand side against ``rtol`` and ticks the optional
-    counter once per right-hand side.  The solver is immutable after
-    construction and may be shared across independent right-hand sides.
+    stays SPD.  It is factorized by LAPACK banded Cholesky in the operator's
+    own node order, with the bandwidth read from its sparsity pattern; an
+    operator that is not positive definite raises ``NumericalError``.  Every
+    solve, block solves included, verifies the residual of each right-hand
+    side against ``rtol`` and ticks the optional counter once per right-hand
+    side.  The solver is immutable after construction and may be shared
+    across independent right-hand sides.
     """
 
-    def __init__(self, op, dirichlet_nodes=None, rtol=1e-10, counter=None,
-                 direct_limit=100_000):
+    def __init__(self, op, dirichlet_nodes=None, rtol=1e-10, counter=None):
         op = op.tocsr()
         if not op.has_canonical_format:
             op = op.copy()
@@ -386,14 +383,7 @@ class SpdSolver:
             data[pinned_diag] = 1.0
             self.constrained = sp.csr_matrix((data, op.indices, op.indptr),
                                              shape=op.shape)
-        self._direct = self.n <= direct_limit
-        if self._direct:
-            self._factor = self._banded_cholesky(rows, cols)
-        else:
-            inv_diag = 1.0 / self.constrained.diagonal()
-            self._precond = spla.LinearOperator(
-                (self.n, self.n), matvec=lambda x: inv_diag * x
-            )
+        self._factor = self._banded_cholesky(rows, cols)
 
     def _banded_cholesky(self, rows, cols):
         # Row i of the lower triangle is column i of the upper one, so entry
@@ -411,19 +401,9 @@ class SpdSolver:
             raise NumericalError(f"operator is not positive definite: {exc}") from exc
 
     def _raw_solve(self, b):
-        if self._direct:
-            # C order, so that later sparse products need not copy the block
-            return np.ascontiguousarray(
-                cho_solve_banded((self._factor, False), b, check_finite=False))
-        x, info = spla.cg(self.constrained, b, rtol=self.rtol, atol=0.0,
-                          maxiter=10 * self.n, M=self._precond)
-        if info != 0:
-            res = np.linalg.norm(self.constrained @ x - b)
-            raise NumericalError(
-                f"conjugate gradients stopped after budget (info={info})",
-                residual=res,
-            )
-        return x
+        # C order, so that later sparse products need not copy the block
+        return np.ascontiguousarray(
+            cho_solve_banded((self._factor, False), b, check_finite=False))
 
     def _checked(self, x, b):
         """Verify every column's residual, tick once per column, return x."""
@@ -464,11 +444,7 @@ class SpdSolver:
         B = np.array(loads, dtype=float)
         if self.dirichlet.size:
             B[self.dirichlet, :] = 0.0
-        if self._direct:
-            X = self._raw_solve(B)
-        else:
-            X = np.column_stack([self._raw_solve(B[:, j]) for j in range(B.shape[1])])
-        return self._checked(X, B)
+        return self._checked(self._raw_solve(B), B)
 
     def apply_inverse(self, b):
         """Homogeneous-BC solve of a vector (n,) or of each column of (n, k)."""

@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+ABS_TOL = 1e-14       # projected-gradient norm that counts as converged outright
+MEMORY = 10           # curvature pairs kept by L-BFGS
+ARMIJO_C1 = 1e-4      # sufficient-decrease constant of the line search
+MAX_BACKTRACKS = 40   # step halvings before a line search gives up
+
 
 @dataclass
 class IterRow:
@@ -58,14 +63,15 @@ def _two_loop(grad, mem):
 
 
 def minimize_box_lbfgs(value_fn, grad_fn, z0, lower, upper, *, rel_tol=5e-4,
-                       abs_tol=1e-14, max_iter=100, memory=10, c1=1e-4,
-                       max_backtracks=40, solve_count=None):
+                       max_iter=100, solve_count=None):
     """Minimize over a box using two callbacks sharing per-point state.
 
     ``value_fn(z) -> (f, aux)`` evaluates the objective (line-search trials
     use only this); ``grad_fn(z, aux) -> g`` finishes the gradient from the
     state ``aux`` that the matching value call produced.  ``solve_count`` is
-    an optional zero-argument callable sampled for the iterate trace.
+    an optional zero-argument callable sampled for the iterate trace.  The
+    module constants ``ABS_TOL``, ``MEMORY``, ``ARMIJO_C1`` and
+    ``MAX_BACKTRACKS`` fix the remaining settings.
     """
     lower = np.broadcast_to(np.asarray(lower, float), np.shape(z0)).copy()
     upper = np.broadcast_to(np.asarray(upper, float), np.shape(z0)).copy()
@@ -74,7 +80,7 @@ def minimize_box_lbfgs(value_fn, grad_fn, z0, lower, upper, *, rel_tol=5e-4,
 
     f, aux = value_fn(z)
     g = grad_fn(z, aux)
-    mem = deque(maxlen=memory)
+    mem = deque(maxlen=MEMORY)
     rows = []
     edge = 1e-10 * np.maximum(upper - lower, 1.0)
 
@@ -86,9 +92,9 @@ def minimize_box_lbfgs(value_fn, grad_fn, z0, lower, upper, *, rel_tol=5e-4,
 
     pg0 = projected_gradient_norm(z, g)
     rows.append(IterRow(0, f, pg0, count(), n_active(z)))
-    if pg0 <= abs_tol:
+    if pg0 <= ABS_TOL:
         return BoxResult(z, f, True, False, rows, 0, aux)
-    target = max(rel_tol * pg0, abs_tol)
+    target = max(rel_tol * pg0, ABS_TOL)
 
     degraded = False
     converged = False
@@ -109,13 +115,13 @@ def minimize_box_lbfgs(value_fn, grad_fn, z0, lower, upper, *, rel_tol=5e-4,
         f_new = f
         z_new = z
         aux_new = aux
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             z_trial = _project(z + alpha * d, lower, upper)
             step = z_trial - z
             if np.linalg.norm(step) == 0.0:
                 break
             f_trial, aux_trial = value_fn(z_trial)
-            if f_trial <= f + c1 * (g @ step):
+            if f_trial <= f + ARMIJO_C1 * (g @ step):
                 z_new, f_new, aux_new = z_trial, f_trial, aux_trial
                 accepted = True
                 break

@@ -269,19 +269,16 @@ def _continuation(problem, base, cfg, z0, value, grad, report):
     return ContinuationResult(z=z, legs=legs, degraded=any(l.degraded for l in legs))
 
 
-def optimize(problem, gf, cfg, z0=None, nominal_control=None):
+def optimize(problem, gf, cfg, z0=None):
     """Risk-averse control by projected L-BFGS with beta continuation.
 
-    Probe vectors are drawn once and shared by every continuation leg; each
-    leg warm-starts from the previous optimum and stops when the projected
-    gradient norm has dropped by ``cfg.grad_reduction_tol`` relative to its
-    value at the leg's start.
+    Probe vectors are drawn once (eigenbasis probes at ``z0``) and shared by
+    every continuation leg; each leg warm-starts from the previous optimum
+    and stops when the projected gradient norm has dropped by
+    ``cfg.grad_reduction_tol`` relative to its value at the leg's start.
     """
     z0 = np.full(problem.n_controls, 4.0) if z0 is None else z0
-    base = RiskAverseObjective(
-        problem, gf, cfg,
-        nominal_control=z0 if nominal_control is None else nominal_control,
-    )
+    base = RiskAverseObjective(problem, gf, cfg, nominal_control=z0)
 
     def value(obj, zk):
         report, state = obj.evaluate(zk)
@@ -358,13 +355,10 @@ def saa_objective_gradient(problem, gf, z, n_mc, beta, gamma, seed=0, eps=1.0):
     return saa.value_and_grad(z)
 
 
-def optimize_saa(problem, gf, cfg, n_mc, z0=None, seed=None):
-    """Beta continuation over the sample-average objective."""
+def optimize_saa(problem, gf, cfg, n_mc, z0=None):
+    """Beta continuation over the sample-average objective (draws of ``cfg.seed``)."""
     z0 = np.full(problem.n_controls, 4.0) if z0 is None else z0
-    saa = SaaObjective(
-        problem, gf, n_mc, cfg.beta, cfg.gamma,
-        seed=cfg.seed if seed is None else seed,
-    )
+    saa = SaaObjective(problem, gf, n_mc, cfg.beta, cfg.gamma, seed=cfg.seed)
     return _continuation(
         problem, saa, cfg, z0, SaaObjective.evaluate, SaaObjective.gradient,
         lambda aux: None,

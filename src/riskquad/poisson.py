@@ -126,18 +126,16 @@ class PoissonFlowProblem:
     solve; the shared counter ticks once per SPD solve.
     """
 
-    def __init__(self, mesh, wells=None, mean=None, dirichlet_values=(1.0, 0.0),
-                 rtol=1e-10, space=None):
+    def __init__(self, mesh, wells=None, mean=None, dirichlet_values=(1.0, 0.0)):
         if tuple(mesh.dirichlet_sides) != ("left", "right"):
             raise ValueError("flow problem expects left/right Dirichlet sides")
         self.mesh = mesh
-        self.space = volume_space(mesh) if space is None else space
+        self.space = volume_space(mesh)
         self.wells = default_wells() if wells is None else wells
         self._check_wells_inside()
         self.mean = (
             np.zeros(mesh.n_nodes) if mean is None else np.asarray(mean, float)
         )
-        self.rtol = float(rtol)
         self.counter = SolveCounter()
 
         self.source_fields = mollifier_fields(
@@ -151,7 +149,6 @@ class PoissonFlowProblem:
         self.anchor_solver = SpdSolver(
             assemble_weighted_stiffness(mesh, self.mean),
             mesh.dirichlet_nodes,
-            rtol=rtol,
             counter=self.counter,
         )
         g_left, g_right = dirichlet_values
@@ -185,7 +182,6 @@ class PoissonFlowProblem:
         return SpdSolver(
             assemble_weighted_stiffness(self.mesh, m),
             self.mesh.dirichlet_nodes,
-            rtol=self.rtol,
             counter=self.counter,
         )
 

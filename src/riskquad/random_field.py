@@ -27,6 +27,10 @@ from .fem import (
     stiffness_matrix_1d,
 )
 
+EIG_TOL = 1e-8        # relative change of the leading Ritz values at convergence
+EIG_MAX_SWEEPS = 300  # subspace sweeps before the eigensolver gives up
+EIG_OVERSAMPLE = 8    # extra subspace vectors beyond the k requested
+
 
 class FieldSpace:
     """Discrete L2 space: mass matrix, its exact Cholesky factor, and the
@@ -210,24 +214,24 @@ class GaussianField:
 
     # -- spectral machinery ---------------------------------------------------
 
-    def preconditioned_eigenpairs(self, hess_action, k, tol=1e-8, max_iter=300,
-                                  seed=7, oversample=8):
+    def preconditioned_eigenpairs(self, hess_action, k, seed=7):
         """Dominant eigenpairs of sqrt(C) H sqrt(C) without forming matrices.
 
         ``hess_action`` must be self-adjoint in the M inner product and act
-        on each column of an (n, b) block.  Block subspace iteration with
-        M-orthonormalization and Rayleigh-Ritz extraction, one block Hessian
-        action per sweep; stops when the leading k Ritz values change by less
-        than ``tol`` relatively.  Returned vectors are M-orthonormal.
+        on each column of an (n, b) block.  Block subspace iteration on
+        k + ``EIG_OVERSAMPLE`` vectors with M-orthonormalization and
+        Rayleigh-Ritz extraction, one block Hessian action per sweep, until
+        the leading k Ritz values change by less than ``EIG_TOL`` relatively
+        (at most ``EIG_MAX_SWEEPS``).  Returned vectors are M-orthonormal.
         """
         n = self.dim
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= dimension")
-        b = min(n, k + oversample)
+        b = min(n, k + EIG_OVERSAMPLE)
         rng = np.random.default_rng(seed)
         Q = self.space.orthonormalize(rng.standard_normal((n, b)))
         lam_prev = None
-        for _ in range(max_iter):
+        for _ in range(EIG_MAX_SWEEPS):
             Y = self.apply_sqrt_C(hess_action(self.apply_sqrt_C(Q)))
             if np.max(np.abs(Y)) < 1e-300:
                 return EigenBasis(np.zeros(k), Q[:, :k])
@@ -238,7 +242,7 @@ class GaussianField:
             lam, V = lam[order], V[:, order]
             if lam_prev is not None:
                 denom = np.maximum(np.abs(lam[:k]), 1e-300)
-                if np.max(np.abs(lam[:k] - lam_prev) / denom) <= tol:
+                if np.max(np.abs(lam[:k] - lam_prev) / denom) <= EIG_TOL:
                     ritz = Q @ V[:, :k]
                     final = np.argsort(-lam[:k])
                     return EigenBasis(lam[:k][final], ritz[:, final])

@@ -29,6 +29,9 @@ from .fem import (
 from .random_field import neumann_trace_space, volume_space
 from .surrogate import QuadraticSurrogate
 
+POWER_ITERS = 30  # power-iteration steps of hessian_norm_estimate
+POWER_SEED = 0    # seed of its random start vector
+
 
 def default_desired_state(mesh):
     """Artifact convention for the tracking target: 0.5 x (2 - x)."""
@@ -54,8 +57,9 @@ class SemilinearProblem:
     top nodes, each side a 1D segment including its corner nodes).
     """
 
-    def __init__(self, mesh=None, c=1.0, desired=None, newton_tol=1e-10,
-                 newton_max_iter=25, rtol=1e-10):
+    newton_tol = 1e-10  # dual-norm residual at which Newton stops
+
+    def __init__(self, mesh=None, c=1.0, desired=None, newton_max_iter=25):
         if c < 0.0:
             raise ValueError("the cubic coefficient must be nonnegative")
         self.mesh = build_mesh(16, 16, 1.0, 1.0) if mesh is None else mesh
@@ -68,17 +72,13 @@ class SemilinearProblem:
             default_desired_state(self.mesh) if desired is None
             else np.asarray(desired, float)
         )
-        self.newton_tol = float(newton_tol)
         self.newton_max_iter = int(newton_max_iter)
-        self.rtol = float(rtol)
         self.counter = SolveCounter()
         self.stiffness = assemble_weighted_stiffness(
             self.mesh, np.zeros(self.mesh.n_nodes)
         )
         # Laplacian solve used only for the dual norm of Newton residuals
-        self._norm_solver = SpdSolver(
-            self.stiffness, self.mesh.dirichlet_nodes, rtol=rtol
-        )
+        self._norm_solver = SpdSolver(self.stiffness, self.mesh.dirichlet_nodes)
         self._free = np.setdiff1d(
             np.arange(self.mesh.n_nodes), self.mesh.dirichlet_nodes
         )
@@ -108,8 +108,7 @@ class SemilinearProblem:
         if self.c > 0.0:
             ug = self.mesh.interp_gauss(u)
             op = op + assemble_weighted_mass(self.mesh, 3.0 * self.c * ug**2)
-        return SpdSolver(op, self.mesh.dirichlet_nodes, rtol=self.rtol,
-                         counter=self.counter)
+        return SpdSolver(op, self.mesh.dirichlet_nodes, counter=self.counter)
 
     def solve_state(self, z, m_bnd):
         """Newton solve of the state equation from a zero initial guess.
@@ -183,14 +182,15 @@ class SemilinearProblem:
             counter=self.counter,
         )
 
-    def hessian_norm_estimate(self, z, m_bar=None, iters=30, seed=0):
-        """Operator norm of the boundary Hessian by power iteration."""
+    def hessian_norm_estimate(self, z, m_bar=None):
+        """Operator norm of the boundary Hessian by ``POWER_ITERS`` steps of
+        power iteration from the start vector of ``POWER_SEED``."""
         surr = self.surrogate(z, m_bar)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(POWER_SEED)
         v = rng.standard_normal(self.boundary_dim)
         v /= self.trace_space.norm(v)
         lam = 0.0
-        for _ in range(iters):
+        for _ in range(POWER_ITERS):
             w = surr.hess_action(v)
             lam = self.trace_space.inner(v, w)
             nw = self.trace_space.norm(w)

@@ -76,13 +76,12 @@ class TraceEstimate:
     weight: float
 
 
-def trace_probes(surr, gf, mode, n_tr, seed, basis=None):
+def trace_probes(surr, gf, mode, n_tr, seed):
     """(n_tr, dim) array of trace probes, one per row, and the term weight.
 
     randomized: draws from N(0, C), weight 1/n_tr (unbiased for both traces).
     eigenbasis: sqrt(C) images of the dominant eigenvectors of sqrt(C) H
-    sqrt(C), weight 1; computed here, outside solve accounting, unless a
-    ``basis`` is passed.
+    sqrt(C), weight 1; computed here, outside solve accounting.
     """
     if n_tr < 1:
         raise ValueError("n_tr must be at least 1")
@@ -90,19 +89,18 @@ def trace_probes(surr, gf, mode, n_tr, seed, basis=None):
         return gf.draw_trace_vectors(n_tr, seed), 1.0 / n_tr
     if mode != "eigenbasis":
         raise ValueError(f"unknown trace mode {mode!r}")
-    if basis is None:
-        pause = surr.counter.paused() if surr.counter is not None else nullcontext()
-        with pause:
-            basis = gf.preconditioned_eigenpairs(surr.hess_action, n_tr, seed=seed)
+    pause = surr.counter.paused() if surr.counter is not None else nullcontext()
+    with pause:
+        basis = gf.preconditioned_eigenpairs(surr.hess_action, n_tr, seed=seed)
     return gf.apply_sqrt_C(basis.vectors).T, 1.0
 
 
-def estimate_traces(surr, gf, mode="randomized", n_tr=40, seed=0, basis=None):
+def estimate_traces(surr, gf, mode="randomized", n_tr=40, seed=0):
     """Estimate both covariance-preconditioned traces of the Hessian with the
     probes of ``trace_probes``; the Hessian is applied to the probe block
     once, i.e. 2*n_tr PDE solves.
     """
-    probes, weight = trace_probes(surr, gf, mode, n_tr, seed, basis)
+    probes, weight = trace_probes(surr, gf, mode, n_tr, seed)
     psi = surr.hess_action(probes.T)
     mass = surr.space.mass
     tr_hc = weight * float(np.sum(probes.T * (mass @ psi)))

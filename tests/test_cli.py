@@ -76,6 +76,14 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["--config", path, "--out", str(tmp_path), "sample-field"]) == 2
 
 
+def test_invalid_ouu_section_exits_2(tmp_path, capsys):
+    # the default beta schedule ends at 1.0, so beta = 0.5 contradicts it
+    for ouu in ({"beta": 0.5}, {"beta": "high"}):
+        path = write_config(tmp_path, dict(TINY, ouu=ouu))
+        assert main(["--config", path, "--out", str(tmp_path), "optimize"]) == 2
+        assert "config error: ouu:" in capsys.readouterr().err
+
+
 def test_unknown_profile_rejected():
     with pytest.raises(ConfigError):
         resolve_config("nope")
@@ -201,6 +209,18 @@ def test_compare_mc_structure(tmp_path):
     methods = [r[0] for r in rows]
     assert methods == ["quad_randomized", "quad_eigenbasis", "saa"]
     assert [r[3] for r in rows] == ["12", "12", "6"]
+
+
+def test_compare_mc_deterministic_output(tmp_path):
+    data = json.loads(json.dumps(TINY))
+    data["experiment"]["compare_betas"] = [0.5, 0.1]
+    cfg = write_config(tmp_path, data)
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["--config", cfg, "--out", str(out1), "compare-mc"]) == 0
+    assert main(["--config", cfg, "--out", str(out2), "compare-mc"]) == 0
+    first = (out1 / "compare_mc.csv").read_bytes()
+    assert first == (out2 / "compare_mc.csv").read_bytes()
+    assert len(first.decode().strip().splitlines()) == 1 + 2 * 3
 
 
 def test_compare_mc_single_method_single_level(tmp_path):
