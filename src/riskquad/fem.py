@@ -3,9 +3,11 @@
 Q1 quadrilateral elements on a uniform grid with 2x2 Gauss quadrature,
 sparse symmetric assembly into a CSR pattern cached per mesh, symmetric
 Dirichlet elimination with lifted right-hand sides, cached banded Cholesky
-factorizations in the mesh's own node order, and kernels for blocks of
-probe fields.  All elements are congruent axis-aligned rectangles, so the
-reference-element tables are shared and every loop is vectorized over elements.
+factorizations in a band order that numbers the shorter side of the mesh
+fastest, and kernels for blocks of probe fields.  Assembled matrices and
+every vector in and out of a solver stay in the mesh's native node order.
+All elements are congruent axis-aligned rectangles, so the reference-element
+tables are shared and every loop is vectorized over elements.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import NumericalError
@@ -30,6 +33,10 @@ class Mesh:
     four nodes counterclockwise starting at the lower-left corner.  Boundary
     nodes on ``dirichlet_sides`` are tagged Dirichlet (corners included);
     edges on the remaining sides are collected as Neumann edges.
+
+    ``band_order`` lists the nodes with the shorter side fastest (node
+    ``band_order[k]`` is the k-th one), so a Q1 operator factorized in that
+    order has bandwidth min(nx, ny) + 2; it is the identity when nx <= ny.
     """
 
     def __init__(self, nx, ny, lx, ly, dirichlet_sides=("left", "right")):
@@ -74,6 +81,11 @@ class Mesh:
             self.neumann_edges = np.vstack(edges)
         else:
             self.neumann_edges = np.empty((0, 2), dtype=int)
+
+        self.band_order = np.arange(self.n_nodes)
+        if self.nx > self.ny:
+            self.band_order = self.band_order.reshape(self.ny + 1, -1).T.ravel()
+        self.band_order.flags.writeable = False
 
         self._build_reference_tables()
         self._build_csr_pattern()
@@ -348,16 +360,21 @@ class SpdSolver:
 
     Dirichlet rows and columns are eliminated symmetrically on the CSR data
     (unit diagonal, lifted right-hand side), so the constrained operator
-    stays SPD.  It is factorized by LAPACK banded Cholesky in the operator's
-    own node order, with the bandwidth read from its sparsity pattern; an
-    operator that is not positive definite raises ``NumericalError``.  Every
+    stays SPD.  It is factorized by LAPACK banded Cholesky with the unknowns
+    numbered by ``order`` (a permutation of the nodes, ``Mesh.band_order``
+    for volume operators; native order when omitted), with the bandwidth
+    read from the permuted sparsity pattern; an operator that is not
+    positive definite raises ``NumericalError``.  Right-hand sides are
+    permuted in and solutions out, so callers see native order only.  Every
     solve, block solves included, verifies the residual of each right-hand
-    side against ``rtol`` and ticks the optional counter once per right-hand
-    side.  The solver is immutable after construction and may be shared
-    across independent right-hand sides.
+    side against ``rtol`` on the native-order constrained operator and ticks
+    the optional counter once per right-hand side.  The solver is immutable
+    after construction and may be shared across independent right-hand
+    sides.
     """
 
-    def __init__(self, op, dirichlet_nodes=None, rtol=1e-10, counter=None):
+    def __init__(self, op, dirichlet_nodes=None, rtol=1e-10, counter=None,
+                 order=None):
         op = op.tocsr()
         if not op.has_canonical_format:
             op = op.copy()
@@ -383,27 +400,48 @@ class SpdSolver:
             data[pinned_diag] = 1.0
             self.constrained = sp.csr_matrix((data, op.indices, op.indptr),
                                              shape=op.shape)
-        self._factor = self._banded_cholesky(rows, cols)
+        self._order = np.arange(self.n) if order is None else np.asarray(order)
+        self._position = np.empty(self.n, dtype=int)
+        self._position[self._order] = np.arange(self.n)
+        self._factor = self._banded_cholesky(self._position[rows],
+                                             self._position[cols])
 
     def _banded_cholesky(self, rows, cols):
-        # Row i of the lower triangle is column i of the upper one, so entry
-        # (i, j <= i) goes to row i, position bw - (i - j), of a C-ordered
-        # (n, bw + 1) array; its transpose is LAPACK's upper band storage.
+        # rows, cols are band positions of the CSR entries.  Entry (i, j <= i)
+        # goes to row j, position i - j, of a C-ordered (n, bw + 1) array;
+        # its transpose is LAPACK's lower band storage.  Below bandwidth 65
+        # LAPACK's band Cholesky makes one rank-1 update per column, with
+        # unit stride only on lower storage; with a multithreaded OpenBLAS,
+        # bandwidth 41 took 8 ms on upper and 2 ms on lower storage (3200
+        # unknowns, 2 cores).  Triangular solves are faster on upper
+        # storage, so the factor is returned as U = L^T there.
         offset = rows - cols
         bw = int(offset.max(initial=0))
         lower = offset >= 0
         band = np.zeros((self.n, bw + 1))
-        band.ravel()[(rows[lower] + 1) * bw + cols[lower]] = (
+        band.ravel()[cols[lower] * (bw + 1) + offset[lower]] = (
             self.constrained.data[lower])
         try:
-            return cholesky_banded(band.T, overwrite_ab=True, check_finite=False)
+            low = cholesky_banded(band.T, overwrite_ab=True, lower=True,
+                                  check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"operator is not positive definite: {exc}") from exc
+        # Upper storage, read as a C-ordered (n, bw + 1) array, holds
+        # U[j - k, j] = L[j, j - k] at [j, bw - k].  In the memory of `low`
+        # that entry sits at j (bw + 1) - k bw, so a view with element
+        # strides (bw + 1, bw) over that memory, after bw * bw leading
+        # zeros, reads it; the zeros land in the unused corner.
+        flat = np.concatenate([np.zeros(bw * bw), low.ravel(order="F")])
+        step = flat.itemsize
+        skewed = as_strided(flat, (self.n, bw + 1), (step * (bw + 1), step * bw))
+        return np.ascontiguousarray(skewed).T
 
     def _raw_solve(self, b):
-        # C order, so that later sparse products need not copy the block
-        return np.ascontiguousarray(
-            cho_solve_banded((self._factor, False), b, check_finite=False))
+        x = cho_solve_banded((self._factor, False), b[self._order],
+                             check_finite=False)
+        # back in node order, and C order so later sparse products need not
+        # copy the block
+        return np.ascontiguousarray(x[self._position])
 
     def _checked(self, x, b):
         """Verify every column's residual, tick once per column, return x."""

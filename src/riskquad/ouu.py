@@ -30,7 +30,7 @@ from .fem import (
     weighted_stiffness_sum,
 )
 from .optim import minimize_box_lbfgs
-from .surrogate import trace_probes
+from .surrogate import over_draw_chunks, trace_probes
 from .utils import map_indexed
 
 
@@ -385,10 +385,12 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, eps=1.0,
 
     Each draw costs one assembly+solve at its own parameter (no reuse is
     possible across draws).  When ``with_surrogates`` is set, the linear and
-    quadratic expansion values on the same draws are returned too.
-    ``threads`` spreads the draws over a thread pool; results and solve
-    counts do not depend on it, and it gives no speed-up at present because
-    the banded Cholesky factorization holds the interpreter lock.
+    quadratic expansion values on the same draws are returned too; they are
+    evaluated ``surrogate.DRAW_CHUNK`` draws at a time, with one block
+    Hessian action (two solves per draw) per chunk.  ``threads`` spreads the
+    draws over a thread pool; results and solve counts do not depend on it,
+    and it gives no speed-up at present because the banded Cholesky
+    factorization holds the interpreter lock.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
@@ -400,8 +402,8 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, eps=1.0,
     lin = quad = None
     if with_surrogates:
         surr = problem.surrogate(z)
-        lin = np.array([surr.eval_lin(fields[:, i]) for i in range(n_mc)])
-        quad = np.array([surr.eval_quad(fields[:, i]) for i in range(n_mc)])
+        lin = over_draw_chunks(surr.eval_lin, fields)
+        quad = over_draw_chunks(surr.eval_quad, fields)
     variance = float(np.var(theta, ddof=1)) if n_mc > 1 else 0.0
     return TrueRisk(
         mean=float(np.mean(theta)), variance=variance, samples=theta,

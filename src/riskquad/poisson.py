@@ -150,6 +150,7 @@ class PoissonFlowProblem:
             assemble_weighted_stiffness(mesh, self.mean),
             mesh.dirichlet_nodes,
             counter=self.counter,
+            order=mesh.band_order,
         )
         g_left, g_right = dirichlet_values
         bc = np.where(
@@ -183,6 +184,7 @@ class PoissonFlowProblem:
             assemble_weighted_stiffness(self.mesh, m),
             self.mesh.dirichlet_nodes,
             counter=self.counter,
+            order=self.mesh.band_order,
         )
 
     def solve_state(self, z, solver=None):

@@ -38,9 +38,13 @@ class FieldSpace:
 
     ``node_index`` maps local degrees of freedom to nodes of the parent mesh
     (identity for volume spaces, a boundary gather for trace spaces).
+    ``order`` is the band order its solvers factorize in (``Mesh.band_order``
+    for volume spaces; None keeps the native order of the tridiagonal trace
+    spaces).
     """
 
-    def __init__(self, mass, sqrt_mass, natural_stiffness, coords, node_index=None):
+    def __init__(self, mass, sqrt_mass, natural_stiffness, coords, node_index=None,
+                 order=None):
         self.mass = mass.tocsr()
         self.sqrt_mass = sqrt_mass.tocsr()
         self._sqrt_mass_t = self.sqrt_mass.T.tocsr()
@@ -50,7 +54,8 @@ class FieldSpace:
         self.node_index = (
             np.arange(self.dim) if node_index is None else np.asarray(node_index)
         )
-        self._projector = SpdSolver(self.mass, rtol=1e-12)
+        self.order = order
+        self._projector = SpdSolver(self.mass, rtol=1e-12, order=order)
 
     def inner(self, u, v):
         """Discrete L2 inner product <u, M v>."""
@@ -80,6 +85,7 @@ def volume_space(mesh):
         sqrt_mass=mass_cholesky(mesh),
         natural_stiffness=assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes)),
         coords=np.column_stack([mesh.node_x, mesh.node_y]),
+        order=mesh.band_order,
     )
 
 
@@ -147,7 +153,7 @@ class GaussianField:
         if self.mean.shape != (space.dim,):
             raise ValueError("mean has wrong length")
         A = kappa * space.natural_stiffness + alpha * space.mass
-        self.solver_A = SpdSolver(A, rtol=1e-12)
+        self.solver_A = SpdSolver(A, rtol=1e-12, order=space.order)
         self._rng = np.random.default_rng(rng_seed)
 
     @property

@@ -78,7 +78,8 @@ class SemilinearProblem:
             self.mesh, np.zeros(self.mesh.n_nodes)
         )
         # Laplacian solve used only for the dual norm of Newton residuals
-        self._norm_solver = SpdSolver(self.stiffness, self.mesh.dirichlet_nodes)
+        self._norm_solver = SpdSolver(self.stiffness, self.mesh.dirichlet_nodes,
+                                      order=self.mesh.band_order)
         self._free = np.setdiff1d(
             np.arange(self.mesh.n_nodes), self.mesh.dirichlet_nodes
         )
@@ -108,7 +109,8 @@ class SemilinearProblem:
         if self.c > 0.0:
             ug = self.mesh.interp_gauss(u)
             op = op + assemble_weighted_mass(self.mesh, 3.0 * self.c * ug**2)
-        return SpdSolver(op, self.mesh.dirichlet_nodes, counter=self.counter)
+        return SpdSolver(op, self.mesh.dirichlet_nodes, counter=self.counter,
+                         order=self.mesh.band_order)
 
     def solve_state(self, z, m_bnd):
         """Newton solve of the state equation from a zero initial guess.

@@ -24,6 +24,8 @@ import numpy as np
 from .errors import NumericalError
 from .utils import map_indexed
 
+DRAW_CHUNK = 64  # Monte Carlo draws per block Hessian action
+
 
 @dataclass
 class QuadraticSurrogate:
@@ -43,18 +45,34 @@ class QuadraticSurrogate:
     anchor: np.ndarray
     counter: object = None
 
+    def _offset(self, m):
+        m = np.asarray(m)
+        return m - (self.anchor if m.ndim == 1 else self.anchor[:, None])
+
     def eval_lin(self, m):
-        """First-order value at a parameter field."""
-        return self.theta_bar + self.space.inner(self.grad, m - self.anchor)
+        """First-order value at a parameter field (n,), or the values at each
+        column of an (n, k) block."""
+        return self.theta_bar + self.grad @ (self.space.mass @ self._offset(m))
 
     def eval_quad(self, m):
-        """Second-order value; costs exactly one Hessian action."""
-        d = np.asarray(m) - self.anchor
+        """Second-order value at a field (n,), or the values at each column of
+        an (n, k) block; costs exactly one (block) Hessian action."""
+        d = self._offset(m)
+        md = self.space.mass @ d
         return (
             self.theta_bar
-            + self.space.inner(self.grad, d)
-            + 0.5 * self.space.inner(self.hess_action(d), d)
+            + self.grad @ md
+            + 0.5 * np.sum(self.hess_action(d) * md, axis=0)
         )
+
+
+def over_draw_chunks(fn, fields):
+    """``fn`` applied to consecutive blocks of at most ``DRAW_CHUNK`` columns
+    of ``fields``, with the per-column results concatenated in order."""
+    return np.concatenate([
+        fn(fields[:, j:j + DRAW_CHUNK])
+        for j in range(0, fields.shape[1], DRAW_CHUNK)
+    ])
 
 
 @dataclass
@@ -155,11 +173,13 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0, threads=1):
     numbers), so the decay of the error columns is smooth in eps.  The draw
     at eps is then anchor + sqrt(eps) b_i, and both expansions are
     polynomials in sqrt(eps) with coefficients <g, b_i> and <H b_i, b_i>,
-    so each draw costs one Hessian action for the whole eps range.  Also
-    returns least-squares log-log slopes over the eps range.  ``threads``
-    spreads the draws at each eps over a thread pool; results and solve
-    counts do not depend on it, and it gives no speed-up at present because
-    the banded Cholesky factorization holds the interpreter lock.
+    so each draw costs one Hessian action for the whole eps range; the
+    draws are taken ``DRAW_CHUNK`` at a time, one block Hessian action per
+    chunk.  Also returns least-squares log-log slopes over the eps range.
+    ``threads`` spreads the draws at each eps over a thread pool; results
+    and solve counts do not depend on it, and it gives no speed-up at
+    present because the banded Cholesky factorization holds the interpreter
+    lock.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if np.any(eps <= 0.0):
@@ -168,9 +188,10 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0, threads=1):
     if not np.allclose(surr.anchor, gf.mean, atol=1e-12):
         raise ValueError("expansion anchor must match the field mean")
     base = gf.zero_mean_batch(n_mc, seed)
-    grad_b = surr.grad @ (surr.space.mass @ base)
-    hess_bb = np.array(
-        [surr.space.inner(surr.hess_action(b), b) for b in base.T]
+    mass = surr.space.mass
+    grad_b = surr.grad @ (mass @ base)
+    hess_bb = over_draw_chunks(
+        lambda B: np.sum(surr.hess_action(B) * (mass @ B), axis=0), base
     )
     err_lin = np.empty(len(eps))
     err_quad = np.empty(len(eps))

@@ -84,6 +84,14 @@ def test_invalid_ouu_section_exits_2(tmp_path, capsys):
         assert "config error: ouu:" in capsys.readouterr().err
 
 
+def test_unresolved_mesh_exits_2(tmp_path, capsys):
+    # the canonical wells' mollifiers miss every node of a 4x2 mesh
+    path = write_config(tmp_path, {"mesh": {"nx": 4, "ny": 2}})
+    assert main(["--config", path, "--out", str(tmp_path), "optimize"]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "unresolved on this mesh" in err
+
+
 def test_unknown_profile_rejected():
     with pytest.raises(ConfigError):
         resolve_config("nope")

@@ -248,6 +248,39 @@ def test_banded_cholesky_matches_spsolve_covariance_and_trace_mass():
     _assert_matches_spsolve(trace.mass, [], rng.standard_normal(trace.dim))
 
 
+def test_band_order_matches_native_order():
+    mesh = build_mesh(79, 39, 2.0, 1.0)
+    gf = field_on_mesh(mesh, 2e-2, 4.0)
+    rng = np.random.default_rng(12)
+    dirichlet = mesh.dirichlet_nodes
+    bc = rng.standard_normal(len(dirichlet))
+    operators = [
+        (assemble_weighted_stiffness(mesh, gf.sample_batch(1, seed=5)[:, 0]),
+         dirichlet, bc),
+        (gf.kappa * gf.space.natural_stiffness + gf.alpha * gf.space.mass,
+         None, 0.0),
+        (assemble_mass(mesh), None, 0.0),
+    ]
+    rhs = rng.standard_normal(mesh.n_nodes)
+    block = rng.standard_normal((mesh.n_nodes, 4))
+
+    def close(x, ref):
+        return np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    for op, nodes, values in operators:
+        native_count, banded_count = SolveCounter(), SolveCounter()
+        native = SpdSolver(op, nodes, counter=native_count)
+        banded = SpdSolver(op, nodes, counter=banded_count, order=mesh.band_order)
+        assert native._factor.shape[0] == 82
+        assert banded._factor.shape[0] == 42
+        assert close(banded.solve(rhs, values), native.solve(rhs, values))
+        assert close(banded.solve_many(block), native.solve_many(block))
+        assert banded_count.count == native_count.count == 5
+
+    tall = build_mesh(5, 9, 1.0, 2.0)
+    assert np.array_equal(tall.band_order, np.arange(tall.n_nodes))
+
+
 def test_indefinite_operator_raises():
     mesh = build_mesh(6, 4, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
@@ -255,6 +288,8 @@ def test_indefinite_operator_raises():
     shifted = K - 50.0 * assemble_mass(mesh)
     with pytest.raises(NumericalError):
         SpdSolver(shifted, mesh.dirichlet_nodes)
+    with pytest.raises(NumericalError):
+        SpdSolver(shifted, mesh.dirichlet_nodes, order=mesh.band_order)
 
 
 def test_solve_many_checks_and_counts_every_column():

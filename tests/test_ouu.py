@@ -15,6 +15,7 @@ from riskquad.ouu import (
 )
 from riskquad.poisson import PoissonFlowProblem, WellConfig, default_wells
 from riskquad.random_field import field_on_mesh
+from riskquad.surrogate import DRAW_CHUNK
 
 
 def make_setup(nx=12, ny=6, sigma=0.12, seed=0):
@@ -244,6 +245,26 @@ def test_true_risk_threads_keep_solve_count_and_mean(setup):
     assert spent[0] == spent[1] == 24 + 2 + 2 * 24
     assert results[1].mean == results[0].mean
     assert np.array_equal(results[1].samples, results[0].samples)
+
+
+@pytest.mark.parametrize("n_mc", [1, DRAW_CHUNK + 3])
+def test_true_risk_block_surrogates_match_per_draw(setup, n_mc):
+    _, problem, gf = setup
+    z = np.full(20, 4.0)
+    start = problem.counter.count
+    risk = evaluate_true_risk(problem, gf, z, n_mc, seed=6)
+    spent = problem.counter.count - start
+    # reference: one objective, one linear and one quadratic value per draw
+    start = problem.counter.count
+    fields = gf.sample_batch(n_mc, seed=6)
+    theta = [problem.objective(z, f) for f in fields.T]
+    surr = problem.surrogate(z)
+    lin = [surr.eval_lin(f) for f in fields.T]
+    quad = [surr.eval_quad(f) for f in fields.T]
+    assert spent == problem.counter.count - start == n_mc + 2 + 2 * n_mc
+    assert np.array_equal(risk.samples, theta)
+    np.testing.assert_allclose(risk.lin_samples, lin, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(risk.quad_samples, quad, rtol=1e-12, atol=0.0)
 
 
 def test_saa_costs_two_solves_per_sample(setup):

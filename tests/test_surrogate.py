@@ -66,6 +66,20 @@ def test_eval_lin_matches_dense_formula(tiny_flow):
     assert surr.eval_lin(m) == pytest.approx(expected, rel=1e-12)
 
 
+def test_block_eval_matches_per_column(tiny_flow):
+    _, problem, gf = tiny_flow
+    surr = problem.surrogate(np.full(problem.n_controls, 4.0))
+    fields = gf.sample_batch(5, seed=3)
+    start = problem.counter.count
+    lin, quad = surr.eval_lin(fields), surr.eval_quad(fields)
+    block_solves = problem.counter.count - start
+    ref_lin = np.array([surr.eval_lin(f) for f in fields.T])
+    ref_quad = np.array([surr.eval_quad(f) for f in fields.T])
+    assert problem.counter.count - start - block_solves == block_solves == 10
+    np.testing.assert_allclose(lin, ref_lin, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(quad, ref_quad, rtol=1e-12, atol=0.0)
+
+
 def test_quadratic_beats_linear_near_anchor(tiny_flow):
     _, problem, gf = tiny_flow
     z = np.full(problem.n_controls, 4.0)
