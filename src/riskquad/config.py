@@ -248,23 +248,14 @@ def build_ouu_config(spec, seed=0):
 
 
 def build_setup(cfg):
-    """Mesh, Gaussian field, and flow problem from a RunConfig.
-
-    A ``ValueError`` from building them (a mesh too coarse for the wells,
-    say) is a flaw of the config and is re-raised as ``ConfigError``.
-    """
+    """Mesh, Gaussian field, and flow problem from a RunConfig."""
     from .poisson import PoissonFlowProblem
 
-    try:
-        mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
-        mean = build_mean_field(mesh, cfg.random_field.mean)
-        problem = PoissonFlowProblem(mesh, wells=build_wells(cfg.wells), mean=mean)
-        gf = field_on_mesh(
-            mesh, cfg.random_field.kappa, cfg.random_field.alpha,
-            mean=mean, rng_seed=cfg.seed, space=problem.space,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"setup: {exc}") from exc
+    mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
+    mean = build_mean_field(mesh, cfg.random_field.mean)
+    problem = PoissonFlowProblem(mesh, wells=build_wells(cfg.wells), mean=mean)
+    gf = field_on_mesh(
+        mesh, cfg.random_field.kappa, cfg.random_field.alpha,
+        mean=mean, rng_seed=cfg.seed, space=problem.space,
+    )
     return mesh, gf, problem

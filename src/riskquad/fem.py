@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +37,8 @@ class Mesh:
 
     ``band_order`` lists the nodes with the shorter side fastest (node
     ``band_order[k]`` is the k-th one), so a Q1 operator factorized in that
-    order has bandwidth min(nx, ny) + 2; it is the identity when nx <= ny.
+    order has bandwidth min(nx, ny) + 2; it is None when nx <= ny, where the
+    native order already runs along the shorter side.
     """
 
     def __init__(self, nx, ny, lx, ly, dirichlet_sides=("left", "right")):
@@ -82,10 +84,11 @@ class Mesh:
         else:
             self.neumann_edges = np.empty((0, 2), dtype=int)
 
-        self.band_order = np.arange(self.n_nodes)
+        self.band_order = None
         if self.nx > self.ny:
-            self.band_order = self.band_order.reshape(self.ny + 1, -1).T.ravel()
-        self.band_order.flags.writeable = False
+            grid = np.arange(self.n_nodes).reshape(self.ny + 1, self.nx + 1)
+            self.band_order = grid.T.ravel()
+            self.band_order.flags.writeable = False
 
         self._build_reference_tables()
         self._build_csr_pattern()
@@ -362,14 +365,16 @@ class SpdSolver:
     (unit diagonal, lifted right-hand side), so the constrained operator
     stays SPD.  It is factorized by LAPACK banded Cholesky with the unknowns
     numbered by ``order`` (a permutation of the nodes, ``Mesh.band_order``
-    for volume operators; native order when omitted), with the bandwidth
+    for volume operators; native order when None), with the bandwidth
     read from the permuted sparsity pattern; an operator that is not
     positive definite raises ``NumericalError``.  Right-hand sides are
     permuted in and solutions out, so callers see native order only.  Every
     solve, block solves included, verifies the residual of each right-hand
     side against ``rtol`` on the native-order constrained operator and ticks
-    the optional counter once per right-hand side.  The solver is immutable
-    after construction and may be shared across independent right-hand
+    the optional counter once per right-hand side.  A single right-hand
+    side is solved on the lower factor, a block on an upper-storage copy
+    made at the first block solve.  The solver's results do not change
+    after construction and it may be shared across independent right-hand
     sides.
     """
 
@@ -400,11 +405,12 @@ class SpdSolver:
             data[pinned_diag] = 1.0
             self.constrained = sp.csr_matrix((data, op.indices, op.indptr),
                                              shape=op.shape)
-        self._order = np.arange(self.n) if order is None else np.asarray(order)
-        self._position = np.empty(self.n, dtype=int)
-        self._position[self._order] = np.arange(self.n)
-        self._factor = self._banded_cholesky(self._position[rows],
-                                             self._position[cols])
+        self._order = order
+        if order is not None:
+            self._position = np.empty(self.n, dtype=int)
+            self._position[order] = np.arange(self.n)
+            rows, cols = self._position[rows], self._position[cols]
+        self._factor = self._banded_cholesky(rows, cols)
 
     def _banded_cholesky(self, rows, cols):
         # rows, cols are band positions of the CSR entries.  Entry (i, j <= i)
@@ -413,8 +419,7 @@ class SpdSolver:
         # LAPACK's band Cholesky makes one rank-1 update per column, with
         # unit stride only on lower storage; with a multithreaded OpenBLAS,
         # bandwidth 41 took 8 ms on upper and 2 ms on lower storage (3200
-        # unknowns, 2 cores).  Triangular solves are faster on upper
-        # storage, so the factor is returned as U = L^T there.
+        # unknowns, 2 cores).
         offset = rows - cols
         bw = int(offset.max(initial=0))
         lower = offset >= 0
@@ -422,26 +427,41 @@ class SpdSolver:
         band.ravel()[cols[lower] * (bw + 1) + offset[lower]] = (
             self.constrained.data[lower])
         try:
-            low = cholesky_banded(band.T, overwrite_ab=True, lower=True,
-                                  check_finite=False)
+            return cholesky_banded(band.T, overwrite_ab=True, lower=True,
+                                   check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"operator is not positive definite: {exc}") from exc
-        # Upper storage, read as a C-ordered (n, bw + 1) array, holds
-        # U[j - k, j] = L[j, j - k] at [j, bw - k].  In the memory of `low`
-        # that entry sits at j (bw + 1) - k bw, so a view with element
-        # strides (bw + 1, bw) over that memory, after bw * bw leading
-        # zeros, reads it; the zeros land in the unused corner.
-        flat = np.concatenate([np.zeros(bw * bw), low.ravel(order="F")])
+
+    @cached_property
+    def _upper_factor(self):
+        # U = L^T in upper band storage, built on the first block solve.  At
+        # bandwidth 41 and one BLAS thread, triangular solves on it take
+        # 3.7 ms for 40 columns against 9.0 ms on lower storage (0.16 vs
+        # 0.36 ms for one); the copy takes 0.4-1.1 ms, more than a factor
+        # that serves a single vector (the Monte Carlo draws) saves.  Read as a
+        # C-ordered (n, bw + 1) array, upper storage holds U[j - k, j] =
+        # L[j, j - k] at [j, bw - k], which sits at j (bw + 1) - k bw in the
+        # memory of the lower factor; a view with element strides
+        # (bw + 1, bw) over that memory, after bw * bw leading zeros, reads
+        # it, and the zeros land in the unused corner.
+        bw = self._factor.shape[0] - 1
+        flat = np.concatenate([np.zeros(bw * bw), self._factor.ravel(order="F")])
         step = flat.itemsize
         skewed = as_strided(flat, (self.n, bw + 1), (step * (bw + 1), step * bw))
         return np.ascontiguousarray(skewed).T
 
     def _raw_solve(self, b):
-        x = cho_solve_banded((self._factor, False), b[self._order],
-                             check_finite=False)
-        # back in node order, and C order so later sparse products need not
-        # copy the block
-        return np.ascontiguousarray(x[self._position])
+        if self._order is not None:
+            b = b[self._order]
+        if b.ndim == 1:
+            x = cho_solve_banded((self._factor, True), b, check_finite=False)
+        else:
+            x = cho_solve_banded((self._upper_factor, False), b,
+                                 check_finite=False)
+        if self._order is not None:
+            x = x[self._position]
+        # C order, so that later sparse products need not copy the block
+        return np.ascontiguousarray(x)
 
     def _checked(self, x, b):
         """Verify every column's residual, tick once per column, return x."""

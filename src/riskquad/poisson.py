@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .fem import (
     SolveCounter,
     SpdSolver,
@@ -89,7 +90,8 @@ def mollifier_fields(mesh, space, points, sigma):
 
     Each column is a radial Gaussian of width sigma truncated at 4*sigma and
     normalized to unit discrete integral, so observing a constant field
-    returns that constant exactly.
+    returns that constant exactly.  A bump that covers no node of the mesh
+    is a flaw of the configured mesh or wells and raises ``ConfigError``.
     """
     pts = np.atleast_2d(np.asarray(points, float))
     cols = np.zeros((mesh.n_nodes, len(pts)))
@@ -99,7 +101,7 @@ def mollifier_fields(mesh, space, points, sigma):
         w = np.where(r2 <= (4.0 * sigma) ** 2, np.exp(-0.5 * r2 / sigma**2), 0.0)
         total = float(w @ (space.mass @ ones))
         if total < 1e-12:
-            raise ValueError(
+            raise ConfigError(
                 f"mollifier at ({px}, {py}) is unresolved on this mesh"
             )
         cols[:, k] = w / total
