@@ -4,8 +4,12 @@ Q1 quadrilateral elements on a uniform grid with 2x2 Gauss quadrature,
 sparse symmetric assembly into a CSR pattern cached per mesh, symmetric
 Dirichlet elimination with lifted right-hand sides, cached banded Cholesky
 factorizations in a band order that numbers the shorter side of the mesh
-fastest, and kernels for blocks of probe fields.  Assembled matrices and
-every vector in and out of a solver stay in the mesh's native node order.
+fastest, and kernels for blocks of probe fields.  The index work of a
+factorization that depends only on the pattern, the Dirichlet nodes and the
+order is a read-only ``BandPlan``, shared by every solver of matrices
+assembled on one mesh (their index arrays are the mesh's read-only ones).
+Assembled matrices and every vector in and out of a solver stay in the
+mesh's native node order.
 All elements are congruent axis-aligned rectangles, so the reference-element
 tables are shared and every loop is vectorized over elements.
 """
@@ -358,6 +362,72 @@ class SolveCounter:
             self._enabled = prev
 
 
+def _same_memory(a, b):
+    """True when ``a`` and ``b`` are read-only arrays over the same memory."""
+    return (not a.flags.writeable and not b.flags.writeable
+            and a.ctypes.data == b.ctypes.data and a.shape == b.shape
+            and a.strides == b.strides and a.dtype == b.dtype)
+
+
+def _same_nodes(a, b):
+    """True when two node lists (or two Nones) are equal."""
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+
+class BandPlan:
+    """Index work of ``SpdSolver`` that depends only on the operator's CSR
+    pattern, the Dirichlet nodes and the band order.
+
+    It holds the data entries zeroed by Dirichlet elimination and the pinned
+    diagonal entries, the lower-triangle entries and their flat positions in
+    the C-ordered (n, bw + 1) band, the bandwidth, and the order with its
+    inverse permutation.  A plan is read-only and may be shared by every
+    solver with the same Dirichlet nodes and order whose operator has the
+    same pattern: ``fits`` accepts an operator only when its ``indptr`` and
+    ``indices`` are read-only arrays over the memory the plan was built on
+    (as for every matrix assembled on one ``Mesh``).  The plan keeps those
+    arrays alive, so their memory cannot be reused by another pattern.
+    """
+
+    def __init__(self, op, dirichlet, order):
+        n = op.shape[0]
+        self.n = n
+        self.indptr, self.indices = op.indptr, op.indices
+        self.dirichlet = dirichlet
+        rows = np.repeat(np.arange(n), np.diff(op.indptr))
+        cols = op.indices
+        if dirichlet.size:
+            pinned = np.zeros(n, dtype=bool)
+            pinned[self.dirichlet] = True
+            self.zeroed = np.flatnonzero(pinned[rows] | pinned[cols])
+            self.pinned_diag = np.flatnonzero(pinned[rows] & (rows == cols))
+            if len(self.pinned_diag) != np.count_nonzero(pinned):
+                raise ValueError("operator has no diagonal entry at a Dirichlet node")
+        self.order = order
+        self.position = None
+        if order is not None:
+            self.position = np.empty(n, dtype=int)
+            self.position[order] = np.arange(n)
+            rows, cols = self.position[rows], self.position[cols]
+        # Entry (i, j <= i) in band positions goes to row j, position i - j,
+        # of a C-ordered (n, bw + 1) array; its transpose is LAPACK's lower
+        # band storage.
+        offset = rows - cols
+        self.bandwidth = int(offset.max(initial=0))
+        self.lower = np.flatnonzero(offset >= 0)
+        self.band_slots = (cols[self.lower] * (self.bandwidth + 1)
+                           + offset[self.lower])
+
+    def fits(self, op, dirichlet, order):
+        """True when ``op`` has the pattern this plan was built on and the
+        Dirichlet nodes and order are the plan's."""
+        return (op.shape == (self.n, self.n)
+                and _same_memory(op.indptr, self.indptr)
+                and _same_memory(op.indices, self.indices)
+                and _same_nodes(dirichlet, self.dirichlet)
+                and _same_nodes(order, self.order))
+
+
 class SpdSolver:
     """Cached factorization of an SPD operator with Dirichlet elimination.
 
@@ -376,10 +446,17 @@ class SpdSolver:
     made at the first block solve.  The solver's results do not change
     after construction and it may be shared across independent right-hand
     sides.
+
+    The pattern-only index work lives in a ``BandPlan`` (``self.plan``).
+    Given another solver's ``plan`` that fits the operator, the Dirichlet
+    nodes and the order (see ``BandPlan.fits``), the solver only copies the
+    data array, applies the Dirichlet index sets, scatters the lower
+    triangle into the band and calls LAPACK; otherwise it builds its own
+    plan, so a plan never changes a result.
     """
 
     def __init__(self, op, dirichlet_nodes=None, rtol=1e-10, counter=None,
-                 order=None):
+                 order=None, plan=None):
         op = op.tocsr()
         if not op.has_canonical_format:
             op = op.copy()
@@ -388,44 +465,30 @@ class SpdSolver:
         self.n = op.shape[0]
         self.rtol = float(rtol)
         self.counter = counter
-        rows = np.repeat(np.arange(self.n), np.diff(op.indptr))
-        cols = op.indices
-        if dirichlet_nodes is None or len(dirichlet_nodes) == 0:
-            self.dirichlet = np.empty(0, dtype=int)
+        dirichlet = (np.empty(0, dtype=int) if dirichlet_nodes is None
+                     else np.asarray(dirichlet_nodes, dtype=int))
+        if plan is None or not plan.fits(op, dirichlet, order):
+            plan = BandPlan(op, dirichlet, order)
+        self.plan = plan
+        self.dirichlet = plan.dirichlet
+        if not self.dirichlet.size:
             self.constrained = op
         else:
-            self.dirichlet = np.asarray(dirichlet_nodes, dtype=int)
-            pinned = np.zeros(self.n, dtype=bool)
-            pinned[self.dirichlet] = True
             data = op.data.copy()
-            data[pinned[rows] | pinned[cols]] = 0.0
-            pinned_diag = pinned[rows] & (rows == cols)
-            if np.count_nonzero(pinned_diag) != np.count_nonzero(pinned):
-                raise ValueError("operator has no diagonal entry at a Dirichlet node")
-            data[pinned_diag] = 1.0
+            data[plan.zeroed] = 0.0
+            data[plan.pinned_diag] = 1.0
             self.constrained = sp.csr_matrix((data, op.indices, op.indptr),
                                              shape=op.shape)
-        self._order = order
-        if order is not None:
-            self._position = np.empty(self.n, dtype=int)
-            self._position[order] = np.arange(self.n)
-            rows, cols = self._position[rows], self._position[cols]
-        self._factor = self._banded_cholesky(rows, cols)
+        self._factor = self._banded_cholesky()
 
-    def _banded_cholesky(self, rows, cols):
-        # rows, cols are band positions of the CSR entries.  Entry (i, j <= i)
-        # goes to row j, position i - j, of a C-ordered (n, bw + 1) array;
-        # its transpose is LAPACK's lower band storage.  Below bandwidth 65
-        # LAPACK's band Cholesky makes one rank-1 update per column, with
-        # unit stride only on lower storage; with a multithreaded OpenBLAS,
-        # bandwidth 41 took 8 ms on upper and 2 ms on lower storage (3200
-        # unknowns, 2 cores).
-        offset = rows - cols
-        bw = int(offset.max(initial=0))
-        lower = offset >= 0
-        band = np.zeros((self.n, bw + 1))
-        band.ravel()[cols[lower] * (bw + 1) + offset[lower]] = (
-            self.constrained.data[lower])
+    def _banded_cholesky(self):
+        # Below bandwidth 65 LAPACK's band Cholesky makes one rank-1 update
+        # per column, with unit stride only on lower storage; with a
+        # multithreaded OpenBLAS, bandwidth 41 took 8 ms on upper and 2 ms on
+        # lower storage (3200 unknowns, 2 cores).
+        plan = self.plan
+        band = np.zeros((self.n, plan.bandwidth + 1))
+        band.ravel()[plan.band_slots] = self.constrained.data[plan.lower]
         try:
             return cholesky_banded(band.T, overwrite_ab=True, lower=True,
                                    check_finite=False)
@@ -451,15 +514,16 @@ class SpdSolver:
         return np.ascontiguousarray(skewed).T
 
     def _raw_solve(self, b):
-        if self._order is not None:
-            b = b[self._order]
+        order = self.plan.order
+        if order is not None:
+            b = b[order]
         if b.ndim == 1:
             x = cho_solve_banded((self._factor, True), b, check_finite=False)
         else:
             x = cho_solve_banded((self._upper_factor, False), b,
                                  check_finite=False)
-        if self._order is not None:
-            x = x[self._position]
+        if order is not None:
+            x = x[self.plan.position]
         # C order, so that later sparse products need not copy the block
         return np.ascontiguousarray(x)
 

@@ -24,6 +24,7 @@ from riskquad.fem import (
     weighted_stiffness_apply,
     weighted_stiffness_sum,
 )
+from riskquad.poisson import PoissonFlowProblem, default_wells
 from riskquad.random_field import field_on_mesh, neumann_trace_space
 
 
@@ -292,6 +293,92 @@ def test_indefinite_operator_raises():
         SpdSolver(shifted, mesh.dirichlet_nodes)
     with pytest.raises(NumericalError):
         SpdSolver(shifted, mesh.dirichlet_nodes, order=mesh.band_order)
+
+
+def _on_pattern(mesh, data):
+    """CSR matrix with the given data on the mesh's read-only pattern."""
+    n = mesh.n_nodes
+    return sp.csr_matrix((data, mesh.csr_indices, mesh.csr_indptr), shape=(n, n))
+
+
+@pytest.mark.parametrize("case", ["band order", "native order", "no dirichlet"])
+def test_shared_plan_matches_fresh_solver(case):
+    mesh = build_mesh(12, 6, 2.0, 1.0)
+    rng = np.random.default_rng(21)
+    order = None if case == "native order" else mesh.band_order
+    if case == "no dirichlet":
+        nodes = None
+        anchor_op = assemble_mass(mesh)
+        op = assemble_weighted_mass(mesh, np.exp(rng.standard_normal((mesh.n_elems, 4))))
+    else:
+        nodes = mesh.dirichlet_nodes
+        anchor_op = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
+        op = assemble_weighted_stiffness(mesh, rng.standard_normal(mesh.n_nodes))
+    anchor = SpdSolver(anchor_op, nodes, order=order)
+    shared_count, fresh_count = SolveCounter(), SolveCounter()
+    shared = SpdSolver(op, nodes, counter=shared_count, order=order, plan=anchor.plan)
+    fresh = SpdSolver(op, nodes, counter=fresh_count, order=order)
+    assert shared.plan is anchor.plan
+    assert fresh.plan is not anchor.plan
+    assert np.array_equal(shared._factor, fresh._factor)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(shared.constrained, attr),
+                              getattr(fresh.constrained, attr))
+    rhs = rng.standard_normal(mesh.n_nodes)
+    block = rng.standard_normal((mesh.n_nodes, 3))
+    bc = rng.standard_normal(len(mesh.dirichlet_nodes)) if nodes is not None else 0.0
+    assert np.array_equal(shared.solve(rhs, bc), fresh.solve(rhs, bc))
+    assert np.array_equal(shared.solve_many(block), fresh.solve_many(block))
+    assert shared_count.count == fresh_count.count == 4
+
+
+def test_indefinite_operator_raises_through_shared_plan():
+    mesh = build_mesh(6, 4, 2.0, 1.0)
+    K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
+    anchor = SpdSolver(K, mesh.dirichlet_nodes, order=mesh.band_order)
+    # K - 50 M on the mesh's own pattern; the shift lies inside the spectrum
+    shifted = _on_pattern(mesh, K.data - 50.0 * assemble_mass(mesh).data)
+    assert anchor.plan.fits(shifted, mesh.dirichlet_nodes, mesh.band_order)
+    with pytest.raises(NumericalError):
+        SpdSolver(shifted, mesh.dirichlet_nodes, order=mesh.band_order,
+                  plan=anchor.plan)
+
+
+def test_plan_not_reused_for_another_pattern():
+    mesh = build_mesh(12, 6, 2.0, 1.0)
+    m = np.random.default_rng(22).standard_normal(mesh.n_nodes)
+    anchor = SpdSolver(assemble_weighted_stiffness(mesh, m), mesh.dirichlet_nodes,
+                       order=mesh.band_order)
+    twin = build_mesh(12, 6, 2.0, 1.0)
+    K = assemble_weighted_stiffness(twin, m)
+    copied = sp.csr_matrix((K.data, K.indices.copy(), K.indptr.copy()), shape=K.shape)
+    other = build_mesh(10, 6, 2.0, 1.0)
+    others = [
+        (K, twin),
+        (copied, twin),
+        (assemble_weighted_stiffness(other, np.zeros(other.n_nodes)), other),
+    ]
+    for op, op_mesh in others:
+        solver = SpdSolver(op, op_mesh.dirichlet_nodes, order=op_mesh.band_order,
+                           plan=anchor.plan)
+        fresh = SpdSolver(op, op_mesh.dirichlet_nodes, order=op_mesh.band_order)
+        assert solver.plan is not anchor.plan
+        assert np.array_equal(solver._factor, fresh._factor)
+    # same pattern, other Dirichlet nodes or order
+    K = assemble_weighted_stiffness(mesh, m)
+    for nodes, order in ((mesh.dirichlet_nodes[1:], mesh.band_order),
+                         (mesh.dirichlet_nodes, None)):
+        solver = SpdSolver(K, nodes, order=order, plan=anchor.plan)
+        assert solver.plan is not anchor.plan
+        assert np.array_equal(solver._factor, SpdSolver(K, nodes, order=order)._factor)
+
+
+def test_per_draw_solvers_share_the_anchor_plan():
+    mesh = build_mesh(12, 6, 2.0, 1.0)
+    problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.12))
+    draws = np.random.default_rng(23).standard_normal((2, mesh.n_nodes))
+    plans = [problem.solver_for(m).plan for m in draws]
+    assert all(plan is problem.anchor_solver.plan for plan in plans)
 
 
 def test_solve_many_checks_and_counts_every_column():
