@@ -217,8 +217,7 @@ def assemble_weighted_stiffness(mesh, m):
     if not np.all(np.isfinite(m)):
         raise ValueError("coefficient field must be finite")
     coef = np.exp(mesh.interp_gauss(m))
-    loc = np.einsum("eq,qab->eab", mesh.qw * coef, mesh.stiff_tab)
-    return _scatter_matrix(mesh, loc)
+    return _scatter_matrix(mesh, (mesh.qw * coef) @ mesh.stiff_tab.reshape(4, 16))
 
 
 def _scatter_vector(mesh, loc):
@@ -292,8 +291,7 @@ def nodal_load(mesh, values_gauss):
 
 def assemble_weighted_mass(mesh, q_gauss):
     """Matrix of (q u, v) with the weight q given at Gauss points."""
-    loc = np.einsum("eq,qab->eab", mesh.qw * q_gauss, mesh.mass_tab)
-    return _scatter_matrix(mesh, loc)
+    return _scatter_matrix(mesh, (mesh.qw * q_gauss) @ mesh.mass_tab.reshape(4, 16))
 
 
 # -- 1D operators for boundary traces --------------------------------------
