@@ -29,6 +29,7 @@ from .errors import NumericalError
 
 SIDES = ("left", "right", "bottom", "top")
 PAIR_CHUNK = 256  # elements per chunk of the products in _pair_sums
+UPPER_MIN_COLUMNS = 8  # narrowest block solved on the upper-storage copy
 
 
 class Mesh:
@@ -440,8 +441,9 @@ class SpdSolver:
     solve, block solves included, verifies the residual of each right-hand
     side against ``rtol`` on the native-order constrained operator and ticks
     the optional counter once per right-hand side.  A single right-hand
-    side is solved on the lower factor, a block on an upper-storage copy
-    made at the first block solve.  The solver's results do not change
+    side or a block of fewer than ``UPPER_MIN_COLUMNS`` columns is solved on
+    the lower factor, a wider block on an upper-storage copy made at the
+    first such solve.  The solver's results do not change
     after construction and it may be shared across independent right-hand
     sides.
 
@@ -495,11 +497,12 @@ class SpdSolver:
 
     @cached_property
     def _upper_factor(self):
-        # U = L^T in upper band storage, built on the first block solve.  At
-        # bandwidth 41 and one BLAS thread, triangular solves on it take
+        # U = L^T in upper band storage, built on the first wide block solve.
+        # At bandwidth 41 and one BLAS thread, triangular solves on it take
         # 3.7 ms for 40 columns against 9.0 ms on lower storage (0.16 vs
-        # 0.36 ms for one); the copy takes 0.4-1.1 ms, more than a factor
-        # that serves a single vector (the Monte Carlo draws) saves.  Read as a
+        # 0.36 ms for one); the copy takes 0.2-1.1 ms, so a single block pays
+        # for it only from about UPPER_MIN_COLUMNS columns on (a Monte Carlo
+        # draw's factor serves one vector or one narrow block).  Read as a
         # C-ordered (n, bw + 1) array, upper storage holds U[j - k, j] =
         # L[j, j - k] at [j, bw - k], which sits at j (bw + 1) - k bw in the
         # memory of the lower factor; a view with element strides
@@ -515,7 +518,7 @@ class SpdSolver:
         order = self.plan.order
         if order is not None:
             b = b[order]
-        if b.ndim == 1:
+        if b.ndim == 1 or b.shape[1] < UPPER_MIN_COLUMNS:
             x = cho_solve_banded((self._factor, True), b, check_finite=False)
         else:
             x = cho_solve_banded((self._upper_factor, False), b,
@@ -539,31 +542,37 @@ class SpdSolver:
             self.counter.tick(1 if x.ndim == 1 else x.shape[1])
         return x
 
+    def _lifted(self, loads, bc_values):
+        """Right-hand side (n,) or (n, k) with the Dirichlet data lifted out
+        of every column and imposed on its Dirichlet rows."""
+        b = np.array(loads, dtype=float)
+        d = self.dirichlet
+        if d.size:
+            vals = np.broadcast_to(np.asarray(bc_values, dtype=float), d.shape)
+            bt = b.T  # a view with one column per row, or the vector itself
+            if np.any(vals != 0.0):
+                lift = np.zeros(self.n)
+                lift[d] = vals
+                bt -= self.op @ lift
+            bt[..., d] = vals
+        return b
+
     def solve(self, load, bc_values=0.0):
         """Solve the constrained system for one right-hand side.
 
         ``bc_values`` holds the Dirichlet data, either a scalar or one value
         per Dirichlet node; the returned vector contains them exactly.
         """
-        b = np.array(load, dtype=float)
-        d = self.dirichlet
-        if d.size:
-            vals = np.broadcast_to(np.asarray(bc_values, dtype=float), d.shape)
-            if np.any(vals != 0.0):
-                lift = np.zeros(self.n)
-                lift[d] = vals
-                b -= self.op @ lift
-            b[d] = vals
+        b = self._lifted(load, bc_values)
         return self._checked(self._raw_solve(b), b)
 
-    def solve_many(self, loads):
-        """Solve for a (n, k) block of homogeneous-BC right-hand sides.
+    def solve_many(self, loads, bc_values=0.0):
+        """Solve for a (n, k) block of right-hand sides that share the
+        Dirichlet data ``bc_values`` (as in ``solve``; homogeneous by default).
 
         Each column is checked and counted exactly like a ``solve``.
         """
-        B = np.array(loads, dtype=float)
-        if self.dirichlet.size:
-            B[self.dirichlet, :] = 0.0
+        B = self._lifted(loads, bc_values)
         return self._checked(self._raw_solve(B), B)
 
     def apply_inverse(self, b):

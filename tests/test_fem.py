@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 
 from riskquad.errors import NumericalError
 from riskquad.fem import (
+    UPPER_MIN_COLUMNS,
     SolveCounter,
     SpdSolver,
     assemble_coupling,
@@ -276,7 +277,7 @@ def test_band_order_matches_native_order():
         assert banded._factor.shape[0] == 42
         assert close(banded.solve(rhs, values), native.solve(rhs, values))
         assert close(banded.solve_many(block), native.solve_many(block))
-        # vectors are solved on lower and blocks on upper band storage
+        # vectors and narrow blocks are solved on lower band storage
         assert close(banded.solve(block[:, 0]), native.solve_many(block[:, :1])[:, 0])
         assert banded_count.count == native_count.count == 6
 
@@ -392,6 +393,28 @@ def test_solve_many_checks_and_counts_every_column():
     for j in range(5):
         assert np.allclose(X[:, j], solver.solve(B[:, j]), rtol=0.0, atol=1e-12)
     assert counter.count == 10
+
+
+def test_wide_block_on_upper_storage_matches_vector_solves():
+    mesh = build_mesh(79, 39, 2.0, 1.0)
+    K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
+    counter = SolveCounter()
+    solver = SpdSolver(K, mesh.dirichlet_nodes, counter=counter,
+                       order=mesh.band_order)
+    rng = np.random.default_rng(13)
+    bc = rng.standard_normal(len(mesh.dirichlet_nodes))
+    narrow = rng.standard_normal((mesh.n_nodes, UPPER_MIN_COLUMNS - 1))
+    wide = rng.standard_normal((mesh.n_nodes, UPPER_MIN_COLUMNS))
+    X = solver.solve_many(narrow, bc)
+    assert "_upper_factor" not in solver.__dict__
+    Y = solver.solve_many(wide, bc)
+    assert "_upper_factor" in solver.__dict__
+    assert counter.count == 2 * UPPER_MIN_COLUMNS - 1
+    for block, out in ((narrow, X), (wide, Y)):
+        for j in range(block.shape[1]):
+            ref = solver.solve(block[:, j], bc)
+            assert np.linalg.norm(out[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.array_equal(out[mesh.dirichlet_nodes, j], bc)
 
 
 def test_solve_many_bad_block_raises():

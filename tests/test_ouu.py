@@ -329,6 +329,27 @@ def test_true_objective_for_controls_shapes(setup):
     assert np.all(errors > 0.0)
 
 
+def test_true_objective_block_matches_per_control_solves(setup):
+    # reference: the per-draw loop of single lifted solves, one per control
+    _, problem, gf = setup
+    zs = [np.full(20, 4.0), np.linspace(0.0, 5.0, 20), np.full(20, 1.0)]
+    beta, gamma, n_mc = 0.5, 1e-5, 40
+    start = problem.counter.count
+    values, errors = true_objective_for_controls(
+        problem, gf, zs, beta, gamma, n_mc, seed=3
+    )
+    assert problem.counter.count - start == n_mc * len(zs)
+    fields = gf.sample_batch(n_mc, seed=3)
+    theta = np.array([
+        [problem.objective(z, fields[:, i]) for z in zs] for i in range(n_mc)
+    ])
+    ref = theta.mean(axis=0) + 0.5 * beta * theta.var(axis=0, ddof=1) + [
+        0.5 * gamma * z @ z for z in zs
+    ]
+    assert np.allclose(values, ref, rtol=1e-12, atol=0.0)
+    assert np.all(errors > 0.0)
+
+
 def test_linear_surrogate_optimum_weakly_worse(setup):
     # dropping the Hessian terms (n_tr = 0) gives the linear-expansion
     # objective; its optimum carries at least as much risk as the quadratic
