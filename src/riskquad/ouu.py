@@ -383,8 +383,9 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, eps=1.0,
                        with_surrogates=True, threads=1):
     """Estimate mean and variance of the objective by sampling the field.
 
-    Each draw costs one assembly+solve at its own parameter (no reuse is
-    possible across draws).  When ``with_surrogates`` is set, the linear and
+    Each draw costs one assembly, one band scatter and one LAPACK
+    factorization on the anchor solver's band plan (``solver_for``), and one
+    solve at its own parameter; no factor is reused across draws.  When ``with_surrogates`` is set, the linear and
     quadratic expansion values on the same draws are returned too; they are
     evaluated ``surrogate.DRAW_CHUNK`` draws at a time, with one block
     Hessian action (two solves per draw) per chunk.  ``threads`` spreads the

@@ -30,6 +30,7 @@ from .fem import (
 EIG_TOL = 1e-8        # relative change of the leading Ritz values at convergence
 EIG_MAX_SWEEPS = 300  # subspace sweeps before the eigensolver gives up
 EIG_OVERSAMPLE = 8    # extra subspace vectors beyond the k requested
+COLOR_CHUNK = 256     # most draws colored per block solve in sample_batch
 
 
 class FieldSpace:
@@ -202,14 +203,27 @@ class GaussianField:
         """(dim, n) matrix of independent draws, deterministic per seed."""
         if eps < 0.0:
             raise ValueError("eps must be nonnegative")
-        rng = np.random.default_rng(seed)
-        draws = self._colored(rng.standard_normal((self.dim, n)))
-        return self.mean[:, None] + np.sqrt(eps) * draws
+        draws = self.zero_mean_batch(n, seed)
+        draws *= np.sqrt(eps)
+        draws += self.mean[:, None]
+        return draws
 
     def zero_mean_batch(self, n, seed):
-        """(dim, n) zero-mean draws with covariance scale*C."""
-        rng = np.random.default_rng(seed)
-        return self._colored(rng.standard_normal((self.dim, n)))
+        """(dim, n) zero-mean draws with covariance scale*C.
+
+        The normals are drawn in one piece, so the random stream does not
+        depend on the chunking, and are colored in place in near-equal
+        chunks of at most ``COLOR_CHUNK`` columns: the peak memory is the
+        output plus one chunk's temporaries.  A chunk is narrower than
+        ``COLOR_CHUNK / 2`` only when n is, so each column gets the same
+        block solve, and the same bits, as a one-shot coloring.
+        """
+        draws = np.random.default_rng(seed).standard_normal((self.dim, n))
+        k = max(1, -(-n // COLOR_CHUNK))
+        bounds = [n * i // k for i in range(k + 1)]
+        for a, b in zip(bounds, bounds[1:]):
+            draws[:, a:b] = self._colored(draws[:, a:b])
+        return draws
 
     def draw_trace_vectors(self, n_tr, seed):
         """(n_tr, dim) array of zero-mean draws, one trace-estimation probe

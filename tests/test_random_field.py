@@ -3,6 +3,7 @@ import pytest
 
 from riskquad.fem import build_mesh
 from riskquad.random_field import (
+    COLOR_CHUNK,
     field_on_mesh,
     field_on_neumann_boundary,
     neumann_trace_space,
@@ -85,6 +86,19 @@ def test_sample_mean_matches(tiny):
     C = dense_cov(space, gf)
     se = np.sqrt(np.diag(C) / n)
     assert np.all(np.abs(draws.mean(axis=1) - gf.mean) <= 5.0 * se)
+
+
+def test_chunked_draws_match_one_shot_coloring():
+    mesh = build_mesh(20, 10, 2.0, 1.0)
+    mean = np.sin(np.arange(mesh.n_nodes))
+    gf = field_on_mesh(mesh, 2e-2, 4.0, mean=mean, scale=1.7, rng_seed=0)
+    n = 2 * COLOR_CHUNK + 3  # not a multiple of the chunk; a tail of 3 columns
+    normals = np.random.default_rng(5).standard_normal((gf.dim, n))
+    one_shot = gf._colored(normals)
+    assert np.array_equal(gf.zero_mean_batch(n, seed=5), one_shot)
+    draws = gf.sample_batch(n, eps=0.3, seed=5)
+    assert np.array_equal(draws, mean[:, None] + np.sqrt(0.3) * one_shot)
+    assert draws.flags.c_contiguous
 
 
 def test_probe_variance_scales_with_eps(tiny):
