@@ -385,10 +385,11 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, eps=1.0,
 
     Each draw costs one assembly, one band scatter and one LAPACK
     factorization on the anchor solver's band plan (``solver_for``), and one
-    solve at its own parameter; no factor is reused across draws.  When ``with_surrogates`` is set, the linear and
-    quadratic expansion values on the same draws are returned too; they are
-    evaluated ``surrogate.DRAW_CHUNK`` draws at a time, with one block
-    Hessian action (two solves per draw) per chunk.  ``threads`` spreads the
+    solve at its own parameter; no factor is reused across draws.  When
+    ``with_surrogates`` is set, the linear and quadratic expansion values on
+    the same draws are returned too; they are evaluated
+    ``surrogate.DRAW_CHUNK`` draws at a time, with one block Hessian action
+    (two solves per draw) per chunk.  ``threads`` spreads the
     draws over a thread pool; results and solve counts do not depend on it,
     and it gives no speed-up at present because the banded Cholesky
     factorization holds the interpreter lock.

@@ -146,6 +146,7 @@ def test_criterion_3_trace_unbiasedness(dense_setup):
 # -- criterion 4: truncation error rates ---------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_truncation_rates():
     t0 = time.time()
     mesh = rq.build_mesh(40, 20, 2.0, 1.0)
@@ -239,6 +240,7 @@ def canonical():
     return problem, gf, cfg, z0, result, time.time() - t0
 
 
+@pytest.mark.slow
 def test_criterion_7a_mean_and_variance_reduction(canonical):
     problem, gf, cfg, z0, result, t_opt = canonical
     t0 = time.time()
@@ -261,6 +263,7 @@ def test_criterion_7a_mean_and_variance_reduction(canonical):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7b_beta_sweep_monotone(canonical):
     problem, gf, cfg, z0, result, _ = canonical
     means = [leg.report.mean_term for leg in result.legs]
@@ -280,6 +283,7 @@ def test_criterion_7b_beta_sweep_monotone(canonical):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7c_eigenbasis_dominates_randomized(canonical):
     problem, gf, cfg, z0, result, _ = canonical
     t0 = time.time()
