@@ -380,24 +380,23 @@ class BandPlan:
     It holds the data entries zeroed by Dirichlet elimination and the pinned
     diagonal entries, the lower-triangle entries and their flat positions in
     the C-ordered (n, bw + 1) band, the bandwidth, and the order with its
-    inverse permutation.  A plan is read-only and may be shared by every
-    solver with the same Dirichlet nodes and order whose operator has the
-    same pattern: ``fits`` accepts an operator only when its ``indptr`` and
-    ``indices`` are read-only arrays over the memory the plan was built on
-    (as for every matrix assembled on one ``Mesh``).  The plan keeps those
-    arrays alive, so their memory cannot be reused by another pattern.
+    inverse permutation.  A plan is read-only and shared by every solver
+    with its Dirichlet nodes and order whose operator's ``indptr`` and
+    ``indices`` are read-only arrays over the memory the plan was built on,
+    as for every matrix assembled on one ``Mesh`` (``fits``).  The plan
+    keeps those arrays alive, so their memory cannot pass to another
+    pattern.
     """
 
     def __init__(self, op, dirichlet, order):
-        n = op.shape[0]
-        self.n = n
+        self.n = n = op.shape[0]
         self.indptr, self.indices = op.indptr, op.indices
         self.dirichlet = dirichlet
         rows = np.repeat(np.arange(n), np.diff(op.indptr))
         cols = op.indices
         if dirichlet.size:
             pinned = np.zeros(n, dtype=bool)
-            pinned[self.dirichlet] = True
+            pinned[dirichlet] = True
             self.zeroed = np.flatnonzero(pinned[rows] | pinned[cols])
             self.pinned_diag = np.flatnonzero(pinned[rows] & (rows == cols))
             if len(self.pinned_diag) != np.count_nonzero(pinned):
@@ -443,9 +442,8 @@ class SpdSolver:
     the optional counter once per right-hand side.  A single right-hand
     side or a block of fewer than ``UPPER_MIN_COLUMNS`` columns is solved on
     the lower factor, a wider block on an upper-storage copy made at the
-    first such solve.  The solver's results do not change
-    after construction and it may be shared across independent right-hand
-    sides.
+    first such solve.  The solver's results do not change after
+    construction and it may be shared across independent right-hand sides.
 
     The pattern-only index work lives in a ``BandPlan`` (``self.plan``).
     Given another solver's ``plan`` that fits the operator, the Dirichlet
