@@ -17,13 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    PROFILES,
-    build_mean_field,
-    build_ouu_config,
-    build_setup,
-    resolve_config,
-)
+from .config import PROFILES, build_mean_field, build_setup, resolve_config
 from .errors import ConfigError, NumericalError
 from .fem import build_mesh
 from .ouu import (
@@ -35,9 +29,13 @@ from .ouu import (
 from .random_field import field_on_mesh, field_on_neumann_boundary
 from .semilinear import SemilinearProblem
 from .surrogate import truncation_rate_study
-from .utils import fmt
 
 OUTDIR_ENV = "RISKQUAD_OUTDIR"
+
+
+def fmt(x):
+    """Format a float with 17 significant digits (lossless round trip)."""
+    return format(float(x), ".17g")
 
 
 def _write_csv(path, header, rows, footer_lines=()):
@@ -62,8 +60,6 @@ def _load(args, overrides=None):
     over = dict(overrides or {})
     if args.seed is not None:
         over["seed"] = args.seed
-    if args.threads is not None:
-        over["threads"] = args.threads
     return resolve_config(args.profile, args.config, over)
 
 
@@ -91,7 +87,7 @@ def cmd_truncation_study(args):
     problem, gf, z0 = _rate_setup(cfg)
     study = truncation_rate_study(
         problem, gf, z0, cfg.experiment.eps_list, cfg.experiment.rate_n_mc,
-        seed=cfg.seed, threads=cfg.threads,
+        seed=cfg.seed,
     )
     path = out / "truncation_rates.csv"
     _write_csv(
@@ -157,10 +153,9 @@ def cmd_optimize(args):
     cfg = _load(args)
     out = _outdir(args)
     mesh, gf, problem = build_setup(cfg)
-    ouu_cfg = build_ouu_config(cfg.ouu, seed=cfg.seed)
     z0 = np.full(problem.n_controls, cfg.ouu.z0)
 
-    result = optimize(problem, gf, ouu_cfg, z0=z0)
+    result = optimize(problem, gf, cfg.ouu, z0=z0)
     _write_trace(out / "iterates.csv", result.legs)
     _write_csv(
         out / "optimal_control.csv",
@@ -172,9 +167,7 @@ def cmd_optimize(args):
 
     n_risk = cfg.experiment.true_risk_samples
     for tag, z in (("initial", z0), ("optimal", result.z)):
-        risk = evaluate_true_risk(
-            problem, gf, z, n_risk, seed=cfg.seed + 2, threads=cfg.threads
-        )
+        risk = evaluate_true_risk(problem, gf, z, n_risk, seed=cfg.seed + 2)
         _write_risk_samples(out / f"true_risk_{tag}.csv", risk)
         print(
             f"{tag}: E[theta]={risk.mean:.6g} Var[theta]={risk.variance:.6g}"
@@ -192,11 +185,10 @@ def cmd_compare_mc(args):
     rows = []
     controls = []
     meta = []
-    base = build_ouu_config(cfg.ouu, seed=cfg.seed)
     mesh, gf, problem = build_setup(cfg)
     for beta in exp.compare_betas:
         leg_cfg = replace(
-            base, beta=beta, beta_schedule=(0.0, beta) if beta > 0 else (beta,),
+            cfg.ouu, beta=beta, beta_schedule=(0.0, beta) if beta > 0 else (beta,),
             max_iter=exp.compare_max_iter,
         )
         for method in exp.compare_methods:
@@ -283,12 +275,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None,
                         help=f"output directory (or ${OUTDIR_ENV})")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads for the Monte Carlo draws; results and solve "
-             "counts do not depend on it, and it gives no speed-up at present "
-             "because the banded Cholesky factorization holds the interpreter lock",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("truncation-study").set_defaults(fn=cmd_truncation_study)
     sub.add_parser("optimize").set_defaults(fn=cmd_optimize)

@@ -3,7 +3,10 @@
 The ``paper_section6`` profile reproduces the canonical study setup
 (79x39 mesh of (0,2)x(0,1), kappa = 2e-2, alpha = 4, gamma = 1e-5,
 n_tr = 40, bounds [0, 16], uniform initial control 4).  Unknown keys are
-rejected so silently ignored typos cannot skew an experiment.
+rejected so silently ignored typos cannot skew an experiment.  The ``ouu``
+section is the runtime ``OuuConfig`` itself, validated when the file is
+parsed; its ``seed`` is not a key of its own but the root ``seed``, which
+seeds the field draws and the trace probes alike.
 """
 
 from __future__ import annotations
@@ -60,20 +63,6 @@ class WellSpec:
 
 
 @dataclass
-class OuuSpec:
-    beta: float = 1.0
-    gamma: float = 1e-5
-    n_tr: int = 40
-    trace_mode: str = "randomized"
-    beta_schedule: list = field(default_factory=lambda: [0.0, 0.25, 0.5, 0.75, 1.0])
-    grad_reduction_tol: float = 5e-4
-    max_iter: int = 100
-    z0: float = 4.0
-    z_min: float = 0.0
-    z_max: float = 16.0
-
-
-@dataclass
 class ExperimentSpec:
     problem: str = "poisson"
     semilinear_c: float = 1.0
@@ -97,26 +86,34 @@ class RunConfig:
     mesh: MeshSpec = field(default_factory=MeshSpec)
     random_field: FieldSpec = field(default_factory=FieldSpec)
     wells: WellSpec = field(default_factory=WellSpec)
-    ouu: OuuSpec = field(default_factory=OuuSpec)
+    ouu: OuuConfig = field(default_factory=OuuConfig)
     experiment: ExperimentSpec = field(default_factory=ExperimentSpec)
     seed: int = 0
-    threads: int = 1
+
+    def __post_init__(self):
+        # the root seed is the only seed source; it also seeds the probes
+        self.ouu = dataclasses.replace(self.ouu, seed=self.seed)
 
 
 _SECTION_TYPES = {
     "mesh": MeshSpec,
     "random_field": FieldSpec,
     "wells": WellSpec,
-    "ouu": OuuSpec,
+    "ouu": OuuConfig,
     "experiment": ExperimentSpec,
     "mean": MeanSpec,
 }
 
 
+# fields that a config file may not set: ``ouu.seed`` is the root ``seed``
+_DERIVED = {OuuConfig: {"seed"}}
+
+
 def _from_dict(cls, data, path=""):
     if not isinstance(data, dict):
         raise ConfigError(f"section {path or cls.__name__!r} must be a mapping")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    known = {f.name for f in dataclasses.fields(cls)} - _DERIVED.get(cls, set())
+    unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys at {path or '<root>'}: {sorted(unknown)}")
     kwargs = {}
@@ -128,18 +125,22 @@ def _from_dict(cls, data, path=""):
             kwargs[name] = value
     try:
         return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def config_from_dict(data):
-    """Strictly parse a nested mapping into a RunConfig."""
+    """Strictly parse a nested mapping into a RunConfig; a section that its
+    dataclass rejects (``OuuConfig`` validates itself) is a ConfigError."""
     return _from_dict(RunConfig, data)
 
 
 def config_to_dict(cfg):
-    """Serialize a RunConfig back into plain nested mappings."""
-    return dataclasses.asdict(cfg)
+    """Serialize a RunConfig back into plain nested mappings, leaving out
+    ``ouu.seed``, which is the root ``seed``."""
+    out = dataclasses.asdict(cfg)
+    del out["ouu"]["seed"]
+    return out
 
 
 def _read_json(path):
@@ -238,13 +239,10 @@ def build_wells(spec):
     )
 
 
-def build_ouu_config(spec, seed=0):
-    """Runtime OuuConfig from the config section, which adds only ``z0``."""
-    names = [f.name for f in dataclasses.fields(OuuConfig) if f.name != "seed"]
-    try:
-        return OuuConfig(seed=seed, **{name: getattr(spec, name) for name in names})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"ouu: {exc}") from exc
+def build_ouu_config(ouu, seed):
+    """``ouu`` with its probe seed replaced by ``seed``.  A parsed
+    ``RunConfig.ouu`` already carries the root seed and needs no call."""
+    return dataclasses.replace(ouu, seed=seed)
 
 
 def build_setup(cfg):

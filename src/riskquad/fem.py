@@ -337,8 +337,9 @@ def mass_cholesky(mesh):
 class SolveCounter:
     """Counts PDE solves; can be paused while auxiliary work runs.
 
-    Ticks are serialized by a lock, so solvers shared across a thread pool
-    keep the count exact.
+    Ticks are serialized by a lock.  The library itself solves on one
+    thread, but a caller may share a problem and its solvers across threads
+    of its own, and the count must stay exact then too.
     """
 
     def __init__(self):

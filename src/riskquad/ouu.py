@@ -19,6 +19,7 @@ parameter dimension.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,17 @@ from .fem import (
 )
 from .optim import minimize_box_lbfgs
 from .surrogate import over_draw_chunks, trace_probes
-from .utils import map_indexed
 
 
 @dataclass
 class OuuConfig:
-    """Risk weights, trace-probe budget, and optimizer settings."""
+    """Risk weights, trace-probe budget, and optimizer settings.
+
+    ``seed`` seeds the trace probes (and the SAA draws); in a run
+    configuration it is the root ``seed``.  ``z0`` is the uniform initial
+    control that ``optimize`` and ``optimize_saa`` start from when they are
+    given none.
+    """
 
     beta: float = 1.0
     gamma: float = 1e-5
@@ -46,6 +52,7 @@ class OuuConfig:
     grad_reduction_tol: float = 5e-4
     max_iter: int = 100
     seed: int = 0
+    z0: float = 4.0
     z_min: float = 0.0
     z_max: float = 16.0
 
@@ -124,13 +131,6 @@ class RiskAverseObjective:
         self.probes, self.weight = trace_probes(
             surr, gf, cfg.trace_mode, cfg.n_tr, cfg.seed
         )
-
-    def with_beta(self, beta):
-        """Same frozen probes, different risk-aversion weight."""
-        other = object.__new__(RiskAverseObjective)
-        other.__dict__.update(self.__dict__)
-        other.beta = float(beta)
-        return other
 
     def _apply_C_to_loads(self, loads):
         """Covariance action on the dual vectors in the columns of ``loads``:
@@ -242,8 +242,9 @@ class ContinuationResult:
 
 
 def _continuation(problem, base, cfg, z0, value, grad, report):
-    """Projected L-BFGS over ``base.with_beta(beta)`` for each beta of the
-    schedule, each leg warm-started from the previous optimum.
+    """Projected L-BFGS over a shallow copy of ``base`` with its ``beta``
+    set, for each beta of the schedule, each leg warm-started from the
+    previous optimum; the copies share the frozen probes or draws.
 
     ``value(obj, z) -> (f, aux)`` and ``grad(obj, z, aux)`` evaluate one
     leg's objective; ``report(aux)`` is stored with the leg.
@@ -251,7 +252,8 @@ def _continuation(problem, base, cfg, z0, value, grad, report):
     z = np.asarray(z0, dtype=float).copy()
     legs = []
     for beta in cfg.beta_schedule or (cfg.beta,):
-        obj = base.with_beta(beta)
+        obj = copy.copy(base)
+        obj.beta = float(beta)
         res = minimize_box_lbfgs(
             lambda zk, _o=obj: value(_o, zk),
             lambda zk, aux, _o=obj: grad(_o, zk, aux),
@@ -276,8 +278,9 @@ def optimize(problem, gf, cfg, z0=None):
     every continuation leg; each leg warm-starts from the previous optimum
     and stops when the projected gradient norm has dropped by
     ``cfg.grad_reduction_tol`` relative to its value at the leg's start.
+    Without ``z0`` it starts from the uniform control ``cfg.z0``.
     """
-    z0 = np.full(problem.n_controls, 4.0) if z0 is None else z0
+    z0 = np.full(problem.n_controls, cfg.z0) if z0 is None else z0
     base = RiskAverseObjective(problem, gf, cfg, nominal_control=z0)
 
     def value(obj, zk):
@@ -316,12 +319,6 @@ class SaaObjective:
                 problem.solver_for(self.samples[:, i]) for i in range(n_mc)
             ]
 
-    def with_beta(self, beta):
-        other = object.__new__(SaaObjective)
-        other.__dict__.update(self.__dict__)
-        other.beta = float(beta)
-        return other
-
     def evaluate(self, z):
         pr = self.problem
         z = np.asarray(z, dtype=float)
@@ -356,8 +353,9 @@ def saa_objective_gradient(problem, gf, z, n_mc, beta, gamma, seed=0, eps=1.0):
 
 
 def optimize_saa(problem, gf, cfg, n_mc, z0=None):
-    """Beta continuation over the sample-average objective (draws of ``cfg.seed``)."""
-    z0 = np.full(problem.n_controls, 4.0) if z0 is None else z0
+    """Beta continuation over the sample-average objective (draws of
+    ``cfg.seed``), from the uniform control ``cfg.z0`` without ``z0``."""
+    z0 = np.full(problem.n_controls, cfg.z0) if z0 is None else z0
     saa = SaaObjective(problem, gf, n_mc, cfg.beta, cfg.gamma, seed=cfg.seed)
     return _continuation(
         problem, saa, cfg, z0, SaaObjective.evaluate, SaaObjective.gradient,
@@ -389,18 +387,20 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, eps=1.0,
     ``with_surrogates`` is set, the linear and quadratic expansion values on
     the same draws are returned too; they are evaluated
     ``surrogate.DRAW_CHUNK`` draws at a time, with one block Hessian action
-    (two solves per draw) per chunk.  ``threads`` spreads the
-    draws over a thread pool; results and solve counts do not depend on it,
-    and it gives no speed-up at present because the banded Cholesky
-    factorization holds the interpreter lock.
+    (two solves per draw) per chunk.
+
+    Draws run serially: scipy's banded Cholesky holds the interpreter lock,
+    so a thread pool draws no faster.  ``threads`` therefore accepts only 1
+    and raises ``ValueError`` otherwise; it remains only because the
+    benchmark workloads pass ``threads=1``.
     """
+    if threads != 1:
+        raise ValueError("threads must be 1: Monte Carlo draws run serially")
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     z = np.asarray(z, dtype=float)
     fields = gf.sample_batch(n_mc, eps=eps, seed=seed)
-    theta = np.array(
-        map_indexed(lambda i: problem.objective(z, fields[:, i]), n_mc, threads)
-    )
+    theta = np.array([problem.objective(z, fields[:, i]) for i in range(n_mc)])
     lin = quad = None
     if with_surrogates:
         surr = problem.surrogate(z)

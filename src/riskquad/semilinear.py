@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericalError
 from .fem import (
@@ -105,12 +106,16 @@ class SemilinearProblem:
         return float(np.sqrt(max(r @ self._norm_solver.solve(r), 0.0)))
 
     def _linearized_solver(self, u):
-        op = self.stiffness
+        # built on the mesh's read-only CSR pattern (a sparse sum would copy
+        # it), so every Newton step shares the band plan of _norm_solver
+        data = self.stiffness.data
         if self.c > 0.0:
             ug = self.mesh.interp_gauss(u)
-            op = op + assemble_weighted_mass(self.mesh, 3.0 * self.c * ug**2)
+            data = data + assemble_weighted_mass(self.mesh, 3.0 * self.c * ug**2).data
+        op = sp.csr_matrix((data, self.mesh.csr_indices, self.mesh.csr_indptr),
+                           shape=self.stiffness.shape)
         return SpdSolver(op, self.mesh.dirichlet_nodes, counter=self.counter,
-                         order=self.mesh.band_order)
+                         order=self.mesh.band_order, plan=self._norm_solver.plan)
 
     def solve_state(self, z, m_bnd):
         """Newton solve of the state equation from a zero initial guess.

@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
-from .utils import map_indexed
 
 DRAW_CHUNK = 64  # Monte Carlo draws per block Hessian action
 
@@ -165,7 +164,7 @@ def _loglog_slope(eps, err):
     return float(np.polyfit(np.log(eps), np.log(err), 1)[0])
 
 
-def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0, threads=1):
+def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0):
     """Mean absolute errors of the linear and quadratic expansions under
     N(mean, eps*C) for each eps, with one frozen Monte Carlo sample.
 
@@ -175,11 +174,9 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0, threads=1):
     polynomials in sqrt(eps) with coefficients <g, b_i> and <H b_i, b_i>,
     so each draw costs one Hessian action for the whole eps range; the
     draws are taken ``DRAW_CHUNK`` at a time, one block Hessian action per
-    chunk.  Also returns least-squares log-log slopes over the eps range.
-    ``threads`` spreads the draws at each eps over a thread pool; results
-    and solve counts do not depend on it, and it gives no speed-up at
-    present because the banded Cholesky factorization holds the interpreter
-    lock.
+    chunk.  The true objective costs one factorization and one solve per
+    draw and eps, taken serially.  Also returns least-squares log-log slopes
+    over the eps range.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if np.any(eps <= 0.0):
@@ -197,9 +194,7 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0, threads=1):
     err_quad = np.empty(len(eps))
     for k, e in enumerate(eps):
         fields = gf.mean[:, None] + np.sqrt(e) * base
-        theta = np.array(
-            map_indexed(lambda i: problem.objective(z, fields[:, i]), n_mc, threads)
-        )
+        theta = np.array([problem.objective(z, fields[:, i]) for i in range(n_mc)])
         lin = surr.theta_bar + np.sqrt(e) * grad_b
         quad = lin + 0.5 * e * hess_bb
         err_lin[k] = np.mean(np.abs(theta - lin))

@@ -84,6 +84,25 @@ def test_invalid_ouu_section_exits_2(tmp_path, capsys):
         assert "config error: ouu:" in capsys.readouterr().err
 
 
+def test_threads_key_exits_2(tmp_path):
+    path = write_config(tmp_path, dict(TINY, threads=2))
+    assert main(["--config", path, "--out", str(tmp_path), "sample-field"]) == 2
+
+
+def test_invalid_ouu_section_exits_2_for_every_command(tmp_path, capsys):
+    path = write_config(tmp_path, dict(TINY, ouu={"beta": 0.5}))
+    assert main(["--config", path, "--out", str(tmp_path), "sample-field"]) == 2
+    assert "config error: ouu:" in capsys.readouterr().err
+
+
+def test_root_seed_is_the_only_seed():
+    cfg = resolve_config(overrides={"seed": 9})
+    assert cfg.ouu.seed == 9
+    assert "seed" not in config_to_dict(cfg)["ouu"]
+    with pytest.raises(ConfigError):
+        config_from_dict({"ouu": {"seed": 3}})
+
+
 def test_unresolved_mesh_exits_2(tmp_path, capsys):
     # the canonical wells' mollifiers miss every node of a 4x2 mesh
     path = write_config(tmp_path, {"mesh": {"nx": 4, "ny": 2}})

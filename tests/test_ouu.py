@@ -233,18 +233,10 @@ def test_saa_gradient_finite_difference(setup):
     assert check_saa_gradient(problem, gf, np.full(20, 4.0)) <= 1e-5
 
 
-def test_true_risk_threads_keep_solve_count_and_mean(setup):
+def test_true_risk_rejects_threads_other_than_one(setup):
     _, problem, gf = setup
-    z = np.full(20, 4.0)
-    results, spent = [], []
-    for threads in (1, 2):
-        start = problem.counter.count
-        results.append(evaluate_true_risk(problem, gf, z, 24, seed=5,
-                                          threads=threads))
-        spent.append(problem.counter.count - start)
-    assert spent[0] == spent[1] == 24 + 2 + 2 * 24
-    assert results[1].mean == results[0].mean
-    assert np.array_equal(results[1].samples, results[0].samples)
+    with pytest.raises(ValueError):
+        evaluate_true_risk(problem, gf, np.full(20, 4.0), 4, threads=2)
 
 
 @pytest.mark.parametrize("n_mc", [1, DRAW_CHUNK + 3])

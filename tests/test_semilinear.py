@@ -3,7 +3,7 @@ import pytest
 
 from riskquad.checks import check_semilinear_gradient, check_semilinear_hessian
 from riskquad.errors import NumericalError
-from riskquad.fem import assemble_mass, build_mesh
+from riskquad.fem import SpdSolver, assemble_mass, assemble_weighted_mass, build_mesh
 from riskquad.random_field import field_on_neumann_boundary
 from riskquad.semilinear import SemilinearProblem
 
@@ -173,3 +173,19 @@ def test_block_hessian_matches_columns(setup):
     for k in range(M.shape[1]):
         col = problem.hess_action(ws, M[:, k])
         assert np.linalg.norm(block[:, k] - col) <= 1e-12 * np.linalg.norm(col)
+
+
+def test_newton_solvers_share_the_band_plan():
+    problem = SemilinearProblem(build_mesh(12, 12, 1.0, 1.0), c=1.0)
+    mesh = problem.mesh
+    u = np.sin(np.pi * mesh.node_x) * (1.0 + mesh.node_y)
+    solver = problem._linearized_solver(u)
+    assert solver.plan is problem._norm_solver.plan
+    # the same operator as a sparse sum, which copies the pattern
+    ug = mesh.interp_gauss(u)
+    op = problem.stiffness + assemble_weighted_mass(mesh, 3.0 * ug**2)
+    reference = SpdSolver(op, mesh.dirichlet_nodes, order=mesh.band_order)
+    assert reference.plan is not solver.plan
+    b = np.random.default_rng(0).standard_normal(mesh.n_nodes)
+    assert np.array_equal(solver.solve(b), reference.solve(b))
+    assert np.array_equal(solver._factor, reference._factor)
