@@ -55,7 +55,6 @@ from .ouu import (
     optimize,
     optimize_saa,
     saa_objective_gradient,
-    true_objective_for_controls,
 )
 from .config import (
     PROFILES,

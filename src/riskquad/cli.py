@@ -17,15 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PROFILES, build_mean_field, build_setup, resolve_config
+from .config import (
+    PROFILES,
+    build_mean_field,
+    build_setup,
+    config_section,
+    resolve_config,
+)
 from .errors import ConfigError, NumericalError
 from .fem import build_mesh
-from .ouu import (
-    evaluate_true_risk,
-    optimize,
-    optimize_saa,
-    true_objective_for_controls,
-)
+from .ouu import evaluate_true_risk, optimize, optimize_saa
 from .random_field import field_on_mesh, field_on_neumann_boundary
 from .semilinear import SemilinearProblem
 from .surrogate import truncation_rate_study
@@ -67,18 +68,16 @@ def _rate_setup(cfg):
     """Problem + field + nominal control for the truncation study."""
     if cfg.experiment.problem == "poisson":
         mesh, gf, problem = build_setup(cfg)
-        z0 = np.full(problem.n_controls, cfg.ouu.z0)
-        return problem, gf, z0
-    if cfg.experiment.problem == "semilinear":
+        return problem, gf, np.full(problem.n_controls, cfg.ouu.z0)
+    with config_section("mesh"):
         mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, 1.0, 1.0)
-        problem = SemilinearProblem(mesh, c=cfg.experiment.semilinear_c)
-        gf = field_on_neumann_boundary(
-            mesh, cfg.random_field.kappa, cfg.random_field.alpha,
-            rng_seed=cfg.seed, space=problem.trace_space,
-        )
-        z0 = np.full(mesh.n_nodes, 1.0)
-        return problem, gf, z0
-    raise ConfigError(f"unknown experiment problem {cfg.experiment.problem!r}")
+    problem = SemilinearProblem(mesh, c=cfg.experiment.semilinear_c)
+    gf = field_on_neumann_boundary(
+        mesh, cfg.random_field.kappa, cfg.random_field.alpha,
+        rng_seed=cfg.seed, space=problem.trace_space,
+    )
+    z0 = np.full(mesh.n_nodes, 1.0)
+    return problem, gf, z0
 
 
 def cmd_truncation_study(args):
@@ -106,28 +105,16 @@ def cmd_truncation_study(args):
 
 
 def _write_trace(path, legs):
-    rows = []
-    for leg in legs:
-        for r in leg.rows:
-            rows.append(
-                (leg.beta, r.iteration, r.value, r.grad_norm, r.solves,
-                 r.active_bounds)
-            )
+    rows = [
+        (leg.beta, r.iteration, r.value, r.grad_norm, r.solves, r.active_bounds)
+        for leg in legs for r in leg.rows
+    ]
     _write_csv(
         path,
         ["beta", "iter", "J", "grad_norm", "pde_solves_cumulative",
          "active_bounds_count"],
         rows,
     )
-
-
-def _write_risk_samples(path, risk):
-    cols = [risk.samples]
-    header = ["theta"]
-    if risk.lin_samples is not None:
-        header += ["theta_lin", "theta_quad"]
-        cols += [risk.lin_samples, risk.quad_samples]
-    _write_csv(path, header, zip(*cols))
 
 
 def _report_text(report, z):
@@ -165,12 +152,18 @@ def cmd_optimize(args):
     with open(out / "risk_report.txt", "w", encoding="utf-8") as fh:
         fh.write(_report_text(result.final_report, result.z))
 
-    n_risk = cfg.experiment.true_risk_samples
-    for tag, z in (("initial", z0), ("optimal", result.z)):
-        risk = evaluate_true_risk(problem, gf, z, n_risk, seed=cfg.seed + 2)
-        _write_risk_samples(out / f"true_risk_{tag}.csv", risk)
+    risk = evaluate_true_risk(
+        problem, gf, np.column_stack([z0, result.z]),
+        cfg.experiment.true_risk_samples, seed=cfg.seed + 2,
+    )
+    for k, tag in enumerate(("initial", "optimal")):
+        _write_csv(
+            out / f"true_risk_{tag}.csv", ["theta", "theta_lin", "theta_quad"],
+            zip(risk.samples[:, k], risk.lin_samples[:, k], risk.quad_samples[:, k]),
+        )
         print(
-            f"{tag}: E[theta]={risk.mean:.6g} Var[theta]={risk.variance:.6g}"
+            f"{tag}: E[theta]={risk.mean[k]:.6g} "
+            f"Var[theta]={risk.variance[k]:.6g}"
         )
     if result.degraded:
         print("warning: line search stalled; returned best iterate", file=sys.stderr)
@@ -182,9 +175,7 @@ def cmd_compare_mc(args):
     cfg = _load(args)
     out = _outdir(args)
     exp = cfg.experiment
-    rows = []
-    controls = []
-    meta = []
+    controls, meta = [], []
     mesh, gf, problem = build_setup(cfg)
     for beta in exp.compare_betas:
         leg_cfg = replace(
@@ -192,31 +183,30 @@ def cmd_compare_mc(args):
             max_iter=exp.compare_max_iter,
         )
         for method in exp.compare_methods:
-            if method in ("quad_randomized", "quad_eigenbasis"):
-                mode = "randomized" if method == "quad_randomized" else "eigenbasis"
-                for n_tr in exp.compare_n_tr:
-                    ouu_cfg = replace(leg_cfg, n_tr=n_tr, trace_mode=mode)
-                    res = optimize(
-                        problem, gf, ouu_cfg,
-                        z0=np.full(problem.n_controls, cfg.ouu.z0),
-                    )
-                    controls.append(res.z)
-                    meta.append((method, beta, n_tr, 4 + 4 * n_tr))
-            elif method == "saa":
+            if method == "saa":
                 for n_mc in exp.compare_n_mc:
                     ouu_cfg = replace(leg_cfg, trace_mode="randomized")
                     res = optimize_saa(problem, gf, ouu_cfg, n_mc)
                     controls.append(res.z)
                     meta.append((method, beta, n_mc, 2 * n_mc))
             else:
-                raise ConfigError(f"unknown compare method {method!r}")
-        values, errors = true_objective_for_controls(
-            problem, gf, controls, beta, cfg.ouu.gamma,
-            exp.compare_eval_samples, seed=cfg.seed + 5,
+                mode = method.removeprefix("quad_")
+                for n_tr in exp.compare_n_tr:
+                    ouu_cfg = replace(leg_cfg, n_tr=n_tr, trace_mode=mode)
+                    res = optimize(problem, gf, ouu_cfg)
+                    controls.append(res.z)
+                    meta.append((method, beta, n_tr, 4 + 4 * n_tr))
+    rows = []
+    if controls:
+        # every control on the same draws: one factorization per draw
+        risk = evaluate_true_risk(
+            problem, gf, np.column_stack(controls), exp.compare_eval_samples,
+            seed=cfg.seed + 5, with_surrogates=False,
         )
-        for (method, b, level, solves), val, se in zip(meta, values, errors):
-            rows.append((method, b, level, solves, val, se))
-        controls, meta = [], []
+        values, errors = risk.risk_measure([m[1] for m in meta])
+        for m, z, value, se in zip(meta, controls, values, errors):
+            cost = 0.5 * cfg.ouu.gamma * float(z @ z)
+            rows.append((*m, value + cost, se))
     path = out / "compare_mc.csv"
     _write_csv(
         path,
@@ -231,11 +221,11 @@ def cmd_compare_mc(args):
 def cmd_sample_field(args):
     cfg = _load(args)
     out = _outdir(args)
-    mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
-    mean = build_mean_field(mesh, cfg.random_field.mean)
+    with config_section("mesh"):
+        mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
     gf = field_on_mesh(
         mesh, cfg.random_field.kappa, cfg.random_field.alpha,
-        mean=mean, rng_seed=cfg.seed,
+        mean=build_mean_field(mesh, cfg.random_field.mean), rng_seed=cfg.seed,
     )
     n = cfg.experiment.n_samples
     draws = gf.sample_batch(n, eps=cfg.experiment.sample_eps, seed=cfg.seed)

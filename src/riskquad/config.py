@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,9 @@ class WellSpec:
     targets: object = "parabolic"
 
 
+COMPARE_METHODS = ("quad_randomized", "quad_eigenbasis", "saa")
+
+
 @dataclass
 class ExperimentSpec:
     problem: str = "poisson"
@@ -76,9 +80,13 @@ class ExperimentSpec:
     compare_n_mc: list = field(default_factory=lambda: [4, 16])
     compare_eval_samples: int = 2000
     compare_max_iter: int = 40
-    compare_methods: list = field(
-        default_factory=lambda: ["quad_randomized", "quad_eigenbasis", "saa"]
-    )
+    compare_methods: list = field(default_factory=lambda: list(COMPARE_METHODS))
+
+    def __post_init__(self):
+        if self.problem not in ("poisson", "semilinear"):
+            raise ValueError(f"unknown experiment problem {self.problem!r}")
+        if not set(self.compare_methods) <= set(COMPARE_METHODS):
+            raise ValueError(f"unknown compare method in {self.compare_methods}")
 
 
 @dataclass
@@ -208,6 +216,16 @@ def resolve_config(profile=None, config_path=None, overrides=None):
 # -- builders -------------------------------------------------------------------
 
 
+@contextmanager
+def config_section(name):
+    """Turn a ``ValueError`` from building config section ``name`` into a
+    ``ConfigError``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def build_mean_field(mesh, spec):
     """Nodal mean log-conductivity from its config description."""
     if spec.type == "constant":
@@ -215,6 +233,8 @@ def build_mean_field(mesh, spec):
     if spec.type == "bumps":
         if len(spec.centers) != len(spec.amplitudes):
             raise ConfigError("mean bumps need one amplitude per center")
+        if any(np.shape(c) != (2,) for c in spec.centers):
+            raise ConfigError("mean bump centers must be (x, y) pairs")
         out = np.full(mesh.n_nodes, float(spec.value))
         for (cx, cy), amp in zip(spec.centers, spec.amplitudes):
             r2 = (mesh.node_x - cx) ** 2 + (mesh.node_y - cy) ** 2
@@ -230,13 +250,14 @@ def build_wells(spec):
             raise ConfigError(f"unknown target profile {spec.targets!r}")
         targets = parabolic_target_profile(production)
     else:
-        targets = np.asarray(spec.targets, dtype=float)
-    return WellConfig(
-        control_points=grid_points(spec.control_xs, spec.control_ys),
-        production_points=production,
-        sigma=spec.sigma,
-        targets=targets,
-    )
+        targets = spec.targets
+    with config_section("wells"):
+        return WellConfig(
+            control_points=grid_points(spec.control_xs, spec.control_ys),
+            production_points=production,
+            sigma=spec.sigma,
+            targets=targets,
+        )
 
 
 def build_ouu_config(ouu, seed):
@@ -249,7 +270,8 @@ def build_setup(cfg):
     """Mesh, Gaussian field, and flow problem from a RunConfig."""
     from .poisson import PoissonFlowProblem
 
-    mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
+    with config_section("mesh"):
+        mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
     mean = build_mean_field(mesh, cfg.random_field.mean)
     problem = PoissonFlowProblem(mesh, wells=build_wells(cfg.wells), mean=mean)
     gf = field_on_mesh(

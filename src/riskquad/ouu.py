@@ -314,10 +314,9 @@ class SaaObjective:
         self.gamma = float(gamma)
         self.n_mc = int(n_mc)
         self.samples = gf.sample_batch(n_mc, eps=eps, seed=seed)
-        with problem.counter.paused():
-            self.solvers = [
-                problem.solver_for(self.samples[:, i]) for i in range(n_mc)
-            ]
+        self.solvers = [
+            problem.solver_for(self.samples[:, i]) for i in range(n_mc)
+        ]
 
     def evaluate(self, z):
         pr = self.problem
@@ -368,7 +367,9 @@ def optimize_saa(problem, gf, cfg, n_mc, z0=None):
 
 @dataclass
 class TrueRisk:
-    """Monte Carlo estimates of the distribution of the control objective."""
+    """Monte Carlo estimates of the distribution of the control objective:
+    true and expansion samples (n_mc,) and scalar moments for one control,
+    or (n_mc, k) samples and (k,) moments, a column per control of a block."""
 
     mean: float
     variance: float
@@ -376,18 +377,38 @@ class TrueRisk:
     lin_samples: np.ndarray = None
     quad_samples: np.ndarray = None
 
+    def risk_measure(self, beta):
+        """``mean + beta/2 * variance`` and its Monte Carlo standard error.
+
+        ``beta`` is a scalar or one weight per column.  The error is the
+        delta-method estimate from the sample moments: Var[mean] = var/n,
+        Var[var] = (m4 - var^2)/n and Cov[mean, var] = m3/n, with m3 and m4
+        the central moments.
+        """
+        beta = np.asarray(beta, dtype=float)
+        n = len(self.samples)
+        centered = self.samples - self.mean
+        var_of_mean = self.variance / n
+        var_of_var = np.maximum(np.mean(centered**4, axis=0) - self.variance**2, 0) / n
+        cov_mv = np.mean(centered**3, axis=0) / n
+        se = np.sqrt(
+            np.maximum(var_of_mean + 0.25 * beta**2 * var_of_var + beta * cov_mv, 0.0)
+        )
+        return self.mean + 0.5 * beta * self.variance, se
+
 
 def evaluate_true_risk(problem, gf, z, n_mc, seed=0, eps=1.0,
                        with_surrogates=True, threads=1):
     """Estimate mean and variance of the objective by sampling the field.
 
-    Each draw costs one assembly, one band scatter and one LAPACK
-    factorization on the anchor solver's band plan (``solver_for``), and one
-    solve at its own parameter; no factor is reused across draws.  When
-    ``with_surrogates`` is set, the linear and quadratic expansion values on
-    the same draws are returned too; they are evaluated
-    ``surrogate.DRAW_CHUNK`` draws at a time, with one block Hessian action
-    (two solves per draw) per chunk.
+    ``z`` is a control vector or an (n_controls, k) block of controls that
+    share the draws (see ``TrueRisk``).  Each draw costs one assembly, one
+    band scatter and one LAPACK factorization on the anchor solver's band
+    plan (``solver_for``), and one counted solve per control; no factor is
+    reused across draws.  When ``with_surrogates`` is set, each control's
+    linear and quadratic expansion values on the same draws are returned
+    too, after its workspace (two solves), ``surrogate.DRAW_CHUNK`` draws at
+    a time with one block Hessian action (two solves per draw) per chunk.
 
     Draws run serially: scipy's banded Cholesky holds the interpreter lock,
     so a thread pool draws no faster.  ``threads`` therefore accepts only 1
@@ -403,49 +424,15 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, eps=1.0,
     theta = np.array([problem.objective(z, fields[:, i]) for i in range(n_mc)])
     lin = quad = None
     if with_surrogates:
-        surr = problem.surrogate(z)
-        lin = over_draw_chunks(surr.eval_lin, fields)
-        quad = over_draw_chunks(surr.eval_quad, fields)
-    variance = float(np.var(theta, ddof=1)) if n_mc > 1 else 0.0
+        expansions = [
+            (over_draw_chunks(s.eval_lin, fields), over_draw_chunks(s.eval_quad, fields))
+            for s in map(problem.surrogate, z.reshape(len(z), -1).T)
+        ]
+        lin, quad = (
+            np.column_stack(v).reshape(theta.shape) for v in zip(*expansions)
+        )
     return TrueRisk(
-        mean=float(np.mean(theta)), variance=variance, samples=theta,
-        lin_samples=lin, quad_samples=quad,
+        mean=np.mean(theta, axis=0),
+        variance=np.var(theta, axis=0, ddof=1 if n_mc > 1 else 0),
+        samples=theta, lin_samples=lin, quad_samples=quad,
     )
-
-
-def true_objective_for_controls(problem, gf, zs, beta, gamma, n_mc, seed=0):
-    """Shared-sample estimate of mean + beta/2 var + control cost for many
-    controls; factorizes each sampled operator once and solves the states of
-    all controls as one lifted block (one counted solve per control).
-
-    Returns (values, standard_errors) aligned with ``zs``.
-    """
-    zs = [np.asarray(z, dtype=float) for z in zs]
-    fields = gf.sample_batch(n_mc, eps=1.0, seed=seed)
-    loads = problem.source_load(np.column_stack(zs))
-    targets = problem.wells.targets[:, None]
-    theta = np.empty((n_mc, len(zs)))
-    for i in range(n_mc):
-        states = problem.solver_for(fields[:, i]).solve_many(
-            loads, problem.dirichlet_bc
-        )
-        misfit = problem.observe(states) - targets
-        theta[i] = 0.5 * np.sum(misfit**2, axis=0)
-    values, errors = [], []
-    for k, z in enumerate(zs):
-        t = theta[:, k]
-        mean = float(np.mean(t))
-        var = float(np.var(t, ddof=1))
-        value = mean + 0.5 * beta * var + 0.5 * gamma * float(z @ z)
-        centered = t - mean
-        var_of_mean = var / n_mc
-        var_of_var = max(
-            float(np.mean(centered**4)) - var**2, 0.0
-        ) / n_mc
-        cov_mv = float(np.mean(centered**3)) / n_mc
-        se = np.sqrt(
-            max(var_of_mean + 0.25 * beta**2 * var_of_var + beta * cov_mv, 0.0)
-        )
-        values.append(value)
-        errors.append(float(se))
-    return np.array(values), np.array(errors)

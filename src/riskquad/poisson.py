@@ -165,7 +165,7 @@ class PoissonFlowProblem:
             x, y = pts[:, 0], pts[:, 1]
             inside = (x > 0) & (x < self.mesh.lx) & (y > 0) & (y < self.mesh.ly)
             if not np.all(inside):
-                raise ValueError("well locations must lie strictly inside the domain")
+                raise ConfigError("well locations must lie strictly inside the domain")
 
     @property
     def n_controls(self):
@@ -196,15 +196,21 @@ class PoissonFlowProblem:
         )
 
     def solve_state(self, z, solver=None):
+        """State of a control (n_controls,), or the states of the columns of
+        an (n_controls, k) block as one lifted ``solve_many``."""
         solver = self.anchor_solver if solver is None else solver
-        return solver.solve(self.source_load(z), self.dirichlet_bc)
+        solve = solver.solve if np.ndim(z) == 1 else solver.solve_many
+        return solve(self.source_load(z), self.dirichlet_bc)
 
     def objective_of_state(self, u):
-        r = self.observe(u) - self.wells.targets
-        return 0.5 * float(r @ r)
+        """Misfit 1/2 |Qu - q|^2 of a state (n,), or of each column of (n, k)."""
+        r = (self.observe(u).T - self.wells.targets).T
+        return 0.5 * float(r @ r) if r.ndim == 1 else 0.5 * np.sum(r**2, axis=0)
 
     def objective(self, z, m=None):
-        """Full control objective at (z, m); for m=None uses the anchor."""
+        """Full control objective at (z, m); for m=None uses the anchor.  A
+        block ``z`` (n_controls, k) gives one value per column, all solved on
+        the one factorization at m."""
         solver = self.anchor_solver if m is None else self.solver_for(m)
         return self.objective_of_state(self.solve_state(z, solver))
 

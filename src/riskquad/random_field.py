@@ -44,13 +44,12 @@ class FieldSpace:
     spaces).
     """
 
-    def __init__(self, mass, sqrt_mass, natural_stiffness, coords, node_index=None,
+    def __init__(self, mass, sqrt_mass, natural_stiffness, node_index=None,
                  order=None):
         self.mass = mass.tocsr()
         self.sqrt_mass = sqrt_mass.tocsr()
         self._sqrt_mass_t = self.sqrt_mass.T.tocsr()
         self.natural_stiffness = natural_stiffness.tocsr()
-        self.coords = coords
         self.dim = self.mass.shape[0]
         self.node_index = (
             np.arange(self.dim) if node_index is None else np.asarray(node_index)
@@ -85,7 +84,6 @@ def volume_space(mesh):
         mass=assemble_mass(mesh),
         sqrt_mass=mass_cholesky(mesh),
         natural_stiffness=assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes)),
-        coords=np.column_stack([mesh.node_x, mesh.node_y]),
         order=mesh.band_order,
     )
 
@@ -101,7 +99,7 @@ def neumann_trace_space(mesh):
              if s not in mesh.dirichlet_sides]
     if not sides:
         raise ValueError("mesh has no Neumann sides")
-    masses, stiffs, chols, idx, coords = [], [], [], [], []
+    masses, stiffs, chols, idx = [], [], [], []
     for side in sides:
         nodes = mesh.side_nodes(side)
         n_seg = len(nodes) - 1
@@ -111,14 +109,10 @@ def neumann_trace_space(mesh):
         stiffs.append(stiffness_matrix_1d(n_seg, h))
         chols.append(cholesky_sparse(m1.toarray()))
         idx.append(nodes)
-        coords.append(
-            np.column_stack([mesh.node_x[nodes], mesh.node_y[nodes]])
-        )
     return FieldSpace(
         mass=sp.block_diag(masses),
         sqrt_mass=sp.block_diag(chols),
         natural_stiffness=sp.block_diag(stiffs),
-        coords=np.vstack(coords),
         node_index=np.concatenate(idx),
     )
 

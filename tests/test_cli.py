@@ -111,6 +111,70 @@ def test_unresolved_mesh_exits_2(tmp_path, capsys):
     assert "config error:" in err and "unresolved on this mesh" in err
 
 
+@pytest.mark.parametrize("command,section", [
+    ("sample-field", {"mesh": {"nx": 0}}),
+    ("optimize", {"wells": {"targets": [1.0, 2.0]}}),
+    ("optimize", {"wells": {"sigma": -0.1}}),
+    ("optimize", {"wells": {"control_xs": [3.0]}}),
+    ("sample-field", {"random_field": {"mean": {
+        "type": "bumps", "centers": [1.0], "amplitudes": [0.5]}}}),
+    ("optimize", {"experiment": {"problem": "bogus"}}),
+])
+def test_invalid_section_exits_2(tmp_path, capsys, command, section):
+    path = write_config(tmp_path, section)
+    args = ["--profile", "desk", "--config", path, "--out", str(tmp_path)]
+    assert main(args + [command]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def count_factorizations(monkeypatch):
+    """Count ``solver_for`` calls, one per factorized field draw."""
+    from riskquad.poisson import PoissonFlowProblem
+
+    calls = []
+    solver_for = PoissonFlowProblem.solver_for
+
+    def counted(self, m):
+        calls.append(1)
+        return solver_for(self, m)
+
+    monkeypatch.setattr(PoissonFlowProblem, "solver_for", counted)
+    return calls
+
+
+def test_unknown_compare_method_exits_2_before_any_optimization(
+    tmp_path, monkeypatch
+):
+    calls = count_factorizations(monkeypatch)
+    data = json.loads(json.dumps(TINY))
+    data["experiment"]["compare_methods"] = ["saa", "bogus"]
+    out = tmp_path / "out"
+    args = ["--config", write_config(tmp_path, data), "--out", str(out)]
+    assert main(args + ["compare-mc"]) == 2
+    assert not (out / "compare_mc.csv").exists()
+    assert calls == []  # no SAA draw was factorized
+
+
+def test_optimize_factorizes_each_evaluation_draw_once(tmp_path, monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    cfg = write_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path), "optimize"]) == 0
+    # both controls are scored on the same draws
+    assert len(calls) == TINY["experiment"]["true_risk_samples"]
+
+
+def test_compare_mc_factorizes_each_evaluation_draw_once(tmp_path, monkeypatch):
+    data = json.loads(json.dumps(TINY))
+    data["experiment"]["compare_betas"] = [0.5, 0.1]
+    calls = count_factorizations(monkeypatch)
+    cfg = write_config(tmp_path, data)
+    assert main(["--config", cfg, "--out", str(tmp_path), "compare-mc"]) == 0
+    exp = data["experiment"]
+    # the SAA draws of each beta, then every control on one shared sample
+    saa_draws = len(exp["compare_betas"]) * sum(exp["compare_n_mc"])
+    assert len(calls) == saa_draws + exp["compare_eval_samples"]
+
+
 def test_unknown_profile_rejected():
     with pytest.raises(ConfigError):
         resolve_config("nope")

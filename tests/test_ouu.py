@@ -11,7 +11,6 @@ from riskquad.ouu import (
     optimize,
     optimize_saa,
     saa_objective_gradient,
-    true_objective_for_controls,
 )
 from riskquad.poisson import PoissonFlowProblem, WellConfig, default_wells
 from riskquad.random_field import field_on_mesh
@@ -311,25 +310,34 @@ def test_true_risk_deterministic(setup):
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_true_objective_for_controls_shapes(setup):
+def control_cost(zs, gamma):
+    return np.array([0.5 * gamma * float(z @ z) for z in zs])
+
+
+def test_true_risk_block_shapes(setup):
     _, problem, gf = setup
     zs = [np.full(20, 4.0), np.full(20, 1.0)]
-    values, errors = true_objective_for_controls(
-        problem, gf, zs, beta=0.5, gamma=1e-5, n_mc=60, seed=0
+    risk = evaluate_true_risk(
+        problem, gf, np.column_stack(zs), 60, seed=0, with_surrogates=False
     )
+    values, errors = risk.risk_measure(0.5)
+    assert risk.samples.shape == (60, 2)
+    assert risk.mean.shape == risk.variance.shape == (2,)
     assert values.shape == (2,) and errors.shape == (2,)
     assert np.all(errors > 0.0)
 
 
-def test_true_objective_block_matches_per_control_solves(setup):
+def test_true_risk_block_matches_per_control_solves(setup):
     # reference: the per-draw loop of single lifted solves, one per control
     _, problem, gf = setup
     zs = [np.full(20, 4.0), np.linspace(0.0, 5.0, 20), np.full(20, 1.0)]
     beta, gamma, n_mc = 0.5, 1e-5, 40
     start = problem.counter.count
-    values, errors = true_objective_for_controls(
-        problem, gf, zs, beta, gamma, n_mc, seed=3
+    risk = evaluate_true_risk(
+        problem, gf, np.column_stack(zs), n_mc, seed=3, with_surrogates=False
     )
+    values, errors = risk.risk_measure(beta)
+    values = values + control_cost(zs, gamma)
     assert problem.counter.count - start == n_mc * len(zs)
     fields = gf.sample_batch(n_mc, seed=3)
     theta = np.array([
@@ -340,6 +348,76 @@ def test_true_objective_block_matches_per_control_solves(setup):
     ]
     assert np.allclose(values, ref, rtol=1e-12, atol=0.0)
     assert np.all(errors > 0.0)
+
+
+def test_block_true_risk_matches_vector_calls_and_factorizes_once_per_draw(
+    setup, monkeypatch
+):
+    _, problem, gf = setup
+    zs = [np.full(20, 4.0), np.linspace(0.0, 5.0, 20), np.full(20, 1.0)]
+    k, n_mc = len(zs), 7
+    factorizations = []
+    solver_for = problem.solver_for
+
+    def counted(m):
+        factorizations.append(1)
+        return solver_for(m)
+
+    monkeypatch.setattr(problem, "solver_for", counted)
+    start = problem.counter.count
+    block = evaluate_true_risk(problem, gf, np.column_stack(zs), n_mc, seed=8)
+    assert problem.counter.count - start == n_mc * k + k * (2 + 2 * n_mc)
+    assert len(factorizations) == n_mc
+    for j, z in enumerate(zs):
+        one = evaluate_true_risk(problem, gf, z, n_mc, seed=8)
+        for name in ("samples", "lin_samples", "quad_samples"):
+            np.testing.assert_allclose(
+                getattr(block, name)[:, j], getattr(one, name),
+                rtol=1e-12, atol=0.0,
+            )
+        np.testing.assert_allclose(block.mean[j], one.mean, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            block.variance[j], one.variance, rtol=1e-12, atol=0.0
+        )
+
+
+def old_standard_error(t, beta):
+    """The delta-method standard error of mean + beta/2 var, as the former
+    per-control Monte Carlo evaluator computed it."""
+    n_mc = len(t)
+    mean = float(np.mean(t))
+    var = float(np.var(t, ddof=1))
+    centered = t - mean
+    var_of_mean = var / n_mc
+    var_of_var = max(float(np.mean(centered**4)) - var**2, 0.0) / n_mc
+    cov_mv = float(np.mean(centered**3)) / n_mc
+    return np.sqrt(
+        max(var_of_mean + 0.25 * beta**2 * var_of_var + beta * cov_mv, 0.0)
+    )
+
+
+def test_risk_measure_matches_the_standard_error_formula(setup):
+    _, problem, gf = setup
+    zs = [np.full(20, 4.0), np.linspace(0.0, 5.0, 20)]
+    risk = evaluate_true_risk(
+        problem, gf, np.column_stack(zs), 50, seed=2, with_surrogates=False
+    )
+    betas = np.array([0.5, 0.01])
+    values, errors = risk.risk_measure(betas)
+    for j, beta in enumerate(betas):
+        t = risk.samples[:, j]
+        value = np.mean(t) + 0.5 * beta * np.var(t, ddof=1)
+        np.testing.assert_allclose(values[j], value, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            errors[j], old_standard_error(t, beta), rtol=1e-12, atol=0.0
+        )
+    # a scalar weight applies to every column; one control gives floats
+    np.testing.assert_array_equal(risk.risk_measure(0.5)[1][0], errors[0])
+    one = evaluate_true_risk(problem, gf, zs[1], 50, seed=2, with_surrogates=False)
+    np.testing.assert_allclose(
+        one.risk_measure(0.01)[1], old_standard_error(one.samples, 0.01),
+        rtol=1e-12, atol=0.0,
+    )
 
 
 def test_linear_surrogate_optimum_weakly_worse(setup):
@@ -375,9 +453,12 @@ def test_saa_optima_approach_a_limit(setup):
         cfg = OuuConfig(beta=beta, gamma=1e-5, n_tr=2,
                         beta_schedule=(0.0, beta), max_iter=40, seed=0)
         controls.append(optimize_saa(problem, gf, cfg, n_mc).z)
-    values, errors = true_objective_for_controls(
-        problem, gf, controls, beta, 1e-5, 1500, seed=33
+    risk = evaluate_true_risk(
+        problem, gf, np.column_stack(controls), 1500, seed=33,
+        with_surrogates=False,
     )
+    values, errors = risk.risk_measure(beta)
+    values = values + control_cost(controls, 1e-5)
     noise = 3.0 * errors.max()
     assert abs(values[2] - values[1]) <= abs(values[1] - values[0]) + noise
     assert values[1] <= values[0] + noise
