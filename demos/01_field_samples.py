@@ -2,9 +2,9 @@
 
 The field follows a Gaussian law whose covariance is the inverse of the
 square of a shifted Laplacian, discretized consistently with the finite
-element mass matrix.  Shrinking the covariance scale concentrates draws
-around the mean; the script prints summary statistics that show the
-expected scaling.
+element mass matrix.  Shrinking the covariance scale with ``gf.scaled``
+concentrates draws around the mean; the script prints summary statistics
+that show the expected scaling.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 import riskquad as rq
 
 mesh = rq.build_mesh(40, 20, 2.0, 1.0)
-gf = rq.field_on_mesh(mesh, kappa=2e-2, alpha=4.0, rng_seed=0)
+gf = rq.field_on_mesh(mesh, kappa=2e-2, alpha=4.0)
 
 print("three realizations at full covariance:")
 draws = gf.sample_batch(3, seed=0)
@@ -23,7 +23,7 @@ for k in range(3):
 
 print("\npointwise standard deviation shrinks like sqrt(eps):")
 for eps in (1.0, 0.25, 0.0625):
-    batch = gf.sample_batch(2000, eps=eps, seed=1)
+    batch = gf.scaled(eps).sample_batch(2000, seed=1)
     print(f"  eps={eps:<7} mean node std = {batch.std(axis=1).mean():.4f}")
 
 f = np.ones(mesh.n_nodes)

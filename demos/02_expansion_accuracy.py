@@ -13,7 +13,7 @@ from riskquad.surrogate import truncation_rate_study
 
 mesh = rq.build_mesh(20, 10, 2.0, 1.0)
 problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.1))
-gf = rq.field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+gf = rq.field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
 z = np.full(problem.n_controls, 4.0)
 
 study = truncation_rate_study(

@@ -54,7 +54,6 @@ from .ouu import (
     evaluate_true_risk,
     optimize,
     optimize_saa,
-    saa_objective_gradient,
 )
 from .config import (
     PROFILES,

@@ -35,7 +35,7 @@ def _gradient_error(surr, gf, objective_at, n_dirs, seed, h):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_dirs):
-        d = gf.sample(rng=rng) - gf.mean
+        d = gf.sample(rng) - gf.mean
         fd = _central(lambda t: objective_at(t * d), h)
         worst = max(worst, _rel(abs(surr.space.inner(surr.grad, d) - fd), abs(fd)))
     return worst
@@ -47,7 +47,7 @@ def _hessian_error(surr, gf, grad_at, n_dirs, seed, h):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_dirs):
-        d = gf.sample(rng=rng) - gf.mean
+        d = gf.sample(rng) - gf.mean
         psi = surr.hess_action(d)
         err = surr.space.norm(psi - _central(lambda t: grad_at(t * d), h))
         worst = max(worst, _rel(err, surr.space.norm(psi)))
@@ -116,14 +116,12 @@ def run_derivative_checks(seed=0):
     mesh = build_mesh(16, 8, 2.0, 1.0)
     wells = default_wells(sigma=0.1)
     problem = PoissonFlowProblem(mesh, wells=wells)
-    gf = field_on_mesh(mesh, 2e-2, 4.0, rng_seed=seed, space=problem.space)
+    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     z = np.full(problem.n_controls, 4.0)
 
     sl_mesh = build_mesh(12, 12, 1.0, 1.0)
     sl = SemilinearProblem(sl_mesh, c=1.0)
-    sl_gf = field_on_neumann_boundary(
-        sl_mesh, 5e-2, 2.0, rng_seed=seed, space=sl.trace_space
-    )
+    sl_gf = field_on_neumann_boundary(sl_mesh, 5e-2, 2.0, space=sl.trace_space)
     sl_z = np.ones(sl_mesh.n_nodes)
 
     cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=4, beta_schedule=(1.0,), seed=seed)

@@ -74,7 +74,7 @@ def _rate_setup(cfg):
     problem = SemilinearProblem(mesh, c=cfg.experiment.semilinear_c)
     gf = field_on_neumann_boundary(
         mesh, cfg.random_field.kappa, cfg.random_field.alpha,
-        rng_seed=cfg.seed, space=problem.trace_space,
+        space=problem.trace_space,
     )
     z0 = np.full(mesh.n_nodes, 1.0)
     return problem, gf, z0
@@ -225,10 +225,10 @@ def cmd_sample_field(args):
         mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
     gf = field_on_mesh(
         mesh, cfg.random_field.kappa, cfg.random_field.alpha,
-        mean=build_mean_field(mesh, cfg.random_field.mean), rng_seed=cfg.seed,
+        mean=build_mean_field(mesh, cfg.random_field.mean),
     )
     n = cfg.experiment.n_samples
-    draws = gf.sample_batch(n, eps=cfg.experiment.sample_eps, seed=cfg.seed)
+    draws = gf.scaled(cfg.experiment.sample_eps).sample_batch(n, seed=cfg.seed)
     header = ["x", "y"] + [f"sample_{k}" for k in range(n)]
     rows = zip(mesh.node_x, mesh.node_y, *[draws[:, k] for k in range(n)])
     path = out / "field_samples.csv"

@@ -87,6 +87,16 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment problem {self.problem!r}")
         if not set(self.compare_methods) <= set(COMPARE_METHODS):
             raise ValueError(f"unknown compare method in {self.compare_methods}")
+        for name in ("rate_n_mc", "n_samples", "true_risk_samples",
+                     "compare_eval_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if any(n < 2 for n in self.compare_n_mc):
+            raise ValueError("compare_n_mc entries must be at least 2")
+        if self.sample_eps < 0.0:
+            raise ValueError("sample_eps must be nonnegative")
+        if any(e <= 0.0 for e in self.eps_list):
+            raise ValueError("eps_list entries must be positive")
 
 
 @dataclass
@@ -276,6 +286,6 @@ def build_setup(cfg):
     problem = PoissonFlowProblem(mesh, wells=build_wells(cfg.wells), mean=mean)
     gf = field_on_mesh(
         mesh, cfg.random_field.kappa, cfg.random_field.alpha,
-        mean=mean, rng_seed=cfg.seed, space=problem.space,
+        mean=mean, space=problem.space,
     )
     return mesh, gf, problem

@@ -339,27 +339,29 @@ class SolveCounter:
 
     Ticks are serialized by a lock.  The library itself solves on one
     thread, but a caller may share a problem and its solvers across threads
-    of its own, and the count must stay exact then too.
+    of its own, and the count must stay exact then too: a pause holds only
+    for the thread that entered it.
     """
 
     def __init__(self):
         self.count = 0
-        self._enabled = True
         self._lock = threading.Lock()
+        self._local = threading.local()
 
     def tick(self, n=1):
+        if getattr(self._local, "paused", False):
+            return
         with self._lock:
-            if self._enabled:
-                self.count += n
+            self.count += n
 
     @contextmanager
     def paused(self):
-        prev = self._enabled
-        self._enabled = False
+        prev = getattr(self._local, "paused", False)
+        self._local.paused = True
         try:
             yield
         finally:
-            self._enabled = prev
+            self._local.paused = prev
 
 
 def _same_memory(a, b):

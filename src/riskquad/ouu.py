@@ -306,14 +306,14 @@ class SaaObjective:
     per sample).
     """
 
-    def __init__(self, problem, gf, n_mc, beta, gamma, seed=0, eps=1.0):
+    def __init__(self, problem, gf, n_mc, beta, gamma, seed=0):
         if n_mc < 2:
             raise ValueError("the unbiased sample variance needs n_mc >= 2")
         self.problem = problem
         self.beta = float(beta)
         self.gamma = float(gamma)
         self.n_mc = int(n_mc)
-        self.samples = gf.sample_batch(n_mc, eps=eps, seed=seed)
+        self.samples = gf.sample_batch(n_mc, seed=seed)
         self.solvers = [
             problem.solver_for(self.samples[:, i]) for i in range(n_mc)
         ]
@@ -343,12 +343,6 @@ class SaaObjective:
     def value_and_grad(self, z):
         value, aux = self.evaluate(z)
         return value, self.gradient(z, aux)
-
-
-def saa_objective_gradient(problem, gf, z, n_mc, beta, gamma, seed=0, eps=1.0):
-    """One-shot sample-average objective and gradient at a control vector."""
-    saa = SaaObjective(problem, gf, n_mc, beta, gamma, seed=seed, eps=eps)
-    return saa.value_and_grad(z)
 
 
 def optimize_saa(problem, gf, cfg, n_mc, z0=None):
@@ -397,8 +391,8 @@ class TrueRisk:
         return self.mean + 0.5 * beta * self.variance, se
 
 
-def evaluate_true_risk(problem, gf, z, n_mc, seed=0, eps=1.0,
-                       with_surrogates=True, threads=1):
+def evaluate_true_risk(problem, gf, z, n_mc, seed=0, with_surrogates=True,
+                       threads=1):
     """Estimate mean and variance of the objective by sampling the field.
 
     ``z`` is a control vector or an (n_controls, k) block of controls that
@@ -420,7 +414,7 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, eps=1.0,
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     z = np.asarray(z, dtype=float)
-    fields = gf.sample_batch(n_mc, eps=eps, seed=seed)
+    fields = gf.sample_batch(n_mc, seed=seed)
     theta = np.array([problem.objective(z, fields[:, i]) for i in range(n_mc)])
     lin = quad = None
     if with_surrogates:

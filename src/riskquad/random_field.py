@@ -128,20 +128,18 @@ class EigenBasis:
 class GaussianField:
     """Gaussian measure N(mean, scale*C) on a FieldSpace, C = A^{-1} M A^{-1}.
 
-    Immutable after construction; sampling takes explicit seeds (or
-    generators) so concurrent batches can partition the seed space.
+    Immutable after construction: ``scale`` starts at 1 and only
+    ``scaled`` changes it, on a new view.  Every draw takes an explicit
+    seed or generator, so concurrent batches can partition the seed space.
     """
 
-    def __init__(self, space, kappa, alpha, mean=None, scale=1.0, rng_seed=0):
+    def __init__(self, space, kappa, alpha, mean=None):
         if kappa <= 0.0 or alpha <= 0.0:
             raise ValueError("kappa and alpha must be positive")
-        if scale < 0.0:
-            raise ValueError("scale must be nonnegative")
         self.space = space
         self.kappa = float(kappa)
         self.alpha = float(alpha)
-        self.scale = float(scale)
-        self.rng_seed = int(rng_seed)
+        self.scale = 1.0
         self.mean = (
             np.zeros(space.dim) if mean is None else np.asarray(mean, dtype=float)
         )
@@ -149,7 +147,6 @@ class GaussianField:
             raise ValueError("mean has wrong length")
         A = kappa * space.natural_stiffness + alpha * space.mass
         self.solver_A = SpdSolver(A, rtol=1e-12, order=space.order)
-        self._rng = np.random.default_rng(rng_seed)
 
     @property
     def dim(self):
@@ -157,10 +154,11 @@ class GaussianField:
 
     def scaled(self, factor):
         """A view of the same field with covariance multiplied by ``factor``."""
+        if not factor >= 0.0:
+            raise ValueError("covariance scale factor must be nonnegative")
         other = object.__new__(GaussianField)
         other.__dict__.update(self.__dict__)
         other.scale = self.scale * float(factor)
-        other._rng = np.random.default_rng(self.rng_seed)
         return other
 
     # -- covariance actions -------------------------------------------------
@@ -185,20 +183,13 @@ class GaussianField:
         y = self.solver_A.apply_inverse(self.space.sqrt_mass @ normals)
         return np.sqrt(self.scale) * y
 
-    def sample(self, eps=1.0, rng=None):
-        """One draw from N(mean, eps*scale*C)."""
-        if eps < 0.0:
-            raise ValueError("eps must be nonnegative")
-        rng = self._rng if rng is None else rng
-        draw = self._colored(rng.standard_normal(self.dim))
-        return self.mean + np.sqrt(eps) * draw
+    def sample(self, rng):
+        """One draw from N(mean, scale*C) with the generator ``rng``."""
+        return self.mean + self._colored(rng.standard_normal(self.dim))
 
-    def sample_batch(self, n, eps=1.0, seed=0):
+    def sample_batch(self, n, seed):
         """(dim, n) matrix of independent draws, deterministic per seed."""
-        if eps < 0.0:
-            raise ValueError("eps must be nonnegative")
         draws = self.zero_mean_batch(n, seed)
-        draws *= np.sqrt(eps)
         draws += self.mean[:, None]
         return draws
 
@@ -218,13 +209,6 @@ class GaussianField:
         for a, b in zip(bounds, bounds[1:]):
             draws[:, a:b] = self._colored(draws[:, a:b])
         return draws
-
-    def draw_trace_vectors(self, n_tr, seed):
-        """(n_tr, dim) array of zero-mean draws, one trace-estimation probe
-        per row."""
-        if n_tr < 1:
-            raise ValueError("n_tr must be at least 1")
-        return self.zero_mean_batch(n_tr, seed).T
 
     # -- spectral machinery ---------------------------------------------------
 
@@ -265,16 +249,13 @@ class GaussianField:
         raise NumericalError("subspace iteration exhausted its budget")
 
 
-def field_on_mesh(mesh, kappa, alpha, mean=None, scale=1.0, rng_seed=0, space=None):
+def field_on_mesh(mesh, kappa, alpha, mean=None, space=None):
     """Gaussian field over the volume nodes of a mesh."""
     space = volume_space(mesh) if space is None else space
-    return GaussianField(space, kappa, alpha, mean=mean, scale=scale,
-                         rng_seed=rng_seed)
+    return GaussianField(space, kappa, alpha, mean=mean)
 
 
-def field_on_neumann_boundary(mesh, kappa, alpha, mean=None, scale=1.0,
-                              rng_seed=0, space=None):
+def field_on_neumann_boundary(mesh, kappa, alpha, mean=None, space=None):
     """Gaussian field over the Neumann-boundary trace space of a mesh."""
     space = neumann_trace_space(mesh) if space is None else space
-    return GaussianField(space, kappa, alpha, mean=mean, scale=scale,
-                         rng_seed=rng_seed)
+    return GaussianField(space, kappa, alpha, mean=mean)

@@ -103,7 +103,7 @@ def trace_probes(surr, gf, mode, n_tr, seed):
     if n_tr < 1:
         raise ValueError("n_tr must be at least 1")
     if mode == "randomized":
-        return gf.draw_trace_vectors(n_tr, seed), 1.0 / n_tr
+        return gf.zero_mean_batch(n_tr, seed).T, 1.0 / n_tr
     if mode != "eigenbasis":
         raise ValueError(f"unknown trace mode {mode!r}")
     pause = surr.counter.paused() if surr.counter is not None else nullcontext()

@@ -36,11 +36,11 @@ def test_criterion_1_derivative_tower():
     # second-order decay of the finite-difference error in h
     mesh = rq.build_mesh(16, 8, 2.0, 1.0)
     problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.1))
-    gf = rq.field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+    gf = rq.field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     z = np.full(problem.n_controls, 4.0)
     surr = problem.surrogate(z)
     rng = np.random.default_rng(1)
-    d = gf.sample(rng=rng) - gf.mean
+    d = gf.sample(rng) - gf.mean
     exact = surr.space.inner(surr.grad, d)
     hs = np.array([1e-1, 1e-2, 1e-3])
     errs = [
@@ -71,7 +71,7 @@ def test_criterion_1_derivative_tower():
 def dense_setup():
     mesh = rq.build_mesh(6, 3, 2.0, 1.0)
     problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.3))
-    gf = rq.field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+    gf = rq.field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     surr = problem.surrogate(np.full(problem.n_controls, 4.0))
     n = mesh.n_nodes
     M = problem.space.mass.toarray()
@@ -150,7 +150,7 @@ def test_criterion_4_truncation_rates():
     t0 = time.time()
     mesh = rq.build_mesh(40, 20, 2.0, 1.0)
     problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.05))
-    gf = rq.field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+    gf = rq.field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     z = np.full(problem.n_controls, 4.0)
     study = truncation_rate_study(
         problem, gf, z, [2.0**-k for k in range(7)], n_mc=2000, seed=0
@@ -176,14 +176,14 @@ def test_criterion_5_quadratic_exact_for_c_zero():
     mesh = rq.build_mesh(12, 12, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=0.0)
     gf = field_on_neumann_boundary(
-        mesh, 5e-2, 2.0, rng_seed=1, space=problem.trace_space
+        mesh, 5e-2, 2.0, space=problem.trace_space
     )
     z = np.ones(mesh.n_nodes)
     surr = problem.surrogate(z)
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(100):
-        m = gf.sample(rng=rng)
+        m = gf.sample(rng)
         theta = problem.objective(z, m)
         worst = max(worst, abs(theta - surr.eval_quad(m)) / (1.0 + abs(theta)))
     _report(
@@ -199,7 +199,7 @@ def test_criterion_5_quadratic_exact_for_c_zero():
 def test_criterion_6_solve_accounting():
     mesh = rq.build_mesh(12, 6, 2.0, 1.0)
     problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.12))
-    gf = rq.field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+    gf = rq.field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     ok = True
     details = []
     for n_tr in (0, 7, 40):
@@ -228,7 +228,7 @@ def test_criterion_6_solve_accounting():
 def canonical():
     mesh = rq.build_mesh(79, 39, 2.0, 1.0)
     problem = rq.PoissonFlowProblem(mesh)
-    gf = rq.field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+    gf = rq.field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     cfg = rq.OuuConfig(
         beta=1.0, gamma=1e-5, n_tr=40,
         beta_schedule=(0.0, 0.25, 0.5, 0.75, 1.0), max_iter=100, seed=0,

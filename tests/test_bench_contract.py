@@ -1,0 +1,59 @@
+"""The benchmark's contract with the library, checked without timing.
+
+``bench/`` patches library methods by name and calls library functions
+with fixed keywords; these tests run its tracer and one operation of each
+workload against ``bench/references.json`` so that a renamed or removed
+name fails here first.  Nothing under ``bench/`` is written.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+WORKLOAD_NAMES = ["optimize-randomized", "mc-risk", "eigenbasis-setup"]
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    sys.path.insert(0, str(BENCH))
+    bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import tracer
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = bytecode
+    return tracer, workloads
+
+
+@pytest.fixture(scope="module")
+def built(bench_modules):
+    _, workloads = bench_modules
+    return workloads.build()
+
+
+def test_tracer_installs_and_uninstalls(bench_modules):
+    tracer, _ = bench_modules
+    originals = {name: owner.__dict__[attr]
+                 for name, (owner, attr) in tracer.METHODS.items()}
+    with tracer.Tracer().installed():
+        pass
+    for name, (owner, attr) in tracer.METHODS.items():
+        assert owner.__dict__[attr] is originals[name]
+
+
+def test_every_workload_is_checked(bench_modules):
+    _, workloads = bench_modules
+    assert sorted(workloads.WORKLOADS) == sorted(WORKLOAD_NAMES)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_matches_reference_on_input_0(bench_modules, built, name):
+    _, workloads = bench_modules
+    workload = workloads.WORKLOADS[name]
+    refs = json.loads((BENCH / "references.json").read_text())[name]
+    values = workload.values(built, workload.run(built, 0))
+    assert workloads.mismatches(values, refs["0"], workload.tolerances) == []

@@ -155,6 +155,32 @@ def test_unknown_compare_method_exits_2_before_any_optimization(
     assert calls == []  # no SAA draw was factorized
 
 
+BAD_EXPERIMENT_SIZES = [
+    ("truncation-study", "rate_n_mc", 0),
+    ("sample-field", "n_samples", -1),
+    ("optimize", "true_risk_samples", 0),
+    ("compare-mc", "compare_eval_samples", 0),
+    ("compare-mc", "compare_n_mc", [1]),
+    ("sample-field", "sample_eps", -1.0),
+    ("truncation-study", "eps_list", [1.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("command,key,value", BAD_EXPERIMENT_SIZES,
+                         ids=[case[1] for case in BAD_EXPERIMENT_SIZES])
+def test_bad_experiment_size_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, command, key, value
+):
+    calls = count_factorizations(monkeypatch)
+    data = json.loads(json.dumps(TINY))
+    data["experiment"][key] = value
+    out = tmp_path / "out"
+    args = ["--config", write_config(tmp_path, data), "--out", str(out)]
+    assert main(args + [command]) == 2
+    assert f"config error: experiment: {key}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_optimize_factorizes_each_evaluation_draw_once(tmp_path, monkeypatch):
     calls = count_factorizations(monkeypatch)
     cfg = write_config(tmp_path)

@@ -10,17 +10,16 @@ from riskquad.ouu import (
     evaluate_true_risk,
     optimize,
     optimize_saa,
-    saa_objective_gradient,
 )
 from riskquad.poisson import PoissonFlowProblem, WellConfig, default_wells
 from riskquad.random_field import field_on_mesh
 from riskquad.surrogate import DRAW_CHUNK
 
 
-def make_setup(nx=12, ny=6, sigma=0.12, seed=0):
+def make_setup(nx=12, ny=6, sigma=0.12):
     mesh = build_mesh(nx, ny, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=sigma))
-    gf = field_on_mesh(mesh, 2e-2, 4.0, rng_seed=seed, space=problem.space)
+    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     return mesh, problem, gf
 
 
@@ -102,7 +101,7 @@ def test_objective_reduces_to_tracking_value_when_state_is_flat():
     problem = zeroed_sources(
         PoissonFlowProblem(mesh, wells=flat_targets, dirichlet_values=(1.0, 1.0))
     )
-    gf = field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     cfg = OuuConfig(beta=0.0, gamma=1e-12, n_tr=4, beta_schedule=(0.0,), seed=0)
     obj = RiskAverseObjective(problem, gf, cfg)
     z = np.full(20, 4.0)
@@ -119,7 +118,7 @@ def test_gradient_is_control_cost_when_sources_vanish():
     problem = zeroed_sources(
         PoissonFlowProblem(mesh, wells=default_wells(sigma=0.15))
     )
-    gf = field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     cfg = OuuConfig(beta=1.0, gamma=1e-3, n_tr=3, beta_schedule=(1.0,), seed=0)
     obj = RiskAverseObjective(problem, gf, cfg)
     z = np.linspace(1.0, 3.0, 20)
@@ -219,7 +218,7 @@ def test_optimize_deterministic(setup):
 
 def test_saa_mean_only_at_zero_spread(setup):
     _, problem, gf = setup
-    saa = SaaObjective(problem, gf, n_mc=4, beta=1.0, gamma=1e-5, seed=0, eps=0.0)
+    saa = SaaObjective(problem, gf.scaled(0.0), n_mc=4, beta=1.0, gamma=1e-5, seed=0)
     z = np.full(20, 4.0)
     value, aux = saa.evaluate(z)
     _, _, mean, var = aux
@@ -267,15 +266,6 @@ def test_saa_costs_two_solves_per_sample(setup):
     assert problem.counter.count - start == 2 * n_mc
 
 
-def test_saa_helper_wrapper(setup):
-    _, problem, gf = setup
-    value, grad = saa_objective_gradient(
-        problem, gf, np.full(20, 4.0), n_mc=3, beta=0.5, gamma=1e-5, seed=2
-    )
-    assert np.isfinite(value)
-    assert grad.shape == (20,)
-
-
 def test_quadratic_and_saa_agree_in_small_noise_limit(setup):
     _, problem, gf = setup
     z = np.full(20, 4.0)
@@ -295,7 +285,7 @@ def test_quadratic_and_saa_agree_in_small_noise_limit(setup):
 def test_true_risk_zero_eps(setup):
     _, problem, gf = setup
     z = np.full(20, 4.0)
-    risk = evaluate_true_risk(problem, gf, z, 50, seed=0, eps=0.0)
+    risk = evaluate_true_risk(problem, gf.scaled(0.0), z, 50, seed=0)
     assert risk.variance == pytest.approx(0.0, abs=1e-18)
     assert risk.mean == pytest.approx(problem.objective(z), rel=1e-12)
     assert risk.lin_samples.shape == (50,)

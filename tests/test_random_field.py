@@ -15,7 +15,7 @@ from riskquad.random_field import (
 def tiny():
     mesh = build_mesh(3, 2, 2.0, 1.0)
     space = volume_space(mesh)
-    gf = field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=space)
+    gf = field_on_mesh(mesh, 2e-2, 4.0, space=space)
     return mesh, space, gf
 
 
@@ -65,8 +65,8 @@ def test_sqrt_squares_to_C(tiny):
 def test_sample_zero_eps_is_exact_mean():
     mesh = build_mesh(2, 2, 1.0, 1.0)
     mean = np.linspace(-1.0, 1.0, mesh.n_nodes)
-    gf = field_on_mesh(mesh, 1e-2, 2.0, mean=mean)
-    assert np.array_equal(gf.sample(eps=0.0), mean)
+    gf = field_on_mesh(mesh, 1e-2, 2.0, mean=mean).scaled(0.0)
+    assert np.array_equal(gf.sample(np.random.default_rng(0)), mean)
 
 
 def test_sample_covariance_matches_dense(tiny):
@@ -91,13 +91,13 @@ def test_sample_mean_matches(tiny):
 def test_chunked_draws_match_one_shot_coloring():
     mesh = build_mesh(20, 10, 2.0, 1.0)
     mean = np.sin(np.arange(mesh.n_nodes))
-    gf = field_on_mesh(mesh, 2e-2, 4.0, mean=mean, scale=1.7, rng_seed=0)
+    gf = field_on_mesh(mesh, 2e-2, 4.0, mean=mean).scaled(1.7)
     n = 2 * COLOR_CHUNK + 3  # not a multiple of the chunk; a tail of 3 columns
     normals = np.random.default_rng(5).standard_normal((gf.dim, n))
-    one_shot = gf._colored(normals)
-    assert np.array_equal(gf.zero_mean_batch(n, seed=5), one_shot)
-    draws = gf.sample_batch(n, eps=0.3, seed=5)
-    assert np.array_equal(draws, mean[:, None] + np.sqrt(0.3) * one_shot)
+    assert np.array_equal(gf.zero_mean_batch(n, seed=5), gf._colored(normals))
+    g = gf.scaled(0.3)
+    draws = g.sample_batch(n, seed=5)
+    assert np.array_equal(draws, mean[:, None] + g._colored(normals))
     assert draws.flags.c_contiguous
 
 
@@ -106,7 +106,7 @@ def test_probe_variance_scales_with_eps(tiny):
     rng = np.random.default_rng(3)
     n = 4000
     for eps in (1.0, 0.25):
-        draws = gf.sample_batch(n, eps=eps, seed=11) - gf.mean[:, None]
+        draws = gf.scaled(eps).sample_batch(n, seed=11) - gf.mean[:, None]
         for _ in range(2):
             f = rng.standard_normal(space.dim)
             vals = f @ (space.mass @ draws)
@@ -130,18 +130,18 @@ def test_trace_identity_monte_carlo(tiny):
 
 def test_trace_vectors_count_and_determinism(tiny):
     _, space, gf = tiny
-    vecs = gf.draw_trace_vectors(40, seed=5)
+    vecs = gf.zero_mean_batch(40, seed=5).T
     assert len(vecs) == 40
-    again = gf.draw_trace_vectors(40, seed=5)
+    again = gf.zero_mean_batch(40, seed=5).T
     assert all(np.array_equal(a, b) for a, b in zip(vecs, again))
-    other = gf.draw_trace_vectors(40, seed=6)
+    other = gf.zero_mean_batch(40, seed=6).T
     assert not np.array_equal(vecs[0], other[0])
 
 
 def test_trace_vectors_zero_mean(tiny):
     _, space, gf = tiny
     n = 10_000
-    draws = np.column_stack(gf.draw_trace_vectors(n, seed=8))
+    draws = np.column_stack(gf.zero_mean_batch(n, seed=8).T)
     C = dense_cov(space, gf)
     se = np.sqrt(np.diag(C) / n)
     assert np.all(np.abs(draws.mean(axis=1)) <= 5.0 * se)
@@ -154,6 +154,19 @@ def test_scaled_measure(tiny):
     scaled = gf.scaled(0.25)
     assert np.allclose(scaled.apply_C(f), 0.25 * gf.apply_C(f))
     assert np.allclose(scaled.apply_sqrt_C(f), 0.5 * gf.apply_sqrt_C(f))
+
+
+def test_scaled_is_the_only_scale(tiny):
+    _, space, gf = tiny
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            gf.scaled(bad)
+    quarter = gf.scaled(0.5).scaled(0.5)
+    assert (gf.scale, quarter.scale) == (1.0, 0.25)
+    zero_mean = gf.zero_mean_batch(5, seed=3)
+    assert np.array_equal(
+        quarter.sample_batch(5, seed=3), gf.mean[:, None] + 0.5 * zero_mean
+    )
 
 
 def test_eigenpairs_zero_operator(tiny):
@@ -207,7 +220,7 @@ def test_invalid_parameters():
         field_on_mesh(mesh, 1.0, -1.0)
     gf = field_on_mesh(mesh, 1.0, 1.0)
     with pytest.raises(ValueError):
-        gf.sample(eps=-1.0)
+        gf.scaled(-1.0)
     with pytest.raises(ValueError):
         gf.preconditioned_eigenpairs(lambda f: f, 0)
 
@@ -219,7 +232,7 @@ def test_boundary_field_segments():
     assert space.dim == 2 * (mesh.nx + 1)
     ones = np.ones(space.dim)
     assert ones @ (space.mass @ ones) == pytest.approx(2.0, rel=1e-13)
-    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, rng_seed=1, space=space)
+    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, space=space)
     draws = gf.sample_batch(2000, seed=3)
     A = (gf.kappa * space.natural_stiffness + gf.alpha * space.mass).toarray()
     Ainv = np.linalg.inv(A)

@@ -12,8 +12,7 @@ from riskquad.semilinear import SemilinearProblem
 def setup():
     mesh = build_mesh(12, 12, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=1.0)
-    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, rng_seed=0,
-                                   space=problem.trace_space)
+    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, space=problem.trace_space)
     return mesh, problem, gf
 
 
@@ -121,8 +120,8 @@ def test_hessian_self_adjoint(setup):
     )
     rng = np.random.default_rng(2)
     for _ in range(5):
-        m1 = gf.sample(rng=rng)
-        m2 = gf.sample(rng=rng)
+        m1 = gf.sample(rng)
+        m2 = gf.sample(rng)
         lhs = problem.trace_space.inner(m1, problem.hess_action(ws, m2))
         rhs = problem.trace_space.inner(m2, problem.hess_action(ws, m1))
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
@@ -138,13 +137,12 @@ def test_hessian_finite_difference(setup):
 def test_c_zero_quadratic_expansion_is_exact():
     mesh = build_mesh(10, 10, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=0.0)
-    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, rng_seed=3,
-                                   space=problem.trace_space)
+    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, space=problem.trace_space)
     z = np.ones(mesh.n_nodes)
     surr = problem.surrogate(z)
     rng = np.random.default_rng(4)
     for _ in range(100):
-        m = gf.sample(rng=rng)
+        m = gf.sample(rng)
         theta = problem.objective(z, m)
         quad = surr.eval_quad(m)
         assert abs(theta - quad) <= 1e-8 * (1.0 + abs(theta))

@@ -20,7 +20,7 @@ from riskquad.surrogate import (
 def tiny_flow():
     mesh = build_mesh(6, 3, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.3))
-    gf = field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     return mesh, problem, gf
 
 
@@ -61,7 +61,7 @@ def test_eval_lin_matches_dense_formula(tiny_flow):
     surr = problem.surrogate(np.full(problem.n_controls, 4.0))
     M = problem.space.mass.toarray()
     rng = np.random.default_rng(1)
-    m = gf.sample(rng=rng)
+    m = gf.sample(rng)
     expected = surr.theta_bar + surr.grad @ (M @ (m - surr.anchor))
     assert surr.eval_lin(m) == pytest.approx(expected, rel=1e-12)
 
@@ -85,9 +85,10 @@ def test_quadratic_beats_linear_near_anchor(tiny_flow):
     z = np.full(problem.n_controls, 4.0)
     surr = problem.surrogate(z)
     rng = np.random.default_rng(2)
+    narrow = gf.scaled(1e-4)
     wins = 0
     for _ in range(5):
-        m = gf.sample(eps=1e-4, rng=rng)
+        m = narrow.sample(rng)
         theta = problem.objective(z, m)
         if abs(theta - surr.eval_quad(m)) < 0.1 * abs(theta - surr.eval_lin(m)):
             wins += 1
@@ -241,8 +242,7 @@ def test_rate_study_single_sample_deterministic(tiny_flow):
 def test_rate_study_exact_for_linear_state_map():
     mesh = build_mesh(8, 8, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=0.0)
-    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, rng_seed=1,
-                                   space=problem.trace_space)
+    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, space=problem.trace_space)
     z = np.ones(mesh.n_nodes)
     study = truncation_rate_study(problem, gf, z, [1.0, 0.25], n_mc=20, seed=0)
     assert np.all(study.err_quad < 1e-10)
@@ -267,7 +267,7 @@ def _rate_study_per_eps(problem, gf, z, eps_list, n_mc, seed):
 def test_rate_study_matches_per_eps_evaluation():
     mesh = build_mesh(12, 6, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.12))
-    gf = field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     z = np.full(problem.n_controls, 4.0)
     eps_list = [1.0, 0.5, 0.25]
     study = truncation_rate_study(problem, gf, z, eps_list, n_mc=10, seed=2)
@@ -289,7 +289,7 @@ def test_rate_study_one_hessian_action_per_draw(tiny_flow):
 def test_rate_study_slopes_small_mesh():
     mesh = build_mesh(16, 8, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.1))
-    gf = field_on_mesh(mesh, 2e-2, 4.0, rng_seed=0, space=problem.space)
+    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
     z = np.full(problem.n_controls, 4.0)
     study = truncation_rate_study(
         problem, gf, z, [2.0**-k for k in range(7)], n_mc=200, seed=0
