@@ -15,7 +15,7 @@ from riskquad.surrogate import estimate_traces
 
 mesh = rq.build_mesh(8, 4, 2.0, 1.0)
 problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.2))
-gf = rq.field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
+gf = rq.GaussianField(problem.space, 2e-2, 4.0)
 surr = problem.surrogate(np.full(problem.n_controls, 4.0))
 
 n = mesh.n_nodes

@@ -13,7 +13,7 @@ import riskquad as rq
 
 mesh = rq.build_mesh(24, 12, 2.0, 1.0)
 problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.08))
-gf = rq.field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
+gf = rq.GaussianField(problem.space, 2e-2, 4.0)
 cfg = rq.OuuConfig(beta=1.0, gamma=1e-5, n_tr=10,
                    beta_schedule=(0.0, 0.25, 0.5, 0.75, 1.0),
                    max_iter=60, seed=0)

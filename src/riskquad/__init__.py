@@ -17,7 +17,6 @@ from .fem import (
     assemble_mass,
     assemble_weighted_stiffness,
     build_mesh,
-    solve_spd,
 )
 from .random_field import (
     EigenBasis,
@@ -61,9 +60,7 @@ from .config import (
     build_setup,
     config_from_dict,
     config_to_dict,
-    load_config,
     resolve_config,
-    save_config,
 )
 
 __version__ = "0.1.0"

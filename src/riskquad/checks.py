@@ -13,7 +13,7 @@ import numpy as np
 from .fem import build_mesh
 from .ouu import OuuConfig, RiskAverseObjective, SaaObjective
 from .poisson import PoissonFlowProblem, default_wells
-from .random_field import field_on_mesh, field_on_neumann_boundary
+from .random_field import GaussianField
 from .semilinear import SemilinearProblem
 
 FD_STEP = 1e-4
@@ -116,12 +116,12 @@ def run_derivative_checks(seed=0):
     mesh = build_mesh(16, 8, 2.0, 1.0)
     wells = default_wells(sigma=0.1)
     problem = PoissonFlowProblem(mesh, wells=wells)
-    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
+    gf = GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
 
     sl_mesh = build_mesh(12, 12, 1.0, 1.0)
     sl = SemilinearProblem(sl_mesh, c=1.0)
-    sl_gf = field_on_neumann_boundary(sl_mesh, 5e-2, 2.0, space=sl.trace_space)
+    sl_gf = GaussianField(sl.trace_space, 5e-2, 2.0)
     sl_z = np.ones(sl_mesh.n_nodes)
 
     cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=4, beta_schedule=(1.0,), seed=seed)

@@ -27,7 +27,7 @@ from .config import (
 from .errors import ConfigError, NumericalError
 from .fem import build_mesh
 from .ouu import evaluate_true_risk, optimize, optimize_saa
-from .random_field import field_on_mesh, field_on_neumann_boundary
+from .random_field import GaussianField, field_on_mesh
 from .semilinear import SemilinearProblem
 from .surrogate import truncation_rate_study
 
@@ -57,10 +57,8 @@ def _outdir(args):
     return path
 
 
-def _load(args, overrides=None):
-    over = dict(overrides or {})
-    if args.seed is not None:
-        over["seed"] = args.seed
+def _load(args):
+    over = {} if args.seed is None else {"seed": args.seed}
     return resolve_config(args.profile, args.config, over)
 
 
@@ -72,10 +70,8 @@ def _rate_setup(cfg):
     with config_section("mesh"):
         mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=cfg.experiment.semilinear_c)
-    gf = field_on_neumann_boundary(
-        mesh, cfg.random_field.kappa, cfg.random_field.alpha,
-        space=problem.trace_space,
-    )
+    gf = GaussianField(problem.trace_space, cfg.random_field.kappa,
+                       cfg.random_field.alpha)
     z0 = np.full(mesh.n_nodes, 1.0)
     return problem, gf, z0
 
@@ -238,7 +234,7 @@ def cmd_sample_field(args):
 
 
 def cmd_check_derivatives(args):
-    cfg = _load(args, overrides={"mesh": {"nx": 12, "ny": 6}})
+    cfg = _load(args)
     from .checks import run_derivative_checks
 
     results = run_derivative_checks(seed=cfg.seed)

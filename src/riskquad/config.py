@@ -1,4 +1,4 @@
-"""Run configuration: strict schema, JSON round trip, and named profiles.
+"""Run configuration: strict schema, dict round trip, and named profiles.
 
 The ``paper_section6`` profile reproduces the canonical study setup
 (79x39 mesh of (0,2)x(0,1), kappa = 2e-2, alpha = 4, gamma = 1e-5,
@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .fem import build_mesh
 from .ouu import OuuConfig
 from .poisson import WellConfig, grid_points, parabolic_target_profile
-from .random_field import field_on_mesh
+from .random_field import GaussianField
 
 
 @dataclass
@@ -95,8 +95,16 @@ class ExperimentSpec:
             raise ValueError("compare_n_mc entries must be at least 2")
         if self.sample_eps < 0.0:
             raise ValueError("sample_eps must be nonnegative")
+        if self.semilinear_c < 0.0:
+            raise ValueError("semilinear_c must be nonnegative")
+        for name in ("compare_betas", "compare_n_tr"):
+            if any(v < 0 for v in getattr(self, name)):
+                raise ValueError(f"{name} entries must be nonnegative")
         if any(e <= 0.0 for e in self.eps_list):
             raise ValueError("eps_list entries must be positive")
+        if len(set(self.eps_list)) < 2:
+            raise ValueError("eps_list needs at least two distinct values "
+                             "to fit a rate")
 
 
 @dataclass
@@ -167,16 +175,6 @@ def _read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-
-
-def load_config(path):
-    return config_from_dict(_read_json(path))
-
-
-def save_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 PROFILES = {
@@ -284,8 +282,6 @@ def build_setup(cfg):
         mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
     mean = build_mean_field(mesh, cfg.random_field.mean)
     problem = PoissonFlowProblem(mesh, wells=build_wells(cfg.wells), mean=mean)
-    gf = field_on_mesh(
-        mesh, cfg.random_field.kappa, cfg.random_field.alpha,
-        mean=mean, space=problem.space,
-    )
+    gf = GaussianField(problem.space, cfg.random_field.kappa,
+                       cfg.random_field.alpha, mean=mean)
     return mesh, gf, problem

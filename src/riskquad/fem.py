@@ -27,7 +27,6 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import NumericalError
 
-SIDES = ("left", "right", "bottom", "top")
 PAIR_CHUNK = 256  # elements per chunk of the products in _pair_sums
 UPPER_MIN_COLUMNS = 8  # narrowest block solved on the upper-storage copy
 
@@ -36,9 +35,9 @@ class Mesh:
     """Uniform nx-by-ny grid of rectangular Q1 elements on (0,lx) x (0,ly).
 
     Nodes are ordered lexicographically with x fastest; element k lists its
-    four nodes counterclockwise starting at the lower-left corner.  Boundary
-    nodes on ``dirichlet_sides`` are tagged Dirichlet (corners included);
-    edges on the remaining sides are collected as Neumann edges.
+    four nodes counterclockwise starting at the lower-left corner.  Both
+    model problems pin the left and right sides, so their nodes (corners
+    included) are the Dirichlet nodes; the bottom and top sides are natural.
 
     ``band_order`` lists the nodes with the shorter side fastest (node
     ``band_order[k]`` is the k-th one), so a Q1 operator factorized in that
@@ -46,20 +45,16 @@ class Mesh:
     native order already runs along the shorter side.
     """
 
-    def __init__(self, nx, ny, lx, ly, dirichlet_sides=("left", "right")):
+    def __init__(self, nx, ny, lx, ly):
         if nx < 1 or ny < 1:
             raise ValueError("mesh needs at least one element per axis")
         if lx <= 0.0 or ly <= 0.0:
             raise ValueError("domain extents must be positive")
-        unknown = set(dirichlet_sides) - set(SIDES)
-        if unknown:
-            raise ValueError(f"unknown sides: {sorted(unknown)}")
 
         self.nx, self.ny = int(nx), int(ny)
         self.lx, self.ly = float(lx), float(ly)
         self.hx = self.lx / self.nx
         self.hy = self.ly / self.ny
-        self.dirichlet_sides = tuple(dirichlet_sides)
 
         xs = np.linspace(0.0, self.lx, self.nx + 1)
         ys = np.linspace(0.0, self.ly, self.ny + 1)
@@ -73,21 +68,8 @@ class Mesh:
             [n00, n00 + 1, n00 + self.nx + 2, n00 + self.nx + 1]
         )
 
-        tagged = [self.side_nodes(s) for s in self.dirichlet_sides]
-        if tagged:
-            self.dirichlet_nodes = np.unique(np.concatenate(tagged))
-        else:
-            self.dirichlet_nodes = np.empty(0, dtype=int)
-        edges = []
-        for side in SIDES:
-            if side in self.dirichlet_sides:
-                continue
-            s = self.side_nodes(side)
-            edges.append(np.column_stack([s[:-1], s[1:]]))
-        if edges:
-            self.neumann_edges = np.vstack(edges)
-        else:
-            self.neumann_edges = np.empty((0, 2), dtype=int)
+        self.dirichlet_nodes = np.union1d(self.side_nodes("left"),
+                                          self.side_nodes("right"))
 
         self.band_order = None
         if self.nx > self.ny:
@@ -185,9 +167,9 @@ class Mesh:
         return uc @ self.dphx.T, uc @ self.dphy.T
 
 
-def build_mesh(nx, ny, lx, ly, dirichlet_sides=("left", "right")):
+def build_mesh(nx, ny, lx, ly):
     """Build a structured rectangle mesh with tagged boundary."""
-    return Mesh(nx, ny, lx, ly, dirichlet_sides)
+    return Mesh(nx, ny, lx, ly)
 
 
 # -- assembly ---------------------------------------------------------------
@@ -580,7 +562,3 @@ class SpdSolver:
         """Homogeneous-BC solve of a vector (n,) or of each column of (n, k)."""
         return self.solve(b) if np.ndim(b) == 1 else self.solve_many(b)
 
-
-def solve_spd(op, rhs, dirichlet_nodes=None, bc_values=0.0, rtol=1e-10):
-    """One-shot SPD solve; see ``SpdSolver`` for the contract."""
-    return SpdSolver(op, dirichlet_nodes, rtol=rtol).solve(rhs, bc_values)

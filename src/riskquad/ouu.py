@@ -65,6 +65,8 @@ class OuuConfig:
             raise ValueError("n_tr must be nonnegative")
         if self.trace_mode not in ("randomized", "eigenbasis"):
             raise ValueError(f"unknown trace mode {self.trace_mode!r}")
+        if not self.z_min < self.z_max:
+            raise ValueError("z_min must be below z_max")
         sched = tuple(float(b) for b in self.beta_schedule)
         if sched != tuple(sorted(sched)):
             raise ValueError("beta schedule must be ascending")
@@ -132,12 +134,6 @@ class RiskAverseObjective:
             surr, gf, cfg.trace_mode, cfg.n_tr, cfg.seed
         )
 
-    def _apply_C_to_loads(self, loads):
-        """Covariance action on the dual vectors in the columns of ``loads``:
-        C (M^{-1} load), as fields."""
-        solve = self.gf.solver_A.solve_many
-        return self.gf.scale * solve(self.problem.space.mass @ solve(loads))
-
     # -- objective ------------------------------------------------------------
 
     def evaluate(self, z):
@@ -150,7 +146,7 @@ class RiskAverseObjective:
         grad_load = grad_dot_load(pr.mesh, pr.em_gauss, ws.u, ws.p)
         zeta = self.probes.T
         inc_u, inc_p, psi = pr.incremental(ws, zeta)
-        c_all = self._apply_C_to_loads(np.column_stack([grad_load, psi]))
+        c_all = self.gf.apply_C_to_loads(np.column_stack([grad_load, psi]))
         c_grad, c_psi = c_all[:, 0], c_all[:, 1:]
         grad_term = float(grad_load @ c_grad)
         tr_hc = self.weight * float(np.sum(zeta * psi))

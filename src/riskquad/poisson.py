@@ -64,10 +64,6 @@ class WellConfig:
     def n_controls(self):
         return len(self.control_points)
 
-    @property
-    def n_observations(self):
-        return len(self.production_points)
-
 
 def default_wells(sigma=0.05):
     """Canonical layout: 20 injection wells on a 5x4 interior grid and 12
@@ -129,8 +125,6 @@ class PoissonFlowProblem:
     """
 
     def __init__(self, mesh, wells=None, mean=None, dirichlet_values=(1.0, 0.0)):
-        if tuple(mesh.dirichlet_sides) != ("left", "right"):
-            raise ValueError("flow problem expects left/right Dirichlet sides")
         self.mesh = mesh
         self.space = volume_space(mesh)
         self.wells = default_wells() if wells is None else wells

@@ -89,31 +89,21 @@ def volume_space(mesh):
 
 
 def neumann_trace_space(mesh):
-    """1D space over the nodes of the Neumann part of the boundary.
+    """1D space over the nodes of the Neumann (bottom and top) sides.
 
-    Each Neumann side contributes an independent segment (its own 1D mass
-    and stiffness block); degrees of freedom are ordered side by side in the
-    order bottom, top, left, right as applicable.
+    Each side contributes an independent segment (its own 1D mass and
+    stiffness block); degrees of freedom are the bottom nodes, then the top
+    nodes.
     """
-    sides = [s for s in ("bottom", "top", "left", "right")
-             if s not in mesh.dirichlet_sides]
-    if not sides:
-        raise ValueError("mesh has no Neumann sides")
-    masses, stiffs, chols, idx = [], [], [], []
-    for side in sides:
-        nodes = mesh.side_nodes(side)
-        n_seg = len(nodes) - 1
-        h = mesh.hx if side in ("bottom", "top") else mesh.hy
-        m1 = mass_matrix_1d(n_seg, h)
-        masses.append(m1)
-        stiffs.append(stiffness_matrix_1d(n_seg, h))
-        chols.append(cholesky_sparse(m1.toarray()))
-        idx.append(nodes)
+    mass = mass_matrix_1d(mesh.nx, mesh.hx)
+    chol = cholesky_sparse(mass.toarray())
+    stiff = stiffness_matrix_1d(mesh.nx, mesh.hx)
     return FieldSpace(
-        mass=sp.block_diag(masses),
-        sqrt_mass=sp.block_diag(chols),
-        natural_stiffness=sp.block_diag(stiffs),
-        node_index=np.concatenate(idx),
+        mass=sp.block_diag([mass, mass]),
+        sqrt_mass=sp.block_diag([chol, chol]),
+        natural_stiffness=sp.block_diag([stiff, stiff]),
+        node_index=np.concatenate([mesh.side_nodes("bottom"),
+                                   mesh.side_nodes("top")]),
     )
 
 
@@ -166,7 +156,13 @@ class GaussianField:
     def apply_C(self, f):
         """Covariance action on a field or on each column of a block:
         scale * A^{-1} M A^{-1} M f."""
-        y = self.solver_A.apply_inverse(self.space.mass @ np.asarray(f))
+        return self.apply_C_to_loads(self.space.mass @ np.asarray(f))
+
+    def apply_C_to_loads(self, loads):
+        """Covariance action on the dual vectors (loads) in a vector or in
+        the columns of a block: C M^{-1} load = scale * A^{-1} M A^{-1} load,
+        as fields."""
+        y = self.solver_A.apply_inverse(loads)
         return self.scale * self.solver_A.apply_inverse(self.space.mass @ y)
 
     def apply_sqrt_C(self, f):
@@ -249,13 +245,11 @@ class GaussianField:
         raise NumericalError("subspace iteration exhausted its budget")
 
 
-def field_on_mesh(mesh, kappa, alpha, mean=None, space=None):
+def field_on_mesh(mesh, kappa, alpha, mean=None):
     """Gaussian field over the volume nodes of a mesh."""
-    space = volume_space(mesh) if space is None else space
-    return GaussianField(space, kappa, alpha, mean=mean)
+    return GaussianField(volume_space(mesh), kappa, alpha, mean=mean)
 
 
-def field_on_neumann_boundary(mesh, kappa, alpha, mean=None, space=None):
+def field_on_neumann_boundary(mesh, kappa, alpha, mean=None):
     """Gaussian field over the Neumann-boundary trace space of a mesh."""
-    space = neumann_trace_space(mesh) if space is None else space
-    return GaussianField(space, kappa, alpha, mean=mean)
+    return GaussianField(neumann_trace_space(mesh), kappa, alpha, mean=mean)

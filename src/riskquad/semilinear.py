@@ -24,7 +24,6 @@ from .fem import (
     SpdSolver,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
-    build_mesh,
     nodal_load,
 )
 from .random_field import neumann_trace_space, volume_space
@@ -48,7 +47,6 @@ class SemilinearWorkspace:
     u: np.ndarray
     p: np.ndarray
     solver: SpdSolver
-    residuals: list
 
 
 class SemilinearProblem:
@@ -60,12 +58,10 @@ class SemilinearProblem:
 
     newton_tol = 1e-10  # dual-norm residual at which Newton stops
 
-    def __init__(self, mesh=None, c=1.0, desired=None, newton_max_iter=25):
+    def __init__(self, mesh, c=1.0, desired=None, newton_max_iter=25):
         if c < 0.0:
             raise ValueError("the cubic coefficient must be nonnegative")
-        self.mesh = build_mesh(16, 16, 1.0, 1.0) if mesh is None else mesh
-        if len(self.mesh.dirichlet_nodes) == 0:
-            raise ValueError("a Dirichlet part of the boundary is required")
+        self.mesh = mesh
         self.c = float(c)
         self.space = volume_space(self.mesh)
         self.trace_space = neumann_trace_space(self.mesh)
@@ -81,9 +77,6 @@ class SemilinearProblem:
         # Laplacian solve used only for the dual norm of Newton residuals
         self._norm_solver = SpdSolver(self.stiffness, self.mesh.dirichlet_nodes,
                                       order=self.mesh.band_order)
-        self._free = np.setdiff1d(
-            np.arange(self.mesh.n_nodes), self.mesh.dirichlet_nodes
-        )
 
     @property
     def boundary_dim(self):
@@ -153,11 +146,11 @@ class SemilinearProblem:
 
     def workspace(self, z, m_bnd):
         """State and adjoint at (z, m); the linearized operator is cached."""
-        u, solver, history = self.solve_state(z, m_bnd)
+        u, solver, _ = self.solve_state(z, m_bnd)
         p = solver.solve(-self.space.mass @ (u - self.desired))
         return SemilinearWorkspace(
             z=np.asarray(z, float), m=np.asarray(m_bnd, float),
-            u=u, p=p, solver=solver, residuals=history,
+            u=u, p=p, solver=solver,
         )
 
     def grad_boundary(self, ws):

@@ -76,21 +76,10 @@ def over_draw_chunks(fn, fields):
 
 @dataclass
 class TraceEstimate:
-    """Estimates of tr(sqrt(C) H sqrt(C)) and of the trace of its square.
+    """Estimates of tr(sqrt(C) H sqrt(C)) and of the trace of its square."""
 
-    ``probes`` are the fields the Hessian was applied to and ``psi`` the
-    corresponding Hessian actions, one per row; ``weight`` is the quadrature
-    weight of each term (1/n_tr for random probes, 1 for eigenbasis sums).
-    """
-
-    mode: str
-    n_tr: int
     tr_hc: float
     tr_hc_sq: float
-    probes: np.ndarray
-    psi: np.ndarray
-    seed: int
-    weight: float
 
 
 def trace_probes(surr, gf, mode, n_tr, seed):
@@ -122,10 +111,7 @@ def estimate_traces(surr, gf, mode="randomized", n_tr=40, seed=0):
     mass = surr.space.mass
     tr_hc = weight * float(np.sum(probes.T * (mass @ psi)))
     tr_hc_sq = weight * float(np.sum(psi * (mass @ gf.apply_C(psi))))
-    return TraceEstimate(
-        mode=mode, n_tr=n_tr, tr_hc=tr_hc, tr_hc_sq=tr_hc_sq,
-        probes=probes, psi=psi.T, seed=seed, weight=weight,
-    )
+    return TraceEstimate(tr_hc=tr_hc, tr_hc_sq=tr_hc_sq)
 
 
 def analytic_mean(surr, gf, tr):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -163,11 +164,27 @@ BAD_EXPERIMENT_SIZES = [
     ("compare-mc", "compare_n_mc", [1]),
     ("sample-field", "sample_eps", -1.0),
     ("truncation-study", "eps_list", [1.0, 0.0]),
+    ("truncation-study", "eps_list", [0.5]),
+    ("truncation-study", "eps_list", []),
+    ("truncation-study", "eps_list", [0.5, 0.5]),
+    ("truncation-study", "semilinear_c", -1.0),
+    ("compare-mc", "compare_betas", [0.5, -0.1]),
+    ("compare-mc", "compare_n_tr", [-1]),
 ]
 
 
+def case_ids(cases):
+    """Each case's key, numbered from the key's second case on."""
+    seen = Counter()
+    ids = []
+    for _, key, _ in cases:
+        ids.append(f"{key}-{seen[key]}" if seen[key] else key)
+        seen[key] += 1
+    return ids
+
+
 @pytest.mark.parametrize("command,key,value", BAD_EXPERIMENT_SIZES,
-                         ids=[case[1] for case in BAD_EXPERIMENT_SIZES])
+                         ids=case_ids(BAD_EXPERIMENT_SIZES))
 def test_bad_experiment_size_exits_2_before_any_work(
     tmp_path, monkeypatch, capsys, command, key, value
 ):
@@ -178,6 +195,17 @@ def test_bad_experiment_size_exits_2_before_any_work(
     args = ["--config", write_config(tmp_path, data), "--out", str(out)]
     assert main(args + [command]) == 2
     assert f"config error: experiment: {key}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_empty_control_box_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    calls = count_factorizations(monkeypatch)
+    data = json.loads(json.dumps(TINY))
+    data["ouu"].update(z_min=5.0, z_max=1.0)
+    out = tmp_path / "out"
+    args = ["--config", write_config(tmp_path, data), "--out", str(out)]
+    assert main(args + ["optimize"]) == 2
+    assert "config error: ouu: z_min must be below z_max" in capsys.readouterr().err
     assert calls == [] and not out.exists()
 
 
@@ -267,11 +295,11 @@ def test_sample_field_reproducible_and_mean_at_zero_eps(tmp_path):
 def test_sample_statistics_match_covariance_diagonal(tmp_path):
     # nodal variance of many draws agrees with the dense covariance diagonal
     from riskquad.fem import build_mesh
-    from riskquad.random_field import field_on_mesh, volume_space
+    from riskquad.random_field import GaussianField, volume_space
 
     mesh = build_mesh(3, 2, 2.0, 1.0)
     space = volume_space(mesh)
-    gf = field_on_mesh(mesh, 2e-2, 4.0, space=space)
+    gf = GaussianField(space, 2e-2, 4.0)
     draws = gf.sample_batch(10_000, seed=0) - gf.mean[:, None]
     A = (gf.kappa * space.natural_stiffness + gf.alpha * space.mass).toarray()
     Ainv = np.linalg.inv(A)

@@ -20,7 +20,6 @@ from riskquad.fem import (
     interp_dot,
     mass_cholesky,
     mass_matrix_1d,
-    solve_spd,
     stiffness_matrix_1d,
     weighted_stiffness_apply,
     weighted_stiffness_sum,
@@ -48,14 +47,11 @@ def test_4x2_boundary_tags_by_hand():
     assert mesh.n_elems == 8
     # hand enumeration of the 4x2 grid: node (i, j) has index 5j + i
     assert sorted(mesh.dirichlet_nodes) == [0, 4, 5, 9, 10, 14]
-    bottom = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    top = [(10, 11), (11, 12), (12, 13), (13, 14)]
-    assert [tuple(e) for e in mesh.neumann_edges] == bottom + top
+    trace_nodes = neumann_trace_space(mesh).node_index
+    assert list(trace_nodes) == [0, 1, 2, 3, 4, 10, 11, 12, 13, 14]
     # every boundary node carries exactly one tag
     boundary = {0, 1, 2, 3, 4, 5, 9, 10, 11, 12, 13, 14}
-    neumann_nodes = {n for e in mesh.neumann_edges for n in e} - set(
-        mesh.dirichlet_nodes
-    )
+    neumann_nodes = set(trace_nodes) - set(mesh.dirichlet_nodes)
     assert neumann_nodes | set(mesh.dirichlet_nodes) == boundary
     assert neumann_nodes & set(mesh.dirichlet_nodes) == set()
 
@@ -133,14 +129,14 @@ def test_harmonic_profile_exact():
     mesh = build_mesh(8, 5, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     bc = np.where(np.isclose(mesh.node_x[mesh.dirichlet_nodes], 0.0), 1.0, 0.0)
-    u = solve_spd(K, np.zeros(mesh.n_nodes), mesh.dirichlet_nodes, bc)
+    u = SpdSolver(K, mesh.dirichlet_nodes).solve(np.zeros(mesh.n_nodes), bc)
     assert np.abs(u - (1.0 - mesh.node_x / 2.0)).max() < 1e-10
 
 
 def test_zero_rhs_homogeneous_bc():
     mesh = build_mesh(4, 4, 1.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
-    u = solve_spd(K, np.zeros(mesh.n_nodes), mesh.dirichlet_nodes, 0.0)
+    u = SpdSolver(K, mesh.dirichlet_nodes).solve(np.zeros(mesh.n_nodes), 0.0)
     assert np.abs(u).max() == 0.0
 
 
@@ -151,7 +147,7 @@ def _manufactured_l2_error(n):
     M = assemble_mass(mesh)
     exact = np.sin(np.pi * mesh.node_x) * np.cos(np.pi * mesh.node_y)
     rhs = M @ (2.0 * np.pi**2 * exact)
-    u = solve_spd(K, rhs, mesh.dirichlet_nodes, 0.0)
+    u = SpdSolver(K, mesh.dirichlet_nodes).solve(rhs, 0.0)
     e = u - exact
     return float(np.sqrt(e @ (M @ e)))
 

@@ -12,14 +12,14 @@ from riskquad.ouu import (
     optimize_saa,
 )
 from riskquad.poisson import PoissonFlowProblem, WellConfig, default_wells
-from riskquad.random_field import field_on_mesh
+from riskquad.random_field import GaussianField
 from riskquad.surrogate import DRAW_CHUNK
 
 
 def make_setup(nx=12, ny=6, sigma=0.12):
     mesh = build_mesh(nx, ny, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=sigma))
-    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
+    gf = GaussianField(problem.space, 2e-2, 4.0)
     return mesh, problem, gf
 
 
@@ -39,6 +39,10 @@ def test_ouu_config_validation():
         OuuConfig(beta=1.0, beta_schedule=(0.0, 0.5))
     with pytest.raises(ValueError):
         OuuConfig(trace_mode="dense")
+    with pytest.raises(ValueError):
+        OuuConfig(z_min=5.0, z_max=1.0)
+    with pytest.raises(ValueError):
+        OuuConfig(z_min=2.0, z_max=2.0)
 
 
 def test_control_cost_arithmetic(setup):
@@ -101,7 +105,7 @@ def test_objective_reduces_to_tracking_value_when_state_is_flat():
     problem = zeroed_sources(
         PoissonFlowProblem(mesh, wells=flat_targets, dirichlet_values=(1.0, 1.0))
     )
-    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
+    gf = GaussianField(problem.space, 2e-2, 4.0)
     cfg = OuuConfig(beta=0.0, gamma=1e-12, n_tr=4, beta_schedule=(0.0,), seed=0)
     obj = RiskAverseObjective(problem, gf, cfg)
     z = np.full(20, 4.0)
@@ -118,7 +122,7 @@ def test_gradient_is_control_cost_when_sources_vanish():
     problem = zeroed_sources(
         PoissonFlowProblem(mesh, wells=default_wells(sigma=0.15))
     )
-    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
+    gf = GaussianField(problem.space, 2e-2, 4.0)
     cfg = OuuConfig(beta=1.0, gamma=1e-3, n_tr=3, beta_schedule=(1.0,), seed=0)
     obj = RiskAverseObjective(problem, gf, cfg)
     z = np.linspace(1.0, 3.0, 20)

@@ -11,21 +11,21 @@ from riskquad.poisson import (
     mollifier_fields,
     parabolic_target_profile,
 )
-from riskquad.random_field import field_on_mesh, volume_space
+from riskquad.random_field import GaussianField, volume_space
 
 
 @pytest.fixture(scope="module")
 def small_problem():
     mesh = build_mesh(16, 8, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.1))
-    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
+    gf = GaussianField(problem.space, 2e-2, 4.0)
     return mesh, problem, gf
 
 
 def test_default_layout_counts():
     wells = default_wells()
     assert wells.n_controls == 20
-    assert wells.n_observations == 12
+    assert len(wells.production_points) == 12
 
 
 def test_parabolic_targets_formula():

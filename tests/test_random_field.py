@@ -4,6 +4,7 @@ import pytest
 from riskquad.fem import build_mesh
 from riskquad.random_field import (
     COLOR_CHUNK,
+    GaussianField,
     field_on_mesh,
     field_on_neumann_boundary,
     neumann_trace_space,
@@ -15,7 +16,7 @@ from riskquad.random_field import (
 def tiny():
     mesh = build_mesh(3, 2, 2.0, 1.0)
     space = volume_space(mesh)
-    gf = field_on_mesh(mesh, 2e-2, 4.0, space=space)
+    gf = GaussianField(space, 2e-2, 4.0)
     return mesh, space, gf
 
 
@@ -36,7 +37,7 @@ def test_apply_C_identity_limit():
     # with kappa -> 0 and alpha = 1, A -> M and the covariance -> identity
     mesh = build_mesh(2, 2, 1.0, 1.0)
     space = volume_space(mesh)
-    gf = field_on_mesh(mesh, 1e-8, 1.0, space=space)
+    gf = GaussianField(space, 1e-8, 1.0)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(space.dim)
     assert np.abs(gf.apply_C(f) - f).max() < 1e-6 * np.abs(f).max()
@@ -52,6 +53,19 @@ def test_apply_C_self_adjoint_and_psd(tiny):
         rhs = space.inner(g, gf.apply_C(f))
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
         assert space.inner(f, gf.apply_C(f)) >= 0.0
+
+
+def test_apply_C_matches_loads_action_on_mass_image(tiny):
+    # bit for bit, on a volume and a boundary field, scaled or not, for a
+    # vector and for blocks solved on the lower and the upper factor
+    mesh, _, volume = tiny
+    boundary = field_on_neumann_boundary(mesh, 5e-2, 2.0)
+    rng = np.random.default_rng(3)
+    for gf in (volume, volume.scaled(0.3), boundary, boundary.scaled(0.3)):
+        for shape in ((gf.dim,), (gf.dim, 3), (gf.dim, 9)):
+            F = rng.standard_normal(shape)
+            loads = gf.space.mass @ F
+            assert np.array_equal(gf.apply_C_to_loads(loads), gf.apply_C(F))
 
 
 def test_sqrt_squares_to_C(tiny):
@@ -198,7 +212,7 @@ def test_eigenpairs_flow_hessian_matches_dense():
     mesh = build_mesh(5, 5, 1.0, 1.0)
     wells = WellConfig([[0.5, 0.52]], [[0.3, 0.3], [0.7, 0.7]], 0.25, [1.0, 1.0])
     problem = PoissonFlowProblem(mesh, wells=wells)
-    gf = field_on_mesh(mesh, 5e-2, 2.0, space=problem.space)
+    gf = GaussianField(problem.space, 5e-2, 2.0)
     surr = problem.surrogate(np.array([4.0]))
     n = mesh.n_nodes
     M = problem.space.mass.toarray()
@@ -232,7 +246,7 @@ def test_boundary_field_segments():
     assert space.dim == 2 * (mesh.nx + 1)
     ones = np.ones(space.dim)
     assert ones @ (space.mass @ ones) == pytest.approx(2.0, rel=1e-13)
-    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, space=space)
+    gf = GaussianField(space, 5e-2, 2.0)
     draws = gf.sample_batch(2000, seed=3)
     A = (gf.kappa * space.natural_stiffness + gf.alpha * space.mass).toarray()
     Ainv = np.linalg.inv(A)

@@ -4,7 +4,7 @@ import pytest
 from riskquad.checks import check_semilinear_gradient, check_semilinear_hessian
 from riskquad.errors import NumericalError
 from riskquad.fem import SpdSolver, assemble_mass, assemble_weighted_mass, build_mesh
-from riskquad.random_field import field_on_neumann_boundary
+from riskquad.random_field import GaussianField
 from riskquad.semilinear import SemilinearProblem
 
 
@@ -12,7 +12,7 @@ from riskquad.semilinear import SemilinearProblem
 def setup():
     mesh = build_mesh(12, 12, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=1.0)
-    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, space=problem.trace_space)
+    gf = GaussianField(problem.trace_space, 5e-2, 2.0)
     return mesh, problem, gf
 
 
@@ -137,7 +137,7 @@ def test_hessian_finite_difference(setup):
 def test_c_zero_quadratic_expansion_is_exact():
     mesh = build_mesh(10, 10, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=0.0)
-    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, space=problem.trace_space)
+    gf = GaussianField(problem.trace_space, 5e-2, 2.0)
     z = np.ones(mesh.n_nodes)
     surr = problem.surrogate(z)
     rng = np.random.default_rng(4)

@@ -4,7 +4,7 @@ import pytest
 from riskquad.errors import NumericalError
 from riskquad.fem import build_mesh
 from riskquad.poisson import PoissonFlowProblem, default_wells
-from riskquad.random_field import field_on_mesh, field_on_neumann_boundary
+from riskquad.random_field import GaussianField
 from riskquad.semilinear import SemilinearProblem
 from riskquad.surrogate import (
     QuadraticSurrogate,
@@ -20,7 +20,7 @@ from riskquad.surrogate import (
 def tiny_flow():
     mesh = build_mesh(6, 3, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.3))
-    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
+    gf = GaussianField(problem.space, 2e-2, 4.0)
     return mesh, problem, gf
 
 
@@ -222,10 +222,7 @@ def test_negative_variance_guard(tiny_flow):
         space=space, theta_bar=0.0, grad=np.zeros(space.dim),
         hess_action=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
     )
-    broken = TraceEstimate(
-        mode="randomized", n_tr=1, tr_hc=0.0, tr_hc_sq=-1.0,
-        probes=[], psi=[], seed=0, weight=1.0,
-    )
+    broken = TraceEstimate(tr_hc=0.0, tr_hc_sq=-1.0)
     with pytest.raises(NumericalError):
         analytic_variance(surr, gf, broken)
 
@@ -242,7 +239,7 @@ def test_rate_study_single_sample_deterministic(tiny_flow):
 def test_rate_study_exact_for_linear_state_map():
     mesh = build_mesh(8, 8, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=0.0)
-    gf = field_on_neumann_boundary(mesh, 5e-2, 2.0, space=problem.trace_space)
+    gf = GaussianField(problem.trace_space, 5e-2, 2.0)
     z = np.ones(mesh.n_nodes)
     study = truncation_rate_study(problem, gf, z, [1.0, 0.25], n_mc=20, seed=0)
     assert np.all(study.err_quad < 1e-10)
@@ -267,7 +264,7 @@ def _rate_study_per_eps(problem, gf, z, eps_list, n_mc, seed):
 def test_rate_study_matches_per_eps_evaluation():
     mesh = build_mesh(12, 6, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.12))
-    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
+    gf = GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
     eps_list = [1.0, 0.5, 0.25]
     study = truncation_rate_study(problem, gf, z, eps_list, n_mc=10, seed=2)
@@ -289,7 +286,7 @@ def test_rate_study_one_hessian_action_per_draw(tiny_flow):
 def test_rate_study_slopes_small_mesh():
     mesh = build_mesh(16, 8, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.1))
-    gf = field_on_mesh(mesh, 2e-2, 4.0, space=problem.space)
+    gf = GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
     study = truncation_rate_study(
         problem, gf, z, [2.0**-k for k in range(7)], n_mc=200, seed=0
