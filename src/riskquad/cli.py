@@ -62,6 +62,13 @@ def _load(args):
     return resolve_config(args.profile, args.config, over)
 
 
+def _check_eigenbasis_size(cfg, name, n_trs):
+    """An eigenbasis of the field has at most one vector per mesh node."""
+    nodes = (cfg.mesh.nx + 1) * (cfg.mesh.ny + 1)
+    if max(n_trs, default=0) > nodes:
+        raise ConfigError(f"{name} exceeds the {nodes} mesh nodes of an eigenbasis")
+
+
 def _rate_setup(cfg):
     """Problem + field + nominal control for the truncation study."""
     if cfg.experiment.problem == "poisson":
@@ -134,6 +141,8 @@ def _report_text(report, z):
 
 def cmd_optimize(args):
     cfg = _load(args)
+    if cfg.ouu.trace_mode == "eigenbasis":
+        _check_eigenbasis_size(cfg, "ouu: n_tr", [cfg.ouu.n_tr])
     out = _outdir(args)
     mesh, gf, problem = build_setup(cfg)
     z0 = np.full(problem.n_controls, cfg.ouu.z0)
@@ -169,8 +178,10 @@ def cmd_optimize(args):
 
 def cmd_compare_mc(args):
     cfg = _load(args)
-    out = _outdir(args)
     exp = cfg.experiment
+    if "quad_eigenbasis" in exp.compare_methods:
+        _check_eigenbasis_size(cfg, "experiment: compare_n_tr", exp.compare_n_tr)
+    out = _outdir(args)
     controls, meta = [], []
     mesh, gf, problem = build_setup(cfg)
     for beta in exp.compare_betas:

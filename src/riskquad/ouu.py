@@ -109,9 +109,9 @@ class RiskAverseObjective:
     """The risk-averse objective bound to a flow problem and a Gaussian law.
 
     Probe vectors are frozen at construction, one per row of ``probes``:
-    random draws from N(0, C) in randomized mode, sqrt(C) images of dominant
-    preconditioned-Hessian eigenvectors at the nominal control in eigenbasis
-    mode (that one-time construction is excluded from solve accounting).
+    random draws from N(0, C) in randomized mode, sqrt(C) images of the
+    dominant preconditioned-Hessian eigenvectors at the nominal control in
+    eigenbasis mode (one Lanczos eigensolve, excluded from solve accounting).
     Objective and gradient apply the incremental kernel to the whole probe
     block at once.
     """

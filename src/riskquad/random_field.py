@@ -27,10 +27,8 @@ from .fem import (
     stiffness_matrix_1d,
 )
 
-EIG_TOL = 1e-8        # relative change of the leading Ritz values at convergence
-EIG_MAX_SWEEPS = 300  # subspace sweeps before the eigensolver gives up
-EIG_OVERSAMPLE = 8    # extra subspace vectors beyond the k requested
-COLOR_CHUNK = 256     # most draws colored per block solve in sample_batch
+EIG_TOL = 1e-8     # relative accuracy of the Lanczos eigenvalues
+COLOR_CHUNK = 256  # most draws colored per block solve in sample_batch
 
 
 class FieldSpace:
@@ -76,6 +74,36 @@ class FieldSpace:
         if np.min(np.abs(np.diag(R))) < 1e-12 * max(np.max(np.abs(np.diag(R))), 1e-30):
             raise NumericalError("rank-deficient block in M-orthonormalization")
         return spla.spsolve_triangular(self._sqrt_mass_t, Qw, lower=False)
+
+    def eigenpairs(self, op, k, seed):
+        """The k eigenpairs of largest |eigenvalue| of a linear map ``op`` on
+        fields that is self-adjoint in the M inner product.
+
+        ARPACK Lanczos (``eigsh`` mode 2 on M op x = lambda M x) from a normal
+        vector drawn with ``seed``, to relative accuracy ``EIG_TOL``, at one
+        action of ``op`` per step; k = dim, which ARPACK cannot take, is a
+        dense Rayleigh-Ritz on an M-orthonormal basis.
+        """
+        n = self.dim
+        if not 1 <= k <= n:
+            raise ValueError("need 1 <= k <= dimension")
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        if np.max(np.abs(op(v0))) < 1e-300:
+            return EigenBasis(np.zeros(k), self.orthonormalize(np.eye(n, k)))
+        if k == n:
+            Q = self.orthonormalize(np.eye(n))
+            lam, V = np.linalg.eigh(Q.T @ (self.mass @ op(Q)))
+            vectors = Q @ V
+        else:
+            A = spla.LinearOperator((n, n), lambda x: self.mass @ op(x), dtype=float)
+            Minv = spla.LinearOperator((n, n), self.project, dtype=float)
+            try:
+                lam, vectors = spla.eigsh(A, k, M=self.mass, Minv=Minv, which="LM",
+                                          tol=EIG_TOL, v0=v0)
+            except spla.ArpackNoConvergence as exc:
+                raise NumericalError(f"Lanczos eigensolver: {exc}") from exc
+        order = np.argsort(-lam)
+        return EigenBasis(lam[order], vectors[:, order])
 
 
 def volume_space(mesh):
@@ -209,40 +237,12 @@ class GaussianField:
     # -- spectral machinery ---------------------------------------------------
 
     def preconditioned_eigenpairs(self, hess_action, k, seed=7):
-        """Dominant eigenpairs of sqrt(C) H sqrt(C) without forming matrices.
-
-        ``hess_action`` must be self-adjoint in the M inner product and act
-        on each column of an (n, b) block.  Block subspace iteration on
-        k + ``EIG_OVERSAMPLE`` vectors with M-orthonormalization and
-        Rayleigh-Ritz extraction, one block Hessian action per sweep, until
-        the leading k Ritz values change by less than ``EIG_TOL`` relatively
-        (at most ``EIG_MAX_SWEEPS``).  Returned vectors are M-orthonormal.
-        """
-        n = self.dim
-        if not 1 <= k <= n:
-            raise ValueError("need 1 <= k <= dimension")
-        b = min(n, k + EIG_OVERSAMPLE)
-        rng = np.random.default_rng(seed)
-        Q = self.space.orthonormalize(rng.standard_normal((n, b)))
-        lam_prev = None
-        for _ in range(EIG_MAX_SWEEPS):
-            Y = self.apply_sqrt_C(hess_action(self.apply_sqrt_C(Q)))
-            if np.max(np.abs(Y)) < 1e-300:
-                return EigenBasis(np.zeros(k), Q[:, :k])
-            S = Q.T @ (self.space.mass @ Y)
-            S = 0.5 * (S + S.T)
-            lam, V = np.linalg.eigh(S)
-            order = np.argsort(-np.abs(lam))
-            lam, V = lam[order], V[:, order]
-            if lam_prev is not None:
-                denom = np.maximum(np.abs(lam[:k]), 1e-300)
-                if np.max(np.abs(lam[:k] - lam_prev) / denom) <= EIG_TOL:
-                    ritz = Q @ V[:, :k]
-                    final = np.argsort(-lam[:k])
-                    return EigenBasis(lam[:k][final], ritz[:, final])
-            lam_prev = lam[:k]
-            Q = self.space.orthonormalize(Y @ V)
-        raise NumericalError("subspace iteration exhausted its budget")
+        """Dominant eigenpairs of sqrt(C) H sqrt(C) without forming matrices,
+        by ``FieldSpace.eigenpairs``; ``hess_action`` must be self-adjoint in
+        the M inner product and act on a field and on a block of fields."""
+        return self.space.eigenpairs(
+            lambda f: self.apply_sqrt_C(hess_action(self.apply_sqrt_C(f))), k, seed
+        )
 
 
 def field_on_mesh(mesh, kappa, alpha, mean=None):

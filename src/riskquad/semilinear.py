@@ -29,9 +29,6 @@ from .fem import (
 from .random_field import neumann_trace_space, volume_space
 from .surrogate import QuadraticSurrogate
 
-POWER_ITERS = 30  # power-iteration steps of hessian_norm_estimate
-POWER_SEED = 0    # seed of its random start vector
-
 
 def default_desired_state(mesh):
     """Artifact convention for the tracking target: 0.5 x (2 - x)."""
@@ -183,18 +180,8 @@ class SemilinearProblem:
         )
 
     def hessian_norm_estimate(self, z, m_bar=None):
-        """Operator norm of the boundary Hessian by ``POWER_ITERS`` steps of
-        power iteration from the start vector of ``POWER_SEED``."""
+        """Operator norm of the boundary Hessian in the trace L2 norm: its
+        largest |eigenvalue| by ``FieldSpace.eigenpairs`` from seed 0."""
         surr = self.surrogate(z, m_bar)
-        rng = np.random.default_rng(POWER_SEED)
-        v = rng.standard_normal(self.boundary_dim)
-        v /= self.trace_space.norm(v)
-        lam = 0.0
-        for _ in range(POWER_ITERS):
-            w = surr.hess_action(v)
-            lam = self.trace_space.inner(v, w)
-            nw = self.trace_space.norm(w)
-            if nw < 1e-300:
-                return 0.0
-            v = w / nw
-        return abs(lam)
+        basis = self.trace_space.eigenpairs(surr.hess_action, 1, seed=0)
+        return abs(float(basis.eigenvalues[0]))

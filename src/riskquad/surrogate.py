@@ -86,8 +86,8 @@ def trace_probes(surr, gf, mode, n_tr, seed):
     """(n_tr, dim) array of trace probes, one per row, and the term weight.
 
     randomized: draws from N(0, C), weight 1/n_tr (unbiased for both traces).
-    eigenbasis: sqrt(C) images of the dominant eigenvectors of sqrt(C) H
-    sqrt(C), weight 1; computed here, outside solve accounting.
+    eigenbasis: sqrt(C) images of the n_tr eigenvectors of sqrt(C) H sqrt(C)
+    of largest |eigenvalue| (Lanczos), weight 1; outside solve accounting.
     """
     if n_tr < 1:
         raise ValueError("n_tr must be at least 1")
@@ -145,8 +145,6 @@ class RateStudy:
 
 def _loglog_slope(eps, err):
     err = np.maximum(np.asarray(err), 1e-300)
-    if len(eps) < 2:
-        return float("nan")
     return float(np.polyfit(np.log(eps), np.log(err), 1)[0])
 
 
@@ -167,6 +165,8 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0):
     eps = np.asarray(list(eps_list), dtype=float)
     if np.any(eps <= 0.0):
         raise ValueError("eps values must be positive")
+    if len(set(eps)) < 2:
+        raise ValueError("need at least two distinct eps values to fit a rate")
     surr = problem.surrogate(z)
     if not np.allclose(surr.anchor, gf.mean, atol=1e-12):
         raise ValueError("expansion anchor must match the field mean")

@@ -170,6 +170,7 @@ BAD_EXPERIMENT_SIZES = [
     ("truncation-study", "semilinear_c", -1.0),
     ("compare-mc", "compare_betas", [0.5, -0.1]),
     ("compare-mc", "compare_n_tr", [-1]),
+    ("compare-mc", "compare_n_tr", [2, 46]),  # eigenbasis above 9 x 5 nodes
 ]
 
 
@@ -207,6 +208,22 @@ def test_empty_control_box_exits_2_before_any_work(tmp_path, monkeypatch, capsys
     assert main(args + ["optimize"]) == 2
     assert "config error: ouu: z_min must be below z_max" in capsys.readouterr().err
     assert calls == [] and not out.exists()
+
+
+def test_eigenbasis_n_tr_above_field_dimension_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    calls = count_factorizations(monkeypatch)
+    data = json.loads(json.dumps(TINY))
+    data["ouu"].update(trace_mode="eigenbasis", n_tr=46)  # 9 x 5 mesh nodes
+    out = tmp_path / "out"
+    args = ["--config", write_config(tmp_path, data), "--out", str(out)]
+    assert main(args + ["optimize"]) == 2
+    assert "config error: ouu: n_tr" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+    data["ouu"]["n_tr"] = 45  # a complete eigenbasis
+    args = ["--config", write_config(tmp_path, data), "--out", str(out)]
+    assert main(args + ["optimize"]) == 0
 
 
 def test_optimize_factorizes_each_evaluation_draw_once(tmp_path, monkeypatch):

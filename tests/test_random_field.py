@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskquad.errors import NumericalError
 from riskquad.fem import build_mesh
 from riskquad.random_field import (
     COLOR_CHUNK,
@@ -224,6 +225,58 @@ def test_eigenpairs_flow_hessian_matches_dense():
     assert np.all(
         np.abs(basis.eigenvalues - lam_dense[:3]) <= 1e-6 * np.abs(lam_dense[:3])
     )
+
+
+def indefinite_operator(space, gf, spectrum):
+    """M-self-adjoint B-action with sqrt(C) H sqrt(C) = V diag(spectrum) V^T M
+    for an M-orthonormal V: B = A V diag(spectrum) V^T A, symmetric."""
+    V = space.orthonormalize(np.random.default_rng(5).standard_normal((space.dim,) * 2))
+    A = (gf.kappa * space.natural_stiffness + gf.alpha * space.mass).toarray()
+    B = A @ V @ np.diag(spectrum) @ V.T @ A
+    return lambda f: space.project(B @ f), B
+
+
+def test_eigenpairs_select_both_signs_by_magnitude(tiny):
+    _, space, gf = tiny
+    spectrum = np.r_[6.0, -5.0, 4.0, -3.0, 0.5 * (-0.7) ** np.arange(space.dim - 4)]
+    hess_action, B = indefinite_operator(space, gf, spectrum)
+    Ainv = np.linalg.inv(
+        (gf.kappa * space.natural_stiffness + gf.alpha * space.mass).toarray()
+    )
+    lam = np.linalg.eigvals(Ainv @ B @ Ainv @ space.mass.toarray()).real
+    top = np.sort(lam[np.argsort(-np.abs(lam))[:4]])[::-1]
+    assert np.allclose(top, [6.0, 4.0, -3.0, -5.0])
+    basis = gf.preconditioned_eigenpairs(hess_action, 4)
+    assert np.all(np.diff(basis.eigenvalues) < 0.0)
+    assert np.abs(basis.eigenvalues - top).max() <= 1e-8 * 6.0
+    V = basis.vectors
+    assert np.abs(V.T @ (space.mass @ V) - np.eye(4)).max() <= 1e-8
+    T = gf.apply_sqrt_C(hess_action(gf.apply_sqrt_C(V)))
+    assert np.abs(T - V * basis.eigenvalues).max() <= 1e-6 * np.abs(V).max()
+
+
+def test_eigenpairs_same_seed_same_bits(tiny):
+    _, space, gf = tiny
+    hess_action, _ = indefinite_operator(space, gf, np.linspace(3.0, -2.0, space.dim))
+    a = gf.preconditioned_eigenpairs(hess_action, 3, seed=11)
+    b = gf.preconditioned_eigenpairs(hess_action, 3, seed=11)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a.vectors, b.vectors)
+
+
+def test_eigenpairs_no_convergence_is_numerical_error(tiny, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    _, space, gf = tiny
+
+    def no_convergence(A, k, **kwargs):
+        raise spla.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.zeros(0), np.zeros((A.shape[0], 0))
+        )
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(NumericalError, match="No convergence"):
+        gf.preconditioned_eigenpairs(lambda f: f, 3)
 
 
 def test_invalid_parameters():

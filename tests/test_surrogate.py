@@ -230,10 +230,20 @@ def test_negative_variance_guard(tiny_flow):
 def test_rate_study_single_sample_deterministic(tiny_flow):
     _, problem, gf = tiny_flow
     z = np.full(problem.n_controls, 4.0)
-    a = truncation_rate_study(problem, gf, z, [0.5], n_mc=1, seed=3)
-    b = truncation_rate_study(problem, gf, z, [0.5], n_mc=1, seed=3)
-    assert a.err_lin[0] == b.err_lin[0]
-    assert a.err_quad[0] == b.err_quad[0]
+    a = truncation_rate_study(problem, gf, z, [0.5, 0.25], n_mc=1, seed=3)
+    b = truncation_rate_study(problem, gf, z, [0.5, 0.25], n_mc=1, seed=3)
+    assert np.array_equal(a.err_lin, b.err_lin)
+    assert np.array_equal(a.err_quad, b.err_quad)
+
+
+@pytest.mark.parametrize("eps_list", [[0.5], [0.5, 0.5], []])
+def test_rate_study_needs_two_distinct_eps(tiny_flow, eps_list):
+    _, problem, gf = tiny_flow
+    z = np.full(problem.n_controls, 4.0)
+    start = problem.counter.count
+    with pytest.raises(ValueError, match="two distinct eps"):
+        truncation_rate_study(problem, gf, z, eps_list, n_mc=2, seed=0)
+    assert problem.counter.count == start
 
 
 def test_rate_study_exact_for_linear_state_map():
