@@ -69,6 +69,24 @@ def _check_eigenbasis_size(cfg, name, n_trs):
         raise ConfigError(f"{name} exceeds the {nodes} mesh nodes of an eigenbasis")
 
 
+def _check_semilinear_settings(cfg, profile):
+    """The semilinear problem meshes the unit square with a zero-mean random
+    flux and no wells, so a semilinear run rejects each of those settings
+    that differs from the profile's rather than ignore it."""
+    if cfg.experiment.problem != "semilinear":
+        return
+
+    def unread(c):
+        return {"mesh.lx": c.mesh.lx, "mesh.ly": c.mesh.ly,
+                "random_field.mean": c.random_field.mean, "wells": c.wells}
+
+    given, base = unread(cfg), unread(resolve_config(profile))
+    changed = [key for key in given if given[key] != base[key]]
+    if changed:
+        raise ConfigError(
+            f"the semilinear problem does not read {', '.join(changed)}")
+
+
 def _rate_setup(cfg):
     """Problem + field + nominal control for the truncation study."""
     if cfg.experiment.problem == "poisson":
@@ -85,6 +103,7 @@ def _rate_setup(cfg):
 
 def cmd_truncation_study(args):
     cfg = _load(args)
+    _check_semilinear_settings(cfg, args.profile)
     out = _outdir(args)
     problem, gf, z0 = _rate_setup(cfg)
     study = truncation_rate_study(

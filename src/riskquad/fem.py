@@ -4,10 +4,12 @@ Q1 quadrilateral elements on a uniform grid with 2x2 Gauss quadrature,
 sparse symmetric assembly into a CSR pattern cached per mesh, symmetric
 Dirichlet elimination with lifted right-hand sides, cached banded Cholesky
 factorizations in a band order that numbers the shorter side of the mesh
-fastest, and kernels for blocks of probe fields.  The index work of a
-factorization that depends only on the pattern, the Dirichlet nodes and the
-order is a read-only ``BandPlan``, shared by every solver of matrices
-assembled on one mesh (their index arrays are the mesh's read-only ones).
+fastest, triangular solves that call LAPACK ``dpbtrs`` directly on one
+column-major copy of the right-hand sides, and kernels for blocks of probe
+fields.  The index work of a factorization that depends only on the
+pattern, the Dirichlet nodes and the order is a read-only ``BandPlan``,
+shared by every solver of matrices assembled on one mesh (their index
+arrays are the mesh's read-only ones).
 Assembled matrices and every vector in and out of a solver stay in the
 mesh's native node order.
 All elements are congruent axis-aligned rectangles, so the reference-element
@@ -22,13 +24,13 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .errors import NumericalError
 
 PAIR_CHUNK = 256  # elements per chunk of the products in _pair_sums
 UPPER_MIN_COLUMNS = 8  # narrowest block solved on the upper-storage copy
+_PBTRS = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
 class Mesh:
@@ -427,8 +429,12 @@ class SpdSolver:
     the optional counter once per right-hand side.  A single right-hand
     side or a block of fewer than ``UPPER_MIN_COLUMNS`` columns is solved on
     the lower factor, a wider block on an upper-storage copy made at the
-    first such solve.  The solver's results do not change after
-    construction and it may be shared across independent right-hand sides.
+    first such solve.  A solve copies the right-hand sides once, gathered
+    into band order and column-major layout, lets ``dpbtrs`` overwrite that
+    copy with the solution, and gathers it back to native order; the
+    caller's array is never written.  The solver's results do not change
+    after construction and it may be shared across independent right-hand
+    sides.
 
     The pattern-only index work lives in a ``BandPlan`` (``self.plan``).
     Given another solver's ``plan`` that fits the operator, the Dirichlet
@@ -483,40 +489,50 @@ class SpdSolver:
         # U = L^T in upper band storage, built on the first wide block solve.
         # At bandwidth 41 and one BLAS thread, triangular solves on it take
         # 3.7 ms for 40 columns against 9.0 ms on lower storage (0.16 vs
-        # 0.36 ms for one); the copy takes 0.2-1.1 ms, so a single block pays
-        # for it only from about UPPER_MIN_COLUMNS columns on (a Monte Carlo
-        # draw's factor serves one vector or one narrow block).  Read as a
-        # C-ordered (n, bw + 1) array, upper storage holds U[j - k, j] =
-        # L[j, j - k] at [j, bw - k], which sits at j (bw + 1) - k bw in the
-        # memory of the lower factor; a view with element strides
-        # (bw + 1, bw) over that memory, after bw * bw leading zeros, reads
-        # it, and the zeros land in the unused corner.
-        bw = self._factor.shape[0] - 1
-        flat = np.concatenate([np.zeros(bw * bw), self._factor.ravel(order="F")])
-        step = flat.itemsize
-        skewed = as_strided(flat, (self.n, bw + 1), (step * (bw + 1), step * bw))
-        return np.ascontiguousarray(skewed).T
+        # 0.36 ms for one); the copy takes about 0.4 ms, so a single block
+        # pays for it only from about UPPER_MIN_COLUMNS columns on (a Monte
+        # Carlo draw's factor serves one vector or one narrow block).  Row
+        # bw - k of upper storage is row k of lower storage shifted right by k.
+        lower = self._factor
+        bw = lower.shape[0] - 1
+        upper = np.zeros(lower.shape, order="F")
+        for k in range(bw + 1):
+            upper[bw - k, k:] = lower[k, :self.n - k]
+        return upper
 
     def _raw_solve(self, b):
+        """Solution of the constrained system for ``b`` (n,) or (n, k), in C
+        order so that later sparse products need not copy the block; ``b``
+        is left unchanged."""
         order = self.plan.order
-        if order is not None:
-            b = b[order]
         if b.ndim == 1 or b.shape[1] < UPPER_MIN_COLUMNS:
-            x = cho_solve_banded((self._factor, True), b, check_finite=False)
+            factor, lower = self._factor, 1
         else:
-            x = cho_solve_banded((self._upper_factor, False), b,
-                                 check_finite=False)
-        if order is not None:
-            x = x[self.plan.position]
-        # C order, so that later sparse products need not copy the block
-        return np.ascontiguousarray(x)
+            factor, lower = self._upper_factor, 0
+        # the one copy in, already in LAPACK's column-major layout, which
+        # dpbtrs then overwrites with the solution
+        x = np.empty(b.shape, order="F")
+        if order is None:
+            x[...] = b
+        else:
+            np.take(b, order, axis=0, out=x)
+        x, info = _PBTRS(factor, x, lower=lower, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"dpbtrs rejected argument {-info}")
+        if order is None:
+            return np.ascontiguousarray(x)
+        return x[self.plan.position]
 
     def _checked(self, x, b):
         """Verify every column's residual, tick once per column, return x."""
-        res = np.linalg.norm(self.constrained @ x - b, axis=0)
-        ref = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
-        if not np.all(res <= self.rtol * ref):
-            worst = float(np.max(res))
+        r = self.constrained @ x
+        r -= b
+        if x.ndim == 1:
+            res2, ref2 = r @ r, b @ b
+        else:
+            res2, ref2 = np.einsum("ij,ij->j", r, r), np.einsum("ij,ij->j", b, b)
+        if not (res2 <= self.rtol**2 * ref2).all():
+            worst = float(np.sqrt(np.max(res2)))
             raise NumericalError(
                 f"linear solve residual {worst:.3e} exceeds tolerance",
                 residual=worst,

@@ -145,7 +145,8 @@ class RiskAverseObjective:
         theta_bar = 0.5 * float(ws.misfit @ ws.misfit)
         grad_load = grad_dot_load(pr.mesh, pr.em_gauss, ws.u, ws.p)
         zeta = self.probes.T
-        inc_u, inc_p, psi = pr.incremental(ws, zeta)
+        inc_u, inc_p = pr.incremental(ws, zeta)
+        psi = pr.hessian_load(ws, zeta, inc_u, inc_p)
         c_all = self.gf.apply_C_to_loads(np.column_stack([grad_load, psi]))
         c_grad, c_psi = c_all[:, 0], c_all[:, 1:]
         grad_term = float(grad_load @ c_grad)
@@ -182,7 +183,7 @@ class RiskAverseObjective:
         start = pr.counter.count
         zeta = self.probes.T
         mix = 0.5 * self.weight * (zeta + self.beta * state.c_psi)
-        adj_inc_p, adj_inc_u, _ = pr.incremental(ws, mix)
+        adj_inc_p, adj_inc_u = pr.incremental(ws, mix)
         coef = em * (self.beta * mesh.interp_gauss(state.c_grad)
                      + interp_dot(mesh, mix, zeta))
         b3 = -(

@@ -227,13 +227,13 @@ class PoissonFlowProblem:
         )
 
     def incremental(self, ws, zeta):
-        """Incremental states, adjoints and Hessian loads for a direction (n,)
-        or for each column of an (n, k) block (2 counted solves per column).
+        """Incremental states and adjoints for a direction (n,) or for each
+        column of an (n, k) block (2 counted solves per column).
 
         With B_u zeta = weighted_stiffness_apply(em * zeta_gauss, u), B_p the
-        same with p, and M_w the mass matrix weighted by em grad u . grad p,
-        the Hessian load is M_w zeta + B_p^T inc_u + B_u^T inc_p.  The three
-        matrices are built once per workspace and cached on it.
+        same with p, and M_w the mass matrix weighted by em grad u . grad p
+        (for ``hessian_load``), the three matrices are built once per
+        workspace and cached on it.
         """
         if ws.couplings is None:
             mesh, em = self.mesh, self.em_gauss
@@ -243,18 +243,25 @@ class PoissonFlowProblem:
                 assemble_coupling(mesh, em, ws.p),
                 assemble_weighted_mass(mesh, em * (ux * px + uy * py)),
             )
-        B_u, B_p, M_w = ws.couplings
+        B_u, B_p, _ = ws.couplings
         solve = self.anchor_solver.apply_inverse
         inc_u = solve(-(B_u @ zeta))
         inc_p = solve(
             -self.space.mass @ (self.obs_fields @ self.observe(inc_u)) - B_p @ zeta
         )
-        return inc_u, inc_p, M_w @ zeta + B_p.T @ inc_u + B_u.T @ inc_p
+        return inc_u, inc_p
+
+    def hessian_load(self, ws, zeta, inc_u, inc_p):
+        """Hessian load M_w zeta + B_p^T inc_u + B_u^T inc_p of a direction or
+        block ``zeta`` whose ``incremental`` pair on ``ws`` is (inc_u, inc_p)."""
+        B_u, B_p, M_w = ws.couplings
+        return M_w @ zeta + B_p.T @ inc_u + B_u.T @ inc_p
 
     def hess_action(self, ws, zeta):
         """Hessian action on a direction (n,) or on each column of an (n, k)
         block, via the incremental state/adjoint pair (2 solves per column)."""
-        return self.space.project(self.incremental(ws, zeta)[2])
+        inc_u, inc_p = self.incremental(ws, zeta)
+        return self.space.project(self.hessian_load(ws, zeta, inc_u, inc_p))
 
     def surrogate(self, z):
         """Quadratic expansion of m -> objective about the anchor field."""

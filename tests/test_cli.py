@@ -274,6 +274,7 @@ def test_truncation_study_single_sample(tmp_path):
 
 def test_truncation_study_semilinear_exact(tmp_path):
     data = json.loads(json.dumps(TINY))
+    del data["wells"]  # the semilinear problem has no wells
     data["experiment"]["problem"] = "semilinear"
     data["experiment"]["semilinear_c"] = 0.0
     data["experiment"]["rate_n_mc"] = 10
@@ -284,6 +285,37 @@ def test_truncation_study_semilinear_exact(tmp_path):
     _, rows, _ = read_csv(out / "truncation_rates.csv")
     err_quad = [float(r[2]) for r in rows]
     assert all(e < 1e-8 for e in err_quad)
+
+
+SEMILINEAR_UNREAD = {
+    "mesh.lx": {"lx": 1.0},
+    "mesh.ly": {"ly": 2.0},
+    "random_field.mean": {"mean": {"value": 0.5}},
+    "wells": {"sigma": 0.2},
+}
+
+
+@pytest.mark.parametrize("key", SEMILINEAR_UNREAD)
+def test_semilinear_truncation_study_rejects_unread_settings(tmp_path, capsys, key):
+    data = json.loads(json.dumps(TINY))
+    del data["wells"]
+    data["experiment"]["problem"] = "semilinear"
+    data.setdefault(key.split(".")[0], {}).update(SEMILINEAR_UNREAD[key])
+    out = tmp_path / "out"
+    args = ["--config", write_config(tmp_path, data), "--out", str(out)]
+    assert main(args + ["truncation-study"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
+def test_semilinear_truncation_study_accepts_profile_settings(tmp_path):
+    # the desk profile sets wells.sigma; only settings a run adds are rejected
+    data = {"experiment": {"problem": "semilinear", "rate_n_mc": 3,
+                           "eps_list": [1.0, 0.5]}}
+    args = ["--profile", "desk", "--config", write_config(tmp_path, data),
+            "--out", str(tmp_path / "out")]
+    assert main(args + ["truncation-study"]) == 0
 
 
 def test_sample_field_reproducible_and_mean_at_zero_eps(tmp_path):

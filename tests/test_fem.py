@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded
 
 from riskquad.errors import NumericalError
 from riskquad.fem import (
@@ -411,6 +412,45 @@ def test_wide_block_on_upper_storage_matches_vector_solves():
             ref = solver.solve(block[:, j], bc)
             assert np.linalg.norm(out[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.array_equal(out[mesh.dirichlet_nodes, j], bc)
+
+
+SOLVE_SHAPES = {
+    "vector": (),
+    "one column": (1,),
+    "narrow": (UPPER_MIN_COLUMNS - 1,),
+    "wide": (UPPER_MIN_COLUMNS + 3,),
+}
+
+
+@pytest.mark.parametrize("order_name", ["band order", "native order"])
+@pytest.mark.parametrize("shape", SOLVE_SHAPES.values(), ids=SOLVE_SHAPES.keys())
+def test_solves_match_cho_solve_banded_and_keep_inputs(order_name, shape):
+    mesh = build_mesh(12, 6, 2.0, 1.0)
+    rng = np.random.default_rng(31)
+    K = assemble_weighted_stiffness(mesh, rng.standard_normal(mesh.n_nodes))
+    order = mesh.band_order if order_name == "band order" else None
+    counter = SolveCounter()
+    solver = SpdSolver(K, mesh.dirichlet_nodes, counter=counter, order=order)
+    loads = rng.standard_normal((mesh.n_nodes, *shape))
+    bc = rng.standard_normal(len(mesh.dirichlet_nodes))
+    kept = loads.copy()
+    x = solver.solve(loads, bc) if not shape else solver.solve_many(loads, bc)
+    assert np.array_equal(loads, kept)
+    assert x.shape == loads.shape and x.flags.c_contiguous
+    assert counter.count == (shape or (1,))[0]
+
+    b = solver._lifted(loads, bc)
+    lifted = b.copy()
+    wide = b.ndim == 2 and b.shape[1] >= UPPER_MIN_COLUMNS
+    factor = (solver._upper_factor, False) if wide else (solver._factor, True)
+    if order is None:
+        ref = cho_solve_banded(factor, b, check_finite=False)
+    else:
+        ref = cho_solve_banded(factor, b[order], check_finite=False)
+        ref = ref[solver.plan.position]
+    assert np.array_equal(x, ref)
+    assert np.array_equal(solver._raw_solve(b), ref)
+    assert np.array_equal(b, lifted)
 
 
 def test_solve_many_bad_block_raises():
