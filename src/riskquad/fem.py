@@ -10,6 +10,11 @@ fields.  The index work of a factorization that depends only on the
 pattern, the Dirichlet nodes and the order is a read-only ``BandPlan``,
 shared by every solver of matrices assembled on one mesh (their index
 arrays are the mesh's read-only ones).
+Constant-coefficient operators without Dirichlet rows, such as the mass
+matrix and the shifted stiffness of a covariance, are Kronecker sums and
+products of 1D tridiagonal matrices; ``SeparableSolver`` solves them by
+fast diagonalization instead.  Every solver checks each column's residual
+with the one function ``_check_residuals``.
 Assembled matrices and every vector in and out of a solver stay in the
 mesh's native node order.
 All elements are congruent axis-aligned rectangles, so the reference-element
@@ -24,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky_banded, get_lapack_funcs
+from scipy.linalg import cholesky_banded, eigh, get_lapack_funcs
 
 from .errors import NumericalError
 
@@ -298,23 +303,6 @@ def stiffness_matrix_1d(n_elems, h):
     return sp.diags([off, main, off], [-1, 0, 1]).tocsr() / h
 
 
-def cholesky_sparse(spd_dense):
-    """Lower Cholesky factor of a small dense SPD matrix, as sparse CSR."""
-    return sp.csr_matrix(np.linalg.cholesky(spd_dense))
-
-
-def mass_cholesky(mesh):
-    """Exact sparse lower factor L with L L^T = assembled Q1 mass matrix.
-
-    Uses the tensor-product structure of the structured grid: the 2D mass
-    matrix is the Kronecker product of the two 1D mass matrices, so its
-    Cholesky factor is the Kronecker product of their (bidiagonal) factors.
-    """
-    lx = cholesky_sparse(mass_matrix_1d(mesh.nx, mesh.hx).toarray())
-    ly = cholesky_sparse(mass_matrix_1d(mesh.ny, mesh.hy).toarray())
-    return sp.kron(ly, lx).tocsr()
-
-
 # -- solving ----------------------------------------------------------------
 
 
@@ -346,6 +334,23 @@ class SolveCounter:
             yield
         finally:
             self._local.paused = prev
+
+
+def _check_residuals(op, x, b, rtol):
+    """Raise ``NumericalError`` unless every column of ``x`` (or the vector
+    itself) solves ``op x = b`` to relative residual ``rtol``; a NaN fails."""
+    r = op @ x
+    r -= b
+    if x.ndim == 1:
+        res2, ref2 = r @ r, b @ b
+    else:
+        res2, ref2 = np.einsum("ij,ij->j", r, r), np.einsum("ij,ij->j", b, b)
+    if not (res2 <= rtol**2 * ref2).all():
+        worst = float(np.sqrt(np.max(res2)))
+        raise NumericalError(
+            f"linear solve residual {worst:.3e} exceeds tolerance",
+            residual=worst,
+        )
 
 
 def _same_memory(a, b):
@@ -525,18 +530,7 @@ class SpdSolver:
 
     def _checked(self, x, b):
         """Verify every column's residual, tick once per column, return x."""
-        r = self.constrained @ x
-        r -= b
-        if x.ndim == 1:
-            res2, ref2 = r @ r, b @ b
-        else:
-            res2, ref2 = np.einsum("ij,ij->j", r, r), np.einsum("ij,ij->j", b, b)
-        if not (res2 <= self.rtol**2 * ref2).all():
-            worst = float(np.sqrt(np.max(res2)))
-            raise NumericalError(
-                f"linear solve residual {worst:.3e} exceeds tolerance",
-                residual=worst,
-            )
+        _check_residuals(self.constrained, x, b, self.rtol)
         if self.counter is not None:
             self.counter.tick(1 if x.ndim == 1 else x.shape[1])
         return x
@@ -578,3 +572,44 @@ class SpdSolver:
         """Homogeneous-BC solve of a vector (n,) or of each column of (n, k)."""
         return self.solve(b) if np.ndim(b) == 1 else self.solve_many(b)
 
+
+class SeparableSolver:
+    """Direct solver for ``op = s (K_y (x) M_x + M_y (x) K_x) + t M_y (x) M_x``
+    on a tensor-product grid with x numbered fastest, by fast
+    diagonalization (Lynch, Rice and Thomas 1964, Numer. Math. 6).
+
+    ``factors`` holds the 1D ``(mass, stiffness)`` pairs of the x axis, then
+    of the y axis.  Their generalized eigenbases ``K V = M V diag(lam)``
+    with ``V^T M V = I`` make ``V = V_y (x) V_x`` diagonalize ``op``:
+    ``V^T op V = D`` with ``D = s (lam_y + lam_x) + t``, so
+    ``op^{-1} = V D^{-1} V^T``: two small dense products per axis and one
+    diagonal scaling, as batched ``matmul`` over an (ny, nx) grid per
+    column, so a column has the same bits in a block of any width.  There
+    are no Dirichlet rows and no counter.  Every solve checks each column's
+    residual against the assembled ``op`` at ``rtol`` (1e-12) and raises
+    ``NumericalError`` on a miss, also when the factors do not build ``op``.
+    """
+
+    rtol = 1e-12
+
+    def __init__(self, op, factors, s, t):
+        self.op = op
+        (mass_x, stiff_x), (mass_y, stiff_y) = factors
+        lam_x, self._vx = eigh(stiff_x.toarray(), mass_x.toarray())
+        lam_y, self._vy = eigh(stiff_y.toarray(), mass_y.toarray())
+        # contiguous transposes: 3.0 ms against 3.5 ms on transposed views
+        # for 41 columns at 79x39 (one BLAS thread, 2-core x86-64)
+        self._vxt = np.ascontiguousarray(self._vx.T)
+        self._vyt = np.ascontiguousarray(self._vy.T)
+        self._diag = s * (lam_y[:, None] + lam_x) + t
+
+    def solve(self, b):
+        """Solution for a vector (n,) or for each column of an (n, k) block,
+        in C order; ``b`` is left unchanged."""
+        b = np.asarray(b, dtype=float)
+        k = 1 if b.ndim == 1 else b.shape[1]
+        grids = b.T.reshape(k, *self._diag.shape)
+        x = self._vy @ ((self._vyt @ grids @ self._vx) / self._diag) @ self._vxt
+        x = np.ascontiguousarray(x.reshape(b.shape[::-1]).T)
+        _check_residuals(self.op, x, b, self.rtol)
+        return x

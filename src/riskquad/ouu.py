@@ -333,7 +333,7 @@ class SaaObjective:
         grad = self.gamma * z.copy()
         for w, u, solver in zip(weights, states, self.solvers):
             misfit = pr.observe(u) - pr.wells.targets
-            adj = solver.solve(-pr.space.mass @ (pr.obs_fields @ misfit))
+            adj = solver.solve(-(pr.space.mass @ (pr.obs_fields @ misfit)))
             grad -= w * (pr.source_fields.T @ (pr.space.mass @ adj))
         return grad
 

@@ -216,7 +216,7 @@ class PoissonFlowProblem:
         u = self.solve_state(z)
         misfit = self.observe(u) - self.wells.targets
         p = self.anchor_solver.solve(
-            -self.space.mass @ (self.obs_fields @ misfit)
+            -(self.space.mass @ (self.obs_fields @ misfit))
         )
         return PdeWorkspace(z=z, u=u, p=p, misfit=misfit)
 
@@ -247,7 +247,7 @@ class PoissonFlowProblem:
         solve = self.anchor_solver.apply_inverse
         inc_u = solve(-(B_u @ zeta))
         inc_p = solve(
-            -self.space.mass @ (self.obs_fields @ self.observe(inc_u)) - B_p @ zeta
+            -(self.space.mass @ (self.obs_fields @ self.observe(inc_u))) - B_p @ zeta
         )
         return inc_u, inc_p
 

@@ -6,6 +6,10 @@ conditions and M is the mass matrix.  All inner products are M-weighted, so
 the covariance action on a field f is A^{-1} M A^{-1} M f, which is
 self-adjoint and positive in the M inner product, and A^{-1} M is its exact
 M-self-adjoint square root.
+
+On the structured grid, M and K are Kronecker products and sums of 1D
+tridiagonal matrices, so solves with A and with M are made by fast
+diagonalization (``fem.SeparableSolver``), not by a factorization.
 """
 
 from __future__ import annotations
@@ -18,11 +22,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .fem import (
-    SpdSolver,
+    SeparableSolver,
     assemble_mass,
     assemble_weighted_stiffness,
-    cholesky_sparse,
-    mass_cholesky,
     mass_matrix_1d,
     stiffness_matrix_1d,
 )
@@ -35,25 +37,28 @@ class FieldSpace:
     """Discrete L2 space: mass matrix, its exact Cholesky factor, and the
     natural-boundary stiffness used to build covariance operators.
 
+    ``factors`` holds the 1D ``(mass, stiffness)`` pairs of the x axis and
+    of the y axis (x numbered fastest) whose Kronecker products and sums are
+    the assembled ``mass = M_y (x) M_x`` and ``natural_stiffness =
+    K_y (x) M_x + M_y (x) K_x``.  They give the Cholesky factor
+    ``sqrt_mass = L_y (x) L_x`` and the ``SeparableSolver`` of the mass
+    projection and of every covariance operator on the space.
     ``node_index`` maps local degrees of freedom to nodes of the parent mesh
     (identity for volume spaces, a boundary gather for trace spaces).
-    ``order`` is the band order its solvers factorize in (``Mesh.band_order``
-    for volume spaces; None keeps the native order of the tridiagonal trace
-    spaces).
     """
 
-    def __init__(self, mass, sqrt_mass, natural_stiffness, node_index=None,
-                 order=None):
+    def __init__(self, mass, natural_stiffness, factors, node_index=None):
         self.mass = mass.tocsr()
-        self.sqrt_mass = sqrt_mass.tocsr()
-        self._sqrt_mass_t = self.sqrt_mass.T.tocsr()
         self.natural_stiffness = natural_stiffness.tocsr()
+        self.factors = factors
+        (mass_x, _), (mass_y, _) = factors
+        self.sqrt_mass = sp.kron(_cholesky(mass_y), _cholesky(mass_x)).tocsr()
+        self._sqrt_mass_t = self.sqrt_mass.T.tocsr()
         self.dim = self.mass.shape[0]
         self.node_index = (
             np.arange(self.dim) if node_index is None else np.asarray(node_index)
         )
-        self.order = order
-        self._projector = SpdSolver(self.mass, rtol=1e-12, order=order)
+        self._projector = SeparableSolver(self.mass, factors, 0.0, 1.0)
 
     def inner(self, u, v):
         """Discrete L2 inner product <u, M v>."""
@@ -65,7 +70,7 @@ class FieldSpace:
     def project(self, load):
         """Nodal representation of a linear functional (n,) or of each column
         of an (n, k) block: solve M g = load."""
-        return self._projector.apply_inverse(load)
+        return self._projector.solve(load)
 
     def orthonormalize(self, B):
         """M-orthonormalize the columns of B via QR in the L^T image."""
@@ -106,13 +111,22 @@ class FieldSpace:
         return EigenBasis(lam[order], vectors[:, order])
 
 
+def _cholesky(spd):
+    """Lower Cholesky factor of a small sparse SPD matrix, as sparse CSR."""
+    return sp.csr_matrix(np.linalg.cholesky(spd.toarray()))
+
+
+def _segment(n_elems, h):
+    """The 1D (mass, stiffness) pair of a segment of linear elements."""
+    return mass_matrix_1d(n_elems, h), stiffness_matrix_1d(n_elems, h)
+
+
 def volume_space(mesh):
     """Q1 space over all mesh nodes."""
     return FieldSpace(
         mass=assemble_mass(mesh),
-        sqrt_mass=mass_cholesky(mesh),
         natural_stiffness=assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes)),
-        order=mesh.band_order,
+        factors=(_segment(mesh.nx, mesh.hx), _segment(mesh.ny, mesh.hy)),
     )
 
 
@@ -121,15 +135,15 @@ def neumann_trace_space(mesh):
 
     Each side contributes an independent segment (its own 1D mass and
     stiffness block); degrees of freedom are the bottom nodes, then the top
-    nodes.
+    nodes.  The side is the y axis of the factors, with mass I_2 and no
+    stiffness.
     """
-    mass = mass_matrix_1d(mesh.nx, mesh.hx)
-    chol = cholesky_sparse(mass.toarray())
-    stiff = stiffness_matrix_1d(mesh.nx, mesh.hx)
+    mass, stiff = _segment(mesh.nx, mesh.hx)
+    sides = (sp.identity(2, format="csr"), sp.csr_matrix((2, 2)))
     return FieldSpace(
         mass=sp.block_diag([mass, mass]),
-        sqrt_mass=sp.block_diag([chol, chol]),
         natural_stiffness=sp.block_diag([stiff, stiff]),
+        factors=((mass, stiff), sides),
         node_index=np.concatenate([mesh.side_nodes("bottom"),
                                    mesh.side_nodes("top")]),
     )
@@ -146,6 +160,8 @@ class EigenBasis:
 class GaussianField:
     """Gaussian measure N(mean, scale*C) on a FieldSpace, C = A^{-1} M A^{-1}.
 
+    ``solver_A`` solves with A by fast diagonalization on the space's 1D
+    factors; it serves every covariance action and every draw.
     Immutable after construction: ``scale`` starts at 1 and only
     ``scaled`` changes it, on a new view.  Every draw takes an explicit
     seed or generator, so concurrent batches can partition the seed space.
@@ -164,7 +180,7 @@ class GaussianField:
         if self.mean.shape != (space.dim,):
             raise ValueError("mean has wrong length")
         A = kappa * space.natural_stiffness + alpha * space.mass
-        self.solver_A = SpdSolver(A, rtol=1e-12, order=space.order)
+        self.solver_A = SeparableSolver(A, space.factors, self.kappa, self.alpha)
 
     @property
     def dim(self):
@@ -190,13 +206,13 @@ class GaussianField:
         """Covariance action on the dual vectors (loads) in a vector or in
         the columns of a block: C M^{-1} load = scale * A^{-1} M A^{-1} load,
         as fields."""
-        y = self.solver_A.apply_inverse(loads)
-        return self.scale * self.solver_A.apply_inverse(self.space.mass @ y)
+        y = self.solver_A.solve(loads)
+        return self.scale * self.solver_A.solve(self.space.mass @ y)
 
     def apply_sqrt_C(self, f):
         """M-self-adjoint square root action on a field or on each column of
         a block: sqrt(scale) * A^{-1} M f."""
-        y = self.solver_A.apply_inverse(self.space.mass @ np.asarray(f))
+        y = self.solver_A.solve(self.space.mass @ np.asarray(f))
         return np.sqrt(self.scale) * y
 
     # -- sampling -------------------------------------------------------------
@@ -204,7 +220,7 @@ class GaussianField:
     def _colored(self, normals):
         """Map standard normals to zero-mean draws with covariance matrix
         scale * A^{-1} M A^{-1} (nodal values)."""
-        y = self.solver_A.apply_inverse(self.space.sqrt_mass @ normals)
+        y = self.solver_A.solve(self.space.sqrt_mass @ normals)
         return np.sqrt(self.scale) * y
 
     def sample(self, rng):

@@ -144,7 +144,7 @@ class SemilinearProblem:
     def workspace(self, z, m_bnd):
         """State and adjoint at (z, m); the linearized operator is cached."""
         u, solver, _ = self.solve_state(z, m_bnd)
-        p = solver.solve(-self.space.mass @ (u - self.desired))
+        p = solver.solve(-(self.space.mass @ (u - self.desired)))
         return SemilinearWorkspace(
             z=np.asarray(z, float), m=np.asarray(m_bnd, float),
             u=u, p=p, solver=solver,

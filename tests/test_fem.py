@@ -10,6 +10,7 @@ from scipy.linalg import cho_solve_banded
 from riskquad.errors import NumericalError
 from riskquad.fem import (
     UPPER_MIN_COLUMNS,
+    SeparableSolver,
     SolveCounter,
     SpdSolver,
     assemble_coupling,
@@ -19,14 +20,13 @@ from riskquad.fem import (
     build_mesh,
     grad_dot_load,
     interp_dot,
-    mass_cholesky,
     mass_matrix_1d,
     stiffness_matrix_1d,
     weighted_stiffness_apply,
     weighted_stiffness_sum,
 )
 from riskquad.poisson import PoissonFlowProblem, default_wells
-from riskquad.random_field import field_on_mesh, neumann_trace_space
+from riskquad.random_field import field_on_mesh, neumann_trace_space, volume_space
 
 
 def test_canonical_mesh_counts():
@@ -200,7 +200,7 @@ def test_one_dimensional_operators():
 def test_mass_cholesky_exact():
     mesh = build_mesh(11, 7, 2.0, 1.0)
     M = assemble_mass(mesh)
-    L = mass_cholesky(mesh)
+    L = volume_space(mesh).sqrt_mass
     assert abs(L @ L.T - M).max() < 1e-15
 
 
@@ -451,6 +451,60 @@ def test_solves_match_cho_solve_banded_and_keep_inputs(order_name, shape):
     assert np.array_equal(x, ref)
     assert np.array_equal(solver._raw_solve(b), ref)
     assert np.array_equal(b, lifted)
+
+
+SEPARABLE_SPACES = {"volume": volume_space, "trace": neumann_trace_space}
+SEPARABLE_COEFFICIENTS = {"mass": (0.0, 1.0), "covariance": (2e-2, 4.0)}
+SEPARABLE_SHAPES = {"vector": (), "one column": (1,), "narrow": (3,), "wide": (41,)}
+
+
+def _separable(space, s, t):
+    op = s * space.natural_stiffness + t * space.mass
+    return op, SeparableSolver(op, space.factors, s, t)
+
+
+@pytest.mark.parametrize("space_name", SEPARABLE_SPACES)
+@pytest.mark.parametrize("coefficients", SEPARABLE_COEFFICIENTS.values(),
+                         ids=SEPARABLE_COEFFICIENTS.keys())
+@pytest.mark.parametrize("shape", SEPARABLE_SHAPES.values(),
+                         ids=SEPARABLE_SHAPES.keys())
+def test_separable_solve_matches_spd_solver_and_keeps_inputs(space_name,
+                                                             coefficients, shape):
+    space = SEPARABLE_SPACES[space_name](build_mesh(12, 6, 2.0, 1.0))
+    op, solver = _separable(space, *coefficients)
+    reference = SpdSolver(op, rtol=1e-12)
+    loads = np.random.default_rng(41).standard_normal((space.dim, *shape))
+    kept = loads.copy()
+    x = solver.solve(loads)
+    assert np.array_equal(loads, kept)
+    assert x.shape == loads.shape and x.flags.c_contiguous
+    ref = reference.solve(loads) if not shape else reference.solve_many(loads)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("space_name", SEPARABLE_SPACES)
+def test_separable_column_bits_do_not_depend_on_block_width(space_name):
+    space = SEPARABLE_SPACES[space_name](build_mesh(20, 10, 2.0, 1.0))
+    _, solver = _separable(space, 2e-2, 4.0)
+    B = np.random.default_rng(43).standard_normal((space.dim, 515))
+    X = solver.solve(B)
+    assert np.array_equal(solver.solve(B[:, :3]), X[:, :3])
+    assert np.array_equal(solver.solve(B[:, 7:8]), X[:, 7:8])
+    assert np.array_equal(solver.solve(B[:, 7]), X[:, 7])
+    assert np.array_equal(solver.solve(np.asfortranarray(B)), X)
+
+
+def test_separable_solve_rejects_inconsistent_operator_and_nan():
+    space = volume_space(build_mesh(8, 5, 2.0, 1.0))
+    b = np.random.default_rng(47).standard_normal((space.dim, 3))
+    wrong = SeparableSolver(1.001 * space.mass, space.factors, 0.0, 1.0)
+    for load in (b, b[:, 0]):
+        with pytest.raises(NumericalError) as exc:
+            wrong.solve(load)
+        assert exc.value.residual > 0.0
+    b[5, 1] = np.nan
+    with pytest.raises(NumericalError):
+        _separable(space, 0.0, 1.0)[1].solve(b)
 
 
 def test_solve_many_bad_block_raises():

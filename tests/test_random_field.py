@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from riskquad.errors import NumericalError
 from riskquad.fem import build_mesh
@@ -290,6 +291,19 @@ def test_invalid_parameters():
         gf.scaled(-1.0)
     with pytest.raises(ValueError):
         gf.preconditioned_eigenpairs(lambda f: f, 0)
+
+
+@pytest.mark.parametrize("nx, ny", [(11, 7), (5, 9), (1, 6)])
+def test_kronecker_factors_reproduce_assembled_matrices(nx, ny):
+    mesh = build_mesh(nx, ny, 2.0, 1.0)
+    for space in (volume_space(mesh), neumann_trace_space(mesh)):
+        (mass_x, stiff_x), (mass_y, stiff_y) = space.factors
+        kron_mass = sp.kron(mass_y, mass_x)
+        kron_stiff = sp.kron(stiff_y, mass_x) + sp.kron(mass_y, stiff_x)
+        for assembled, kron in ((space.mass, kron_mass),
+                                (space.natural_stiffness, kron_stiff)):
+            scale = abs(assembled).max()
+            assert abs(kron - assembled).max() <= 1e-15 * scale
 
 
 def test_boundary_field_segments():
