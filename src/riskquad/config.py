@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 from .fem import build_mesh
 from .ouu import OuuConfig
 from .poisson import WellConfig, grid_points, parabolic_target_profile
@@ -31,6 +31,10 @@ class MeshSpec:
     ny: int = 39
     lx: float = 2.0
     ly: float = 1.0
+
+    def __post_init__(self):
+        require_integers("nx", self.nx)
+        require_integers("ny", self.ny)
 
 
 @dataclass
@@ -88,6 +92,11 @@ class ExperimentSpec:
         if not set(self.compare_methods) <= set(COMPARE_METHODS):
             raise ValueError(f"unknown compare method in {self.compare_methods}")
         for name in ("rate_n_mc", "n_samples", "true_risk_samples",
+                     "compare_eval_samples", "compare_max_iter"):
+            require_integers(name, getattr(self, name))
+        for name in ("compare_n_tr", "compare_n_mc"):
+            require_integers(f"{name} entries", *getattr(self, name))
+        for name in ("rate_n_mc", "n_samples", "true_risk_samples",
                      "compare_eval_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -117,6 +126,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers("seed", self.seed)
         # the root seed is the only seed source; it also seeds the probes
         self.ouu = dataclasses.replace(self.ouu, seed=self.seed)
 

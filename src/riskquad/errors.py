@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer check of config fields, shared across
+the package."""
+
+import numbers
 
 
 class NumericalError(RuntimeError):
@@ -14,3 +17,10 @@ class NumericalError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration is malformed or contains unknown keys."""
+
+
+def require_integers(name, *values):
+    """Raise ``ValueError`` unless every value is an integer (a bool is not)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name}: {v!r} is not an integer")

@@ -6,10 +6,9 @@ Dirichlet elimination with lifted right-hand sides, cached banded Cholesky
 factorizations in a band order that numbers the shorter side of the mesh
 fastest, triangular solves that call LAPACK ``dpbtrs`` directly on one
 column-major copy of the right-hand sides, and kernels for blocks of probe
-fields.  The index work of a factorization that depends only on the
-pattern, the Dirichlet nodes and the order is a read-only ``BandPlan``,
-shared by every solver of matrices assembled on one mesh (their index
-arrays are the mesh's read-only ones).
+fields.  The index work of a factorization depends only on the mesh (its
+pattern, Dirichlet nodes and band order), so each mesh builds it once as
+the read-only ``Mesh.band_plan`` that every ``SpdSolver`` on the mesh uses.
 Constant-coefficient operators without Dirichlet rows, such as the mass
 matrix and the shifted stiffness of a covariance, are Kronecker sums and
 products of 1D tridiagonal matrices; ``SeparableSolver`` solves them by
@@ -49,7 +48,10 @@ class Mesh:
     ``band_order`` lists the nodes with the shorter side fastest (node
     ``band_order[k]`` is the k-th one), so a Q1 operator factorized in that
     order has bandwidth min(nx, ny) + 2; it is None when nx <= ny, where the
-    native order already runs along the shorter side.
+    native order already runs along the shorter side.  ``dirichlet_nodes``
+    and ``band_order`` are read-only, as are the CSR index arrays that every
+    matrix assembled on the mesh shares, since ``band_plan`` is built from
+    them once.
     """
 
     def __init__(self, nx, ny, lx, ly):
@@ -77,6 +79,7 @@ class Mesh:
 
         self.dirichlet_nodes = np.union1d(self.side_nodes("left"),
                                           self.side_nodes("right"))
+        self.dirichlet_nodes.flags.writeable = False
 
         self.band_order = None
         if self.nx > self.ny:
@@ -86,6 +89,11 @@ class Mesh:
 
         self._build_reference_tables()
         self._build_csr_pattern()
+
+    @cached_property
+    def band_plan(self):
+        """The ``BandPlan`` of every ``SpdSolver`` on this mesh."""
+        return BandPlan(self)
 
     @property
     def n_nodes(self):
@@ -360,44 +368,29 @@ def _same_memory(a, b):
             and a.strides == b.strides and a.dtype == b.dtype)
 
 
-def _same_nodes(a, b):
-    """True when two node lists (or two Nones) are equal."""
-    return a is b or (a is not None and b is not None and np.array_equal(a, b))
-
-
 class BandPlan:
-    """Index work of ``SpdSolver`` that depends only on the operator's CSR
-    pattern, the Dirichlet nodes and the band order.
+    """Index work of ``SpdSolver`` that depends only on a mesh: its CSR
+    pattern, Dirichlet nodes and band order (``Mesh.band_plan``).
 
     It holds the data entries zeroed by Dirichlet elimination and the pinned
     diagonal entries, the lower-triangle entries and their flat positions in
     the C-ordered (n, bw + 1) band, the bandwidth, and the order with its
-    inverse permutation.  A plan is read-only and shared by every solver
-    with its Dirichlet nodes and order whose operator's ``indptr`` and
-    ``indices`` are read-only arrays over the memory the plan was built on,
-    as for every matrix assembled on one ``Mesh`` (``fits``).  The plan
-    keeps those arrays alive, so their memory cannot pass to another
-    pattern.
+    inverse permutation.
     """
 
-    def __init__(self, op, dirichlet, order):
-        self.n = n = op.shape[0]
-        self.indptr, self.indices = op.indptr, op.indices
-        self.dirichlet = dirichlet
-        rows = np.repeat(np.arange(n), np.diff(op.indptr))
-        cols = op.indices
-        if dirichlet.size:
-            pinned = np.zeros(n, dtype=bool)
-            pinned[dirichlet] = True
-            self.zeroed = np.flatnonzero(pinned[rows] | pinned[cols])
-            self.pinned_diag = np.flatnonzero(pinned[rows] & (rows == cols))
-            if len(self.pinned_diag) != np.count_nonzero(pinned):
-                raise ValueError("operator has no diagonal entry at a Dirichlet node")
-        self.order = order
+    def __init__(self, mesh):
+        n = mesh.n_nodes
+        rows = np.repeat(np.arange(n), np.diff(mesh.csr_indptr))
+        cols = mesh.csr_indices
+        pinned = np.zeros(n, dtype=bool)
+        pinned[mesh.dirichlet_nodes] = True
+        self.zeroed = np.flatnonzero(pinned[rows] | pinned[cols])
+        self.pinned_diag = np.flatnonzero(pinned[rows] & (rows == cols))
+        self.order = mesh.band_order
         self.position = None
-        if order is not None:
+        if self.order is not None:
             self.position = np.empty(n, dtype=int)
-            self.position[order] = np.arange(n)
+            self.position[self.order] = np.arange(n)
             rows, cols = self.position[rows], self.position[cols]
         # Entry (i, j <= i) in band positions goes to row j, position i - j,
         # of a C-ordered (n, bw + 1) array; its transpose is LAPACK's lower
@@ -408,71 +401,56 @@ class BandPlan:
         self.band_slots = (cols[self.lower] * (self.bandwidth + 1)
                            + offset[self.lower])
 
-    def fits(self, op, dirichlet, order):
-        """True when ``op`` has the pattern this plan was built on and the
-        Dirichlet nodes and order are the plan's."""
-        return (op.shape == (self.n, self.n)
-                and _same_memory(op.indptr, self.indptr)
-                and _same_memory(op.indices, self.indices)
-                and _same_nodes(dirichlet, self.dirichlet)
-                and _same_nodes(order, self.order))
-
 
 class SpdSolver:
-    """Cached factorization of an SPD operator with Dirichlet elimination.
+    """Cached factorization of an SPD operator assembled on a mesh, with
+    Dirichlet elimination at the mesh's Dirichlet nodes.
 
     Dirichlet rows and columns are eliminated symmetrically on the CSR data
     (unit diagonal, lifted right-hand side), so the constrained operator
     stays SPD.  It is factorized by LAPACK banded Cholesky with the unknowns
-    numbered by ``order`` (a permutation of the nodes, ``Mesh.band_order``
-    for volume operators; native order when None), with the bandwidth
-    read from the permuted sparsity pattern; an operator that is not
-    positive definite raises ``NumericalError``.  Right-hand sides are
+    numbered by ``Mesh.band_order`` (native order when None), with the
+    bandwidth read from the permuted sparsity pattern; an operator that is
+    not positive definite raises ``NumericalError``.  Right-hand sides are
     permuted in and solutions out, so callers see native order only.  Every
     solve, block solves included, verifies the residual of each right-hand
-    side against ``rtol`` on the native-order constrained operator and ticks
-    the optional counter once per right-hand side.  A single right-hand
-    side or a block of fewer than ``UPPER_MIN_COLUMNS`` columns is solved on
-    the lower factor, a wider block on an upper-storage copy made at the
-    first such solve.  A solve copies the right-hand sides once, gathered
-    into band order and column-major layout, lets ``dpbtrs`` overwrite that
-    copy with the solution, and gathers it back to native order; the
-    caller's array is never written.  The solver's results do not change
-    after construction and it may be shared across independent right-hand
-    sides.
+    side against ``rtol`` (1e-10) on the native-order constrained operator
+    and ticks the optional counter once per right-hand side.  A single
+    right-hand side or a block of fewer than ``UPPER_MIN_COLUMNS`` columns is
+    solved on the lower factor, a wider block on an upper-storage copy made
+    at the first such solve.  A solve copies the right-hand sides once,
+    gathered into band order and column-major layout, lets ``dpbtrs``
+    overwrite that copy with the solution, and gathers it back to native
+    order; the caller's array is never written.  The solver's results do not
+    change after construction and it may be shared across independent
+    right-hand sides.
 
-    The pattern-only index work lives in a ``BandPlan`` (``self.plan``).
-    Given another solver's ``plan`` that fits the operator, the Dirichlet
-    nodes and the order (see ``BandPlan.fits``), the solver only copies the
-    data array, applies the Dirichlet index sets, scatters the lower
-    triangle into the band and calls LAPACK; otherwise it builds its own
-    plan, so a plan never changes a result.
+    ``op`` must be a CSR matrix on the mesh's read-only pattern, as every
+    matrix assembled on the mesh is; any other operator raises
+    ``ValueError``.  The index work is the mesh's ``band_plan``
+    (``self.plan``), so a solver only copies the data array, applies the
+    Dirichlet index sets, scatters the lower triangle into the band and
+    calls LAPACK.
     """
 
-    def __init__(self, op, dirichlet_nodes=None, rtol=1e-10, counter=None,
-                 order=None, plan=None):
-        op = op.tocsr()
-        if not op.has_canonical_format:
-            op = op.copy()
-            op.sum_duplicates()
+    rtol = 1e-10
+
+    def __init__(self, mesh, op, counter=None):
+        if not (getattr(op, "format", None) == "csr"
+                and op.shape == (mesh.n_nodes, mesh.n_nodes)
+                and _same_memory(op.indptr, mesh.csr_indptr)
+                and _same_memory(op.indices, mesh.csr_indices)):
+            raise ValueError("operator is not on the mesh's CSR pattern")
         self.op = op
-        self.n = op.shape[0]
-        self.rtol = float(rtol)
+        self.n = mesh.n_nodes
         self.counter = counter
-        dirichlet = (np.empty(0, dtype=int) if dirichlet_nodes is None
-                     else np.asarray(dirichlet_nodes, dtype=int))
-        if plan is None or not plan.fits(op, dirichlet, order):
-            plan = BandPlan(op, dirichlet, order)
-        self.plan = plan
-        self.dirichlet = plan.dirichlet
-        if not self.dirichlet.size:
-            self.constrained = op
-        else:
-            data = op.data.copy()
-            data[plan.zeroed] = 0.0
-            data[plan.pinned_diag] = 1.0
-            self.constrained = sp.csr_matrix((data, op.indices, op.indptr),
-                                             shape=op.shape)
+        self.dirichlet = mesh.dirichlet_nodes
+        self.plan = plan = mesh.band_plan
+        data = op.data.copy()
+        data[plan.zeroed] = 0.0
+        data[plan.pinned_diag] = 1.0
+        self.constrained = sp.csr_matrix((data, op.indices, op.indptr),
+                                         shape=op.shape)
         self._factor = self._banded_cholesky()
 
     def _banded_cholesky(self):
@@ -540,14 +518,13 @@ class SpdSolver:
         of every column and imposed on its Dirichlet rows."""
         b = np.array(loads, dtype=float)
         d = self.dirichlet
-        if d.size:
-            vals = np.broadcast_to(np.asarray(bc_values, dtype=float), d.shape)
-            bt = b.T  # a view with one column per row, or the vector itself
-            if np.any(vals != 0.0):
-                lift = np.zeros(self.n)
-                lift[d] = vals
-                bt -= self.op @ lift
-            bt[..., d] = vals
+        vals = np.broadcast_to(np.asarray(bc_values, dtype=float), d.shape)
+        bt = b.T  # a view with one column per row, or the vector itself
+        if np.any(vals != 0.0):
+            lift = np.zeros(self.n)
+            lift[d] = vals
+            bt -= self.op @ lift
+        bt[..., d] = vals
         return b
 
     def solve(self, load, bc_values=0.0):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_integers
 from .fem import (
     grad_dot_load,
     interp_dot,
@@ -57,6 +58,8 @@ class OuuConfig:
     z_max: float = 16.0
 
     def __post_init__(self):
+        require_integers("n_tr", self.n_tr)
+        require_integers("max_iter", self.max_iter)
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
         if self.gamma <= 0.0:
@@ -394,8 +397,8 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, with_surrogates=True,
 
     ``z`` is a control vector or an (n_controls, k) block of controls that
     share the draws (see ``TrueRisk``).  Each draw costs one assembly, one
-    band scatter and one LAPACK factorization on the anchor solver's band
-    plan (``solver_for``), and one counted solve per control; no factor is
+    band scatter and one LAPACK factorization on the mesh's band plan
+    (``solver_for``), and one counted solve per control; no factor is
     reused across draws.  When ``with_surrogates`` is set, each control's
     linear and quadratic expansion values on the same draws are returned
     too, after its workspace (two solves), ``surrogate.DRAW_CHUNK`` draws at

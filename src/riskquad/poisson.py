@@ -143,10 +143,7 @@ class PoissonFlowProblem:
 
         self.em_gauss = np.exp(mesh.interp_gauss(self.mean))
         self.anchor_solver = SpdSolver(
-            assemble_weighted_stiffness(mesh, self.mean),
-            mesh.dirichlet_nodes,
-            counter=self.counter,
-            order=mesh.band_order,
+            mesh, assemble_weighted_stiffness(mesh, self.mean), self.counter
         )
         g_left, g_right = dirichlet_values
         bc = np.where(
@@ -177,16 +174,11 @@ class PoissonFlowProblem:
     def solver_for(self, m):
         """Fresh factorization of the operator at log conductivity m.
 
-        The operator is assembled on the mesh's CSR pattern, so the solver
-        reuses the anchor solver's band plan: a draw costs one assembly, one
+        The solver uses the mesh's band plan: a draw costs one assembly, one
         band scatter and one LAPACK factorization.
         """
         return SpdSolver(
-            assemble_weighted_stiffness(self.mesh, m),
-            self.mesh.dirichlet_nodes,
-            counter=self.counter,
-            order=self.mesh.band_order,
-            plan=self.anchor_solver.plan,
+            self.mesh, assemble_weighted_stiffness(self.mesh, m), self.counter
         )
 
     def solve_state(self, z, solver=None):

@@ -237,17 +237,14 @@ class GaussianField:
         """(dim, n) zero-mean draws with covariance scale*C.
 
         The normals are drawn in one piece, so the random stream does not
-        depend on the chunking, and are colored in place in near-equal
-        chunks of at most ``COLOR_CHUNK`` columns: the peak memory is the
-        output plus one chunk's temporaries.  A chunk is narrower than
-        ``COLOR_CHUNK / 2`` only when n is, so each column gets the same
-        block solve, and the same bits, as a one-shot coloring.
+        depend on the chunking, and are colored in place in chunks of at most
+        ``COLOR_CHUNK`` columns: the peak memory is the output plus one
+        chunk's temporaries.
         """
         draws = np.random.default_rng(seed).standard_normal((self.dim, n))
-        k = max(1, -(-n // COLOR_CHUNK))
-        bounds = [n * i // k for i in range(k + 1)]
-        for a, b in zip(bounds, bounds[1:]):
-            draws[:, a:b] = self._colored(draws[:, a:b])
+        for a in range(0, n, COLOR_CHUNK):
+            chunk = draws[:, a:a + COLOR_CHUNK]
+            chunk[...] = self._colored(chunk)
         return draws
 
     # -- spectral machinery ---------------------------------------------------

@@ -72,8 +72,7 @@ class SemilinearProblem:
             self.mesh, np.zeros(self.mesh.n_nodes)
         )
         # Laplacian solve used only for the dual norm of Newton residuals
-        self._norm_solver = SpdSolver(self.stiffness, self.mesh.dirichlet_nodes,
-                                      order=self.mesh.band_order)
+        self._norm_solver = SpdSolver(self.mesh, self.stiffness)
 
     @property
     def boundary_dim(self):
@@ -96,16 +95,15 @@ class SemilinearProblem:
         return float(np.sqrt(max(r @ self._norm_solver.solve(r), 0.0)))
 
     def _linearized_solver(self, u):
-        # built on the mesh's read-only CSR pattern (a sparse sum would copy
-        # it), so every Newton step shares the band plan of _norm_solver
+        # built on the mesh's read-only CSR pattern, which SpdSolver requires
+        # (a sparse sum would copy it)
         data = self.stiffness.data
         if self.c > 0.0:
             ug = self.mesh.interp_gauss(u)
             data = data + assemble_weighted_mass(self.mesh, 3.0 * self.c * ug**2).data
         op = sp.csr_matrix((data, self.mesh.csr_indices, self.mesh.csr_indptr),
                            shape=self.stiffness.shape)
-        return SpdSolver(op, self.mesh.dirichlet_nodes, counter=self.counter,
-                         order=self.mesh.band_order, plan=self._norm_solver.plan)
+        return SpdSolver(self.mesh, op, self.counter)
 
     def solve_state(self, z, m_bnd):
         """Newton solve of the state equation from a zero initial guess.

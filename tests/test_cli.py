@@ -120,6 +120,11 @@ def test_unresolved_mesh_exits_2(tmp_path, capsys):
     ("sample-field", {"random_field": {"mean": {
         "type": "bumps", "centers": [1.0], "amplitudes": [0.5]}}}),
     ("optimize", {"experiment": {"problem": "bogus"}}),
+    ("sample-field", {"mesh": {"nx": 20.5}}),
+    ("sample-field", {"mesh": {"ny": True}}),
+    ("optimize", {"ouu": {"n_tr": 2.5}}),
+    ("optimize", {"ouu": {"max_iter": 8.0}}),
+    ("sample-field", {"seed": 2.5}),
 ])
 def test_invalid_section_exits_2(tmp_path, capsys, command, section):
     path = write_config(tmp_path, section)
@@ -171,6 +176,14 @@ BAD_EXPERIMENT_SIZES = [
     ("compare-mc", "compare_betas", [0.5, -0.1]),
     ("compare-mc", "compare_n_tr", [-1]),
     ("compare-mc", "compare_n_tr", [2, 46]),  # eigenbasis above 9 x 5 nodes
+    ("truncation-study", "rate_n_mc", 15.5),
+    ("sample-field", "n_samples", 3.0),
+    ("optimize", "true_risk_samples", True),
+    ("compare-mc", "compare_eval_samples", 30.5),
+    ("compare-mc", "compare_max_iter", 5.5),
+    ("compare-mc", "compare_n_tr", [2.5]),
+    ("compare-mc", "compare_n_tr", [2, True]),
+    ("compare-mc", "compare_n_mc", [3.0]),
 ]
 
 

@@ -119,7 +119,7 @@ def test_nonfinite_coefficient_rejected():
 def test_constrained_operator_positive_definite():
     mesh = build_mesh(6, 4, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
-    solver = SpdSolver(K, mesh.dirichlet_nodes)
+    solver = SpdSolver(mesh, K)
     Kc = solver.constrained
     assert abs(Kc - Kc.T).max() <= 1e-12 * abs(Kc).max()
     smallest = spla.eigsh(Kc, k=1, which="SA", return_eigenvectors=False)[0]
@@ -130,14 +130,14 @@ def test_harmonic_profile_exact():
     mesh = build_mesh(8, 5, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     bc = np.where(np.isclose(mesh.node_x[mesh.dirichlet_nodes], 0.0), 1.0, 0.0)
-    u = SpdSolver(K, mesh.dirichlet_nodes).solve(np.zeros(mesh.n_nodes), bc)
+    u = SpdSolver(mesh, K).solve(np.zeros(mesh.n_nodes), bc)
     assert np.abs(u - (1.0 - mesh.node_x / 2.0)).max() < 1e-10
 
 
 def test_zero_rhs_homogeneous_bc():
     mesh = build_mesh(4, 4, 1.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
-    u = SpdSolver(K, mesh.dirichlet_nodes).solve(np.zeros(mesh.n_nodes), 0.0)
+    u = SpdSolver(mesh, K).solve(np.zeros(mesh.n_nodes), 0.0)
     assert np.abs(u).max() == 0.0
 
 
@@ -148,7 +148,7 @@ def _manufactured_l2_error(n):
     M = assemble_mass(mesh)
     exact = np.sin(np.pi * mesh.node_x) * np.cos(np.pi * mesh.node_y)
     rhs = M @ (2.0 * np.pi**2 * exact)
-    u = SpdSolver(K, mesh.dirichlet_nodes).solve(rhs, 0.0)
+    u = SpdSolver(mesh, K).solve(rhs, 0.0)
     e = u - exact
     return float(np.sqrt(e @ (M @ e)))
 
@@ -164,7 +164,7 @@ def test_dirichlet_lift_residual_contract():
     rng = np.random.default_rng(5)
     m = 0.3 * rng.standard_normal(mesh.n_nodes)
     K = assemble_weighted_stiffness(mesh, m)
-    solver = SpdSolver(K, mesh.dirichlet_nodes, rtol=1e-10)
+    solver = SpdSolver(mesh, K)
     bc = rng.standard_normal(len(mesh.dirichlet_nodes))
     rhs = rng.standard_normal(mesh.n_nodes)
     u = solver.solve(rhs, bc)
@@ -178,7 +178,8 @@ def test_unreachable_tolerance_raises_with_residual():
     mesh = build_mesh(4, 4, 1.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     # no solve meets this tolerance, so the residual check must reject it
-    solver = SpdSolver(K, mesh.dirichlet_nodes, rtol=1e-30)
+    solver = SpdSolver(mesh, K)
+    solver.rtol = 1e-30
     rng = np.random.default_rng(3)
     with pytest.raises(NumericalError) as exc:
         solver.solve(rng.standard_normal(mesh.n_nodes))
@@ -205,21 +206,22 @@ def test_mass_cholesky_exact():
 
 
 def _spsolve_constrained(op, dirichlet, rhs, bc):
-    """Reference: eliminate with sparse products, lift, and solve with SuperLU."""
+    """Reference: eliminate with sparse products, lift, and solve with SuperLU
+    for a vector or each column of a block ``rhs``."""
     keep = np.ones(op.shape[0])
     keep[dirichlet] = 0.0
     D = sp.diags(keep)
     constrained = (D @ op @ D + sp.diags(1.0 - keep)).tocsc()
     lift = np.zeros(op.shape[0])
     lift[dirichlet] = bc
-    b = rhs - op @ lift
+    b = (rhs.T - op @ lift).T
     b[dirichlet] = bc
-    return spla.spsolve(constrained, b)
+    return spla.spsolve(constrained, b).reshape(rhs.shape)
 
 
-def _assert_matches_spsolve(op, dirichlet, rhs, bc=0.0):
-    u = SpdSolver(op, dirichlet).solve(rhs, bc)
-    ref = _spsolve_constrained(op, dirichlet, rhs, bc)
+def _assert_matches_spsolve(mesh, op, rhs, bc):
+    u = SpdSolver(mesh, op).solve(rhs, bc)
+    ref = _spsolve_constrained(op, mesh.dirichlet_nodes, rhs, bc)
     assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -232,65 +234,54 @@ def test_banded_cholesky_matches_spsolve_per_draw_operators():
     for m in draws.T:
         K = assemble_weighted_stiffness(mesh, m)
         rhs = rng.standard_normal(mesh.n_nodes)
-        _assert_matches_spsolve(K, mesh.dirichlet_nodes, rhs, bc)
-        _assert_matches_spsolve(K, mesh.dirichlet_nodes, rhs,
+        _assert_matches_spsolve(mesh, K, rhs, bc)
+        _assert_matches_spsolve(mesh, K, rhs,
                                 rng.standard_normal(len(mesh.dirichlet_nodes)))
 
 
-def test_banded_cholesky_matches_spsolve_covariance_and_trace_mass():
-    mesh = build_mesh(79, 39, 2.0, 1.0)
-    rng = np.random.default_rng(6)
-    gf = field_on_mesh(mesh, 2e-2, 4.0)
-    A = gf.kappa * gf.space.natural_stiffness + gf.alpha * gf.space.mass
-    _assert_matches_spsolve(A, [], rng.standard_normal(mesh.n_nodes))
-    trace = neumann_trace_space(mesh)
-    _assert_matches_spsolve(trace.mass, [], rng.standard_normal(trace.dim))
+# the same domain and element sizes with the long side along x (numbered
+# in band order) and along y (native order is already the band order)
+BAND_MESHES = {
+    "band order": lambda: build_mesh(12, 6, 2.0, 1.0),
+    "native order": lambda: build_mesh(6, 12, 1.0, 2.0),
+}
 
 
 def test_band_order_matches_native_order():
-    mesh = build_mesh(79, 39, 2.0, 1.0)
-    gf = field_on_mesh(mesh, 2e-2, 4.0)
-    rng = np.random.default_rng(12)
-    dirichlet = mesh.dirichlet_nodes
-    bc = rng.standard_normal(len(dirichlet))
-    operators = [
-        (assemble_weighted_stiffness(mesh, gf.sample_batch(1, seed=5)[:, 0]),
-         dirichlet, bc),
-        (gf.kappa * gf.space.natural_stiffness + gf.alpha * gf.space.mass,
-         None, 0.0),
-        (assemble_mass(mesh), None, 0.0),
-    ]
-    rhs = rng.standard_normal(mesh.n_nodes)
-    block = rng.standard_normal((mesh.n_nodes, 4))
-
     def close(x, ref):
         return np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    for op, nodes, values in operators:
-        native_count, banded_count = SolveCounter(), SolveCounter()
-        native = SpdSolver(op, nodes, counter=native_count)
-        banded = SpdSolver(op, nodes, counter=banded_count, order=mesh.band_order)
-        assert native._factor.shape[0] == 82
-        assert banded._factor.shape[0] == 42
-        assert close(banded.solve(rhs, values), native.solve(rhs, values))
-        assert close(banded.solve_many(block), native.solve_many(block))
+    # the 79x39 mesh is factorized in band order, its 39x79 transpose in
+    # native order; both have bandwidth 41
+    for mesh in (build_mesh(79, 39, 2.0, 1.0), build_mesh(39, 79, 1.0, 2.0)):
+        assert (mesh.band_order is None) == (mesh.nx <= mesh.ny)
+        gf = field_on_mesh(mesh, 2e-2, 4.0)
+        rng = np.random.default_rng(12)
+        dirichlet = mesh.dirichlet_nodes
+        bc = rng.standard_normal(len(dirichlet))
+        op = assemble_weighted_stiffness(mesh, gf.sample_batch(1, seed=5)[:, 0])
+        rhs = rng.standard_normal(mesh.n_nodes)
+        block = rng.standard_normal((mesh.n_nodes, 4))
+        counter = SolveCounter()
+        solver = SpdSolver(mesh, op, counter)
+        assert solver._factor.shape[0] == 42
+        assert close(solver.solve(rhs, bc),
+                     _spsolve_constrained(op, dirichlet, rhs, bc))
+        ref = _spsolve_constrained(op, dirichlet, block, 0.0)
+        assert close(solver.solve_many(block), ref)
         # vectors and narrow blocks are solved on lower band storage
-        assert close(banded.solve(block[:, 0]), native.solve_many(block[:, :1])[:, 0])
-        assert banded_count.count == native_count.count == 6
-
-    tall = build_mesh(5, 9, 1.0, 2.0)
-    assert tall.band_order is None
+        assert close(solver.solve(block[:, 0]), ref[:, 0])
+        assert counter.count == 6
 
 
 def test_indefinite_operator_raises():
-    mesh = build_mesh(6, 4, 2.0, 1.0)
-    K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
-    # the shift lies inside the spectrum of K v = lambda M v
-    shifted = K - 50.0 * assemble_mass(mesh)
-    with pytest.raises(NumericalError):
-        SpdSolver(shifted, mesh.dirichlet_nodes)
-    with pytest.raises(NumericalError):
-        SpdSolver(shifted, mesh.dirichlet_nodes, order=mesh.band_order)
+    for mesh in (build_mesh(6, 4, 2.0, 1.0), build_mesh(4, 6, 1.0, 2.0)):
+        K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
+        # K - 50 M on the mesh's pattern; the shift lies inside the spectrum
+        # of K v = lambda M v
+        shifted = _on_pattern(mesh, K.data - 50.0 * assemble_mass(mesh).data)
+        with pytest.raises(NumericalError):
+            SpdSolver(mesh, shifted)
 
 
 def _on_pattern(mesh, data):
@@ -299,76 +290,69 @@ def _on_pattern(mesh, data):
     return sp.csr_matrix((data, mesh.csr_indices, mesh.csr_indptr), shape=(n, n))
 
 
-@pytest.mark.parametrize("case", ["band order", "native order", "no dirichlet"])
-def test_shared_plan_matches_fresh_solver(case):
-    mesh = build_mesh(12, 6, 2.0, 1.0)
+@pytest.mark.parametrize("order_name", BAND_MESHES)
+def test_shared_plan_matches_fresh_solver(order_name):
+    # twin meshes build equal band plans of their own
+    mesh, twin = BAND_MESHES[order_name](), BAND_MESHES[order_name]()
     rng = np.random.default_rng(21)
-    order = None if case == "native order" else mesh.band_order
-    if case == "no dirichlet":
-        nodes = None
-        anchor_op = assemble_mass(mesh)
-        op = assemble_weighted_mass(mesh, np.exp(rng.standard_normal((mesh.n_elems, 4))))
-    else:
-        nodes = mesh.dirichlet_nodes
-        anchor_op = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
-        op = assemble_weighted_stiffness(mesh, rng.standard_normal(mesh.n_nodes))
-    anchor = SpdSolver(anchor_op, nodes, order=order)
-    shared_count, fresh_count = SolveCounter(), SolveCounter()
-    shared = SpdSolver(op, nodes, counter=shared_count, order=order, plan=anchor.plan)
-    fresh = SpdSolver(op, nodes, counter=fresh_count, order=order)
-    assert shared.plan is anchor.plan
-    assert fresh.plan is not anchor.plan
+    m = rng.standard_normal(mesh.n_nodes)
+    counts = SolveCounter(), SolveCounter()
+    shared, fresh = (SpdSolver(on, assemble_weighted_stiffness(on, m), count)
+                     for on, count in zip((mesh, twin), counts))
+    assert shared.plan is mesh.band_plan and fresh.plan is twin.band_plan
+    assert twin.band_plan is not mesh.band_plan
     assert np.array_equal(shared._factor, fresh._factor)
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(shared.constrained, attr),
                               getattr(fresh.constrained, attr))
     rhs = rng.standard_normal(mesh.n_nodes)
     block = rng.standard_normal((mesh.n_nodes, 3))
-    bc = rng.standard_normal(len(mesh.dirichlet_nodes)) if nodes is not None else 0.0
+    bc = rng.standard_normal(len(mesh.dirichlet_nodes))
     assert np.array_equal(shared.solve(rhs, bc), fresh.solve(rhs, bc))
     assert np.array_equal(shared.solve_many(block), fresh.solve_many(block))
-    assert shared_count.count == fresh_count.count == 4
+    assert counts[0].count == counts[1].count == 4
 
 
 def test_indefinite_operator_raises_through_shared_plan():
     mesh = build_mesh(6, 4, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
-    anchor = SpdSolver(K, mesh.dirichlet_nodes, order=mesh.band_order)
-    # K - 50 M on the mesh's own pattern; the shift lies inside the spectrum
+    anchor = SpdSolver(mesh, K)
     shifted = _on_pattern(mesh, K.data - 50.0 * assemble_mass(mesh).data)
-    assert anchor.plan.fits(shifted, mesh.dirichlet_nodes, mesh.band_order)
     with pytest.raises(NumericalError):
-        SpdSolver(shifted, mesh.dirichlet_nodes, order=mesh.band_order,
-                  plan=anchor.plan)
+        SpdSolver(mesh, shifted)
+    # the failed factorization leaves the mesh's plan as it was
+    assert anchor.plan is mesh.band_plan
+    b = np.random.default_rng(22).standard_normal(mesh.n_nodes)
+    assert np.array_equal(SpdSolver(mesh, K).solve(b), anchor.solve(b))
 
 
 def test_plan_not_reused_for_another_pattern():
+    # an operator that is not on the mesh's read-only CSR pattern is refused
     mesh = build_mesh(12, 6, 2.0, 1.0)
     m = np.random.default_rng(22).standard_normal(mesh.n_nodes)
-    anchor = SpdSolver(assemble_weighted_stiffness(mesh, m), mesh.dirichlet_nodes,
-                       order=mesh.band_order)
+    K = assemble_weighted_stiffness(mesh, m)
     twin = build_mesh(12, 6, 2.0, 1.0)
-    K = assemble_weighted_stiffness(twin, m)
-    copied = sp.csr_matrix((K.data, K.indices.copy(), K.indptr.copy()), shape=K.shape)
     other = build_mesh(10, 6, 2.0, 1.0)
     others = [
-        (K, twin),
-        (copied, twin),
-        (assemble_weighted_stiffness(other, np.zeros(other.n_nodes)), other),
+        assemble_weighted_stiffness(twin, m),
+        sp.csr_matrix((K.data, K.indices.copy(), K.indptr.copy()), shape=K.shape),
+        assemble_weighted_stiffness(other, np.zeros(other.n_nodes)),
+        K + assemble_weighted_mass(mesh, np.ones((mesh.n_elems, 4))),
+        K.tocsc(),
     ]
-    for op, op_mesh in others:
-        solver = SpdSolver(op, op_mesh.dirichlet_nodes, order=op_mesh.band_order,
-                           plan=anchor.plan)
-        fresh = SpdSolver(op, op_mesh.dirichlet_nodes, order=op_mesh.band_order)
-        assert solver.plan is not anchor.plan
-        assert np.array_equal(solver._factor, fresh._factor)
-    # same pattern, other Dirichlet nodes or order
-    K = assemble_weighted_stiffness(mesh, m)
-    for nodes, order in ((mesh.dirichlet_nodes[1:], mesh.band_order),
-                         (mesh.dirichlet_nodes, None)):
-        solver = SpdSolver(K, nodes, order=order, plan=anchor.plan)
-        assert solver.plan is not anchor.plan
-        assert np.array_equal(solver._factor, SpdSolver(K, nodes, order=order)._factor)
+    for op in others:
+        with pytest.raises(ValueError, match="pattern"):
+            SpdSolver(mesh, op)
+    assert np.array_equal(SpdSolver(twin, others[0])._factor,
+                          SpdSolver(mesh, K)._factor)
+
+
+def test_dirichlet_nodes_are_read_only():
+    mesh = build_mesh(12, 6, 2.0, 1.0)
+    with pytest.raises(ValueError):
+        mesh.dirichlet_nodes[0] = 1
+    with pytest.raises(ValueError):
+        mesh.band_order[0] = 1
 
 
 def test_per_draw_solvers_share_the_anchor_plan():
@@ -376,14 +360,15 @@ def test_per_draw_solvers_share_the_anchor_plan():
     problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.12))
     draws = np.random.default_rng(23).standard_normal((2, mesh.n_nodes))
     plans = [problem.solver_for(m).plan for m in draws]
-    assert all(plan is problem.anchor_solver.plan for plan in plans)
+    assert problem.anchor_solver.plan is mesh.band_plan
+    assert all(plan is mesh.band_plan for plan in plans)
 
 
 def test_solve_many_checks_and_counts_every_column():
     mesh = build_mesh(7, 3, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     counter = SolveCounter()
-    solver = SpdSolver(K, mesh.dirichlet_nodes, counter=counter)
+    solver = SpdSolver(mesh, K, counter)
     B = np.random.default_rng(8).standard_normal((mesh.n_nodes, 5))
     X = solver.solve_many(B)
     assert counter.count == 5
@@ -396,8 +381,7 @@ def test_wide_block_on_upper_storage_matches_vector_solves():
     mesh = build_mesh(79, 39, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     counter = SolveCounter()
-    solver = SpdSolver(K, mesh.dirichlet_nodes, counter=counter,
-                       order=mesh.band_order)
+    solver = SpdSolver(mesh, K, counter)
     rng = np.random.default_rng(13)
     bc = rng.standard_normal(len(mesh.dirichlet_nodes))
     narrow = rng.standard_normal((mesh.n_nodes, UPPER_MIN_COLUMNS - 1))
@@ -422,15 +406,15 @@ SOLVE_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("order_name", ["band order", "native order"])
+@pytest.mark.parametrize("order_name", BAND_MESHES)
 @pytest.mark.parametrize("shape", SOLVE_SHAPES.values(), ids=SOLVE_SHAPES.keys())
 def test_solves_match_cho_solve_banded_and_keep_inputs(order_name, shape):
-    mesh = build_mesh(12, 6, 2.0, 1.0)
+    mesh = BAND_MESHES[order_name]()
     rng = np.random.default_rng(31)
     K = assemble_weighted_stiffness(mesh, rng.standard_normal(mesh.n_nodes))
-    order = mesh.band_order if order_name == "band order" else None
+    order = mesh.band_order
     counter = SolveCounter()
-    solver = SpdSolver(K, mesh.dirichlet_nodes, counter=counter, order=order)
+    solver = SpdSolver(mesh, K, counter)
     loads = rng.standard_normal((mesh.n_nodes, *shape))
     bc = rng.standard_normal(len(mesh.dirichlet_nodes))
     kept = loads.copy()
@@ -472,13 +456,12 @@ def test_separable_solve_matches_spd_solver_and_keeps_inputs(space_name,
                                                              coefficients, shape):
     space = SEPARABLE_SPACES[space_name](build_mesh(12, 6, 2.0, 1.0))
     op, solver = _separable(space, *coefficients)
-    reference = SpdSolver(op, rtol=1e-12)
     loads = np.random.default_rng(41).standard_normal((space.dim, *shape))
     kept = loads.copy()
     x = solver.solve(loads)
     assert np.array_equal(loads, kept)
     assert x.shape == loads.shape and x.flags.c_contiguous
-    ref = reference.solve(loads) if not shape else reference.solve_many(loads)
+    ref = _spsolve_constrained(op, [], loads, 0.0)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -514,9 +497,10 @@ def test_solve_many_bad_block_raises():
     B = np.random.default_rng(9).standard_normal((mesh.n_nodes, 3))
     B[4, 1] = np.nan
     with pytest.raises(NumericalError):
-        SpdSolver(K, mesh.dirichlet_nodes, counter=counter).solve_many(B)
+        SpdSolver(mesh, K, counter).solve_many(B)
     # an unreachable tolerance fails on the residual of a finite block
-    strict = SpdSolver(K, mesh.dirichlet_nodes, rtol=1e-30, counter=counter)
+    strict = SpdSolver(mesh, K, counter)
+    strict.rtol = 1e-30
     with pytest.raises(NumericalError):
         strict.solve_many(np.nan_to_num(B))
     assert counter.count == 0

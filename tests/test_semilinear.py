@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from riskquad.checks import check_semilinear_gradient, check_semilinear_hessian
 from riskquad.errors import NumericalError
@@ -178,12 +179,16 @@ def test_newton_solvers_share_the_band_plan():
     mesh = problem.mesh
     u = np.sin(np.pi * mesh.node_x) * (1.0 + mesh.node_y)
     solver = problem._linearized_solver(u)
-    assert solver.plan is problem._norm_solver.plan
-    # the same operator as a sparse sum, which copies the pattern
+    assert solver.plan is problem._norm_solver.plan is mesh.band_plan
+    # the same operator as a sparse sum copies the pattern, which is refused
     ug = mesh.interp_gauss(u)
     op = problem.stiffness + assemble_weighted_mass(mesh, 3.0 * ug**2)
-    reference = SpdSolver(op, mesh.dirichlet_nodes, order=mesh.band_order)
-    assert reference.plan is not solver.plan
+    with pytest.raises(ValueError, match="pattern"):
+        SpdSolver(mesh, op)
+    assert np.array_equal(op.indptr, mesh.csr_indptr)
+    assert np.array_equal(op.indices, mesh.csr_indices)
+    reference = SpdSolver(mesh, sp.csr_matrix(
+        (op.data, mesh.csr_indices, mesh.csr_indptr), shape=op.shape))
     b = np.random.default_rng(0).standard_normal(mesh.n_nodes)
     assert np.array_equal(solver.solve(b), reference.solve(b))
     assert np.array_equal(solver._factor, reference._factor)
