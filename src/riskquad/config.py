@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -35,6 +36,11 @@ class MeshSpec:
     def __post_init__(self):
         require_integers("nx", self.nx)
         require_integers("ny", self.ny)
+        for name in ("lx", "ly"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not 0.0 < v < np.inf):
+                raise ValueError(f"{name}: {v!r} is not a finite positive number")
 
 
 @dataclass
@@ -97,7 +103,7 @@ class ExperimentSpec:
         for name in ("compare_n_tr", "compare_n_mc"):
             require_integers(f"{name} entries", *getattr(self, name))
         for name in ("rate_n_mc", "n_samples", "true_risk_samples",
-                     "compare_eval_samples"):
+                     "compare_eval_samples", "compare_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if any(n < 2 for n in self.compare_n_mc):

@@ -8,12 +8,15 @@ fastest, triangular solves that call LAPACK ``dpbtrs`` directly on one
 column-major copy of the right-hand sides, and kernels for blocks of probe
 fields.  The index work of a factorization depends only on the mesh (its
 pattern, Dirichlet nodes and band order), so each mesh builds it once as
-the read-only ``Mesh.band_plan`` that every ``SpdSolver`` on the mesh uses.
-Constant-coefficient operators without Dirichlet rows, such as the mass
-matrix and the shifted stiffness of a covariance, are Kronecker sums and
-products of 1D tridiagonal matrices; ``SeparableSolver`` solves them by
-fast diagonalization instead.  Every solver checks each column's residual
-with the one function ``_check_residuals``.
+the read-only ``Mesh.dirichlet_slots`` and ``Mesh.band_plan`` that every
+``SpdSolver`` on the mesh uses.  Constant-coefficient operators are
+Kronecker sums and products of 1D tridiagonal matrices, and one routine,
+``FastDiagonalization``, solves them instead of a factorization: the mass
+matrix and the shifted stiffness of a covariance, which have no Dirichlet
+rows (``SeparableSolver``), and the stiffness of a constant coefficient
+with the left and right sides pinned (``ConstantStiffnessSolver``).  Only
+variable-coefficient operators are factorized.  Every solver checks each
+column's residual with the one function ``_check_residuals``.
 Assembled matrices and every vector in and out of a solver stay in the
 mesh's native node order.
 All elements are congruent axis-aligned rectangles, so the reference-element
@@ -92,8 +95,27 @@ class Mesh:
 
     @cached_property
     def band_plan(self):
-        """The ``BandPlan`` of every ``SpdSolver`` on this mesh."""
+        """The ``BandPlan`` of every banded ``SpdSolver`` on this mesh."""
         return BandPlan(self)
+
+    @cached_property
+    def factors(self):
+        """1D ``(mass, stiffness)`` pairs of the x axis, then of the y axis,
+        whose Kronecker products and sums are the Q1 mass and stiffness."""
+        return tuple((mass_matrix_1d(n, h), stiffness_matrix_1d(n, h))
+                     for n, h in ((self.nx, self.hx), (self.ny, self.hy)))
+
+    @cached_property
+    def dirichlet_slots(self):
+        """Positions in the CSR data of the entries that Dirichlet elimination
+        zeroes (those in a Dirichlet row or column) and of the Dirichlet
+        diagonal entries, which it sets to one."""
+        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.csr_indptr))
+        cols = self.csr_indices
+        pinned = np.zeros(self.n_nodes, dtype=bool)
+        pinned[self.dirichlet_nodes] = True
+        return (np.flatnonzero(pinned[rows] | pinned[cols]),
+                np.flatnonzero(pinned[rows] & (rows == cols)))
 
     @property
     def n_nodes(self):
@@ -369,12 +391,11 @@ def _same_memory(a, b):
 
 
 class BandPlan:
-    """Index work of ``SpdSolver`` that depends only on a mesh: its CSR
-    pattern, Dirichlet nodes and band order (``Mesh.band_plan``).
+    """Index work of a banded ``SpdSolver`` that depends only on a mesh: its
+    CSR pattern and band order (``Mesh.band_plan``).
 
-    It holds the data entries zeroed by Dirichlet elimination and the pinned
-    diagonal entries, the lower-triangle entries and their flat positions in
-    the C-ordered (n, bw + 1) band, the bandwidth, and the order with its
+    It holds the lower-triangle entries and their flat positions in the
+    C-ordered (n, bw + 1) band, the bandwidth, and the order with its
     inverse permutation.
     """
 
@@ -382,10 +403,6 @@ class BandPlan:
         n = mesh.n_nodes
         rows = np.repeat(np.arange(n), np.diff(mesh.csr_indptr))
         cols = mesh.csr_indices
-        pinned = np.zeros(n, dtype=bool)
-        pinned[mesh.dirichlet_nodes] = True
-        self.zeroed = np.flatnonzero(pinned[rows] | pinned[cols])
-        self.pinned_diag = np.flatnonzero(pinned[rows] & (rows == cols))
         self.order = mesh.band_order
         self.position = None
         if self.order is not None:
@@ -427,15 +444,22 @@ class SpdSolver:
 
     ``op`` must be a CSR matrix on the mesh's read-only pattern, as every
     matrix assembled on the mesh is; any other operator raises
-    ``ValueError``.  The index work is the mesh's ``band_plan``
-    (``self.plan``), so a solver only copies the data array, applies the
-    Dirichlet index sets, scatters the lower triangle into the band and
-    calls LAPACK.
+    ``ValueError``.  The index work is the mesh's ``dirichlet_slots`` and
+    ``band_plan`` (``self.plan``), so a solver only copies the data array,
+    applies the Dirichlet index sets, scatters the lower triangle into the
+    band and calls LAPACK.  ``ConstantStiffnessSolver`` keeps all of this
+    but the factorization and the raw solve, which it replaces by fast
+    diagonalization.
     """
 
     rtol = 1e-10
 
     def __init__(self, mesh, op, counter=None):
+        self._eliminate(mesh, op, counter)
+        self.plan = mesh.band_plan
+        self._factor = self._banded_cholesky()
+
+    def _eliminate(self, mesh, op, counter):
         if not (getattr(op, "format", None) == "csr"
                 and op.shape == (mesh.n_nodes, mesh.n_nodes)
                 and _same_memory(op.indptr, mesh.csr_indptr)
@@ -445,13 +469,12 @@ class SpdSolver:
         self.n = mesh.n_nodes
         self.counter = counter
         self.dirichlet = mesh.dirichlet_nodes
-        self.plan = plan = mesh.band_plan
+        zeroed, pinned_diag = mesh.dirichlet_slots
         data = op.data.copy()
-        data[plan.zeroed] = 0.0
-        data[plan.pinned_diag] = 1.0
+        data[zeroed] = 0.0
+        data[pinned_diag] = 1.0
         self.constrained = sp.csr_matrix((data, op.indices, op.indptr),
                                          shape=op.shape)
-        self._factor = self._banded_cholesky()
 
     def _banded_cholesky(self):
         # Below bandwidth 65 LAPACK's band Cholesky makes one rank-1 update
@@ -550,29 +573,30 @@ class SpdSolver:
         return self.solve(b) if np.ndim(b) == 1 else self.solve_many(b)
 
 
-class SeparableSolver:
-    """Direct solver for ``op = s (K_y (x) M_x + M_y (x) K_x) + t M_y (x) M_x``
-    on a tensor-product grid with x numbered fastest, by fast
-    diagonalization (Lynch, Rice and Thomas 1964, Numer. Math. 6).
+class FastDiagonalization:
+    """Solver for ``s (K_y (x) M_x + M_y (x) K_x) + t M_y (x) M_x`` on a
+    tensor-product grid with x numbered fastest, by fast diagonalization
+    (Lynch, Rice and Thomas 1964, Numer. Math. 6).
 
     ``factors`` holds the 1D ``(mass, stiffness)`` pairs of the x axis, then
-    of the y axis.  Their generalized eigenbases ``K V = M V diag(lam)``
-    with ``V^T M V = I`` make ``V = V_y (x) V_x`` diagonalize ``op``:
-    ``V^T op V = D`` with ``D = s (lam_y + lam_x) + t``, so
+    of the y axis.  ``x_free`` selects the x nodes whose unknowns are solved
+    for: all of them by default, ``slice(1, -1)`` when the two x end nodes
+    are pinned, whose values are then copied from the right-hand side.  The
+    generalized eigenbases ``K V = M V diag(lam)`` with ``V^T M V = I`` of
+    the free 1D blocks make ``V = V_y (x) V_x`` diagonalize the free block of
+    the operator: ``V^T op V = D`` with ``D = s (lam_y + lam_x) + t``, so
     ``op^{-1} = V D^{-1} V^T``: two small dense products per axis and one
     diagonal scaling, as batched ``matmul`` over an (ny, nx) grid per
-    column, so a column has the same bits in a block of any width.  There
-    are no Dirichlet rows and no counter.  Every solve checks each column's
-    residual against the assembled ``op`` at ``rtol`` (1e-12) and raises
-    ``NumericalError`` on a miss, also when the factors do not build ``op``.
+    column, read from strided views of the right-hand sides, so a column
+    has the same bits in a block of any width.
     """
 
-    rtol = 1e-12
-
-    def __init__(self, op, factors, s, t):
-        self.op = op
+    def __init__(self, factors, s, t, x_free=slice(None)):
         (mass_x, stiff_x), (mass_y, stiff_y) = factors
-        lam_x, self._vx = eigh(stiff_x.toarray(), mass_x.toarray())
+        self._grid = (mass_y.shape[0], mass_x.shape[0])
+        self._x_free = x_free
+        free = (x_free, x_free)
+        lam_x, self._vx = eigh(stiff_x.toarray()[free], mass_x.toarray()[free])
         lam_y, self._vy = eigh(stiff_y.toarray(), mass_y.toarray())
         # contiguous transposes: 3.0 ms against 3.5 ms on transposed views
         # for 41 columns at 79x39 (one BLAS thread, 2-core x86-64)
@@ -581,12 +605,66 @@ class SeparableSolver:
         self._diag = s * (lam_y[:, None] + lam_x) + t
 
     def solve(self, b):
+        """C-ordered copy of ``b`` (n,) or (n, k) with the free unknowns of
+        every column solved for; ``b`` is left unchanged."""
+        k = 1 if b.ndim == 1 else b.shape[1]
+        free = b.T.reshape(k, *self._grid)[..., self._x_free]
+        x = self._vy @ ((self._vyt @ free @ self._vx) / self._diag) @ self._vxt
+        out = np.array(b, order="C")
+        # out is C-ordered, so the reshaped transpose is a view that writes
+        # into it
+        out.T.reshape(k, *self._grid)[..., self._x_free] = x
+        return out
+
+
+class ConstantStiffnessSolver(SpdSolver):
+    """``SpdSolver`` of the stiffness (exp(m) grad u, grad v) of a constant
+    log coefficient ``m``, solved by fast diagonalization instead of banded
+    Cholesky.
+
+    The operator is ``exp(m) (K_y (x) M_x + M_y (x) K_x)``.  With the left
+    and right sides pinned, its free block is the same Kronecker sum over
+    the interior x nodes, which ``FastDiagonalization`` solves; the
+    Dirichlet rows are copied from the lifted right-hand side.  Lifting, the
+    residual check of every column on ``constrained``, the counter and the
+    solve methods are those of ``SpdSolver``; no band plan, factor or
+    upper-storage copy is built.  A nodal field ``m`` that is not constant
+    raises ``ValueError``.
+    """
+
+    def __init__(self, mesh, m, counter=None):
+        m = np.asarray(m, dtype=float)
+        op = assemble_weighted_stiffness(mesh, m)
+        if np.ptp(m) != 0.0:
+            raise ValueError("log coefficient is not constant")
+        self._eliminate(mesh, op, counter)
+        self._fd = FastDiagonalization(mesh.factors, np.exp(m[0]), 0.0,
+                                       x_free=slice(1, -1))
+
+    def _raw_solve(self, b):
+        return self._fd.solve(b)
+
+
+class SeparableSolver:
+    """Direct solver for ``op = s (K_y (x) M_x + M_y (x) K_x) + t M_y (x) M_x``
+    on a tensor-product grid with x numbered fastest, by
+    ``FastDiagonalization`` on the 1D ``(mass, stiffness)`` pairs
+    ``factors`` (x axis, then y axis).  There are no Dirichlet rows and no
+    counter.  Every solve checks each column's residual against the
+    assembled ``op`` at ``rtol`` (1e-12) and raises ``NumericalError`` on a
+    miss, also when the factors do not build ``op``.
+    """
+
+    rtol = 1e-12
+
+    def __init__(self, op, factors, s, t):
+        self.op = op
+        self._fd = FastDiagonalization(factors, s, t)
+
+    def solve(self, b):
         """Solution for a vector (n,) or for each column of an (n, k) block,
         in C order; ``b`` is left unchanged."""
         b = np.asarray(b, dtype=float)
-        k = 1 if b.ndim == 1 else b.shape[1]
-        grids = b.T.reshape(k, *self._diag.shape)
-        x = self._vy @ ((self._vyt @ grids @ self._vx) / self._diag) @ self._vxt
-        x = np.ascontiguousarray(x.reshape(b.shape[::-1]).T)
+        x = self._fd.solve(b)
         _check_residuals(self.op, x, b, self.rtol)
         return x

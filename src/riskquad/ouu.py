@@ -66,6 +66,8 @@ class OuuConfig:
             raise ValueError("gamma must be positive")
         if self.n_tr < 0:
             raise ValueError("n_tr must be nonnegative")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.trace_mode not in ("randomized", "eigenbasis"):
             raise ValueError(f"unknown trace mode {self.trace_mode!r}")
         if not self.z_min < self.z_max:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fem import (
+    ConstantStiffnessSolver,
     SolveCounter,
     SpdSolver,
     assemble_coupling,
@@ -120,8 +121,11 @@ class PoissonFlowProblem:
     """Discrete control problem bound to a mesh, well layout, and anchor field.
 
     The anchor log-conductivity (the field about which surrogates are built)
-    is factorized once and reused for every state, adjoint, and incremental
-    solve; the shared counter ticks once per SPD solve.
+    gets one solver, reused for every state, adjoint, and incremental solve;
+    the shared counter ticks once per SPD solve.  A constant anchor, such as
+    every configured ``constant`` mean, is solved by fast diagonalization
+    (``ConstantStiffnessSolver``), any other by banded Cholesky
+    (``SpdSolver``), as is every field passed to ``solver_for``.
     """
 
     def __init__(self, mesh, wells=None, mean=None, dirichlet_values=(1.0, 0.0)):
@@ -142,9 +146,13 @@ class PoissonFlowProblem:
         )
 
         self.em_gauss = np.exp(mesh.interp_gauss(self.mean))
-        self.anchor_solver = SpdSolver(
-            mesh, assemble_weighted_stiffness(mesh, self.mean), self.counter
-        )
+        if np.ptp(self.mean) == 0.0:
+            self.anchor_solver = ConstantStiffnessSolver(mesh, self.mean,
+                                                         self.counter)
+        else:
+            self.anchor_solver = SpdSolver(
+                mesh, assemble_weighted_stiffness(mesh, self.mean), self.counter
+            )
         g_left, g_right = dirichlet_values
         bc = np.where(
             np.isclose(mesh.node_x[mesh.dirichlet_nodes], 0.0), g_left, g_right
@@ -195,8 +203,8 @@ class PoissonFlowProblem:
 
     def objective(self, z, m=None):
         """Full control objective at (z, m); for m=None uses the anchor.  A
-        block ``z`` (n_controls, k) gives one value per column, all solved on
-        the one factorization at m."""
+        block ``z`` (n_controls, k) gives one value per column, all solved by
+        the one solver at m."""
         solver = self.anchor_solver if m is None else self.solver_for(m)
         return self.objective_of_state(self.solve_state(z, solver))
 

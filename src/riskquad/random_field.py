@@ -25,8 +25,6 @@ from .fem import (
     SeparableSolver,
     assemble_mass,
     assemble_weighted_stiffness,
-    mass_matrix_1d,
-    stiffness_matrix_1d,
 )
 
 EIG_TOL = 1e-8     # relative accuracy of the Lanczos eigenvalues
@@ -116,17 +114,12 @@ def _cholesky(spd):
     return sp.csr_matrix(np.linalg.cholesky(spd.toarray()))
 
 
-def _segment(n_elems, h):
-    """The 1D (mass, stiffness) pair of a segment of linear elements."""
-    return mass_matrix_1d(n_elems, h), stiffness_matrix_1d(n_elems, h)
-
-
 def volume_space(mesh):
     """Q1 space over all mesh nodes."""
     return FieldSpace(
         mass=assemble_mass(mesh),
         natural_stiffness=assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes)),
-        factors=(_segment(mesh.nx, mesh.hx), _segment(mesh.ny, mesh.hy)),
+        factors=mesh.factors,
     )
 
 
@@ -138,7 +131,7 @@ def neumann_trace_space(mesh):
     nodes.  The side is the y axis of the factors, with mass I_2 and no
     stiffness.
     """
-    mass, stiff = _segment(mesh.nx, mesh.hx)
+    mass, stiff = mesh.factors[0]
     sides = (sp.identity(2, format="csr"), sp.csr_matrix((2, 2)))
     return FieldSpace(
         mass=sp.block_diag([mass, mass]),

@@ -20,10 +20,10 @@ import scipy.sparse as sp
 
 from .errors import NumericalError
 from .fem import (
+    ConstantStiffnessSolver,
     SolveCounter,
     SpdSolver,
     assemble_weighted_mass,
-    assemble_weighted_stiffness,
     nodal_load,
 )
 from .random_field import neumann_trace_space, volume_space
@@ -68,11 +68,11 @@ class SemilinearProblem:
         )
         self.newton_max_iter = int(newton_max_iter)
         self.counter = SolveCounter()
-        self.stiffness = assemble_weighted_stiffness(
+        # Laplacian solve used only for the dual norm of Newton residuals
+        self._norm_solver = ConstantStiffnessSolver(
             self.mesh, np.zeros(self.mesh.n_nodes)
         )
-        # Laplacian solve used only for the dual norm of Newton residuals
-        self._norm_solver = SpdSolver(self.mesh, self.stiffness)
+        self.stiffness = self._norm_solver.op
 
     @property
     def boundary_dim(self):

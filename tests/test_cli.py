@@ -125,12 +125,47 @@ def test_unresolved_mesh_exits_2(tmp_path, capsys):
     ("optimize", {"ouu": {"n_tr": 2.5}}),
     ("optimize", {"ouu": {"max_iter": 8.0}}),
     ("sample-field", {"seed": 2.5}),
+    ("sample-field", {"mesh": {"lx": "2"}}),
+    ("sample-field", {"mesh": {"ly": True}}),
+    ("optimize", {"ouu": {"max_iter": 0}}),
+    ("optimize", {"ouu": {"max_iter": -3}}),
 ])
 def test_invalid_section_exits_2(tmp_path, capsys, command, section):
     path = write_config(tmp_path, section)
     args = ["--profile", "desk", "--config", path, "--out", str(tmp_path)]
     assert main(args + [command]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample-field", "optimize"])
+@pytest.mark.parametrize("key,value", [
+    ("lx", "2"), ("ly", True), ("lx", 0.0), ("ly", -1.0), ("lx", float("nan")),
+    ("ly", float("inf")), ("lx", None),
+])
+def test_bad_mesh_extent_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, command, key, value
+):
+    calls = count_factorizations(monkeypatch)
+    out = tmp_path / "out"
+    args = ["--profile", "desk", "--config",
+            write_config(tmp_path, {"mesh": {key: value}}), "--out", str(out)]
+    assert main(args + [command]) == 2
+    assert f"config error: mesh: {key}: " in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_ouu_max_iter_below_one_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, max_iter
+):
+    calls = count_factorizations(monkeypatch)
+    out = tmp_path / "out"
+    data = json.loads(json.dumps(TINY))
+    data["ouu"]["max_iter"] = max_iter
+    assert main(["--config", write_config(tmp_path, data), "--out", str(out),
+                 "optimize"]) == 2
+    assert "config error: ouu: max_iter must be at least 1" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 def count_factorizations(monkeypatch):
@@ -184,6 +219,8 @@ BAD_EXPERIMENT_SIZES = [
     ("compare-mc", "compare_n_tr", [2.5]),
     ("compare-mc", "compare_n_tr", [2, True]),
     ("compare-mc", "compare_n_mc", [3.0]),
+    ("compare-mc", "compare_max_iter", 0),
+    ("compare-mc", "compare_max_iter", -2),
 ]
 
 

@@ -10,6 +10,7 @@ from scipy.linalg import cho_solve_banded
 from riskquad.errors import NumericalError
 from riskquad.fem import (
     UPPER_MIN_COLUMNS,
+    ConstantStiffnessSolver,
     SeparableSolver,
     SolveCounter,
     SpdSolver,
@@ -356,12 +357,85 @@ def test_dirichlet_nodes_are_read_only():
 
 
 def test_per_draw_solvers_share_the_anchor_plan():
+    # a variable anchor and every draw are factorized on the mesh's one band
+    # plan; the default constant anchor builds none
     mesh = build_mesh(12, 6, 2.0, 1.0)
-    problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.12))
+    wells = default_wells(sigma=0.12)
+    problem = PoissonFlowProblem(mesh, wells=wells)
+    assert type(problem.anchor_solver) is ConstantStiffnessSolver
+    assert "band_plan" not in vars(mesh)
     draws = np.random.default_rng(23).standard_normal((2, mesh.n_nodes))
     plans = [problem.solver_for(m).plan for m in draws]
-    assert problem.anchor_solver.plan is mesh.band_plan
+    variable = PoissonFlowProblem(mesh, wells=wells, mean=draws[0])
+    assert type(variable.anchor_solver) is SpdSolver
+    assert variable.anchor_solver.plan is mesh.band_plan
     assert all(plan is mesh.band_plan for plan in plans)
+
+
+# the canonical mesh (band order) and one with nx <= ny (native order)
+CONSTANT_MESHES = {
+    "79x39": lambda: build_mesh(79, 39, 2.0, 1.0),
+    "6x12": lambda: build_mesh(6, 12, 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("mesh_name", CONSTANT_MESHES)
+@pytest.mark.parametrize("c", [0.0, 0.7])
+def test_constant_stiffness_solver_matches_band_path(mesh_name, c):
+    mesh = CONSTANT_MESHES[mesh_name]()
+    m = np.full(mesh.n_nodes, c)
+    counter = SolveCounter()
+    solver = ConstantStiffnessSolver(mesh, m, counter)
+    # neither a band plan nor a factor is built
+    assert "band_plan" not in vars(mesh)
+    assert not {"plan", "_factor", "_upper_factor"} & set(vars(solver))
+    band = SpdSolver(mesh, assemble_weighted_stiffness(mesh, m))
+    assert np.array_equal(solver.constrained.data, band.constrained.data)
+    rng = np.random.default_rng(51)
+    bc = rng.standard_normal(len(mesh.dirichlet_nodes))
+    ticks = 0
+    for shape in ((), (3,), (40,), (0,)):
+        loads = rng.standard_normal((mesh.n_nodes, *shape))
+        kept = loads.copy()
+        x = solver.solve(loads, bc) if not shape else solver.solve_many(loads, bc)
+        ticks += (shape or (1,))[0]
+        assert counter.count == ticks
+        assert np.array_equal(loads, kept)
+        assert x.shape == loads.shape and x.flags.c_contiguous
+        ref = band.solve(loads, bc) if not shape else band.solve_many(loads, bc)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        pinned = x[mesh.dirichlet_nodes].T
+        assert np.array_equal(pinned, np.broadcast_to(bc, pinned.shape))
+    loads = rng.standard_normal((mesh.n_nodes, 3))
+    loads[5, 1] = np.nan
+    for bad in (loads, loads[:, 1]):
+        with pytest.raises(NumericalError):
+            solver.apply_inverse(bad)
+    assert counter.count == ticks
+
+
+def test_constant_stiffness_solver_without_interior_x_nodes():
+    # with one element along x every node is pinned
+    mesh = build_mesh(1, 5, 0.5, 1.0)
+    m = np.full(mesh.n_nodes, 0.7)
+    counter = SolveCounter()
+    solver = ConstantStiffnessSolver(mesh, m, counter)
+    band = SpdSolver(mesh, assemble_weighted_stiffness(mesh, m))
+    rng = np.random.default_rng(52)
+    bc = rng.standard_normal(len(mesh.dirichlet_nodes))
+    loads = rng.standard_normal((mesh.n_nodes, 3))
+    x = solver.solve_many(loads, bc)
+    assert np.array_equal(x, band.solve_many(loads, bc))
+    assert np.array_equal(solver.solve(loads[:, 0], bc), x[:, 0])
+    assert counter.count == 4
+
+
+def test_constant_stiffness_solver_rejects_a_variable_field():
+    mesh = build_mesh(6, 4, 2.0, 1.0)
+    with pytest.raises(ValueError, match="not constant"):
+        ConstantStiffnessSolver(mesh, 0.1 * mesh.node_x)
+    with pytest.raises(ValueError, match="finite"):
+        ConstantStiffnessSolver(mesh, np.full(mesh.n_nodes, np.inf))
 
 
 def test_solve_many_checks_and_counts_every_column():

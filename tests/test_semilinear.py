@@ -4,7 +4,13 @@ import scipy.sparse as sp
 
 from riskquad.checks import check_semilinear_gradient, check_semilinear_hessian
 from riskquad.errors import NumericalError
-from riskquad.fem import SpdSolver, assemble_mass, assemble_weighted_mass, build_mesh
+from riskquad.fem import (
+    ConstantStiffnessSolver,
+    SpdSolver,
+    assemble_mass,
+    assemble_weighted_mass,
+    build_mesh,
+)
 from riskquad.random_field import GaussianField
 from riskquad.semilinear import SemilinearProblem
 
@@ -179,7 +185,9 @@ def test_newton_solvers_share_the_band_plan():
     mesh = problem.mesh
     u = np.sin(np.pi * mesh.node_x) * (1.0 + mesh.node_y)
     solver = problem._linearized_solver(u)
-    assert solver.plan is problem._norm_solver.plan is mesh.band_plan
+    assert solver.plan is mesh.band_plan
+    # the constant-coefficient Laplacian of the dual norm builds no plan
+    assert type(problem._norm_solver) is ConstantStiffnessSolver
     # the same operator as a sparse sum copies the pattern, which is refused
     ug = mesh.interp_gauss(u)
     op = problem.stiffness + assemble_weighted_mass(mesh, 3.0 * ug**2)
