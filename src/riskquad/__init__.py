@@ -23,7 +23,6 @@ from .random_field import (
     FieldSpace,
     GaussianField,
     field_on_mesh,
-    field_on_neumann_boundary,
     neumann_trace_space,
     volume_space,
 )

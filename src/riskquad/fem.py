@@ -9,14 +9,15 @@ column-major copy of the right-hand sides, and kernels for blocks of probe
 fields.  The index work of a factorization depends only on the mesh (its
 pattern, Dirichlet nodes and band order), so each mesh builds it once as
 the read-only ``Mesh.dirichlet_slots`` and ``Mesh.band_plan`` that every
-``SpdSolver`` on the mesh uses.  Constant-coefficient operators are
-Kronecker sums and products of 1D tridiagonal matrices, and one routine,
-``FastDiagonalization``, solves them instead of a factorization: the mass
-matrix and the shifted stiffness of a covariance, which have no Dirichlet
-rows (``SeparableSolver``), and the stiffness of a constant coefficient
-with the left and right sides pinned (``ConstantStiffnessSolver``).  Only
-variable-coefficient operators are factorized.  Every solver checks each
-column's residual with the one function ``_check_residuals``.
+``SpdSolver`` on the mesh uses.  ``SpdSolver`` is the one solver front
+end: every SPD solve of the library, with or without Dirichlet rows,
+goes through it and through its one residual check and solve count.
+Constant-coefficient operators are Kronecker sums and products of 1D
+tridiagonal matrices, and its ``FastDiagonalization`` backend solves them
+instead of a factorization: the mass matrix and the shifted stiffness of a
+covariance, which have no Dirichlet rows, and the stiffness of a constant
+coefficient with the left and right sides pinned.  Only
+variable-coefficient operators are factorized.
 Assembled matrices and every vector in and out of a solver stay in the
 mesh's native node order.
 All elements are congruent axis-aligned rectangles, so the reference-element
@@ -420,61 +421,57 @@ class BandPlan:
 
 
 class SpdSolver:
-    """Cached factorization of an SPD operator assembled on a mesh, with
-    Dirichlet elimination at the mesh's Dirichlet nodes.
+    """The one solver of the library: an SPD operator ``op`` on a mesh, with
+    Dirichlet elimination at the mesh's Dirichlet nodes, or on a field space
+    (the mass matrix or a covariance operator) when ``mesh`` is None.
 
-    Dirichlet rows and columns are eliminated symmetrically on the CSR data
-    (unit diagonal, lifted right-hand side), so the constrained operator
-    stays SPD.  It is factorized by LAPACK banded Cholesky with the unknowns
-    numbered by ``Mesh.band_order`` (native order when None), with the
-    bandwidth read from the permuted sparsity pattern; an operator that is
-    not positive definite raises ``NumericalError``.  Right-hand sides are
-    permuted in and solutions out, so callers see native order only.  Every
-    solve, block solves included, verifies the residual of each right-hand
-    side against ``rtol`` (1e-10) on the native-order constrained operator
-    and ticks the optional counter once per right-hand side.  A single
-    right-hand side or a block of fewer than ``UPPER_MIN_COLUMNS`` columns is
-    solved on the lower factor, a wider block on an upper-storage copy made
-    at the first such solve.  A solve copies the right-hand sides once,
-    gathered into band order and column-major layout, lets ``dpbtrs``
-    overwrite that copy with the solution, and gathers it back to native
-    order; the caller's array is never written.  The solver's results do not
-    change after construction and it may be shared across independent
-    right-hand sides.
+    On a mesh, Dirichlet rows and columns are eliminated symmetrically on the
+    CSR data (unit diagonal, lifted right-hand side), so the constrained
+    operator stays SPD; ``op`` must be a CSR matrix on the mesh's read-only
+    pattern, as every matrix assembled on the mesh is, and any other
+    operator raises ``ValueError``.  On a field space nothing is pinned and
+    the right-hand sides are solved as given.
 
-    ``op`` must be a CSR matrix on the mesh's read-only pattern, as every
-    matrix assembled on the mesh is; any other operator raises
-    ``ValueError``.  The index work is the mesh's ``dirichlet_slots`` and
-    ``band_plan`` (``self.plan``), so a solver only copies the data array,
-    applies the Dirichlet index sets, scatters the lower triangle into the
-    band and calls LAPACK.  ``ConstantStiffnessSolver`` keeps all of this
-    but the factorization and the raw solve, which it replaces by fast
-    diagonalization.
+    The raw solve has two backends.  ``fast=(factors, s, t)`` selects
+    ``FastDiagonalization``, for an operator whose free block is
+    ``s (K_y (x) M_x + M_y (x) K_x) + t M_y (x) M_x``: on a mesh the free
+    block is that of the interior x nodes (the left and right sides are the
+    Dirichlet nodes) and the Dirichlet rows are copied from the lifted
+    right-hand side.  Otherwise the constrained operator is factorized by
+    LAPACK banded Cholesky on the mesh's ``band_plan`` (``self.plan``), with
+    the unknowns numbered by ``Mesh.band_order`` (native order when None);
+    an operator that is not positive definite raises ``NumericalError``.  A
+    single right-hand side or a block of fewer than ``UPPER_MIN_COLUMNS``
+    columns is solved on the lower factor, a wider block on an
+    upper-storage copy made at the first such solve.  A banded solve copies
+    the right-hand sides once, gathered into band order and column-major
+    layout, lets ``dpbtrs`` overwrite that copy with the solution, and
+    gathers it back to native order; the caller's array is never written.
+
+    Every solve, block solves included, goes through ``_checked``: it
+    verifies the residual of each right-hand side on the constrained
+    operator against ``rtol`` (1e-10 on a mesh, 1e-12 on a field space) and
+    ticks the optional counter once per right-hand side.  The solver's
+    results do not change after construction and it may be shared across
+    independent right-hand sides.
     """
 
-    rtol = 1e-10
-
-    def __init__(self, mesh, op, counter=None):
-        self._eliminate(mesh, op, counter)
-        self.plan = mesh.band_plan
-        self._factor = self._banded_cholesky()
-
-    def _eliminate(self, mesh, op, counter):
-        if not (getattr(op, "format", None) == "csr"
-                and op.shape == (mesh.n_nodes, mesh.n_nodes)
-                and _same_memory(op.indptr, mesh.csr_indptr)
-                and _same_memory(op.indices, mesh.csr_indices)):
-            raise ValueError("operator is not on the mesh's CSR pattern")
+    def __init__(self, mesh, op, counter=None, fast=None):
         self.op = op
-        self.n = mesh.n_nodes
+        self.n = op.shape[0]
         self.counter = counter
-        self.dirichlet = mesh.dirichlet_nodes
-        zeroed, pinned_diag = mesh.dirichlet_slots
-        data = op.data.copy()
-        data[zeroed] = 0.0
-        data[pinned_diag] = 1.0
-        self.constrained = sp.csr_matrix((data, op.indices, op.indptr),
-                                         shape=op.shape)
+        if mesh is None:
+            self.rtol, self.dirichlet, self.constrained = 1e-12, None, op
+        else:
+            self.rtol, self.dirichlet = 1e-10, mesh.dirichlet_nodes
+            self.constrained = _eliminated(mesh, op)
+        self.fast = None
+        if fast is not None:
+            x_free = slice(None) if mesh is None else slice(1, -1)
+            self.fast = FastDiagonalization(*fast, x_free=x_free)
+        else:
+            self.plan = mesh.band_plan
+            self._factor = self._banded_cholesky()
 
     def _banded_cholesky(self):
         # Below bandwidth 65 LAPACK's band Cholesky makes one rank-1 update
@@ -510,6 +507,8 @@ class SpdSolver:
         """Solution of the constrained system for ``b`` (n,) or (n, k), in C
         order so that later sparse products need not copy the block; ``b``
         is left unchanged."""
+        if self.fast is not None:
+            return self.fast.solve(b)
         order = self.plan.order
         if b.ndim == 1 or b.shape[1] < UPPER_MIN_COLUMNS:
             factor, lower = self._factor, 1
@@ -538,9 +537,12 @@ class SpdSolver:
 
     def _lifted(self, loads, bc_values):
         """Right-hand side (n,) or (n, k) with the Dirichlet data lifted out
-        of every column and imposed on its Dirichlet rows."""
-        b = np.array(loads, dtype=float)
+        of every column and imposed on its Dirichlet rows; on a field space,
+        the loads themselves, uncopied."""
         d = self.dirichlet
+        if d is None:
+            return np.asarray(loads, dtype=float)
+        b = np.array(loads, dtype=float)
         vals = np.broadcast_to(np.asarray(bc_values, dtype=float), d.shape)
         bt = b.T  # a view with one column per row, or the vector itself
         if np.any(vals != 0.0):
@@ -553,8 +555,9 @@ class SpdSolver:
     def solve(self, load, bc_values=0.0):
         """Solve the constrained system for one right-hand side.
 
-        ``bc_values`` holds the Dirichlet data, either a scalar or one value
-        per Dirichlet node; the returned vector contains them exactly.
+        ``bc_values`` holds the Dirichlet data on a mesh, either a scalar or
+        one value per Dirichlet node; the returned vector contains them
+        exactly.
         """
         b = self._lifted(load, bc_values)
         return self._checked(self._raw_solve(b), b)
@@ -573,10 +576,26 @@ class SpdSolver:
         return self.solve(b) if np.ndim(b) == 1 else self.solve_many(b)
 
 
+def _eliminated(mesh, op):
+    """``op`` with the mesh's Dirichlet rows and columns zeroed and a unit
+    diagonal at the Dirichlet nodes, on the same read-only CSR pattern."""
+    if not (getattr(op, "format", None) == "csr"
+            and op.shape == (mesh.n_nodes, mesh.n_nodes)
+            and _same_memory(op.indptr, mesh.csr_indptr)
+            and _same_memory(op.indices, mesh.csr_indices)):
+        raise ValueError("operator is not on the mesh's CSR pattern")
+    zeroed, pinned_diag = mesh.dirichlet_slots
+    data = op.data.copy()
+    data[zeroed] = 0.0
+    data[pinned_diag] = 1.0
+    return sp.csr_matrix((data, op.indices, op.indptr), shape=op.shape)
+
+
 class FastDiagonalization:
-    """Solver for ``s (K_y (x) M_x + M_y (x) K_x) + t M_y (x) M_x`` on a
-    tensor-product grid with x numbered fastest, by fast diagonalization
-    (Lynch, Rice and Thomas 1964, Numer. Math. 6).
+    """The fast backend of ``SpdSolver``: it solves ``s (K_y (x) M_x +
+    M_y (x) K_x) + t M_y (x) M_x`` on a tensor-product grid with x numbered
+    fastest, by fast diagonalization (Lynch, Rice and Thomas 1964, Numer.
+    Math. 6).
 
     ``factors`` holds the 1D ``(mass, stiffness)`` pairs of the x axis, then
     of the y axis.  ``x_free`` selects the x nodes whose unknowns are solved
@@ -615,56 +634,3 @@ class FastDiagonalization:
         # into it
         out.T.reshape(k, *self._grid)[..., self._x_free] = x
         return out
-
-
-class ConstantStiffnessSolver(SpdSolver):
-    """``SpdSolver`` of the stiffness (exp(m) grad u, grad v) of a constant
-    log coefficient ``m``, solved by fast diagonalization instead of banded
-    Cholesky.
-
-    The operator is ``exp(m) (K_y (x) M_x + M_y (x) K_x)``.  With the left
-    and right sides pinned, its free block is the same Kronecker sum over
-    the interior x nodes, which ``FastDiagonalization`` solves; the
-    Dirichlet rows are copied from the lifted right-hand side.  Lifting, the
-    residual check of every column on ``constrained``, the counter and the
-    solve methods are those of ``SpdSolver``; no band plan, factor or
-    upper-storage copy is built.  A nodal field ``m`` that is not constant
-    raises ``ValueError``.
-    """
-
-    def __init__(self, mesh, m, counter=None):
-        m = np.asarray(m, dtype=float)
-        op = assemble_weighted_stiffness(mesh, m)
-        if np.ptp(m) != 0.0:
-            raise ValueError("log coefficient is not constant")
-        self._eliminate(mesh, op, counter)
-        self._fd = FastDiagonalization(mesh.factors, np.exp(m[0]), 0.0,
-                                       x_free=slice(1, -1))
-
-    def _raw_solve(self, b):
-        return self._fd.solve(b)
-
-
-class SeparableSolver:
-    """Direct solver for ``op = s (K_y (x) M_x + M_y (x) K_x) + t M_y (x) M_x``
-    on a tensor-product grid with x numbered fastest, by
-    ``FastDiagonalization`` on the 1D ``(mass, stiffness)`` pairs
-    ``factors`` (x axis, then y axis).  There are no Dirichlet rows and no
-    counter.  Every solve checks each column's residual against the
-    assembled ``op`` at ``rtol`` (1e-12) and raises ``NumericalError`` on a
-    miss, also when the factors do not build ``op``.
-    """
-
-    rtol = 1e-12
-
-    def __init__(self, op, factors, s, t):
-        self.op = op
-        self._fd = FastDiagonalization(factors, s, t)
-
-    def solve(self, b):
-        """Solution for a vector (n,) or for each column of an (n, k) block,
-        in C order; ``b`` is left unchanged."""
-        b = np.asarray(b, dtype=float)
-        x = self._fd.solve(b)
-        _check_residuals(self.op, x, b, self.rtol)
-        return x

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .fem import (
-    ConstantStiffnessSolver,
     SolveCounter,
     SpdSolver,
     assemble_coupling,
@@ -123,9 +122,9 @@ class PoissonFlowProblem:
     The anchor log-conductivity (the field about which surrogates are built)
     gets one solver, reused for every state, adjoint, and incremental solve;
     the shared counter ticks once per SPD solve.  A constant anchor, such as
-    every configured ``constant`` mean, is solved by fast diagonalization
-    (``ConstantStiffnessSolver``), any other by banded Cholesky
-    (``SpdSolver``), as is every field passed to ``solver_for``.
+    every configured ``constant`` mean, is solved by the fast-diagonalization
+    backend of ``SpdSolver``, any other by banded Cholesky, as is every
+    field passed to ``solver_for``.
     """
 
     def __init__(self, mesh, wells=None, mean=None, dirichlet_values=(1.0, 0.0)):
@@ -146,13 +145,11 @@ class PoissonFlowProblem:
         )
 
         self.em_gauss = np.exp(mesh.interp_gauss(self.mean))
+        op = assemble_weighted_stiffness(mesh, self.mean)
+        fast = None
         if np.ptp(self.mean) == 0.0:
-            self.anchor_solver = ConstantStiffnessSolver(mesh, self.mean,
-                                                         self.counter)
-        else:
-            self.anchor_solver = SpdSolver(
-                mesh, assemble_weighted_stiffness(mesh, self.mean), self.counter
-            )
+            fast = (mesh.factors, np.exp(self.mean[0]), 0.0)
+        self.anchor_solver = SpdSolver(mesh, op, self.counter, fast=fast)
         g_left, g_right = dirichlet_values
         bc = np.where(
             np.isclose(mesh.node_x[mesh.dirichlet_nodes], 0.0), g_left, g_right

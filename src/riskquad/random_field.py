@@ -8,8 +8,8 @@ self-adjoint and positive in the M inner product, and A^{-1} M is its exact
 M-self-adjoint square root.
 
 On the structured grid, M and K are Kronecker products and sums of 1D
-tridiagonal matrices, so solves with A and with M are made by fast
-diagonalization (``fem.SeparableSolver``), not by a factorization.
+tridiagonal matrices, so solves with A and with M are made by the
+fast-diagonalization backend of ``fem.SpdSolver``, not by a factorization.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .fem import (
-    SeparableSolver,
-    assemble_mass,
-    assemble_weighted_stiffness,
-)
+from .fem import SpdSolver, assemble_mass, assemble_weighted_stiffness
 
 EIG_TOL = 1e-8     # relative accuracy of the Lanczos eigenvalues
 COLOR_CHUNK = 256  # most draws colored per block solve in sample_batch
@@ -39,8 +35,9 @@ class FieldSpace:
     of the y axis (x numbered fastest) whose Kronecker products and sums are
     the assembled ``mass = M_y (x) M_x`` and ``natural_stiffness =
     K_y (x) M_x + M_y (x) K_x``.  They give the Cholesky factor
-    ``sqrt_mass = L_y (x) L_x`` and the ``SeparableSolver`` of the mass
-    projection and of every covariance operator on the space.
+    ``sqrt_mass = L_y (x) L_x`` and the fast backend of the ``SpdSolver`` of
+    the mass projection (``_projector``) and of every covariance operator on
+    the space.
     ``node_index`` maps local degrees of freedom to nodes of the parent mesh
     (identity for volume spaces, a boundary gather for trace spaces).
     """
@@ -56,7 +53,7 @@ class FieldSpace:
         self.node_index = (
             np.arange(self.dim) if node_index is None else np.asarray(node_index)
         )
-        self._projector = SeparableSolver(self.mass, factors, 0.0, 1.0)
+        self._projector = SpdSolver(None, self.mass, fast=(factors, 0.0, 1.0))
 
     def inner(self, u, v):
         """Discrete L2 inner product <u, M v>."""
@@ -68,7 +65,7 @@ class FieldSpace:
     def project(self, load):
         """Nodal representation of a linear functional (n,) or of each column
         of an (n, k) block: solve M g = load."""
-        return self._projector.solve(load)
+        return self._projector.apply_inverse(load)
 
     def orthonormalize(self, B):
         """M-orthonormalize the columns of B via QR in the L^T image."""
@@ -153,8 +150,9 @@ class EigenBasis:
 class GaussianField:
     """Gaussian measure N(mean, scale*C) on a FieldSpace, C = A^{-1} M A^{-1}.
 
-    ``solver_A`` solves with A by fast diagonalization on the space's 1D
-    factors; it serves every covariance action and every draw.
+    ``solver_A`` is the ``SpdSolver`` of A on the space, by fast
+    diagonalization on its 1D factors; it serves every covariance action
+    and every draw, uncounted, like the space's mass projection.
     Immutable after construction: ``scale`` starts at 1 and only
     ``scaled`` changes it, on a new view.  Every draw takes an explicit
     seed or generator, so concurrent batches can partition the seed space.
@@ -173,7 +171,8 @@ class GaussianField:
         if self.mean.shape != (space.dim,):
             raise ValueError("mean has wrong length")
         A = kappa * space.natural_stiffness + alpha * space.mass
-        self.solver_A = SeparableSolver(A, space.factors, self.kappa, self.alpha)
+        self.solver_A = SpdSolver(None, A, fast=(space.factors, self.kappa,
+                                                 self.alpha))
 
     @property
     def dim(self):
@@ -199,13 +198,13 @@ class GaussianField:
         """Covariance action on the dual vectors (loads) in a vector or in
         the columns of a block: C M^{-1} load = scale * A^{-1} M A^{-1} load,
         as fields."""
-        y = self.solver_A.solve(loads)
-        return self.scale * self.solver_A.solve(self.space.mass @ y)
+        solve = self.solver_A.apply_inverse
+        return self.scale * solve(self.space.mass @ solve(loads))
 
     def apply_sqrt_C(self, f):
         """M-self-adjoint square root action on a field or on each column of
         a block: sqrt(scale) * A^{-1} M f."""
-        y = self.solver_A.solve(self.space.mass @ np.asarray(f))
+        y = self.solver_A.apply_inverse(self.space.mass @ np.asarray(f))
         return np.sqrt(self.scale) * y
 
     # -- sampling -------------------------------------------------------------
@@ -213,7 +212,7 @@ class GaussianField:
     def _colored(self, normals):
         """Map standard normals to zero-mean draws with covariance matrix
         scale * A^{-1} M A^{-1} (nodal values)."""
-        y = self.solver_A.solve(self.space.sqrt_mass @ normals)
+        y = self.solver_A.apply_inverse(self.space.sqrt_mass @ normals)
         return np.sqrt(self.scale) * y
 
     def sample(self, rng):
@@ -254,8 +253,3 @@ class GaussianField:
 def field_on_mesh(mesh, kappa, alpha, mean=None):
     """Gaussian field over the volume nodes of a mesh."""
     return GaussianField(volume_space(mesh), kappa, alpha, mean=mean)
-
-
-def field_on_neumann_boundary(mesh, kappa, alpha, mean=None):
-    """Gaussian field over the Neumann-boundary trace space of a mesh."""
-    return GaussianField(neumann_trace_space(mesh), kappa, alpha, mean=mean)

@@ -20,10 +20,10 @@ import scipy.sparse as sp
 
 from .errors import NumericalError
 from .fem import (
-    ConstantStiffnessSolver,
     SolveCounter,
     SpdSolver,
     assemble_weighted_mass,
+    assemble_weighted_stiffness,
     nodal_load,
 )
 from .random_field import neumann_trace_space, volume_space
@@ -68,11 +68,16 @@ class SemilinearProblem:
         )
         self.newton_max_iter = int(newton_max_iter)
         self.counter = SolveCounter()
+        self.stiffness = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
+        laplacian = (mesh.factors, 1.0, 0.0)
         # Laplacian solve used only for the dual norm of Newton residuals
-        self._norm_solver = ConstantStiffnessSolver(
-            self.mesh, np.zeros(self.mesh.n_nodes)
-        )
-        self.stiffness = self._norm_solver.op
+        self._norm_solver = SpdSolver(mesh, self.stiffness, fast=laplacian)
+        # at c = 0 the linearized operator is the Laplacian itself, so one
+        # counted solver serves every Newton step, adjoint and Hessian action
+        self._laplacian_solver = None
+        if self.c == 0.0:
+            self._laplacian_solver = SpdSolver(mesh, self.stiffness,
+                                               self.counter, fast=laplacian)
 
     @property
     def boundary_dim(self):
@@ -95,12 +100,13 @@ class SemilinearProblem:
         return float(np.sqrt(max(r @ self._norm_solver.solve(r), 0.0)))
 
     def _linearized_solver(self, u):
+        if self.c == 0.0:
+            return self._laplacian_solver
         # built on the mesh's read-only CSR pattern, which SpdSolver requires
         # (a sparse sum would copy it)
-        data = self.stiffness.data
-        if self.c > 0.0:
-            ug = self.mesh.interp_gauss(u)
-            data = data + assemble_weighted_mass(self.mesh, 3.0 * self.c * ug**2).data
+        ug = self.mesh.interp_gauss(u)
+        data = (self.stiffness.data
+                + assemble_weighted_mass(self.mesh, 3.0 * self.c * ug**2).data)
         op = sp.csr_matrix((data, self.mesh.csr_indices, self.mesh.csr_indptr),
                            shape=self.stiffness.shape)
         return SpdSolver(self.mesh, op, self.counter)
@@ -176,10 +182,3 @@ class SemilinearProblem:
             anchor=np.asarray(m_bar, float),
             counter=self.counter,
         )
-
-    def hessian_norm_estimate(self, z, m_bar=None):
-        """Operator norm of the boundary Hessian in the trace L2 norm: its
-        largest |eigenvalue| by ``FieldSpace.eigenpairs`` from seed 0."""
-        surr = self.surrogate(z, m_bar)
-        basis = self.trace_space.eigenpairs(surr.hess_action, 1, seed=0)
-        return abs(float(basis.eigenvalues[0]))

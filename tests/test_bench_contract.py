@@ -6,6 +6,7 @@ workload against ``bench/references.json`` so that a renamed or removed
 name fails here first.  Nothing under ``bench/`` is written.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -57,3 +58,22 @@ def test_workload_matches_reference_on_input_0(bench_modules, built, name):
     refs = json.loads((BENCH / "references.json").read_text())[name]
     values = workload.values(built, workload.run(built, 0))
     assert workloads.mismatches(values, refs["0"], workload.tolerances) == []
+
+
+def test_ledger_sees_the_covariance_work(bench_modules, built):
+    # one canonical objective-plus-gradient at n_tr = 40: 4 + 4*n_tr anchor
+    # solves, and two covariance solves of the 1 + n_tr columns of
+    # apply_C_to_loads; a surrogate's gradient is a mass projection
+    tracer, _ = bench_modules
+    from riskquad.ouu import RiskAverseObjective
+
+    cfg = dataclasses.replace(built.ouu, n_tr=40)
+    objective = RiskAverseObjective(built.problem, built.gf, cfg)
+    traced = tracer.Tracer()
+    traced.register(built.problem, built.gf)
+    with traced.installed():
+        objective.value_and_grad(built.z0)
+        assert traced.ledger()["anchor"] == 164
+        assert traced.ledger()["covariance"] == 82
+        built.problem.surrogate(built.z0)
+    assert traced.ledger()["projection"] >= 1

@@ -10,8 +10,7 @@ from scipy.linalg import cho_solve_banded
 from riskquad.errors import NumericalError
 from riskquad.fem import (
     UPPER_MIN_COLUMNS,
-    ConstantStiffnessSolver,
-    SeparableSolver,
+    FastDiagonalization,
     SolveCounter,
     SpdSolver,
     assemble_coupling,
@@ -27,7 +26,13 @@ from riskquad.fem import (
     weighted_stiffness_sum,
 )
 from riskquad.poisson import PoissonFlowProblem, default_wells
-from riskquad.random_field import field_on_mesh, neumann_trace_space, volume_space
+from riskquad.random_field import (
+    GaussianField,
+    field_on_mesh,
+    neumann_trace_space,
+    volume_space,
+)
+from riskquad.semilinear import SemilinearProblem
 
 
 def test_canonical_mesh_counts():
@@ -358,18 +363,26 @@ def test_dirichlet_nodes_are_read_only():
 
 def test_per_draw_solvers_share_the_anchor_plan():
     # a variable anchor and every draw are factorized on the mesh's one band
-    # plan; the default constant anchor builds none
+    # plan; the default constant anchor is solved by the fast backend and
+    # builds none
     mesh = build_mesh(12, 6, 2.0, 1.0)
     wells = default_wells(sigma=0.12)
     problem = PoissonFlowProblem(mesh, wells=wells)
-    assert type(problem.anchor_solver) is ConstantStiffnessSolver
+    assert isinstance(problem.anchor_solver.fast, FastDiagonalization)
     assert "band_plan" not in vars(mesh)
     draws = np.random.default_rng(23).standard_normal((2, mesh.n_nodes))
     plans = [problem.solver_for(m).plan for m in draws]
     variable = PoissonFlowProblem(mesh, wells=wells, mean=draws[0])
-    assert type(variable.anchor_solver) is SpdSolver
+    assert variable.anchor_solver.fast is None
     assert variable.anchor_solver.plan is mesh.band_plan
     assert all(plan is mesh.band_plan for plan in plans)
+
+
+def _constant_stiffness_solver(mesh, c, counter=None):
+    """The solver of the stiffness of the constant log coefficient ``c`` by
+    the fast backend, as a constant anchor is built."""
+    op = assemble_weighted_stiffness(mesh, np.full(mesh.n_nodes, c))
+    return SpdSolver(mesh, op, counter, fast=(mesh.factors, np.exp(c), 0.0))
 
 
 # the canonical mesh (band order) and one with nx <= ny (native order)
@@ -385,7 +398,7 @@ def test_constant_stiffness_solver_matches_band_path(mesh_name, c):
     mesh = CONSTANT_MESHES[mesh_name]()
     m = np.full(mesh.n_nodes, c)
     counter = SolveCounter()
-    solver = ConstantStiffnessSolver(mesh, m, counter)
+    solver = _constant_stiffness_solver(mesh, c, counter)
     # neither a band plan nor a factor is built
     assert "band_plan" not in vars(mesh)
     assert not {"plan", "_factor", "_upper_factor"} & set(vars(solver))
@@ -419,7 +432,7 @@ def test_constant_stiffness_solver_without_interior_x_nodes():
     mesh = build_mesh(1, 5, 0.5, 1.0)
     m = np.full(mesh.n_nodes, 0.7)
     counter = SolveCounter()
-    solver = ConstantStiffnessSolver(mesh, m, counter)
+    solver = _constant_stiffness_solver(mesh, 0.7, counter)
     band = SpdSolver(mesh, assemble_weighted_stiffness(mesh, m))
     rng = np.random.default_rng(52)
     bc = rng.standard_normal(len(mesh.dirichlet_nodes))
@@ -431,11 +444,19 @@ def test_constant_stiffness_solver_without_interior_x_nodes():
 
 
 def test_constant_stiffness_solver_rejects_a_variable_field():
+    # the fast backend of a constant field, given the stiffness of a variable
+    # log coefficient, fails the residual check; a non-finite field is
+    # refused when the stiffness is assembled
     mesh = build_mesh(6, 4, 2.0, 1.0)
-    with pytest.raises(ValueError, match="not constant"):
-        ConstantStiffnessSolver(mesh, 0.1 * mesh.node_x)
+    variable = SpdSolver(mesh, assemble_weighted_stiffness(mesh, 0.1 * mesh.node_x),
+                         fast=(mesh.factors, 1.0, 0.0))
+    c = np.random.default_rng(48).standard_normal((mesh.n_nodes, 3))
+    for load in (c, c[:, 0]):
+        with pytest.raises(NumericalError) as exc:
+            variable.apply_inverse(load)
+        assert exc.value.residual > 0.0
     with pytest.raises(ValueError, match="finite"):
-        ConstantStiffnessSolver(mesh, np.full(mesh.n_nodes, np.inf))
+        assemble_weighted_stiffness(mesh, np.full(mesh.n_nodes, np.inf))
 
 
 def test_solve_many_checks_and_counts_every_column():
@@ -518,7 +539,7 @@ SEPARABLE_SHAPES = {"vector": (), "one column": (1,), "narrow": (3,), "wide": (4
 
 def _separable(space, s, t):
     op = s * space.natural_stiffness + t * space.mass
-    return op, SeparableSolver(op, space.factors, s, t)
+    return op, SpdSolver(None, op, fast=(space.factors, s, t))
 
 
 @pytest.mark.parametrize("space_name", SEPARABLE_SPACES)
@@ -532,7 +553,7 @@ def test_separable_solve_matches_spd_solver_and_keeps_inputs(space_name,
     op, solver = _separable(space, *coefficients)
     loads = np.random.default_rng(41).standard_normal((space.dim, *shape))
     kept = loads.copy()
-    x = solver.solve(loads)
+    x = solver.apply_inverse(loads)
     assert np.array_equal(loads, kept)
     assert x.shape == loads.shape and x.flags.c_contiguous
     ref = _spsolve_constrained(op, [], loads, 0.0)
@@ -544,24 +565,46 @@ def test_separable_column_bits_do_not_depend_on_block_width(space_name):
     space = SEPARABLE_SPACES[space_name](build_mesh(20, 10, 2.0, 1.0))
     _, solver = _separable(space, 2e-2, 4.0)
     B = np.random.default_rng(43).standard_normal((space.dim, 515))
-    X = solver.solve(B)
-    assert np.array_equal(solver.solve(B[:, :3]), X[:, :3])
-    assert np.array_equal(solver.solve(B[:, 7:8]), X[:, 7:8])
-    assert np.array_equal(solver.solve(B[:, 7]), X[:, 7])
-    assert np.array_equal(solver.solve(np.asfortranarray(B)), X)
+    X = solver.apply_inverse(B)
+    assert np.array_equal(solver.apply_inverse(B[:, :3]), X[:, :3])
+    assert np.array_equal(solver.apply_inverse(B[:, 7:8]), X[:, 7:8])
+    assert np.array_equal(solver.apply_inverse(B[:, 7]), X[:, 7])
+    assert np.array_equal(solver.apply_inverse(np.asfortranarray(B)), X)
 
 
 def test_separable_solve_rejects_inconsistent_operator_and_nan():
     space = volume_space(build_mesh(8, 5, 2.0, 1.0))
     b = np.random.default_rng(47).standard_normal((space.dim, 3))
-    wrong = SeparableSolver(1.001 * space.mass, space.factors, 0.0, 1.0)
+    wrong = SpdSolver(None, 1.001 * space.mass, fast=(space.factors, 0.0, 1.0))
     for load in (b, b[:, 0]):
         with pytest.raises(NumericalError) as exc:
-            wrong.solve(load)
+            wrong.apply_inverse(load)
         assert exc.value.residual > 0.0
     b[5, 1] = np.nan
     with pytest.raises(NumericalError):
-        _separable(space, 0.0, 1.0)[1].solve(b)
+        _separable(space, 0.0, 1.0)[1].apply_inverse(b)
+
+
+def test_every_library_solver_is_an_spd_solver_with_its_rtol():
+    # mesh operators are checked at 1e-10, the field's covariance and mass
+    # operators at 1e-12, all through the one class
+    mesh = build_mesh(12, 6, 2.0, 1.0)
+    wells = default_wells(sigma=0.12)
+    m = np.random.default_rng(25).standard_normal(mesh.n_nodes)
+    constant = PoissonFlowProblem(mesh, wells=wells)
+    variable = PoissonFlowProblem(mesh, wells=wells, mean=m)
+    flux = [SemilinearProblem(build_mesh(6, 6, 1.0, 1.0), c=c) for c in (0.0, 1.0)]
+    u = np.random.default_rng(26).standard_normal(flux[0].mesh.n_nodes)
+    on_mesh = [constant.anchor_solver, variable.anchor_solver, constant.solver_for(m)]
+    on_mesh += [s for p in flux for s in (p._norm_solver, p._linearized_solver(u))]
+    spaces = [volume_space(mesh), neumann_trace_space(mesh)]
+    on_fields = [s._projector for s in spaces]
+    on_fields += [GaussianField(s, 2e-2, 4.0).solver_A for s in spaces]
+    for solvers, rtol in ((on_mesh, 1e-10), (on_fields, 1e-12)):
+        for solver in solvers:
+            assert type(solver) is SpdSolver
+            assert solver.rtol == rtol
+    assert all(s.dirichlet is None and s.counter is None for s in on_fields)
 
 
 def test_solve_many_bad_block_raises():

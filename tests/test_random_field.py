@@ -8,7 +8,6 @@ from riskquad.random_field import (
     COLOR_CHUNK,
     GaussianField,
     field_on_mesh,
-    field_on_neumann_boundary,
     neumann_trace_space,
     volume_space,
 )
@@ -61,7 +60,7 @@ def test_apply_C_matches_loads_action_on_mass_image(tiny):
     # bit for bit, on a volume and a boundary field, scaled or not, for a
     # vector and for blocks solved on the lower and the upper factor
     mesh, _, volume = tiny
-    boundary = field_on_neumann_boundary(mesh, 5e-2, 2.0)
+    boundary = GaussianField(neumann_trace_space(mesh), 5e-2, 2.0)
     rng = np.random.default_rng(3)
     for gf in (volume, volume.scaled(0.3), boundary, boundary.scaled(0.3)):
         for shape in ((gf.dim,), (gf.dim, 3), (gf.dim, 9)):

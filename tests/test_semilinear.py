@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from riskquad.checks import check_semilinear_gradient, check_semilinear_hessian
 from riskquad.errors import NumericalError
 from riskquad.fem import (
-    ConstantStiffnessSolver,
+    FastDiagonalization,
     SpdSolver,
     assemble_mass,
     assemble_weighted_mass,
@@ -40,6 +40,27 @@ def test_c_zero_is_a_single_linear_solve():
     _, _, history = problem.solve_state(z, np.zeros(problem.boundary_dim))
     assert problem.counter.count - start == 1
     assert len(history) == 2 and history[-1] <= problem.newton_tol
+
+
+def test_c_zero_newton_builds_no_band_factorization(monkeypatch):
+    # at c = 0 one counted fast-diagonalization solver of the Laplacian serves
+    # every Newton step; three objectives are three counted solves
+    factorizations = []
+    band_cholesky = SpdSolver._banded_cholesky
+    monkeypatch.setattr(SpdSolver, "_banded_cholesky",
+                        lambda s: factorizations.append(s) or band_cholesky(s))
+    problem = SemilinearProblem(build_mesh(8, 8, 1.0, 1.0), c=0.0)
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal(problem.mesh.n_nodes)
+    for _ in range(3):
+        problem.objective(z, rng.standard_normal(problem.boundary_dim))
+    assert problem.counter.count == 3
+    assert factorizations == []
+    assert "band_plan" not in vars(problem.mesh)
+    solver = problem._linearized_solver(z)
+    assert "_factor" not in vars(solver)
+    assert isinstance(solver.fast, FastDiagonalization)
+    assert solver.counter is problem.counter
 
 
 def _manufactured_error(n):
@@ -155,11 +176,18 @@ def test_c_zero_quadratic_expansion_is_exact():
         assert abs(theta - quad) <= 1e-8 * (1.0 + abs(theta))
 
 
+def _hessian_norm(problem):
+    # the largest |eigenvalue| of the boundary Hessian in the trace L2 norm
+    surr = problem.surrogate(np.ones(problem.mesh.n_nodes))
+    basis = problem.trace_space.eigenpairs(surr.hess_action, 1, seed=0)
+    return abs(float(basis.eigenvalues[0]))
+
+
 def test_hessian_norm_mesh_stable():
     coarse = SemilinearProblem(build_mesh(8, 8, 1.0, 1.0), c=1.0)
     fine = SemilinearProblem(build_mesh(16, 16, 1.0, 1.0), c=1.0)
-    nc = coarse.hessian_norm_estimate(np.ones(coarse.mesh.n_nodes))
-    nf = fine.hessian_norm_estimate(np.ones(fine.mesh.n_nodes))
+    nc = _hessian_norm(coarse)
+    nf = _hessian_norm(fine)
     assert np.isfinite(nc) and np.isfinite(nf) and nc > 0
     assert 0.5 <= nc / nf <= 2.0
 
@@ -187,7 +215,8 @@ def test_newton_solvers_share_the_band_plan():
     solver = problem._linearized_solver(u)
     assert solver.plan is mesh.band_plan
     # the constant-coefficient Laplacian of the dual norm builds no plan
-    assert type(problem._norm_solver) is ConstantStiffnessSolver
+    assert isinstance(problem._norm_solver.fast, FastDiagonalization)
+    assert "plan" not in vars(problem._norm_solver)
     # the same operator as a sparse sum copies the pattern, which is refused
     ug = mesh.interp_gauss(u)
     op = problem.stiffness + assemble_weighted_mass(mesh, 3.0 * ug**2)
