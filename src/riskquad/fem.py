@@ -14,10 +14,10 @@ end: every SPD solve of the library, with or without Dirichlet rows,
 goes through it and through its one residual check and solve count.
 Constant-coefficient operators are Kronecker sums and products of 1D
 tridiagonal matrices, and its ``FastDiagonalization`` backend solves them
-instead of a factorization: the mass matrix and the shifted stiffness of a
-covariance, which have no Dirichlet rows, and the stiffness of a constant
-coefficient with the left and right sides pinned.  Only
-variable-coefficient operators are factorized.
+in their ``TensorBasis`` instead of a factorization: the mass matrix and
+the shifted stiffness of a covariance, which have no Dirichlet rows, and
+the stiffness of a constant coefficient with the left and right sides
+pinned.  Only variable-coefficient operators are factorized.
 Assembled matrices and every vector in and out of a solver stay in the
 mesh's native node order.
 All elements are congruent axis-aligned rectangles, so the reference-element
@@ -105,6 +105,12 @@ class Mesh:
         whose Kronecker products and sums are the Q1 mass and stiffness."""
         return tuple((mass_matrix_1d(n, h), stiffness_matrix_1d(n, h))
                      for n, h in ((self.nx, self.hx), (self.ny, self.hy)))
+
+    @cached_property
+    def free_basis(self):
+        """The ``TensorBasis`` of the x nodes between the pinned left and
+        right sides, shared by every fast ``SpdSolver`` on the mesh."""
+        return TensorBasis(self.factors, slice(1, -1))
 
     @cached_property
     def dirichlet_slots(self):
@@ -432,14 +438,15 @@ class SpdSolver:
     operator raises ``ValueError``.  On a field space nothing is pinned and
     the right-hand sides are solved as given.
 
-    The raw solve has two backends.  ``fast=(factors, s, t)`` selects
-    ``FastDiagonalization``, for an operator whose free block is
-    ``s (K_y (x) M_x + M_y (x) K_x) + t M_y (x) M_x``: on a mesh the free
-    block is that of the interior x nodes (the left and right sides are the
-    Dirichlet nodes) and the Dirichlet rows are copied from the lifted
-    right-hand side.  Otherwise the constrained operator is factorized by
-    LAPACK banded Cholesky on the mesh's ``band_plan`` (``self.plan``), with
-    the unknowns numbered by ``Mesh.band_order`` (native order when None);
+    The raw solve has two backends.  ``fast=(basis, s, t)`` selects
+    ``FastDiagonalization`` in a ``TensorBasis``, for an operator whose free
+    block is ``s (K_y (x) M_x + M_y (x) K_x) + t M_y (x) M_x``: on a mesh
+    the basis is ``mesh.free_basis``, of the interior x nodes (the left and
+    right sides are the Dirichlet nodes), and the Dirichlet rows are copied
+    from the lifted right-hand side; on a field space it is the space's
+    ``basis``.  Otherwise the constrained operator is factorized by LAPACK
+    banded Cholesky on the mesh's ``band_plan`` (``self.plan``), with the
+    unknowns numbered by ``Mesh.band_order`` (native order when None);
     an operator that is not positive definite raises ``NumericalError``.  A
     single right-hand side or a block of fewer than ``UPPER_MIN_COLUMNS``
     columns is solved on the lower factor, a wider block on an
@@ -467,8 +474,7 @@ class SpdSolver:
             self.constrained = _eliminated(mesh, op)
         self.fast = None
         if fast is not None:
-            x_free = slice(None) if mesh is None else slice(1, -1)
-            self.fast = FastDiagonalization(*fast, x_free=x_free)
+            self.fast = FastDiagonalization(*fast)
         else:
             self.plan = mesh.band_plan
             self._factor = self._banded_cholesky()
@@ -591,46 +597,68 @@ def _eliminated(mesh, op):
     return sp.csr_matrix((data, op.indices, op.indptr), shape=op.shape)
 
 
-class FastDiagonalization:
-    """The fast backend of ``SpdSolver``: it solves ``s (K_y (x) M_x +
-    M_y (x) K_x) + t M_y (x) M_x`` on a tensor-product grid with x numbered
-    fastest, by fast diagonalization (Lynch, Rice and Thomas 1964, Numer.
-    Math. 6).
-
-    ``factors`` holds the 1D ``(mass, stiffness)`` pairs of the x axis, then
-    of the y axis.  ``x_free`` selects the x nodes whose unknowns are solved
-    for: all of them by default, ``slice(1, -1)`` when the two x end nodes
-    are pinned, whose values are then copied from the right-hand side.  The
-    generalized eigenbases ``K V = M V diag(lam)`` with ``V^T M V = I`` of
-    the free 1D blocks make ``V = V_y (x) V_x`` diagonalize the free block of
-    the operator: ``V^T op V = D`` with ``D = s (lam_y + lam_x) + t``, so
-    ``op^{-1} = V D^{-1} V^T``: two small dense products per axis and one
-    diagonal scaling, as batched ``matmul`` over an (ny, nx) grid per
-    column, read from strided views of the right-hand sides, so a column
+class TensorBasis:
+    """The M-orthonormal eigenbasis ``Phi = V_y (x) V_x`` of the 1D
+    ``(mass, stiffness)`` pairs ``factors`` (x axis, then y axis) on a grid
+    with x numbered fastest, over the x nodes ``x_free`` (all by default,
+    ``slice(1, -1)`` when the x end nodes are pinned).  With ``K V = M V
+    diag(lam)`` and ``V^T M V = I`` per axis, ``Phi^T M Phi = I`` and
+    ``Phi^T K Phi = lam_y + lam_x`` for ``M = M_y (x) M_x`` and ``K =
+    K_y (x) M_x + M_y (x) K_x`` (Lynch, Rice and Thomas 1964, Numer. Math.
+    6).  A transform is two small dense products per column, as batched
+    ``matmul`` over an (ny, nx) grid read from a strided view, so a column
     has the same bits in a block of any width.
     """
 
-    def __init__(self, factors, s, t, x_free=slice(None)):
+    def __init__(self, factors, x_free=slice(None)):
         (mass_x, stiff_x), (mass_y, stiff_y) = factors
-        self._grid = (mass_y.shape[0], mass_x.shape[0])
-        self._x_free = x_free
+        self.grid, self.x_free = (mass_y.shape[0], mass_x.shape[0]), x_free
         free = (x_free, x_free)
-        lam_x, self._vx = eigh(stiff_x.toarray()[free], mass_x.toarray()[free])
-        lam_y, self._vy = eigh(stiff_y.toarray(), mass_y.toarray())
+        self.lam_x, self.vx = eigh(stiff_x.toarray()[free], mass_x.toarray()[free])
+        self.lam_y, self.vy = eigh(stiff_y.toarray(), mass_y.toarray())
         # contiguous transposes: 3.0 ms against 3.5 ms on transposed views
         # for 41 columns at 79x39 (one BLAS thread, 2-core x86-64)
-        self._vxt = np.ascontiguousarray(self._vx.T)
-        self._vyt = np.ascontiguousarray(self._vy.T)
-        self._diag = s * (lam_y[:, None] + lam_x) + t
+        self.vxt = np.ascontiguousarray(self.vx.T)
+        self.vyt = np.ascontiguousarray(self.vy.T)
+
+    def eigenvalues(self, s, t):
+        """(ny, free nx) grid of the eigenvalues of ``s K + t M``."""
+        return s * (self.lam_y[:, None] + self.lam_x) + t
+
+    def free_grid(self, b):
+        """(k, ny, free nx) view of the free unknowns of (n,) or (n, k)."""
+        k = 1 if b.ndim == 1 else b.shape[1]
+        return b.T.reshape(k, *self.grid)[..., self.x_free]
+
+    def to_coefficients(self, b):
+        """``Phi^T b`` for loads (n,) or (n, k) when every node is free, in
+        the shape of ``b`` and C order; ``to_fields`` is ``Phi c`` likewise."""
+        return _flat(self.vyt @ self.free_grid(b) @ self.vx, b.shape)
+
+    def to_fields(self, c):
+        return _flat(self.vy @ self.free_grid(c) @ self.vxt, c.shape)
+
+
+def _flat(grid, shape):
+    return np.ascontiguousarray(grid.reshape(grid.shape[0], -1).T).reshape(shape)
+
+
+class FastDiagonalization:
+    """The fast backend of ``SpdSolver``: ``s K + t M`` is the diagonal
+    ``diag = basis.eigenvalues(s, t)`` in a ``TensorBasis``, so its inverse
+    on the free unknowns is ``Phi diag^{-1} Phi^T``."""
+
+    def __init__(self, basis, s, t):
+        self.basis = basis
+        self.diag = basis.eigenvalues(s, t)
 
     def solve(self, b):
         """C-ordered copy of ``b`` (n,) or (n, k) with the free unknowns of
-        every column solved for; ``b`` is left unchanged."""
-        k = 1 if b.ndim == 1 else b.shape[1]
-        free = b.T.reshape(k, *self._grid)[..., self._x_free]
-        x = self._vy @ ((self._vyt @ free @ self._vx) / self._diag) @ self._vxt
+        every column solved for and the others copied; ``b`` is left
+        unchanged."""
+        p = self.basis
+        x = p.vy @ ((p.vyt @ p.free_grid(b) @ p.vx) / self.diag) @ p.vxt
         out = np.array(b, order="C")
-        # out is C-ordered, so the reshaped transpose is a view that writes
-        # into it
-        out.T.reshape(k, *self._grid)[..., self._x_free] = x
+        # out is C-ordered, so its free grid is a view that writes into it
+        p.free_grid(out)[...] = x
         return out

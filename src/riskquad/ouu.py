@@ -116,7 +116,9 @@ class RiskAverseObjective:
     Probe vectors are frozen at construction, one per row of ``probes``:
     random draws from N(0, C) in randomized mode, sqrt(C) images of the
     dominant preconditioned-Hessian eigenvectors at the nominal control in
-    eigenbasis mode (one Lanczos eigensolve, excluded from solve accounting).
+    eigenbasis mode (one Lanczos eigensolve on the surrogate's Hessian form,
+    two anchor solves per step and no covariance or mass solve, excluded
+    from solve accounting).
     Objective and gradient apply the incremental kernel to the whole probe
     block at once.
     """

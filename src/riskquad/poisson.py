@@ -148,7 +148,7 @@ class PoissonFlowProblem:
         op = assemble_weighted_stiffness(mesh, self.mean)
         fast = None
         if np.ptp(self.mean) == 0.0:
-            fast = (mesh.factors, np.exp(self.mean[0]), 0.0)
+            fast = (mesh.free_basis, np.exp(self.mean[0]), 0.0)
         self.anchor_solver = SpdSolver(mesh, op, self.counter, fast=fast)
         g_left, g_right = dirichlet_values
         bc = np.where(
@@ -267,7 +267,8 @@ class PoissonFlowProblem:
             space=self.space,
             theta_bar=self.objective_of_state(ws.u),
             grad=self.grad_field(ws),
-            hess_action=lambda zeta: self.hess_action(ws, zeta),
+            hess_load=lambda zeta: self.hessian_load(
+                ws, zeta, *self.incremental(ws, zeta)),
             anchor=self.mean,
             counter=self.counter,
         )

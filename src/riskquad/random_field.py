@@ -8,8 +8,14 @@ self-adjoint and positive in the M inner product, and A^{-1} M is its exact
 M-self-adjoint square root.
 
 On the structured grid, M and K are Kronecker products and sums of 1D
-tridiagonal matrices, so solves with A and with M are made by the
-fast-diagonalization backend of ``fem.SpdSolver``, not by a factorization.
+tridiagonal matrices, so each space owns the M-orthonormal eigenbasis
+Phi = V_y (x) V_x of its 1D factors (``fem.TensorBasis``): Phi^T M Phi = I
+and Phi^T A Phi = D is diagonal.  Solves with A and with M are made in it
+by the fast-diagonalization backend of ``fem.SpdSolver``.  In Phi
+coefficients sqrt(C) is the diagonal d = sqrt(s) / D and an M-self-adjoint
+operator is a symmetric matrix, so the covariance-preconditioned
+eigenproblem is a standard symmetric one that needs no mass or covariance
+solve.
 """
 
 from __future__ import annotations
@@ -21,23 +27,26 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .fem import SpdSolver, assemble_mass, assemble_weighted_stiffness
+from .fem import SpdSolver, TensorBasis, assemble_mass, assemble_weighted_stiffness
 
 EIG_TOL = 1e-8     # relative accuracy of the Lanczos eigenvalues
 COLOR_CHUNK = 256  # most draws colored per block solve in sample_batch
 
 
 class FieldSpace:
-    """Discrete L2 space: mass matrix, its exact Cholesky factor, and the
-    natural-boundary stiffness used to build covariance operators.
+    """Discrete L2 space: mass matrix, its exact Cholesky factor, the
+    natural-boundary stiffness used to build covariance operators, and the
+    eigenbasis of both.
 
     ``factors`` holds the 1D ``(mass, stiffness)`` pairs of the x axis and
     of the y axis (x numbered fastest) whose Kronecker products and sums are
     the assembled ``mass = M_y (x) M_x`` and ``natural_stiffness =
     K_y (x) M_x + M_y (x) K_x``.  They give the Cholesky factor
-    ``sqrt_mass = L_y (x) L_x`` and the fast backend of the ``SpdSolver`` of
-    the mass projection (``_projector``) and of every covariance operator on
-    the space.
+    ``sqrt_mass = L_y (x) L_x`` and the ``TensorBasis`` ``basis`` (Phi, with
+    the transforms ``to_coefficients`` and ``to_fields``) that the mass
+    projection (``_projector``) and every covariance operator on the space
+    solve in; a space whose matrices Phi does not diagonalize raises
+    ``NumericalError`` (checked once, on a seeded block).
     ``node_index`` maps local degrees of freedom to nodes of the parent mesh
     (identity for volume spaces, a boundary gather for trace spaces).
     """
@@ -48,12 +57,22 @@ class FieldSpace:
         self.factors = factors
         (mass_x, _), (mass_y, _) = factors
         self.sqrt_mass = sp.kron(_cholesky(mass_y), _cholesky(mass_x)).tocsr()
-        self._sqrt_mass_t = self.sqrt_mass.T.tocsr()
         self.dim = self.mass.shape[0]
         self.node_index = (
             np.arange(self.dim) if node_index is None else np.asarray(node_index)
         )
-        self._projector = SpdSolver(None, self.mass, fast=(factors, 0.0, 1.0))
+        self.basis = TensorBasis(factors)
+        self.to_coefficients = self.basis.to_coefficients
+        self.to_fields = self.basis.to_fields
+        # Phi^T (K + M) Phi = D for D = lam_y + lam_x + 1, on a seeded block
+        y = np.random.default_rng(0).standard_normal((self.dim, 2))
+        want = self.basis.eigenvalues(1.0, 1.0).reshape(-1, 1) * y
+        op = self.natural_stiffness + self.mass
+        error = np.linalg.norm(self.to_coefficients(op @ self.to_fields(y)) - want)
+        if not error <= 1e-12 * np.linalg.norm(want):
+            raise NumericalError("Phi does not diagonalize the space's matrices",
+                                 residual=error)
+        self._projector = SpdSolver(None, self.mass, fast=(self.basis, 0.0, 1.0))
 
     def inner(self, u, v):
         """Discrete L2 inner product <u, M v>."""
@@ -68,42 +87,55 @@ class FieldSpace:
         return self._projector.apply_inverse(load)
 
     def orthonormalize(self, B):
-        """M-orthonormalize the columns of B via QR in the L^T image."""
-        W = self._sqrt_mass_t @ B
-        Qw, R = np.linalg.qr(W)
+        """M-orthonormalize the columns of B via QR in Phi coefficients."""
+        Q, R = np.linalg.qr(self.to_coefficients(self.mass @ B))
         if np.min(np.abs(np.diag(R))) < 1e-12 * max(np.max(np.abs(np.diag(R))), 1e-30):
             raise NumericalError("rank-deficient block in M-orthonormalization")
-        return spla.spsolve_triangular(self._sqrt_mass_t, Qw, lower=False)
+        return self.to_fields(Q)
 
-    def eigenpairs(self, op, k, seed):
-        """The k eigenpairs of largest |eigenvalue| of a linear map ``op`` on
-        fields that is self-adjoint in the M inner product.
+    def eigenpairs(self, form, k, seed, weights=None):
+        """The k eigenpairs of largest |eigenvalue| of the M-self-adjoint
+        ``W M^{-1} form W``, for a symmetric ``form`` from fields (a vector or
+        a block) to loads and ``W = Phi diag(weights) Phi^T M`` (identity
+        without ``weights``).
 
-        ARPACK Lanczos (``eigsh`` mode 2 on M op x = lambda M x) from a normal
-        vector drawn with ``seed``, to relative accuracy ``EIG_TOL``, at one
-        action of ``op`` per step; k = dim, which ARPACK cannot take, is a
-        dense Rayleigh-Ritz on an M-orthonormal basis.
+        In Phi coefficients the map is the symmetric ``y -> w * Phi^T
+        form(Phi (w * y))``, so ARPACK Lanczos runs in standard mode (mode 1)
+        from ``Phi^T M v0``, v0 normal with ``seed``, to relative accuracy
+        ``EIG_TOL`` at one action of ``form`` per step; k = dim, which ARPACK
+        cannot take, is a dense Rayleigh-Ritz on Phi.  A zero operator
+        (ARPACK error -9: its start vector, the first action, is zero) gives
+        zero eigenvalues and the first k columns of Phi; a non-finite action
+        raises ``NumericalError``.
         """
         n = self.dim
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= dimension")
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        if np.max(np.abs(op(v0))) < 1e-300:
-            return EigenBasis(np.zeros(k), self.orthonormalize(np.eye(n, k)))
+        w = np.ones(n) if weights is None else np.asarray(weights)
+
+        def op(y):
+            load = form(self.to_fields((w * y.T).T))
+            if not np.all(np.isfinite(load)):
+                raise NumericalError("non-finite operator action in the eigensolve")
+            return (w * self.to_coefficients(load).T).T
+
         if k == n:
-            Q = self.orthonormalize(np.eye(n))
-            lam, V = np.linalg.eigh(Q.T @ (self.mass @ op(Q)))
-            vectors = Q @ V
+            lam, Y = np.linalg.eigh(op(np.eye(n)))
         else:
-            A = spla.LinearOperator((n, n), lambda x: self.mass @ op(x), dtype=float)
-            Minv = spla.LinearOperator((n, n), self.project, dtype=float)
+            A = spla.LinearOperator((n, n), op, dtype=float)
+            v0 = np.random.default_rng(seed).standard_normal(n)
             try:
-                lam, vectors = spla.eigsh(A, k, M=self.mass, Minv=Minv, which="LM",
-                                          tol=EIG_TOL, v0=v0)
+                lam, Y = spla.eigsh(A, k, which="LM", tol=EIG_TOL,
+                                    v0=self.to_coefficients(self.mass @ v0))
             except spla.ArpackNoConvergence as exc:
                 raise NumericalError(f"Lanczos eigensolver: {exc}") from exc
-        order = np.argsort(-lam)
-        return EigenBasis(lam[order], vectors[:, order])
+            except spla.ArpackError as exc:
+                if not str(exc).startswith("ARPACK error -9:"):
+                    raise
+                lam, Y = np.zeros(k), np.eye(n, k)
+        order = np.argsort(-lam, kind="stable")
+        Y = Y[:, order]
+        return EigenBasis(lam[order], self.to_fields(Y), Y)
 
 
 def _cholesky(spd):
@@ -141,18 +173,21 @@ def neumann_trace_space(mesh):
 
 @dataclass
 class EigenBasis:
-    """M-orthonormal eigenvectors (columns) with eigenvalues sorted descending."""
+    """Eigenvalues sorted descending, M-orthonormal eigenvectors (columns)
+    and their orthonormal Phi coefficients (``vectors = Phi coefficients``)."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    coefficients: np.ndarray
 
 
 class GaussianField:
     """Gaussian measure N(mean, scale*C) on a FieldSpace, C = A^{-1} M A^{-1}.
 
     ``solver_A`` is the ``SpdSolver`` of A on the space, by fast
-    diagonalization on its 1D factors; it serves every covariance action
-    and every draw, uncounted, like the space's mass projection.
+    diagonalization in the space's basis Phi; it serves every covariance
+    action and every draw, uncounted, like the space's mass projection.
+    ``sqrt_C_diagonal`` is sqrt(C) in Phi coefficients.
     Immutable after construction: ``scale`` starts at 1 and only
     ``scaled`` changes it, on a new view.  Every draw takes an explicit
     seed or generator, so concurrent batches can partition the seed space.
@@ -171,7 +206,7 @@ class GaussianField:
         if self.mean.shape != (space.dim,):
             raise ValueError("mean has wrong length")
         A = kappa * space.natural_stiffness + alpha * space.mass
-        self.solver_A = SpdSolver(None, A, fast=(space.factors, self.kappa,
+        self.solver_A = SpdSolver(None, A, fast=(space.basis, self.kappa,
                                                  self.alpha))
 
     @property
@@ -200,6 +235,12 @@ class GaussianField:
         as fields."""
         solve = self.solver_A.apply_inverse
         return self.scale * solve(self.space.mass @ solve(loads))
+
+    @property
+    def sqrt_C_diagonal(self):
+        """d with sqrt(C) = Phi diag(d) Phi^T M: sqrt(scale) / D for the
+        diagonal D = Phi^T A Phi, in coefficient order."""
+        return np.sqrt(self.scale) / self.solver_A.fast.diag.ravel()
 
     def apply_sqrt_C(self, f):
         """M-self-adjoint square root action on a field or on each column of
@@ -241,13 +282,15 @@ class GaussianField:
 
     # -- spectral machinery ---------------------------------------------------
 
-    def preconditioned_eigenpairs(self, hess_action, k, seed=7):
+    def preconditioned_eigenpairs(self, hess_load, k, seed=7):
         """Dominant eigenpairs of sqrt(C) H sqrt(C) without forming matrices,
-        by ``FieldSpace.eigenpairs``; ``hess_action`` must be self-adjoint in
-        the M inner product and act on a field and on a block of fields."""
-        return self.space.eigenpairs(
-            lambda f: self.apply_sqrt_C(hess_action(self.apply_sqrt_C(f))), k, seed
-        )
+        by ``FieldSpace.eigenpairs`` with the weights ``sqrt_C_diagonal``.
+        ``hess_load`` is the symmetric form M H (fields to loads) on a field
+        and on a block of fields; the sqrt(C) image of an eigenvector is
+        ``space.to_fields(sqrt_C_diagonal * coefficients)``.
+        """
+        return self.space.eigenpairs(hess_load, k, seed,
+                                     weights=self.sqrt_C_diagonal)
 
 
 def field_on_mesh(mesh, kappa, alpha, mean=None):

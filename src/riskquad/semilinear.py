@@ -69,7 +69,7 @@ class SemilinearProblem:
         self.newton_max_iter = int(newton_max_iter)
         self.counter = SolveCounter()
         self.stiffness = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
-        laplacian = (mesh.factors, 1.0, 0.0)
+        laplacian = (mesh.free_basis, 1.0, 0.0)
         # Laplacian solve used only for the dual norm of Newton residuals
         self._norm_solver = SpdSolver(mesh, self.stiffness, fast=laplacian)
         # at c = 0 the linearized operator is the Laplacian itself, so one
@@ -178,7 +178,8 @@ class SemilinearProblem:
             space=self.trace_space,
             theta_bar=self.objective_of_state(ws.u),
             grad=self.grad_boundary(ws),
-            hess_action=lambda m_hat: self.hess_action(ws, m_hat),
+            hess_load=lambda m_hat: (self.trace_space.mass
+                                     @ self.hess_action(ws, m_hat)),
             anchor=np.asarray(m_bar, float),
             counter=self.counter,
         )

@@ -30,19 +30,25 @@ DRAW_CHUNK = 64  # Monte Carlo draws per block Hessian action
 class QuadraticSurrogate:
     """Second-order expansion of the parameter-to-objective map.
 
-    ``hess_action`` maps a field (n,) to the Hessian-vector product, or an
-    (n, k) block to the products with each column, and must be self-adjoint
-    in the M inner product of ``space``.  ``counter`` points at
-    the owning problem's solve counter when there is one, so auxiliary work
-    (eigenbasis construction) can be excluded from solve accounting.
+    The Hessian is given as a form: ``hess_load`` maps a field (n,) to the
+    load M H m of the Hessian action, or an (n, k) block to the loads of
+    each column, and is symmetric.  ``hess_action`` is its nodal
+    representation.  The eigensolve works on the form, which needs no mass
+    solve.  ``counter`` points at the owning problem's solve counter when
+    there is one, so auxiliary work (eigenbasis construction) can be
+    excluded from solve accounting.
     """
 
     space: object
     theta_bar: float
     grad: np.ndarray
-    hess_action: Callable[[np.ndarray], np.ndarray]
+    hess_load: Callable[[np.ndarray], np.ndarray]
     anchor: np.ndarray
     counter: object = None
+
+    def hess_action(self, m):
+        """Hessian action H m on a field (n,) or on each column of (n, k)."""
+        return self.space.project(self.hess_load(m))
 
     def _offset(self, m):
         m = np.asarray(m)
@@ -87,7 +93,11 @@ def trace_probes(surr, gf, mode, n_tr, seed):
 
     randomized: draws from N(0, C), weight 1/n_tr (unbiased for both traces).
     eigenbasis: sqrt(C) images of the n_tr eigenvectors of sqrt(C) H sqrt(C)
-    of largest |eigenvalue| (Lanczos), weight 1; outside solve accounting.
+    of largest |eigenvalue| (Lanczos on the Hessian form ``hess_load``, one
+    Hessian action per step), weight 1; outside solve accounting.  In the
+    space's basis Phi an eigenvector has coefficients y and its image is
+    Phi (d * y), with d the diagonal of sqrt(C), so no covariance solve is
+    made.
     """
     if n_tr < 1:
         raise ValueError("n_tr must be at least 1")
@@ -97,8 +107,9 @@ def trace_probes(surr, gf, mode, n_tr, seed):
         raise ValueError(f"unknown trace mode {mode!r}")
     pause = surr.counter.paused() if surr.counter is not None else nullcontext()
     with pause:
-        basis = gf.preconditioned_eigenpairs(surr.hess_action, n_tr, seed=seed)
-    return gf.apply_sqrt_C(basis.vectors).T, 1.0
+        basis = gf.preconditioned_eigenpairs(surr.hess_load, n_tr, seed=seed)
+    d = gf.sqrt_C_diagonal[:, None]
+    return gf.space.to_fields(d * basis.coefficients).T, 1.0
 
 
 def estimate_traces(surr, gf, mode="randomized", n_tr=40, seed=0):

@@ -77,3 +77,16 @@ def test_ledger_sees_the_covariance_work(bench_modules, built):
         assert traced.ledger()["covariance"] == 82
         built.problem.surrogate(built.z0)
     assert traced.ledger()["projection"] >= 1
+
+
+def test_eigenbasis_setup_spends_no_covariance_or_mass_solves(bench_modules, built):
+    # the eigensolve runs in the field's basis, where sqrt(C) is a diagonal:
+    # 44 Hessian loads of two anchor solves each, the two workspace solves,
+    # and the surrogate gradient's one mass projection
+    tracer, workloads = bench_modules
+    traced = tracer.Tracer()
+    traced.register(built.problem, built.gf)
+    with traced.installed():
+        workloads.WORKLOADS["eigenbasis-setup"].run(built, 0)
+    ledger = traced.ledger()
+    assert (ledger["covariance"], ledger["projection"], ledger["anchor"]) == (0, 1, 90)

@@ -382,7 +382,7 @@ def _constant_stiffness_solver(mesh, c, counter=None):
     """The solver of the stiffness of the constant log coefficient ``c`` by
     the fast backend, as a constant anchor is built."""
     op = assemble_weighted_stiffness(mesh, np.full(mesh.n_nodes, c))
-    return SpdSolver(mesh, op, counter, fast=(mesh.factors, np.exp(c), 0.0))
+    return SpdSolver(mesh, op, counter, fast=(mesh.free_basis, np.exp(c), 0.0))
 
 
 # the canonical mesh (band order) and one with nx <= ny (native order)
@@ -449,7 +449,7 @@ def test_constant_stiffness_solver_rejects_a_variable_field():
     # refused when the stiffness is assembled
     mesh = build_mesh(6, 4, 2.0, 1.0)
     variable = SpdSolver(mesh, assemble_weighted_stiffness(mesh, 0.1 * mesh.node_x),
-                         fast=(mesh.factors, 1.0, 0.0))
+                         fast=(mesh.free_basis, 1.0, 0.0))
     c = np.random.default_rng(48).standard_normal((mesh.n_nodes, 3))
     for load in (c, c[:, 0]):
         with pytest.raises(NumericalError) as exc:
@@ -539,7 +539,7 @@ SEPARABLE_SHAPES = {"vector": (), "one column": (1,), "narrow": (3,), "wide": (4
 
 def _separable(space, s, t):
     op = s * space.natural_stiffness + t * space.mass
-    return op, SpdSolver(None, op, fast=(space.factors, s, t))
+    return op, SpdSolver(None, op, fast=(space.basis, s, t))
 
 
 @pytest.mark.parametrize("space_name", SEPARABLE_SPACES)
@@ -575,7 +575,7 @@ def test_separable_column_bits_do_not_depend_on_block_width(space_name):
 def test_separable_solve_rejects_inconsistent_operator_and_nan():
     space = volume_space(build_mesh(8, 5, 2.0, 1.0))
     b = np.random.default_rng(47).standard_normal((space.dim, 3))
-    wrong = SpdSolver(None, 1.001 * space.mass, fast=(space.factors, 0.0, 1.0))
+    wrong = SpdSolver(None, 1.001 * space.mass, fast=(space.basis, 0.0, 1.0))
     for load in (b, b[:, 0]):
         with pytest.raises(NumericalError) as exc:
             wrong.apply_inverse(load)

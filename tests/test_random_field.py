@@ -6,6 +6,7 @@ from riskquad.errors import NumericalError
 from riskquad.fem import build_mesh
 from riskquad.random_field import (
     COLOR_CHUNK,
+    FieldSpace,
     GaussianField,
     field_on_mesh,
     neumann_trace_space,
@@ -190,9 +191,72 @@ def test_eigenpairs_zero_operator(tiny):
     assert np.array_equal(basis.eigenvalues, np.zeros(3))
 
 
+def test_eigenpairs_zero_operator_costs_one_action(tiny):
+    # ARPACK's first step maps the start vector into the operator's range;
+    # a zero image ends the solve with the first k columns of Phi
+    _, space, gf = tiny
+    calls = []
+
+    def zero(f):
+        calls.append(f.shape)
+        return np.zeros_like(f)
+
+    basis = gf.preconditioned_eigenpairs(zero, 3)
+    assert len(calls) == 1
+    assert np.array_equal(basis.coefficients, np.eye(space.dim, 3))
+    V = basis.vectors
+    assert np.abs(V.T @ (space.mass @ V) - np.eye(3)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigenpairs_nonfinite_form_is_numerical_error(tiny, bad):
+    _, space, gf = tiny
+    for k in (3, space.dim):
+        with pytest.raises(NumericalError, match="non-finite"):
+            gf.preconditioned_eigenpairs(lambda f: bad * (space.mass @ f), k)
+
+
+def test_space_off_its_factors_is_numerical_error(tiny):
+    # the eigensolve trusts Phi to diagonalize the assembled matrices, so a
+    # space whose mass or stiffness is not the Kronecker product of its
+    # factors fails before any eigenpair is returned
+    _, space, _ = tiny
+    for mass, stiffness in ((1.001 * space.mass, space.natural_stiffness),
+                            (space.mass, 1.001 * space.natural_stiffness)):
+        with pytest.raises(NumericalError) as exc:
+            FieldSpace(mass, stiffness, space.factors).eigenpairs(
+                lambda f: mass @ f, 3, seed=0)
+        assert exc.value.residual > 0.0
+
+
+@pytest.mark.parametrize("make_space", [volume_space, neumann_trace_space])
+def test_basis_is_m_orthonormal_and_diagonalizes_sqrt_C(make_space):
+    # canonical 79x39 mesh and field, on a seeded block of Phi's columns
+    space = make_space(build_mesh(79, 39, 2.0, 1.0))
+    gf = GaussianField(space, 2e-2, 4.0).scaled(0.7)
+    rng = np.random.default_rng(9)
+    cols = rng.choice(space.dim, 40, replace=False)
+    E = np.eye(space.dim)[:, cols]
+    Phi = space.to_fields(E)
+    gram = space.to_coefficients(space.mass @ Phi)
+    assert np.linalg.norm(gram - E) <= 1e-12 * np.linalg.norm(E)
+    b = rng.standard_normal(space.dim)
+    coeffs = space.to_coefficients(b)[cols]
+    assert np.linalg.norm(Phi.T @ b - coeffs) <= 1e-12 * np.linalg.norm(coeffs)
+    want = Phi * gf.sqrt_C_diagonal[cols]
+    assert np.linalg.norm(gf.apply_sqrt_C(Phi) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_covariance_and_projection_share_the_space_basis(tiny):
+    _, space, gf = tiny
+    assert gf.solver_A.fast.basis is space.basis
+    assert gf.scaled(0.5).solver_A.fast.basis is space.basis
+    assert space._projector.fast.basis is space.basis
+
+
 def test_eigenpairs_identity_matches_covariance(tiny):
     _, space, gf = tiny
-    basis = gf.preconditioned_eigenpairs(lambda f: f, 4)
+    basis = gf.preconditioned_eigenpairs(lambda f: space.mass @ f, 4)
     C_op = dense_cov(space, gf) @ space.mass.toarray()
     lam = np.sort(np.linalg.eigvals(C_op).real)[::-1]
     assert abs(basis.eigenvalues[0] - lam[0]) <= 1e-6 * abs(lam[0])
@@ -201,7 +265,7 @@ def test_eigenpairs_identity_matches_covariance(tiny):
 
 def test_eigenpairs_m_orthonormal(tiny):
     _, space, gf = tiny
-    basis = gf.preconditioned_eigenpairs(lambda f: f, 4)
+    basis = gf.preconditioned_eigenpairs(lambda f: space.mass @ f, 4)
     V = basis.vectors
     gram = V.T @ (space.mass @ V)
     assert np.abs(gram - np.eye(4)).max() <= 1e-8
@@ -221,45 +285,45 @@ def test_eigenpairs_flow_hessian_matches_dense():
     Ainv = np.linalg.inv(A)
     H = np.column_stack([surr.hess_action(e) for e in np.eye(n)])
     lam_dense = np.sort(np.linalg.eigvals(Ainv @ M @ H @ Ainv @ M).real)[::-1]
-    basis = gf.preconditioned_eigenpairs(surr.hess_action, 3)
+    basis = gf.preconditioned_eigenpairs(surr.hess_load, 3)
     assert np.all(
         np.abs(basis.eigenvalues - lam_dense[:3]) <= 1e-6 * np.abs(lam_dense[:3])
     )
 
 
 def indefinite_operator(space, gf, spectrum):
-    """M-self-adjoint B-action with sqrt(C) H sqrt(C) = V diag(spectrum) V^T M
-    for an M-orthonormal V: B = A V diag(spectrum) V^T A, symmetric."""
+    """Symmetric Hessian form B with sqrt(C) H sqrt(C) = V diag(spectrum) V^T M
+    for H = M^{-1} B and an M-orthonormal V: B = A V diag(spectrum) V^T A."""
     V = space.orthonormalize(np.random.default_rng(5).standard_normal((space.dim,) * 2))
     A = (gf.kappa * space.natural_stiffness + gf.alpha * space.mass).toarray()
     B = A @ V @ np.diag(spectrum) @ V.T @ A
-    return lambda f: space.project(B @ f), B
+    return lambda f: B @ f, B
 
 
 def test_eigenpairs_select_both_signs_by_magnitude(tiny):
     _, space, gf = tiny
     spectrum = np.r_[6.0, -5.0, 4.0, -3.0, 0.5 * (-0.7) ** np.arange(space.dim - 4)]
-    hess_action, B = indefinite_operator(space, gf, spectrum)
+    hess_load, B = indefinite_operator(space, gf, spectrum)
     Ainv = np.linalg.inv(
         (gf.kappa * space.natural_stiffness + gf.alpha * space.mass).toarray()
     )
     lam = np.linalg.eigvals(Ainv @ B @ Ainv @ space.mass.toarray()).real
     top = np.sort(lam[np.argsort(-np.abs(lam))[:4]])[::-1]
     assert np.allclose(top, [6.0, 4.0, -3.0, -5.0])
-    basis = gf.preconditioned_eigenpairs(hess_action, 4)
+    basis = gf.preconditioned_eigenpairs(hess_load, 4)
     assert np.all(np.diff(basis.eigenvalues) < 0.0)
     assert np.abs(basis.eigenvalues - top).max() <= 1e-8 * 6.0
     V = basis.vectors
     assert np.abs(V.T @ (space.mass @ V) - np.eye(4)).max() <= 1e-8
-    T = gf.apply_sqrt_C(hess_action(gf.apply_sqrt_C(V)))
+    T = gf.apply_sqrt_C(space.project(hess_load(gf.apply_sqrt_C(V))))
     assert np.abs(T - V * basis.eigenvalues).max() <= 1e-6 * np.abs(V).max()
 
 
 def test_eigenpairs_same_seed_same_bits(tiny):
     _, space, gf = tiny
-    hess_action, _ = indefinite_operator(space, gf, np.linspace(3.0, -2.0, space.dim))
-    a = gf.preconditioned_eigenpairs(hess_action, 3, seed=11)
-    b = gf.preconditioned_eigenpairs(hess_action, 3, seed=11)
+    hess_load, _ = indefinite_operator(space, gf, np.linspace(3.0, -2.0, space.dim))
+    a = gf.preconditioned_eigenpairs(hess_load, 3, seed=11)
+    b = gf.preconditioned_eigenpairs(hess_load, 3, seed=11)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.vectors, b.vectors)
 
@@ -276,7 +340,7 @@ def test_eigenpairs_no_convergence_is_numerical_error(tiny, monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(NumericalError, match="No convergence"):
-        gf.preconditioned_eigenpairs(lambda f: f, 3)
+        gf.preconditioned_eigenpairs(lambda f: space.mass @ f, 3)
 
 
 def test_invalid_parameters():
@@ -289,7 +353,7 @@ def test_invalid_parameters():
     with pytest.raises(ValueError):
         gf.scaled(-1.0)
     with pytest.raises(ValueError):
-        gf.preconditioned_eigenpairs(lambda f: f, 0)
+        gf.preconditioned_eigenpairs(lambda f: gf.space.mass @ f, 0)
 
 
 @pytest.mark.parametrize("nx, ny", [(11, 7), (5, 9), (1, 6)])

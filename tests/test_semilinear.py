@@ -179,7 +179,7 @@ def test_c_zero_quadratic_expansion_is_exact():
 def _hessian_norm(problem):
     # the largest |eigenvalue| of the boundary Hessian in the trace L2 norm
     surr = problem.surrogate(np.ones(problem.mesh.n_nodes))
-    basis = problem.trace_space.eigenpairs(surr.hess_action, 1, seed=0)
+    basis = problem.trace_space.eigenpairs(surr.hess_load, 1, seed=0)
     return abs(float(basis.eigenvalues[0]))
 
 

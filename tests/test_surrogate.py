@@ -43,12 +43,24 @@ def test_eval_at_anchor_returns_base_value(tiny_flow):
     assert surr.eval_quad(surr.anchor) == pytest.approx(surr.theta_bar)
 
 
+def test_flow_hess_action_is_the_projected_hessian_load(tiny_flow):
+    _, problem, _ = tiny_flow
+    z = np.full(problem.n_controls, 4.0)
+    surr = problem.surrogate(z)
+    ws = problem.workspace(z)
+    M = np.random.default_rng(12).standard_normal((problem.mesh.n_nodes, 3))
+    for m in (M[:, 0], M):
+        got = surr.hess_action(m)
+        assert np.array_equal(got, problem.space.project(surr.hess_load(m)))
+        assert np.array_equal(got, problem.hess_action(ws, m))
+
+
 def test_zero_gradient_linear_expansion_is_flat(tiny_flow):
     _, problem, _ = tiny_flow
     space = problem.space
     surr = QuadraticSurrogate(
         space=space, theta_bar=2.5, grad=np.zeros(space.dim),
-        hess_action=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
+        hess_load=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
     )
     rng = np.random.default_rng(0)
     m = rng.standard_normal(space.dim)
@@ -100,7 +112,7 @@ def test_analytic_mean_zero_hessian(tiny_flow):
     space = problem.space
     surr = QuadraticSurrogate(
         space=space, theta_bar=1.5, grad=np.ones(space.dim),
-        hess_action=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
+        hess_load=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
     )
     tr = estimate_traces(surr, gf, "randomized", n_tr=5, seed=0)
     assert tr.tr_hc == 0.0 and tr.tr_hc_sq == 0.0
@@ -165,7 +177,7 @@ def test_traces_zero_hessian_both_modes(tiny_flow):
     space = problem.space
     surr = QuadraticSurrogate(
         space=space, theta_bar=0.0, grad=np.zeros(space.dim),
-        hess_action=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
+        hess_load=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
     )
     for mode in ("randomized", "eigenbasis"):
         tr = estimate_traces(surr, gf, mode, n_tr=4, seed=0)
@@ -220,7 +232,7 @@ def test_negative_variance_guard(tiny_flow):
     space = problem.space
     surr = QuadraticSurrogate(
         space=space, theta_bar=0.0, grad=np.zeros(space.dim),
-        hess_action=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
+        hess_load=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
     )
     broken = TraceEstimate(tr_hc=0.0, tr_hc_sq=-1.0)
     with pytest.raises(NumericalError):
