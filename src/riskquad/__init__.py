@@ -37,10 +37,8 @@ from .poisson import (
 from .semilinear import SemilinearProblem
 from .surrogate import (
     QuadraticSurrogate,
-    TraceEstimate,
-    analytic_mean,
-    analytic_variance,
     estimate_traces,
+    expansion_moments,
     truncation_rate_study,
 )
 from .optim import minimize_box_lbfgs

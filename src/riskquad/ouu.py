@@ -8,13 +8,13 @@ replaced by fixed-probe estimates, and a quadratic control cost:
     J(z) = theta(z) + w/2 sum_j <zeta_j, psi_j>
          + beta/2 ( <g, C g> + w/2 sum_j <psi_j, C psi_j> ) + gamma/2 |z|^2
 
-with psi_j the Hessian action on probe j and w the probe weight.  The probe
-vectors are drawn once per optimization, so J is a smooth deterministic
-function of z.  Its exact gradient is assembled from a cascade of adjoint
-solves (one incremental pair per probe, applied to the probe block at once,
-then two aggregate solves), which makes the cost of one objective-plus-
-gradient evaluation exactly 4 + 4*n_tr PDE solves regardless of the
-parameter dimension.
+with psi_j the Hessian action on probe j and w the probe weight, as computed
+by ``surrogate.expansion_moments``.  The probe vectors are drawn once per
+optimization, so J is a smooth deterministic function of z.  Its exact
+gradient is assembled from a cascade of adjoint solves (one incremental pair
+per probe, applied to the probe block at once, then two aggregate solves),
+which makes the cost of one objective-plus-gradient evaluation exactly
+4 + 4*n_tr PDE solves regardless of the parameter dimension.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .fem import (
     weighted_stiffness_sum,
 )
 from .optim import minimize_box_lbfgs
-from .surrogate import over_draw_chunks, trace_probes
+from .surrogate import (RiskReport, expansion_moments, over_draw_chunks,
+                        trace_probes)
 
 
 @dataclass
@@ -78,22 +79,6 @@ class OuuConfig:
         if sched and abs(sched[-1] - self.beta) > 1e-15:
             raise ValueError("beta schedule must end at beta")
         self.beta_schedule = sched
-
-
-@dataclass
-class RiskReport:
-    """Objective value split into its defining parts plus solve accounting."""
-
-    value: float
-    theta_bar: float
-    tr_hc: float
-    tr_hc_sq: float
-    grad_term: float
-    mean_term: float
-    variance_term: float
-    control_cost: float
-    pde_solves: int
-    grad_norm: float = float("nan")
 
 
 @dataclass
@@ -144,7 +129,8 @@ class RiskAverseObjective:
     # -- objective ------------------------------------------------------------
 
     def evaluate(self, z):
-        """Risk objective at z; costs exactly 2 + 2*n_tr PDE solves."""
+        """Risk objective at z with the moments of ``expansion_moments``
+        (and its negative-variance guard); exactly 2 + 2*n_tr PDE solves."""
         pr = self.problem
         start = pr.counter.count
         z = np.asarray(z, dtype=float)
@@ -154,22 +140,13 @@ class RiskAverseObjective:
         zeta = self.probes.T
         inc_u, inc_p = pr.incremental(ws, zeta)
         psi = pr.hessian_load(ws, zeta, inc_u, inc_p)
-        c_all = self.gf.apply_C_to_loads(np.column_stack([grad_load, psi]))
-        c_grad, c_psi = c_all[:, 0], c_all[:, 1:]
-        grad_term = float(grad_load @ c_grad)
-        tr_hc = self.weight * float(np.sum(zeta * psi))
-        tr_hc_sq = self.weight * float(np.sum(psi * c_psi))
-
-        control_cost = 0.5 * self.cfg.gamma * float(z @ z)
-        mean_term = theta_bar + 0.5 * tr_hc
-        variance_term = grad_term + 0.5 * tr_hc_sq
-        value = mean_term + 0.5 * self.beta * variance_term + control_cost
-        report = RiskReport(
-            value=value, theta_bar=theta_bar, tr_hc=tr_hc, tr_hc_sq=tr_hc_sq,
-            grad_term=grad_term, mean_term=mean_term,
-            variance_term=variance_term, control_cost=control_cost,
-            pde_solves=pr.counter.count - start,
+        report, c_grad, c_psi = expansion_moments(
+            self.gf, theta_bar, grad_load, zeta, psi, self.weight
         )
+        report.control_cost = 0.5 * self.cfg.gamma * float(z @ z)
+        report.value = (report.mean_term + 0.5 * self.beta * report.variance_term
+                        + report.control_cost)
+        report.pde_solves = pr.counter.count - start
         state = OuuState(
             z=z, ws=ws, inc_u=inc_u, inc_p=inc_p, c_grad=c_grad, c_psi=c_psi,
             report=report,

@@ -81,11 +81,20 @@ def over_draw_chunks(fn, fields):
 
 
 @dataclass
-class TraceEstimate:
-    """Estimates of tr(sqrt(C) H sqrt(C)) and of the trace of its square."""
+class RiskReport:
+    """Expansion moments in their defining parts; the risk objective adds
+    its value, control cost and solve accounting."""
 
+    theta_bar: float
     tr_hc: float
     tr_hc_sq: float
+    grad_term: float
+    mean_term: float
+    variance_term: float
+    value: float = float("nan")
+    control_cost: float = 0.0
+    pde_solves: int = 0
+    grad_norm: float = float("nan")
 
 
 def trace_probes(surr, gf, mode, n_tr, seed):
@@ -112,33 +121,41 @@ def trace_probes(surr, gf, mode, n_tr, seed):
     return gf.space.to_fields(d * basis.coefficients).T, 1.0
 
 
-def estimate_traces(surr, gf, mode="randomized", n_tr=40, seed=0):
-    """Estimate both covariance-preconditioned traces of the Hessian with the
-    probes of ``trace_probes``; the Hessian is applied to the probe block
-    once, i.e. 2*n_tr PDE solves.
+def expansion_moments(gf, theta_bar, grad_load, probes, loads, weight):
+    """Mean and variance of the quadratic expansion from its gradient load,
+    an (n, k) probe block and the probes' Hessian loads, with ``weight``
+    times the probe sums as traces; one block covariance action.  Raises
+    ``NumericalError`` below -1e-12 * max(1, |theta_bar|) and clamps smaller
+    negative rounding to 0.  Returns the moments' ``RiskReport`` and the
+    covariance images C g and C H zeta that the control gradient reuses.
     """
-    probes, weight = trace_probes(surr, gf, mode, n_tr, seed)
-    psi = surr.hess_action(probes.T)
-    mass = surr.space.mass
-    tr_hc = weight * float(np.sum(probes.T * (mass @ psi)))
-    tr_hc_sq = weight * float(np.sum(psi * (mass @ gf.apply_C(psi))))
-    return TraceEstimate(tr_hc=tr_hc, tr_hc_sq=tr_hc_sq)
-
-
-def analytic_mean(surr, gf, tr):
-    """Closed-form mean of the quadratic expansion under N(mean, C)."""
-    return surr.theta_bar + 0.5 * tr.tr_hc
-
-
-def analytic_variance(surr, gf, tr):
-    """Closed-form variance of the quadratic expansion under N(mean, C)."""
-    grad_term = surr.space.inner(surr.grad, gf.apply_C(surr.grad))
-    var = grad_term + 0.5 * tr.tr_hc_sq
-    if var < -1e-12 * max(1.0, abs(surr.theta_bar)):
+    c_all = gf.apply_C_to_loads(np.column_stack([grad_load, loads]))
+    c_grad, c_loads = c_all[:, 0], c_all[:, 1:]
+    grad_term = float(grad_load @ c_grad)
+    tr_hc = weight * float(np.sum(probes * loads))
+    tr_hc_sq = weight * float(np.sum(loads * c_loads))
+    variance = grad_term + 0.5 * tr_hc_sq
+    if variance < -1e-12 * max(1.0, abs(theta_bar)):
         raise NumericalError(
-            f"negative variance {var:.3e}: Hessian self-adjointness broken"
+            f"negative variance {variance:.3e}: Hessian self-adjointness broken"
         )
-    return max(var, 0.0)
+    report = RiskReport(
+        theta_bar=theta_bar, tr_hc=tr_hc, tr_hc_sq=tr_hc_sq,
+        grad_term=grad_term, mean_term=theta_bar + 0.5 * tr_hc,
+        variance_term=max(variance, 0.0),
+    )
+    return report, c_grad, c_loads
+
+
+def estimate_traces(surr, gf, mode="randomized", n_tr=40, seed=0):
+    """Both covariance-preconditioned traces and the expansion's moments
+    (``expansion_moments``) with the probes of ``trace_probes``; one block
+    Hessian form, i.e. 2*n_tr PDE solves."""
+    probes, weight = trace_probes(surr, gf, mode, n_tr, seed)
+    return expansion_moments(
+        gf, surr.theta_bar, surr.space.mass @ surr.grad, probes.T,
+        surr.hess_load(probes.T), weight,
+    )[0]
 
 
 @dataclass

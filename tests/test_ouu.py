@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from riskquad.checks import check_ouu_gradient, check_saa_gradient
+from riskquad.cli import main as cli_main
+from riskquad.errors import NumericalError
 from riskquad.fem import build_mesh, grad_dot_load, weighted_stiffness_apply
 from riskquad.ouu import (
     OuuConfig,
@@ -12,8 +16,8 @@ from riskquad.ouu import (
     optimize_saa,
 )
 from riskquad.poisson import PoissonFlowProblem, WellConfig, default_wells
-from riskquad.random_field import GaussianField
-from riskquad.surrogate import DRAW_CHUNK
+from riskquad.random_field import FieldSpace, GaussianField
+from riskquad.surrogate import DRAW_CHUNK, estimate_traces
 
 
 def make_setup(nx=12, ny=6, sigma=0.12):
@@ -85,6 +89,52 @@ def test_solve_accounting_exact(setup, n_tr):
     obj.gradient(state)
     assert problem.counter.count - start == 4 + 4 * n_tr
     assert state.report.pde_solves == 4 + 4 * n_tr
+
+
+@pytest.mark.parametrize("mode,n_tr", [("randomized", 5), ("eigenbasis", 3)])
+def test_evaluate_moments_match_estimate_traces(setup, mode, n_tr, monkeypatch):
+    # the optimizer's moments are the ones the trace-estimation criteria
+    # certify: same probes, same numbers, and no mass projection
+    _, problem, gf = setup
+    z = np.full(20, 4.0)
+    cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=n_tr, trace_mode=mode,
+                    beta_schedule=(1.0,), seed=4)
+    report, _ = RiskAverseObjective(problem, gf, cfg, nominal_control=z).evaluate(z)
+    surr = problem.surrogate(z)
+    projections = []
+    project = FieldSpace.project
+    monkeypatch.setattr(
+        FieldSpace, "project",
+        lambda space, load: projections.append(load) or project(space, load),
+    )
+    tr = estimate_traces(surr, gf, mode, n_tr=n_tr, seed=cfg.seed)
+    assert projections == []
+    for name in ("tr_hc", "tr_hc_sq", "grad_term", "mean_term", "variance_term"):
+        assert getattr(tr, name) == pytest.approx(
+            getattr(report, name), rel=1e-12, abs=0.0
+        )
+
+
+def test_evaluate_guards_against_negative_variance(monkeypatch, tmp_path):
+    _, problem, gf = make_setup(6, 3, sigma=0.3)
+    cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=3, beta_schedule=(1.0,), seed=0)
+    obj = RiskAverseObjective(problem, gf, cfg)
+    apply = GaussianField.apply_C_to_loads
+    monkeypatch.setattr(gf, "apply_C_to_loads", lambda loads: -apply(gf, loads))
+    with pytest.raises(NumericalError, match="negative variance"):
+        obj.evaluate(np.full(20, 4.0))
+    monkeypatch.undo()
+    # the command line reports the failure as a numerical one
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "mesh": {"nx": 6, "ny": 3}, "wells": {"sigma": 0.3},
+        "ouu": {"n_tr": 3, "max_iter": 2, "beta_schedule": [1.0]},
+    }))
+    monkeypatch.setattr(GaussianField, "apply_C_to_loads",
+                        lambda field, loads: -apply(field, loads))
+    code = cli_main(["--config", str(config), "--out", str(tmp_path / "out"),
+                     "optimize"])
+    assert code == 3
 
 
 def zeroed_sources(problem):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,8 @@ from riskquad.random_field import GaussianField
 from riskquad.semilinear import SemilinearProblem
 from riskquad.surrogate import (
     QuadraticSurrogate,
-    TraceEstimate,
-    analytic_mean,
-    analytic_variance,
     estimate_traces,
+    expansion_moments,
     truncation_rate_study,
 )
 
@@ -116,8 +116,8 @@ def test_analytic_mean_zero_hessian(tiny_flow):
     )
     tr = estimate_traces(surr, gf, "randomized", n_tr=5, seed=0)
     assert tr.tr_hc == 0.0 and tr.tr_hc_sq == 0.0
-    assert analytic_mean(surr, gf, tr) == 1.5
-    var = analytic_variance(surr, gf, tr)
+    assert tr.mean_term == 1.5
+    var = tr.variance_term
     ones = np.ones(space.dim)
     assert var == pytest.approx(space.inner(ones, gf.apply_C(ones)), rel=1e-12)
 
@@ -228,15 +228,18 @@ def test_randomized_traces_deterministic_per_seed(tiny_flow):
 
 
 def test_negative_variance_guard(tiny_flow):
-    _, problem, gf = tiny_flow
-    space = problem.space
-    surr = QuadraticSurrogate(
-        space=space, theta_bar=0.0, grad=np.zeros(space.dim),
-        hess_load=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
-    )
-    broken = TraceEstimate(tr_hc=0.0, tr_hc_sq=-1.0)
+    # a covariance image of -load makes the probe sum, and so the
+    # variance, -1; rounding-sized negatives are clamped to zero
+    _, problem, _ = tiny_flow
+    n = problem.space.dim
+    broken = SimpleNamespace(apply_C_to_loads=lambda loads: -loads)
+    probe = np.zeros((n, 1))
+    probe[0, 0] = np.sqrt(2.0)
     with pytest.raises(NumericalError):
-        analytic_variance(surr, gf, broken)
+        expansion_moments(broken, 0.0, np.zeros(n), probe, probe, 1.0)
+    report, _, _ = expansion_moments(broken, 0.0, np.zeros(n), probe,
+                                     1e-7 * probe, 1.0)
+    assert report.variance_term == 0.0
 
 
 def test_rate_study_single_sample_deterministic(tiny_flow):
