@@ -27,7 +27,6 @@ tables are shared and every loop is vectorized over elements.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
@@ -212,7 +211,7 @@ class Mesh:
 
 
 def build_mesh(nx, ny, lx, ly):
-    """Build a structured rectangle mesh with tagged boundary."""
+    """Build a structured rectangle mesh."""
     return Mesh(nx, ny, lx, ly)
 
 
@@ -344,33 +343,21 @@ def stiffness_matrix_1d(n_elems, h):
 
 
 class SolveCounter:
-    """Counts PDE solves; can be paused while auxiliary work runs.
+    """Counts PDE solves; a cost is the difference of two readings.
 
+    Every solve ticks, auxiliary work (the eigenbasis set-up) included.
     Ticks are serialized by a lock.  The library itself solves on one
     thread, but a caller may share a problem and its solvers across threads
-    of its own, and the count must stay exact then too: a pause holds only
-    for the thread that entered it.
+    of its own, and the count must stay exact then too.
     """
 
     def __init__(self):
         self.count = 0
         self._lock = threading.Lock()
-        self._local = threading.local()
 
     def tick(self, n=1):
-        if getattr(self._local, "paused", False):
-            return
         with self._lock:
             self.count += n
-
-    @contextmanager
-    def paused(self):
-        prev = getattr(self._local, "paused", False)
-        self._local.paused = True
-        try:
-            yield
-        finally:
-            self._local.paused = prev
 
 
 def _check_residuals(op, x, b, rtol):

@@ -102,8 +102,8 @@ class RiskAverseObjective:
     random draws from N(0, C) in randomized mode, sqrt(C) images of the
     dominant preconditioned-Hessian eigenvectors at the nominal control in
     eigenbasis mode (one Lanczos eigensolve on the surrogate's Hessian form,
-    two anchor solves per step and no covariance or mass solve, excluded
-    from solve accounting).
+    two anchor solves per step and no covariance or mass solve; these ticks
+    reach the problem's counter but no report's ``pde_solves``).
     Objective and gradient apply the incremental kernel to the whole probe
     block at once.
     """
@@ -120,8 +120,7 @@ class RiskAverseObjective:
         if cfg.trace_mode == "eigenbasis":
             if nominal_control is None:
                 raise ValueError("eigenbasis mode needs a nominal control")
-            with problem.counter.paused():
-                surr = problem.surrogate(np.asarray(nominal_control, float))
+            surr = problem.surrogate(np.asarray(nominal_control, float))
         self.probes, self.weight = trace_probes(
             surr, gf, cfg.trace_mode, cfg.n_tr, cfg.seed
         )
@@ -228,10 +227,12 @@ def _continuation(problem, base, cfg, z0, value, grad, report):
     previous optimum; the copies share the frozen probes or draws.
 
     ``value(obj, z) -> (f, aux)`` and ``grad(obj, z, aux)`` evaluate one
-    leg's objective; ``report(aux)`` is stored with the leg.
+    leg's objective; ``report(aux)`` is stored with the leg.  The iterate
+    rows count the problem's solves from the start of the first leg.
     """
     z = np.asarray(z0, dtype=float).copy()
     legs = []
+    start = problem.counter.count
     for beta in cfg.beta_schedule or (cfg.beta,):
         obj = copy.copy(base)
         obj.beta = float(beta)
@@ -240,7 +241,7 @@ def _continuation(problem, base, cfg, z0, value, grad, report):
             lambda zk, aux, _o=obj: grad(_o, zk, aux),
             z, cfg.z_min, cfg.z_max,
             rel_tol=cfg.grad_reduction_tol, max_iter=cfg.max_iter,
-            solve_count=lambda: problem.counter.count,
+            solve_count=lambda: problem.counter.count - start,
         )
         z = res.z
         legs.append(

@@ -270,5 +270,4 @@ class PoissonFlowProblem:
             hess_load=lambda zeta: self.hessian_load(
                 ws, zeta, *self.incremental(ws, zeta)),
             anchor=self.mean,
-            counter=self.counter,
         )

@@ -181,5 +181,4 @@ class SemilinearProblem:
             hess_load=lambda m_hat: (self.trace_space.mass
                                      @ self.hess_action(ws, m_hat)),
             anchor=np.asarray(m_bar, float),
-            counter=self.counter,
         )

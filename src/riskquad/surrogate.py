@@ -15,7 +15,6 @@ decaying spectra, exact with a complete basis).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,9 +33,7 @@ class QuadraticSurrogate:
     load M H m of the Hessian action, or an (n, k) block to the loads of
     each column, and is symmetric.  ``hess_action`` is its nodal
     representation.  The eigensolve works on the form, which needs no mass
-    solve.  ``counter`` points at the owning problem's solve counter when
-    there is one, so auxiliary work (eigenbasis construction) can be
-    excluded from solve accounting.
+    solve.
     """
 
     space: object
@@ -44,7 +41,6 @@ class QuadraticSurrogate:
     grad: np.ndarray
     hess_load: Callable[[np.ndarray], np.ndarray]
     anchor: np.ndarray
-    counter: object = None
 
     def hess_action(self, m):
         """Hessian action H m on a field (n,) or on each column of (n, k)."""
@@ -103,10 +99,10 @@ def trace_probes(surr, gf, mode, n_tr, seed):
     randomized: draws from N(0, C), weight 1/n_tr (unbiased for both traces).
     eigenbasis: sqrt(C) images of the n_tr eigenvectors of sqrt(C) H sqrt(C)
     of largest |eigenvalue| (Lanczos on the Hessian form ``hess_load``, one
-    Hessian action per step), weight 1; outside solve accounting.  In the
-    space's basis Phi an eigenvector has coefficients y and its image is
-    Phi (d * y), with d the diagonal of sqrt(C), so no covariance solve is
-    made.
+    Hessian action per step), weight 1; the eigensolve's solves tick the
+    problem's counter like any other.  In the space's basis Phi an
+    eigenvector has coefficients y and its image is Phi (d * y), with d the
+    diagonal of sqrt(C), so no covariance solve is made.
     """
     if n_tr < 1:
         raise ValueError("n_tr must be at least 1")
@@ -114,9 +110,7 @@ def trace_probes(surr, gf, mode, n_tr, seed):
         return gf.zero_mean_batch(n_tr, seed).T, 1.0 / n_tr
     if mode != "eigenbasis":
         raise ValueError(f"unknown trace mode {mode!r}")
-    pause = surr.counter.paused() if surr.counter is not None else nullcontext()
-    with pause:
-        basis = gf.preconditioned_eigenpairs(surr.hess_load, n_tr, seed=seed)
+    basis = gf.preconditioned_eigenpairs(surr.hess_load, n_tr, seed=seed)
     d = gf.sqrt_C_diagonal[:, None]
     return gf.space.to_fields(d * basis.coefficients).T, 1.0
 
@@ -150,7 +144,8 @@ def expansion_moments(gf, theta_bar, grad_load, probes, loads, weight):
 def estimate_traces(surr, gf, mode="randomized", n_tr=40, seed=0):
     """Both covariance-preconditioned traces and the expansion's moments
     (``expansion_moments``) with the probes of ``trace_probes``; one block
-    Hessian form, i.e. 2*n_tr PDE solves."""
+    Hessian form, i.e. 2*n_tr PDE solves, plus the eigensolve's Hessian
+    actions in eigenbasis mode."""
     probes, weight = trace_probes(surr, gf, mode, n_tr, seed)
     return expansion_moments(
         gf, surr.theta_bar, surr.space.mass @ surr.grad, probes.T,

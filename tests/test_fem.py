@@ -643,35 +643,6 @@ def test_solve_counter_exact_under_threads():
     assert counter.count == per_thread * n_threads
 
 
-def test_solve_counter_pause_holds_only_for_its_thread():
-    counter = SolveCounter()
-    n_ticks = 20_000
-    entered, ticked = threading.Event(), threading.Event()
-
-    def pauser():
-        with counter.paused():
-            entered.set()
-            counter.tick(7)  # auxiliary work: not counted
-            ticked.wait(timeout=60)
-
-    def ticker():
-        entered.wait(timeout=60)
-        for _ in range(n_ticks):
-            counter.tick()
-        ticked.set()
-
-    threads = [threading.Thread(target=pauser), threading.Thread(target=ticker)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    # every tick of the other thread landed while the pause was held
-    assert counter.count == n_ticks
-    counter.tick()
-    assert counter.count == n_ticks + 1
-
-
 def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 

@@ -270,6 +270,25 @@ def test_optimize_deterministic(setup):
     assert v1 == v2
 
 
+def test_each_optimize_trace_counts_from_its_own_start():
+    # one problem, three runs: each iterate trace starts at its first
+    # objective-plus-gradient, and the eigenbasis set-up is counted on the
+    # problem's counter but in no trace
+    _, problem, gf = make_setup()
+    n_tr = 3
+    spent, traced = [], []
+    for mode in ("randomized", "eigenbasis", "randomized"):
+        cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=n_tr, trace_mode=mode,
+                        beta_schedule=(1.0,), max_iter=2, seed=0)
+        start = problem.counter.count
+        res = optimize(problem, gf, cfg, z0=np.full(20, 4.0))
+        spent.append(problem.counter.count - start)
+        traced.append(res.legs[-1].rows[-1].solves)
+        assert res.legs[0].rows[0].solves == 4 + 4 * n_tr
+    assert spent[0] == traced[0] and spent[2] == traced[2]
+    assert spent[1] > traced[1]
+
+
 def test_saa_mean_only_at_zero_spread(setup):
     _, problem, gf = setup
     saa = SaaObjective(problem, gf.scaled(0.0), n_mc=4, beta=1.0, gamma=1e-5, seed=0)

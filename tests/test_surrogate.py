@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -213,10 +214,26 @@ def test_complete_eigenbasis_traces_exact(tiny_flow):
 def test_trace_estimation_costs_two_solves_per_probe(tiny_flow):
     _, problem, gf = tiny_flow
     surr = problem.surrogate(np.full(problem.n_controls, 4.0))
-    for mode, n_tr in (("randomized", 6), ("eigenbasis", 4)):
-        start = problem.counter.count
-        estimate_traces(surr, gf, mode, n_tr=n_tr, seed=1)
-        assert problem.counter.count - start == 2 * n_tr
+    start = problem.counter.count
+    estimate_traces(surr, gf, "randomized", n_tr=6, seed=1)
+    assert problem.counter.count - start == 2 * 6
+
+    # eigenbasis: the eigensolve's Hessian columns are counted as well, two
+    # solves each; the probe block itself costs 2*n_tr
+    columns = []
+
+    def counted(m):
+        columns.append(1 if np.ndim(m) == 1 else np.shape(m)[1])
+        return surr.hess_load(m)
+
+    eig_surr = dataclasses.replace(surr, hess_load=counted)
+    n_tr = 4
+    start = problem.counter.count
+    estimate_traces(eig_surr, gf, "eigenbasis", n_tr=n_tr, seed=1)
+    probe_block = columns.pop()
+    assert probe_block == n_tr
+    assert sum(columns) > 0
+    assert problem.counter.count - start == 2 * n_tr + 2 * sum(columns)
 
 
 def test_randomized_traces_deterministic_per_seed(tiny_flow):
