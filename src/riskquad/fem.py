@@ -536,13 +536,12 @@ class SpdSolver:
         if d is None:
             return np.asarray(loads, dtype=float)
         b = np.array(loads, dtype=float)
-        vals = np.broadcast_to(np.asarray(bc_values, dtype=float), d.shape)
         bt = b.T  # a view with one column per row, or the vector itself
-        if np.any(vals != 0.0):
+        if np.any(bc_values):
             lift = np.zeros(self.n)
-            lift[d] = vals
+            lift[d] = bc_values
             bt -= self.op @ lift
-        bt[..., d] = vals
+        bt[..., d] = bc_values
         return b
 
     def solve(self, load, bc_values=0.0):

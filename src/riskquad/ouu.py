@@ -175,14 +175,14 @@ class RiskAverseObjective:
             + weighted_stiffness_sum(mesh, em, zeta, adj_inc_p)
         )
         b4 = -(
-            pr.space.mass @ (pr.obs_fields @ ws.misfit)
+            pr.obs_operator @ ws.misfit
             + weighted_stiffness_apply(mesh, coef, ws.p)
             + weighted_stiffness_sum(mesh, em, mix, state.inc_p)
             + weighted_stiffness_sum(mesh, em, zeta, adj_inc_u)
         )
         adj_p = pr.anchor_solver.solve(b3)
         adj_u = pr.anchor_solver.solve(
-            b4 - pr.space.mass @ (pr.obs_fields @ pr.observe(adj_p))
+            b4 - pr.obs_operator @ pr.observe(adj_p)
         )
         grad = self.cfg.gamma * state.z - pr.source_fields.T @ (
             pr.space.mass @ adj_u
@@ -318,7 +318,7 @@ class SaaObjective:
         grad = self.gamma * z.copy()
         for w, u, solver in zip(weights, states, self.solvers):
             misfit = pr.observe(u) - pr.wells.targets
-            adj = solver.solve(-(pr.space.mass @ (pr.obs_fields @ misfit)))
+            adj = solver.solve(-(pr.obs_operator @ misfit))
             grad -= w * (pr.source_fields.T @ (pr.space.mass @ adj))
         return grad
 

@@ -105,15 +105,33 @@ def mollifier_fields(mesh, space, points, sigma):
 
 
 @dataclass
+class HessianKernel:
+    """The matrices of the incremental equations and the Hessian load at one
+    state/adjoint pair (u, p): B_u with B_u zeta =
+    weighted_stiffness_apply(em * zeta_gauss, u), B_p the same with p, the
+    mass matrix M_w weighted by em grad u . grad p, and CSR copies of B_u^T
+    and B_p^T (the pattern is symmetric), whose products have the bits of
+    those through the transposed (CSC) views at about half their cost."""
+
+    B_u: object
+    B_p: object
+    M_w: object
+    B_uT: object
+    B_pT: object
+
+
+@dataclass
 class PdeWorkspace:
-    """State/adjoint pair at the anchor field for one control vector, with
-    the incremental coupling matrices once ``incremental`` has built them."""
+    """State/adjoint pair at the anchor field for one control vector.  Its
+    Hessian ``kernel`` is built by the first ``incremental`` on it and
+    serves every later incremental pair and Hessian load, for vectors and
+    blocks alike."""
 
     z: np.ndarray
     u: np.ndarray
     p: np.ndarray
     misfit: np.ndarray
-    couplings: tuple = None
+    kernel: HessianKernel = None
 
 
 class PoissonFlowProblem:
@@ -143,6 +161,8 @@ class PoissonFlowProblem:
         self.obs_fields = mollifier_fields(
             mesh, self.space, self.wells.production_points, self.wells.sigma
         )
+        # W = M Q: observations are W^T u and the load of a misfit r is W r
+        self.obs_operator = self.space.mass @ self.obs_fields
 
         self.em_gauss = np.exp(mesh.interp_gauss(self.mean))
         op = assemble_weighted_stiffness(mesh, self.mean)
@@ -173,8 +193,9 @@ class PoissonFlowProblem:
         return self.space.mass @ (self.source_fields @ np.asarray(z, float))
 
     def observe(self, u):
-        """Mollified-average observations Qu at the production wells."""
-        return self.obs_fields.T @ (self.space.mass @ u)
+        """Mollified-average observations W^T u at the production wells, of a
+        state (n,) or of each column of (n, k)."""
+        return self.obs_operator.T @ u
 
     def solver_for(self, m):
         """Fresh factorization of the operator at log conductivity m.
@@ -212,9 +233,7 @@ class PoissonFlowProblem:
         z = np.asarray(z, dtype=float)
         u = self.solve_state(z)
         misfit = self.observe(u) - self.wells.targets
-        p = self.anchor_solver.solve(
-            -(self.space.mass @ (self.obs_fields @ misfit))
-        )
+        p = self.anchor_solver.solve(-(self.obs_operator @ misfit))
         return PdeWorkspace(z=z, u=u, p=p, misfit=misfit)
 
     def grad_field(self, ws):
@@ -225,34 +244,30 @@ class PoissonFlowProblem:
 
     def incremental(self, ws, zeta):
         """Incremental states and adjoints for a direction (n,) or for each
-        column of an (n, k) block (2 counted solves per column).
-
-        With B_u zeta = weighted_stiffness_apply(em * zeta_gauss, u), B_p the
-        same with p, and M_w the mass matrix weighted by em grad u . grad p
-        (for ``hessian_load``), the three matrices are built once per
-        workspace and cached on it.
-        """
-        if ws.couplings is None:
+        column of an (n, k) block (2 counted solves per column):
+        inc_u = -A^{-1} B_u zeta and inc_p = -A^{-1} (W W^T inc_u + B_p zeta),
+        with the workspace's ``HessianKernel``, built here on first use."""
+        if ws.kernel is None:
             mesh, em = self.mesh, self.em_gauss
             (ux, uy), (px, py) = mesh.grad_gauss(ws.u), mesh.grad_gauss(ws.p)
-            ws.couplings = (
-                assemble_coupling(mesh, em, ws.u),
-                assemble_coupling(mesh, em, ws.p),
-                assemble_weighted_mass(mesh, em * (ux * px + uy * py)),
+            B_u = assemble_coupling(mesh, em, ws.u)
+            B_p = assemble_coupling(mesh, em, ws.p)
+            ws.kernel = HessianKernel(
+                B_u=B_u, B_p=B_p,
+                M_w=assemble_weighted_mass(mesh, em * (ux * px + uy * py)),
+                B_uT=B_u.T.tocsr(), B_pT=B_p.T.tocsr(),
             )
-        B_u, B_p, _ = ws.couplings
+        k, W = ws.kernel, self.obs_operator
         solve = self.anchor_solver.apply_inverse
-        inc_u = solve(-(B_u @ zeta))
-        inc_p = solve(
-            -(self.space.mass @ (self.obs_fields @ self.observe(inc_u))) - B_p @ zeta
-        )
+        inc_u = solve(-(k.B_u @ zeta))
+        inc_p = solve(-(W @ (W.T @ inc_u)) - k.B_p @ zeta)
         return inc_u, inc_p
 
     def hessian_load(self, ws, zeta, inc_u, inc_p):
         """Hessian load M_w zeta + B_p^T inc_u + B_u^T inc_p of a direction or
         block ``zeta`` whose ``incremental`` pair on ``ws`` is (inc_u, inc_p)."""
-        B_u, B_p, M_w = ws.couplings
-        return M_w @ zeta + B_p.T @ inc_u + B_u.T @ inc_p
+        k = ws.kernel
+        return k.M_w @ zeta + k.B_pT @ inc_u + k.B_uT @ inc_p
 
     def hess_action(self, ws, zeta):
         """Hessian action on a direction (n,) or on each column of an (n, k)

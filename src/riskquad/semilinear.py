@@ -37,13 +37,15 @@ def default_desired_state(mesh):
 
 @dataclass
 class SemilinearWorkspace:
-    """State, adjoint, and linearized solver at one (control, flux) pair."""
+    """State, adjoint, and linearized solver at one (control, flux) pair,
+    with the Hessian's weighted mass once ``hess_action`` has built it."""
 
     z: np.ndarray
     m: np.ndarray
     u: np.ndarray
     p: np.ndarray
     solver: SpdSolver
+    weighted_mass: object = None
 
 
 class SemilinearProblem:
@@ -160,13 +162,17 @@ class SemilinearProblem:
 
     def hess_action(self, ws, m_hat):
         """Hessian action on a boundary flux direction (nb,) or on each column
-        of an (nb, k) block (2 linearized solves per direction)."""
+        of an (nb, k) block (2 linearized solves per direction).  For c > 0
+        the mass weighted by 6c u p is built once per workspace."""
         solve = ws.solver.apply_inverse
         inc_u = solve(self.boundary_load(m_hat))
         load = self.space.mass @ inc_u
         if self.c > 0.0:
-            up = self.mesh.interp_gauss(ws.u) * self.mesh.interp_gauss(ws.p)
-            load = load + assemble_weighted_mass(self.mesh, 6.0 * self.c * up) @ inc_u
+            if ws.weighted_mass is None:
+                up = self.mesh.interp_gauss(ws.u) * self.mesh.interp_gauss(ws.p)
+                ws.weighted_mass = assemble_weighted_mass(self.mesh,
+                                                          6.0 * self.c * up)
+            load = load + ws.weighted_mass @ inc_u
         inc_p = solve(-load)
         return -self.boundary_trace(inc_p)
 

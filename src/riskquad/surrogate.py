@@ -57,13 +57,13 @@ class QuadraticSurrogate:
 
     def eval_quad(self, m):
         """Second-order value at a field (n,), or the values at each column of
-        an (n, k) block; costs exactly one (block) Hessian action."""
+        an (n, k) block; costs exactly one (block) Hessian load and no mass
+        solve, since <d, H d>_M is the sum of d times its load M H d."""
         d = self._offset(m)
-        md = self.space.mass @ d
         return (
             self.theta_bar
-            + self.grad @ md
-            + 0.5 * np.sum(self.hess_action(d) * md, axis=0)
+            + self.grad @ (self.space.mass @ d)
+            + 0.5 * np.sum(d * self.hess_load(d), axis=0)
         )
 
 
@@ -180,7 +180,7 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0):
     at eps is then anchor + sqrt(eps) b_i, and both expansions are
     polynomials in sqrt(eps) with coefficients <g, b_i> and <H b_i, b_i>,
     so each draw costs one Hessian action for the whole eps range; the
-    draws are taken ``DRAW_CHUNK`` at a time, one block Hessian action per
+    draws are taken ``DRAW_CHUNK`` at a time, one block Hessian load per
     chunk.  The true objective costs one factorization and one solve per
     draw and eps, taken serially.  Also returns least-squares log-log slopes
     over the eps range.
@@ -194,10 +194,9 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0):
     if not np.allclose(surr.anchor, gf.mean, atol=1e-12):
         raise ValueError("expansion anchor must match the field mean")
     base = gf.zero_mean_batch(n_mc, seed)
-    mass = surr.space.mass
-    grad_b = surr.grad @ (mass @ base)
+    grad_b = surr.grad @ (surr.space.mass @ base)
     hess_bb = over_draw_chunks(
-        lambda B: np.sum(surr.hess_action(B) * (mass @ B), axis=0), base
+        lambda B: np.sum(B * surr.hess_load(B), axis=0), base
     )
     err_lin = np.empty(len(eps))
     err_quad = np.empty(len(eps))

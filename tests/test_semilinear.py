@@ -208,6 +208,20 @@ def test_block_hessian_matches_columns(setup):
         assert np.linalg.norm(block[:, k] - col) <= 1e-12 * np.linalg.norm(col)
 
 
+def test_hessian_weighted_mass_is_built_once_per_workspace(setup, monkeypatch):
+    mesh, problem, _ = setup
+    assert problem.c > 0.0
+    ws = problem.workspace(np.ones(mesh.n_nodes), np.zeros(problem.boundary_dim))
+    m_hat = np.random.default_rng(10).standard_normal(problem.boundary_dim)
+    first = problem.hess_action(ws, m_hat)
+
+    calls = []
+    monkeypatch.setattr("riskquad.semilinear.assemble_weighted_mass",
+                        lambda *a: calls.append(a) or assemble_weighted_mass(*a))
+    assert np.array_equal(problem.hess_action(ws, m_hat), first)
+    assert calls == []
+
+
 def test_newton_solvers_share_the_band_plan():
     problem = SemilinearProblem(build_mesh(12, 12, 1.0, 1.0), c=1.0)
     mesh = problem.mesh

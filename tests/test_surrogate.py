@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from riskquad.errors import NumericalError
-from riskquad.fem import build_mesh
+from riskquad.fem import assemble_coupling, build_mesh
 from riskquad.poisson import PoissonFlowProblem, default_wells
-from riskquad.random_field import GaussianField
+from riskquad.random_field import FieldSpace, GaussianField
 from riskquad.semilinear import SemilinearProblem
 from riskquad.surrogate import (
     QuadraticSurrogate,
@@ -56,6 +56,66 @@ def test_flow_hess_action_is_the_projected_hessian_load(tiny_flow):
         assert np.array_equal(got, problem.hess_action(ws, m))
 
 
+def _directions(problem, seed):
+    Z = np.random.default_rng(seed).standard_normal((problem.mesh.n_nodes, 3))
+    return Z[:, 0], Z
+
+
+def test_flow_hessian_kernel_keeps_the_former_products(tiny_flow, monkeypatch):
+    # the cached transposes give the bits of the products through B.T, and
+    # the observation operator W = M Q the former chain M Q Q^T M to rounding
+    _, problem, _ = tiny_flow
+    ws = problem.workspace(np.full(problem.n_controls, 4.0))
+    mass, Q = problem.space.mass, problem.obs_fields
+    solve = problem.anchor_solver.apply_inverse
+    for zeta in _directions(problem, 13):
+        inc_u, inc_p = problem.incremental(ws, zeta)
+        k = ws.kernel
+        ref_u = solve(-(k.B_u @ zeta))
+        ref_p = solve(-(mass @ (Q @ (Q.T @ (mass @ ref_u)))) - k.B_p @ zeta)
+        for got, ref in ((inc_u, ref_u), (inc_p, ref_p)):
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.array_equal(
+            problem.hessian_load(ws, zeta, inc_u, inc_p),
+            k.M_w @ zeta + k.B_p.T @ inc_u + k.B_u.T @ inc_p,
+        )
+
+    calls = []
+    monkeypatch.setattr("riskquad.poisson.assemble_coupling",
+                        lambda *a: calls.append(a) or assemble_coupling(*a))
+    kernel = ws.kernel
+    for zeta in _directions(problem, 14):
+        problem.incremental(ws, zeta)
+    assert calls == [] and ws.kernel is kernel
+
+
+def _former_lifted(solver, loads, bc_values):
+    d = solver.dirichlet
+    b = np.array(loads, dtype=float)
+    vals = np.broadcast_to(np.asarray(bc_values, dtype=float), d.shape)
+    bt = b.T
+    if np.any(vals != 0.0):
+        lift = np.zeros(solver.n)
+        lift[d] = vals
+        bt -= solver.op @ lift
+    bt[..., d] = vals
+    return b
+
+
+def test_lifted_keeps_the_former_bits_and_the_loads(tiny_flow):
+    _, problem, _ = tiny_flow
+    solver = problem.anchor_solver
+    n_bc = len(problem.mesh.dirichlet_nodes)
+    data = {"scalar 0": 0.0, "zero array": np.zeros(n_bc),
+            "per-node": problem.dirichlet_bc + np.linspace(0.5, 1.5, n_bc)}
+    for loads in _directions(problem, 15):
+        kept = loads.copy()
+        for name, bc in data.items():
+            got = solver._lifted(loads, bc)
+            assert np.array_equal(got, _former_lifted(solver, loads, bc)), name
+            assert np.array_equal(loads, kept), name
+
+
 def test_zero_gradient_linear_expansion_is_flat(tiny_flow):
     _, problem, _ = tiny_flow
     space = problem.space
@@ -91,6 +151,32 @@ def test_block_eval_matches_per_column(tiny_flow):
     assert problem.counter.count - start - block_solves == block_solves == 10
     np.testing.assert_allclose(lin, ref_lin, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(quad, ref_quad, rtol=1e-12, atol=0.0)
+
+
+def test_eval_quad_sums_the_hessian_load_without_a_projection(tiny_flow,
+                                                            monkeypatch):
+    _, problem, gf = tiny_flow
+    surr = problem.surrogate(np.full(problem.n_controls, 4.0))
+    fields = gf.sample_batch(3, seed=4)
+    mass = problem.space.mass
+
+    def projected(m):
+        d = m - (surr.anchor if m.ndim == 1 else surr.anchor[:, None])
+        md = mass @ d
+        return (surr.theta_bar + surr.grad @ md
+                + 0.5 * np.sum(surr.hess_action(d) * md, axis=0))
+
+    expected = [projected(m) for m in (fields[:, 0], fields)]
+    projections = []
+    project = FieldSpace.project
+    monkeypatch.setattr(
+        FieldSpace, "project",
+        lambda space, load: projections.append(load) or project(space, load),
+    )
+    got = [surr.eval_quad(m) for m in (fields[:, 0], fields)]
+    assert projections == []
+    for g, e in zip(got, expected):
+        np.testing.assert_allclose(g, e, rtol=1e-12, atol=0.0)
 
 
 def test_quadratic_beats_linear_near_anchor(tiny_flow):
