@@ -1,9 +1,13 @@
 """Central-difference validation of the whole derivative stack.
 
 Each check compares an adjoint-based derivative against a second-order
-finite difference at step h = 1e-4 and reports the relative error.  These
-are the same checks the test suite runs; the CLI exposes them so a modified
-build can be revalidated in seconds.
+finite difference at step h = 1e-4 and reports the relative error.  The
+field checks ``check_gradient`` and ``check_hessian`` take either model
+problem, since both expand about a field m through ``objective(z, m)`` and
+``surrogate(z, m)``; the Hessian check differences the gradients of the
+expansions about anchor +- h d.  These are the same checks the test suite
+runs; the CLI exposes them so a modified build can be revalidated in
+seconds.
 """
 
 from __future__ import annotations
@@ -29,31 +33,6 @@ def _central(f, h):
     return (f(h) - f(-h)) / (2.0 * h)
 
 
-def _gradient_error(surr, gf, objective_at, n_dirs, seed, h):
-    """Max relative FD error of <grad, d> over random directions d, with
-    ``objective_at(d)`` the objective at the anchor plus d."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_dirs):
-        d = gf.sample(rng) - gf.mean
-        fd = _central(lambda t: objective_at(t * d), h)
-        worst = max(worst, _rel(abs(surr.space.inner(surr.grad, d) - fd), abs(fd)))
-    return worst
-
-
-def _hessian_error(surr, gf, grad_at, n_dirs, seed, h):
-    """Max relative FD error of the Hessian action against differences of
-    ``grad_at(d)``, the parameter gradient at the anchor plus d."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_dirs):
-        d = gf.sample(rng) - gf.mean
-        psi = surr.hess_action(d)
-        err = surr.space.norm(psi - _central(lambda t: grad_at(t * d), h))
-        worst = max(worst, _rel(err, surr.space.norm(psi)))
-    return worst
-
-
 def _control_error(value, grad, z, components, h):
     """Max relative componentwise FD error of a control gradient."""
     worst = 0.0
@@ -65,35 +44,31 @@ def _control_error(value, grad, z, components, h):
     return worst
 
 
-def check_flow_gradient(problem, gf, z, n_dirs=3, seed=0, h=FD_STEP):
-    """Max relative FD error of the parameter gradient of the flow objective."""
-    return _gradient_error(
-        problem.surrogate(z), gf, lambda d: problem.objective(z, problem.mean + d),
-        n_dirs, seed, h,
-    )
+def check_gradient(problem, gf, z, n_dirs=3, seed=0, h=FD_STEP):
+    """Max relative FD error of <grad, d> over random directions d of the
+    field's law, for either model problem, expanded about its anchor."""
+    surr = problem.surrogate(z)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_dirs):
+        d = gf.sample(rng) - gf.mean
+        fd = _central(lambda t: problem.objective(z, surr.anchor + t * d), h)
+        worst = max(worst, _rel(abs(surr.space.inner(surr.grad, d) - fd), abs(fd)))
+    return worst
 
 
-def check_flow_hessian(problem, gf, z, n_dirs=2, seed=1, h=FD_STEP):
-    """Max relative FD error of the Hessian action against gradient differences."""
-    def grad_at(d):
-        moved = PoissonFlowProblem(problem.mesh, wells=problem.wells,
-                                   mean=problem.mean + d)
-        return moved.surrogate(z).grad
-    return _hessian_error(problem.surrogate(z), gf, grad_at, n_dirs, seed, h)
-
-
-def check_semilinear_gradient(problem, gf, z, n_dirs=3, seed=2, h=FD_STEP):
-    return _gradient_error(
-        problem.surrogate(z, gf.mean), gf,
-        lambda d: problem.objective(z, gf.mean + d), n_dirs, seed, h,
-    )
-
-
-def check_semilinear_hessian(problem, gf, z, n_dirs=2, seed=3, h=FD_STEP):
-    return _hessian_error(
-        problem.surrogate(z, gf.mean), gf,
-        lambda d: problem.surrogate(z, gf.mean + d).grad, n_dirs, seed, h,
-    )
+def check_hessian(problem, gf, z, n_dirs=2, seed=1, h=FD_STEP):
+    """Max relative FD error of the Hessian action at the anchor against
+    differences of the gradients of the expansions about anchor +- h d."""
+    surr = problem.surrogate(z)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_dirs):
+        d = gf.sample(rng) - gf.mean
+        psi = surr.hess_action(d)
+        fd = _central(lambda t: problem.surrogate(z, surr.anchor + t * d).grad, h)
+        worst = max(worst, _rel(surr.space.norm(psi - fd), surr.space.norm(psi)))
+    return worst
 
 
 def check_ouu_gradient(problem, gf, cfg, z, components=None, h=FD_STEP):
@@ -125,11 +100,11 @@ def run_derivative_checks(seed=0):
     sl_z = np.ones(sl_mesh.n_nodes)
 
     cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=4, beta_schedule=(1.0,), seed=seed)
-    results = [
-        ("flow parameter gradient", check_flow_gradient(problem, gf, z), FD_TOL),
-        ("flow Hessian action", check_flow_hessian(problem, gf, z), FD_TOL),
-        ("semilinear gradient", check_semilinear_gradient(sl, sl_gf, sl_z), FD_TOL),
-        ("semilinear Hessian action", check_semilinear_hessian(sl, sl_gf, sl_z), FD_TOL),
+    return [
+        ("flow parameter gradient", check_gradient(problem, gf, z), FD_TOL),
+        ("flow Hessian action", check_hessian(problem, gf, z), FD_TOL),
+        ("semilinear gradient", check_gradient(sl, sl_gf, sl_z, seed=2), FD_TOL),
+        ("semilinear Hessian action", check_hessian(sl, sl_gf, sl_z, seed=3), FD_TOL),
         (
             "risk objective control gradient",
             check_ouu_gradient(problem, gf, cfg, z, components=(0, 9, 19)),
@@ -137,4 +112,3 @@ def run_derivative_checks(seed=0):
         ),
         ("sample-average control gradient", check_saa_gradient(problem, gf, z), FD_TOL),
     ]
-    return results

@@ -151,6 +151,13 @@ _SECTION_TYPES = {
 _DERIVED = {OuuConfig: {"seed"}}
 
 
+def _finite(value):
+    """False for NaN or an infinity (JSON admits both), also inside lists."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or np.isfinite(value)
+
+
 def _from_dict(cls, data, path=""):
     if not isinstance(data, dict):
         raise ConfigError(f"section {path or cls.__name__!r} must be a mapping")
@@ -166,6 +173,9 @@ def _from_dict(cls, data, path=""):
         else:
             kwargs[name] = value
     try:
+        for name, value in kwargs.items():
+            if not _finite(value):
+                raise ValueError(f"{name}: {value!r} is not finite")
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc

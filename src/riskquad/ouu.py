@@ -135,7 +135,7 @@ class RiskAverseObjective:
         z = np.asarray(z, dtype=float)
         ws = pr.workspace(z)
         theta_bar = 0.5 * float(ws.misfit @ ws.misfit)
-        grad_load = grad_dot_load(pr.mesh, pr.em_gauss, ws.u, ws.p)
+        grad_load = grad_dot_load(pr.mesh, ws.em, ws.u, ws.p)
         zeta = self.probes.T
         inc_u, inc_p = pr.incremental(ws, zeta)
         psi = pr.hessian_load(ws, zeta, inc_u, inc_p)
@@ -162,7 +162,7 @@ class RiskAverseObjective:
         solves, and returns gamma*z - <f_i, u*>.
         """
         pr = self.problem
-        mesh, em, ws = pr.mesh, pr.em_gauss, state.ws
+        mesh, em, ws = pr.mesh, state.ws.em, state.ws
         start = pr.counter.count
         zeta = self.probes.T
         mix = 0.5 * self.weight * (zeta + self.beta * state.c_psi)
@@ -180,10 +180,8 @@ class RiskAverseObjective:
             + weighted_stiffness_sum(mesh, em, mix, state.inc_p)
             + weighted_stiffness_sum(mesh, em, zeta, adj_inc_u)
         )
-        adj_p = pr.anchor_solver.solve(b3)
-        adj_u = pr.anchor_solver.solve(
-            b4 - pr.obs_operator @ pr.observe(adj_p)
-        )
+        adj_p = ws.solver.solve(b3)
+        adj_u = ws.solver.solve(b4 - pr.obs_operator @ pr.observe(adj_p))
         grad = self.cfg.gamma * state.z - pr.source_fields.T @ (
             pr.space.mass @ adj_u
         )

@@ -122,23 +122,26 @@ class HessianKernel:
 
 @dataclass
 class PdeWorkspace:
-    """State/adjoint pair at the anchor field for one control vector.  Its
-    Hessian ``kernel`` is built by the first ``incremental`` on it and
-    serves every later incremental pair and Hessian load, for vectors and
-    blocks alike."""
+    """State/adjoint pair at (z, m), with m's solver and exp(m) at the Gauss
+    points, which every derivative on it reads.  Its Hessian ``kernel`` is
+    built by the first ``incremental`` on it and serves every later
+    incremental pair and Hessian load, for vectors and blocks alike."""
 
     z: np.ndarray
+    m: np.ndarray
     u: np.ndarray
     p: np.ndarray
     misfit: np.ndarray
+    solver: SpdSolver
+    em: np.ndarray
     kernel: HessianKernel = None
 
 
 class PoissonFlowProblem:
     """Discrete control problem bound to a mesh, well layout, and anchor field.
 
-    The anchor log-conductivity (the field about which surrogates are built)
-    gets one solver, reused for every state, adjoint, and incremental solve;
+    The anchor log-conductivity ``mean`` (the field that m=None means) gets
+    one solver, reused for every state, adjoint, and incremental solve;
     the shared counter ticks once per SPD solve.  A constant anchor, such as
     every configured ``constant`` mean, is solved by the fast-diagonalization
     backend of ``SpdSolver``, any other by banded Cholesky, as is every
@@ -228,27 +231,32 @@ class PoissonFlowProblem:
 
     # -- derivatives with respect to the parameter field -----------------------
 
-    def workspace(self, z):
-        """Solve state and adjoint at the anchor field (2 counted solves)."""
+    def workspace(self, z, m=None):
+        """Solve state and adjoint at (z, m) (2 counted solves); m=None is
+        the anchor field and its solver, any other m gets ``solver_for(m)``."""
+        if m is None:
+            m, solver, em = self.mean, self.anchor_solver, self.em_gauss
+        else:
+            m = np.asarray(m, float)
+            solver, em = self.solver_for(m), np.exp(self.mesh.interp_gauss(m))
         z = np.asarray(z, dtype=float)
-        u = self.solve_state(z)
+        u = self.solve_state(z, solver)
         misfit = self.observe(u) - self.wells.targets
-        p = self.anchor_solver.solve(-(self.obs_operator @ misfit))
-        return PdeWorkspace(z=z, u=u, p=p, misfit=misfit)
+        p = solver.solve(-(self.obs_operator @ misfit))
+        return PdeWorkspace(z=z, m=m, u=u, p=p, misfit=misfit, solver=solver,
+                            em=em)
 
     def grad_field(self, ws):
-        """Nodal L2 representation of the parameter gradient at the anchor."""
-        return self.space.project(
-            grad_dot_load(self.mesh, self.em_gauss, ws.u, ws.p)
-        )
+        """Nodal L2 representation of the parameter gradient at ``ws.m``."""
+        return self.space.project(grad_dot_load(self.mesh, ws.em, ws.u, ws.p))
 
     def incremental(self, ws, zeta):
         """Incremental states and adjoints for a direction (n,) or for each
         column of an (n, k) block (2 counted solves per column):
         inc_u = -A^{-1} B_u zeta and inc_p = -A^{-1} (W W^T inc_u + B_p zeta),
-        with the workspace's ``HessianKernel``, built here on first use."""
+        with ``ws.solver`` and ``ws.kernel``, built here on first use."""
         if ws.kernel is None:
-            mesh, em = self.mesh, self.em_gauss
+            mesh, em = self.mesh, ws.em
             (ux, uy), (px, py) = mesh.grad_gauss(ws.u), mesh.grad_gauss(ws.p)
             B_u = assemble_coupling(mesh, em, ws.u)
             B_p = assemble_coupling(mesh, em, ws.p)
@@ -258,7 +266,7 @@ class PoissonFlowProblem:
                 B_uT=B_u.T.tocsr(), B_pT=B_p.T.tocsr(),
             )
         k, W = ws.kernel, self.obs_operator
-        solve = self.anchor_solver.apply_inverse
+        solve = ws.solver.apply_inverse
         inc_u = solve(-(k.B_u @ zeta))
         inc_p = solve(-(W @ (W.T @ inc_u)) - k.B_p @ zeta)
         return inc_u, inc_p
@@ -275,14 +283,15 @@ class PoissonFlowProblem:
         inc_u, inc_p = self.incremental(ws, zeta)
         return self.space.project(self.hessian_load(ws, zeta, inc_u, inc_p))
 
-    def surrogate(self, z):
-        """Quadratic expansion of m -> objective about the anchor field."""
-        ws = self.workspace(z)
+    def surrogate(self, z, m=None):
+        """Quadratic expansion of the objective in the field about m, with
+        m=None the anchor field (see ``workspace``)."""
+        ws = self.workspace(z, m)
         return QuadraticSurrogate(
             space=self.space,
             theta_bar=self.objective_of_state(ws.u),
             grad=self.grad_field(ws),
             hess_load=lambda zeta: self.hessian_load(
                 ws, zeta, *self.incremental(ws, zeta)),
-            anchor=self.mean,
+            anchor=ws.m,
         )

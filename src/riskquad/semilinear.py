@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericalError
+from .errors import NumericalError, require_integers
 from .fem import (
     SolveCounter,
     SpdSolver,
@@ -60,6 +60,9 @@ class SemilinearProblem:
     def __init__(self, mesh, c=1.0, desired=None, newton_max_iter=25):
         if c < 0.0:
             raise ValueError("the cubic coefficient must be nonnegative")
+        require_integers("newton_max_iter", newton_max_iter)
+        if newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be at least 1")
         self.mesh = mesh
         self.c = float(c)
         self.space = volume_space(self.mesh)
@@ -69,6 +72,8 @@ class SemilinearProblem:
             else np.asarray(desired, float)
         )
         self.newton_max_iter = int(newton_max_iter)
+        # the flux that m=None means, as PoissonFlowProblem.mean is the field
+        self.mean = np.zeros(self.trace_space.dim)
         self.counter = SolveCounter()
         self.stiffness = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
         laplacian = (mesh.free_basis, 1.0, 0.0)
@@ -113,14 +118,16 @@ class SemilinearProblem:
                            shape=self.stiffness.shape)
         return SpdSolver(self.mesh, op, self.counter)
 
-    def solve_state(self, z, m_bnd):
-        """Newton solve of the state equation from a zero initial guess.
+    def solve_state(self, z, m=None):
+        """Newton solve of the state equation at control z and flux m (None:
+        the zero flux ``mean``) from a zero initial guess.
 
         Returns the state, the linearized solver at the solution (reused by
         adjoint and incremental equations), and the residual history in the
         discrete dual norm.
         """
-        rhs = self.space.mass @ np.asarray(z, float) + self.boundary_load(m_bnd)
+        m = self.mean if m is None else m
+        rhs = self.space.mass @ np.asarray(z, float) + self.boundary_load(m)
         u = np.zeros(self.mesh.n_nodes)
         history = []
         solver = None
@@ -143,18 +150,18 @@ class SemilinearProblem:
         d = u - self.desired
         return 0.5 * self.space.inner(d, d)
 
-    def objective(self, z, m_bnd):
-        u, _, _ = self.solve_state(z, m_bnd)
-        return self.objective_of_state(u)
+    def objective(self, z, m=None):
+        """Tracking objective at (z, m); m=None is the zero flux."""
+        return self.objective_of_state(self.solve_state(z, m)[0])
 
-    def workspace(self, z, m_bnd):
-        """State and adjoint at (z, m); the linearized operator is cached."""
-        u, solver, _ = self.solve_state(z, m_bnd)
+    def workspace(self, z, m=None):
+        """State and adjoint at (z, m), m=None being the zero flux; the
+        linearized operator is cached."""
+        m = self.mean if m is None else np.asarray(m, float)
+        u, solver, _ = self.solve_state(z, m)
         p = solver.solve(-(self.space.mass @ (u - self.desired)))
-        return SemilinearWorkspace(
-            z=np.asarray(z, float), m=np.asarray(m_bnd, float),
-            u=u, p=p, solver=solver,
-        )
+        return SemilinearWorkspace(z=np.asarray(z, float), m=m, u=u, p=p,
+                                   solver=solver)
 
     def grad_boundary(self, ws):
         """Gradient of the objective with respect to the boundary flux."""
@@ -176,15 +183,15 @@ class SemilinearProblem:
         inc_p = solve(-load)
         return -self.boundary_trace(inc_p)
 
-    def surrogate(self, z, m_bar=None):
-        """Quadratic expansion of flux -> objective about ``m_bar``."""
-        m_bar = np.zeros(self.boundary_dim) if m_bar is None else m_bar
-        ws = self.workspace(z, m_bar)
+    def surrogate(self, z, m=None):
+        """Quadratic expansion of flux -> objective about m, with m=None the
+        zero flux (see ``workspace``)."""
+        ws = self.workspace(z, m)
         return QuadraticSurrogate(
             space=self.trace_space,
             theta_bar=self.objective_of_state(ws.u),
             grad=self.grad_boundary(ws),
             hess_load=lambda m_hat: (self.trace_space.mass
                                      @ self.hess_action(ws, m_hat)),
-            anchor=np.asarray(m_bar, float),
+            anchor=ws.m,
         )

@@ -154,6 +154,31 @@ def test_bad_mesh_extent_exits_2_before_any_work(
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command,section,key", [
+    ("sample-field", "experiment", "sample_eps"),
+    ("optimize", "random_field", "kappa"),
+    ("optimize", "ouu", "gamma"),
+    ("optimize", "ouu", "z0"),
+])
+def test_non_finite_config_number_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, command, section, key, value
+):
+    # json writes these as NaN and Infinity, which json.load accepts
+    calls = count_factorizations(monkeypatch)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {section: {key: value}})
+    args = ["--profile", "desk", "--config", path, "--out", str(out)]
+    assert main(args + [command]) == 2
+    assert f"config error: {section}: {key}: " in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_non_finite_list_entry_is_a_config_error():
+    with pytest.raises(ConfigError, match="ouu: beta_schedule: "):
+        config_from_dict({"ouu": {"beta_schedule": [0.0, float("nan")]}})
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_ouu_max_iter_below_one_exits_2_before_any_work(
     tmp_path, monkeypatch, capsys, max_iter

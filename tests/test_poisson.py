@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riskquad.checks import check_flow_gradient, check_flow_hessian
+from riskquad.checks import check_gradient, check_hessian
 from riskquad.fem import build_mesh
 from riskquad.poisson import (
     PoissonFlowProblem,
@@ -157,7 +157,7 @@ def test_gradient_vanishes_for_zero_misfit(small_problem):
 def test_gradient_finite_difference(small_problem):
     _, problem, gf = small_problem
     z = np.full(problem.n_controls, 4.0)
-    assert check_flow_gradient(problem, gf, z, n_dirs=5) <= 1e-5
+    assert check_gradient(problem, gf, z, n_dirs=5) <= 1e-5
 
 
 def test_gradient_fd_error_second_order(small_problem):
@@ -212,7 +212,7 @@ def test_hessian_linear_in_direction(small_problem):
 def test_hessian_finite_difference(small_problem):
     _, problem, gf = small_problem
     z = np.full(problem.n_controls, 4.0)
-    assert check_flow_hessian(problem, gf, z) <= 1e-4
+    assert check_hessian(problem, gf, z) <= 1e-4
 
 
 def test_solve_accounting(small_problem):

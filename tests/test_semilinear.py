@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from riskquad.checks import check_semilinear_gradient, check_semilinear_hessian
+from riskquad.checks import check_gradient, check_hessian
 from riskquad.errors import NumericalError
 from riskquad.fem import (
     FastDiagonalization,
@@ -113,8 +113,8 @@ def test_gradient_zero_for_matched_target(setup):
 
 def test_gradient_finite_difference(setup):
     _, problem, gf = setup
-    assert check_semilinear_gradient(
-        problem, gf, np.ones(problem.mesh.n_nodes)
+    assert check_gradient(
+        problem, gf, np.ones(problem.mesh.n_nodes), seed=2
     ) <= 1e-5
 
 
@@ -157,8 +157,8 @@ def test_hessian_self_adjoint(setup):
 
 def test_hessian_finite_difference(setup):
     _, problem, gf = setup
-    assert check_semilinear_hessian(
-        problem, gf, np.ones(problem.mesh.n_nodes)
+    assert check_hessian(
+        problem, gf, np.ones(problem.mesh.n_nodes), seed=3
     ) <= 1e-4
 
 
@@ -195,6 +195,28 @@ def test_hessian_norm_mesh_stable():
 def test_negative_c_rejected():
     with pytest.raises(ValueError):
         SemilinearProblem(build_mesh(4, 4, 1.0, 1.0), c=-1.0)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, True])
+def test_newton_max_iter_must_be_a_positive_integer(n):
+    with pytest.raises(ValueError, match="newton_max_iter"):
+        SemilinearProblem(build_mesh(4, 4, 1.0, 1.0), newton_max_iter=n)
+
+
+def test_default_flux_is_the_zero_flux(setup):
+    mesh, problem, _ = setup
+    z = np.ones(mesh.n_nodes)
+    zero = np.zeros(problem.boundary_dim)
+    assert problem.objective(z) == problem.objective(z, zero)
+    ws, ws0 = problem.workspace(z), problem.workspace(z, zero)
+    for name in ("m", "u", "p"):
+        assert np.array_equal(getattr(ws, name), getattr(ws0, name)), name
+    surr, surr0 = problem.surrogate(z), problem.surrogate(z, zero)
+    M = np.random.default_rng(11).standard_normal((problem.boundary_dim, 3))
+    assert surr.theta_bar == surr0.theta_bar
+    assert np.array_equal(surr.anchor, zero)
+    assert np.array_equal(surr.grad, surr0.grad)
+    assert np.array_equal(surr.hess_load(M), surr0.hess_load(M))
 
 
 def test_block_hessian_matches_columns(setup):

@@ -56,6 +56,26 @@ def test_flow_hess_action_is_the_projected_hessian_load(tiny_flow):
         assert np.array_equal(got, problem.hess_action(ws, m))
 
 
+def test_flow_surrogate_about_a_moved_field(tiny_flow, monkeypatch):
+    # expanding about m = mean + d gives the bits of a problem anchored at m,
+    # and spends the state and adjoint solves on a solver of its own
+    mesh, problem, gf = tiny_flow
+    z = np.full(problem.n_controls, 4.0)
+    m = problem.mean + (gf.sample(np.random.default_rng(16)) - gf.mean)
+    D = np.random.default_rng(17).standard_normal((mesh.n_nodes, 3))
+    ref = PoissonFlowProblem(mesh, wells=problem.wells, mean=m).surrogate(z)
+
+    assert problem.workspace(z, m).solver is not problem.anchor_solver
+    monkeypatch.setattr(problem, "anchor_solver", None)
+    start = problem.counter.count
+    surr = problem.surrogate(z, m)
+    assert problem.counter.count - start == 2
+    assert surr.theta_bar == ref.theta_bar
+    assert np.array_equal(surr.anchor, m)
+    assert np.array_equal(surr.grad, ref.grad)
+    assert np.array_equal(surr.hess_load(D), ref.hess_load(D))
+
+
 def _directions(problem, seed):
     Z = np.random.default_rng(seed).standard_normal((problem.mesh.n_nodes, 3))
     return Z[:, 0], Z
