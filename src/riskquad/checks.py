@@ -33,6 +33,12 @@ def _central(f, h):
     return (f(h) - f(-h)) / (2.0 * h)
 
 
+def _fold(worst, err):
+    """``max(worst, err)``, except that a NaN on either side is the result
+    (``max(0.0, nan)`` is 0.0, which would pass a NaN derivative)."""
+    return err if np.isnan(err) or err > worst else worst
+
+
 def _control_error(value, grad, z, components, h):
     """Max relative componentwise FD error of a control gradient."""
     worst = 0.0
@@ -40,7 +46,7 @@ def _control_error(value, grad, z, components, h):
         e = np.zeros(len(z))
         e[i] = 1.0
         fd = _central(lambda t: value(np.asarray(z, dtype=float) + t * e), h)
-        worst = max(worst, _rel(abs(grad[i] - fd), abs(fd)))
+        worst = _fold(worst, _rel(abs(grad[i] - fd), abs(fd)))
     return worst
 
 
@@ -53,7 +59,7 @@ def check_gradient(problem, gf, z, n_dirs=3, seed=0, h=FD_STEP):
     for _ in range(n_dirs):
         d = gf.sample(rng) - gf.mean
         fd = _central(lambda t: problem.objective(z, surr.anchor + t * d), h)
-        worst = max(worst, _rel(abs(surr.space.inner(surr.grad, d) - fd), abs(fd)))
+        worst = _fold(worst, _rel(abs(surr.space.inner(surr.grad, d) - fd), abs(fd)))
     return worst
 
 
@@ -67,7 +73,7 @@ def check_hessian(problem, gf, z, n_dirs=2, seed=1, h=FD_STEP):
         d = gf.sample(rng) - gf.mean
         psi = surr.hess_action(d)
         fd = _central(lambda t: problem.surrogate(z, surr.anchor + t * d).grad, h)
-        worst = max(worst, _rel(surr.space.norm(psi - fd), surr.space.norm(psi)))
+        worst = _fold(worst, _rel(surr.space.norm(psi - fd), surr.space.norm(psi)))
     return worst
 
 

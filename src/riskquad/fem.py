@@ -461,7 +461,8 @@ class SpdSolver:
             self.constrained = _eliminated(mesh, op)
         self.fast = None
         if fast is not None:
-            self.fast = FastDiagonalization(*fast)
+            basis, s, t = fast
+            self.fast = FastDiagonalization(basis, basis.eigenvalues(s, t))
         else:
             self.plan = mesh.band_plan
             self._factor = self._banded_cholesky()
@@ -630,13 +631,14 @@ def _flat(grid, shape):
 
 
 class FastDiagonalization:
-    """The fast backend of ``SpdSolver``: ``s K + t M`` is the diagonal
-    ``diag = basis.eigenvalues(s, t)`` in a ``TensorBasis``, so its inverse
-    on the free unknowns is ``Phi diag^{-1} Phi^T``."""
+    """``Phi diag^{-1} Phi^T`` on the free unknowns, for a (ny, free nx) grid
+    ``diag`` in a ``TensorBasis``.  As the fast backend of ``SpdSolver`` it
+    solves with ``s K + t M``, whose diagonal is ``basis.eigenvalues(s, t)``;
+    with the squared diagonal of a covariance's A it is C M^{-1}."""
 
-    def __init__(self, basis, s, t):
+    def __init__(self, basis, diag):
         self.basis = basis
-        self.diag = basis.eigenvalues(s, t)
+        self.diag = diag
 
     def solve(self, b):
         """C-ordered copy of ``b`` (n,) or (n, k) with the free unknowns of

@@ -11,11 +11,13 @@ On the structured grid, M and K are Kronecker products and sums of 1D
 tridiagonal matrices, so each space owns the M-orthonormal eigenbasis
 Phi = V_y (x) V_x of its 1D factors (``fem.TensorBasis``): Phi^T M Phi = I
 and Phi^T A Phi = D is diagonal.  Solves with A and with M are made in it
-by the fast-diagonalization backend of ``fem.SpdSolver``.  In Phi
-coefficients sqrt(C) is the diagonal d = sqrt(s) / D and an M-self-adjoint
-operator is a symmetric matrix, so the covariance-preconditioned
-eigenproblem is a standard symmetric one that needs no mass or covariance
-solve.
+by the fast-diagonalization backend of ``fem.SpdSolver``; the solves with
+A color the draws.  The covariance actions need no solve: s C M^{-1} =
+s Phi D^{-2} Phi^T and sqrt(s C) = sqrt(s) Phi D^{-1} Phi^T M, two basis
+transforms each (``fem.FastDiagonalization``).  In Phi coefficients
+sqrt(C) is the diagonal d = sqrt(s) / D and an M-self-adjoint operator is
+a symmetric matrix, so the covariance-preconditioned eigenproblem is a
+standard symmetric one that needs no mass or covariance solve.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .fem import SpdSolver, TensorBasis, assemble_mass, assemble_weighted_stiffness
+from .fem import (
+    FastDiagonalization,
+    SpdSolver,
+    TensorBasis,
+    assemble_mass,
+    assemble_weighted_stiffness,
+)
 
 EIG_TOL = 1e-8     # relative accuracy of the Lanczos eigenvalues
 COLOR_CHUNK = 256  # most draws colored per block solve in sample_batch
@@ -64,14 +72,8 @@ class FieldSpace:
         self.basis = TensorBasis(factors)
         self.to_coefficients = self.basis.to_coefficients
         self.to_fields = self.basis.to_fields
-        # Phi^T (K + M) Phi = D for D = lam_y + lam_x + 1, on a seeded block
-        y = np.random.default_rng(0).standard_normal((self.dim, 2))
-        want = self.basis.eigenvalues(1.0, 1.0).reshape(-1, 1) * y
-        op = self.natural_stiffness + self.mass
-        error = np.linalg.norm(self.to_coefficients(op @ self.to_fields(y)) - want)
-        if not error <= 1e-12 * np.linalg.norm(want):
-            raise NumericalError("Phi does not diagonalize the space's matrices",
-                                 residual=error)
+        _check_diagonal(self.basis, self.natural_stiffness + self.mass,
+                        self.basis.eigenvalues(1.0, 1.0))
         self._projector = SpdSolver(None, self.mass, fast=(self.basis, 0.0, 1.0))
 
     def inner(self, u, v):
@@ -138,6 +140,27 @@ class FieldSpace:
         return EigenBasis(lam[order], self.to_fields(Y), Y)
 
 
+def _check_diagonal(basis, op, diag):
+    """Raise ``NumericalError`` unless ``Phi^T op Phi y = diag * y`` to 1e-12
+    on a seeded block: every solve and covariance action made in the basis
+    trusts it."""
+    y = np.random.default_rng(0).standard_normal((op.shape[0], 2))
+    want = diag.reshape(-1, 1) * y
+    error = np.linalg.norm(basis.to_coefficients(op @ basis.to_fields(y)) - want)
+    if not error <= 1e-12 * np.linalg.norm(want):
+        raise NumericalError("Phi does not diagonalize the operator",
+                             residual=error)
+
+
+def _finite(x):
+    """``x``, unless it holds a NaN or an infinity (``NumericalError``); a
+    covariance action checks its input, which its transforms would turn into
+    NaN with a floating-point warning, and its result."""
+    if not np.isfinite(x).all():
+        raise NumericalError("non-finite covariance action")
+    return x
+
+
 def _cholesky(spd):
     """Lower Cholesky factor of a small sparse SPD matrix, as sparse CSR."""
     return sp.csr_matrix(np.linalg.cholesky(spd.toarray()))
@@ -185,9 +208,11 @@ class GaussianField:
     """Gaussian measure N(mean, scale*C) on a FieldSpace, C = A^{-1} M A^{-1}.
 
     ``solver_A`` is the ``SpdSolver`` of A on the space, by fast
-    diagonalization in the space's basis Phi; it serves every covariance
-    action and every draw, uncounted, like the space's mass projection.
-    ``sqrt_C_diagonal`` is sqrt(C) in Phi coefficients.
+    diagonalization in the space's basis Phi; it colors every draw,
+    uncounted, like the space's mass projection.  The covariance actions
+    make no solve: they are diagonals in Phi (checked once, on a seeded
+    block, to diagonalize A), and a non-finite result raises
+    ``NumericalError``.  ``sqrt_C_diagonal`` is sqrt(C) in Phi coefficients.
     Immutable after construction: ``scale`` starts at 1 and only
     ``scaled`` changes it, on a new view.  Every draw takes an explicit
     seed or generator, so concurrent batches can partition the seed space.
@@ -208,6 +233,9 @@ class GaussianField:
         A = kappa * space.natural_stiffness + alpha * space.mass
         self.solver_A = SpdSolver(None, A, fast=(space.basis, self.kappa,
                                                  self.alpha))
+        D = self.solver_A.fast.diag
+        _check_diagonal(space.basis, A, D)
+        self._cov = FastDiagonalization(space.basis, D * D)
 
     @property
     def dim(self):
@@ -231,10 +259,11 @@ class GaussianField:
 
     def apply_C_to_loads(self, loads):
         """Covariance action on the dual vectors (loads) in a vector or in
-        the columns of a block: C M^{-1} load = scale * A^{-1} M A^{-1} load,
-        as fields."""
-        solve = self.solver_A.apply_inverse
-        return self.scale * solve(self.space.mass @ solve(loads))
+        the columns of a block: C M^{-1} load = scale * A^{-1} M A^{-1} load
+        = scale * Phi D^{-2} Phi^T load, as fields."""
+        out = self._cov.solve(_finite(np.asarray(loads, dtype=float)))
+        out *= self.scale
+        return _finite(out)
 
     @property
     def sqrt_C_diagonal(self):
@@ -244,9 +273,10 @@ class GaussianField:
 
     def apply_sqrt_C(self, f):
         """M-self-adjoint square root action on a field or on each column of
-        a block: sqrt(scale) * A^{-1} M f."""
-        y = self.solver_A.apply_inverse(self.space.mass @ np.asarray(f))
-        return np.sqrt(self.scale) * y
+        a block: sqrt(scale) * A^{-1} M f = sqrt(scale) * Phi D^{-1} Phi^T M f,
+        on the transforms of ``solver_A`` without its residual check."""
+        y = self.solver_A.fast.solve(_finite(self.space.mass @ np.asarray(f)))
+        return _finite(np.sqrt(self.scale) * y)
 
     # -- sampling -------------------------------------------------------------
 

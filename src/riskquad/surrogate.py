@@ -118,7 +118,8 @@ def trace_probes(surr, gf, mode, n_tr, seed):
 def expansion_moments(gf, theta_bar, grad_load, probes, loads, weight):
     """Mean and variance of the quadratic expansion from its gradient load,
     an (n, k) probe block and the probes' Hessian loads, with ``weight``
-    times the probe sums as traces; one block covariance action.  Raises
+    times the probe sums as traces; one block covariance action, two basis
+    transforms and no solve (``GaussianField.apply_C_to_loads``).  Raises
     ``NumericalError`` below -1e-12 * max(1, |theta_bar|) and clamps smaller
     negative rounding to 0.  Returns the moments' ``RiskReport`` and the
     covariance images C g and C H zeta that the control gradient reuses.

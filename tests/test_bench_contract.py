@@ -60,21 +60,25 @@ def test_workload_matches_reference_on_input_0(bench_modules, built, name):
     assert workloads.mismatches(values, refs["0"], workload.tolerances) == []
 
 
-def test_ledger_sees_the_covariance_work(bench_modules, built):
-    # one canonical objective-plus-gradient at n_tr = 40: 4 + 4*n_tr anchor
-    # solves, and two covariance solves of the 1 + n_tr columns of
-    # apply_C_to_loads; a surrogate's gradient is a mass projection
+def test_ledger_sees_probe_draws_but_no_objective_covariance_solve(
+        bench_modules, built):
+    # building the randomized objective at n_tr = 40 colors its 40 probe
+    # draws by solves with A; one canonical objective-plus-gradient then
+    # spends 4 + 4*n_tr anchor solves and no covariance solve, since
+    # apply_C_to_loads is a diagonal in the field's basis; a surrogate's
+    # gradient is a mass projection
     tracer, _ = bench_modules
     from riskquad.ouu import RiskAverseObjective
 
     cfg = dataclasses.replace(built.ouu, n_tr=40)
-    objective = RiskAverseObjective(built.problem, built.gf, cfg)
     traced = tracer.Tracer()
     traced.register(built.problem, built.gf)
     with traced.installed():
+        objective = RiskAverseObjective(built.problem, built.gf, cfg)
+        assert traced.ledger()["covariance"] == 40
         objective.value_and_grad(built.z0)
         assert traced.ledger()["anchor"] == 164
-        assert traced.ledger()["covariance"] == 82
+        assert traced.ledger()["covariance"] == 40
         built.problem.surrogate(built.z0)
     assert traced.ledger()["projection"] >= 1
 

@@ -115,6 +115,32 @@ def test_evaluate_moments_match_estimate_traces(setup, mode, n_tr, monkeypatch):
         )
 
 
+def test_objective_makes_no_covariance_solve(setup, monkeypatch):
+    # only the probe draws solve with A; the objective's covariance action
+    # is a diagonal in the field's basis
+    _, problem, gf = setup
+    shapes = []
+    raw = gf.solver_A._raw_solve
+    monkeypatch.setattr(gf.solver_A, "_raw_solve",
+                        lambda b: shapes.append(b.shape) or raw(b))
+    cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=40, beta_schedule=(1.0,), seed=0)
+    obj = RiskAverseObjective(problem, gf, cfg)
+    assert shapes == [(gf.dim, 40)]
+    obj.value_and_grad(np.full(problem.n_controls, 4.0))
+    assert shapes == [(gf.dim, 40)]
+
+
+def test_nan_control_gradient_fails_its_check(setup, monkeypatch):
+    _, problem, gf = setup
+    cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=2, beta_schedule=(1.0,), seed=0)
+    z = np.full(problem.n_controls, 4.0)
+    finite = check_ouu_gradient(problem, gf, cfg, z, components=(0,))
+    assert type(finite) is np.float64 and finite <= 1e-5
+    monkeypatch.setattr(RiskAverseObjective, "gradient",
+                        lambda obj, state: np.full(len(state.z), np.nan))
+    assert np.isnan(check_ouu_gradient(problem, gf, cfg, z, components=(0, 1)))
+
+
 def test_evaluate_guards_against_negative_variance(monkeypatch, tmp_path):
     _, problem, gf = make_setup(6, 3, sigma=0.3)
     cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=3, beta_schedule=(1.0,), seed=0)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from riskquad import checks
 from riskquad.checks import check_gradient, check_hessian
+from riskquad.cli import main
 from riskquad.fem import build_mesh
 from riskquad.poisson import (
     PoissonFlowProblem,
@@ -213,6 +215,34 @@ def test_hessian_finite_difference(small_problem):
     _, problem, gf = small_problem
     z = np.full(problem.n_controls, 4.0)
     assert check_hessian(problem, gf, z) <= 1e-4
+
+
+def test_nan_derivative_fails_the_checks(monkeypatch, capsys, tmp_path):
+    # max(0.0, nan) is 0.0, so a fold by max would pass a NaN gradient with
+    # error 0; the checks return NaN and the command line exits 3
+    mesh = build_mesh(8, 4, 2.0, 1.0)
+    problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.25))
+    gf = GaussianField(problem.space, 2e-2, 4.0)
+    z = np.full(problem.n_controls, 4.0)
+    finite = check_gradient(problem, gf, z), check_hessian(problem, gf, z)
+    assert [type(err) for err in finite] == [float, float]
+    surrogate = problem.surrogate
+
+    def nan_gradient(z, m=None):
+        surr = surrogate(z, m)
+        surr.grad = np.full(surr.grad.shape, np.nan)
+        return surr
+
+    monkeypatch.setattr(problem, "surrogate", nan_gradient)
+    errors = check_gradient(problem, gf, z), check_hessian(problem, gf, z)
+    assert [type(err) for err in errors] == [float, float]
+    assert all(np.isnan(err) for err in errors)
+    monkeypatch.setattr(checks, "run_derivative_checks", lambda seed: [
+        ("flow parameter gradient", errors[0], 1e-5),
+        ("flow Hessian action", errors[1], 1e-5),
+    ])
+    assert main(["--out", str(tmp_path), "check-derivatives"]) == 3
+    assert capsys.readouterr().out.count("[FAIL]") == 2
 
 
 def test_solve_accounting(small_problem):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -59,7 +61,7 @@ def test_apply_C_self_adjoint_and_psd(tiny):
 
 def test_apply_C_matches_loads_action_on_mass_image(tiny):
     # bit for bit, on a volume and a boundary field, scaled or not, for a
-    # vector and for blocks solved on the lower and the upper factor
+    # vector and for blocks of two widths
     mesh, _, volume = tiny
     boundary = GaussianField(neumann_trace_space(mesh), 5e-2, 2.0)
     rng = np.random.default_rng(3)
@@ -68,6 +70,47 @@ def test_apply_C_matches_loads_action_on_mass_image(tiny):
             F = rng.standard_normal(shape)
             loads = gf.space.mass @ F
             assert np.array_equal(gf.apply_C_to_loads(loads), gf.apply_C(F))
+
+
+@pytest.mark.parametrize("make_space", [volume_space, neumann_trace_space])
+def test_covariance_actions_match_the_solve_oracles(make_space):
+    # the diagonals in Phi against two checked solves with A around a mass
+    # product, and against one solve for the square root
+    space = make_space(build_mesh(12, 6, 2.0, 1.0))
+    field = GaussianField(space, 2e-2, 4.0)
+    rng = np.random.default_rng(5)
+    for gf in (field, field.scaled(0.3)):
+        solve = gf.solver_A.solve
+        for shape in ((space.dim,), (space.dim, 3), (space.dim, 41)):
+            b = rng.standard_normal(shape)
+            want = gf.scale * solve(space.mass @ solve(b))
+            got = gf.apply_C_to_loads(b)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            want = np.sqrt(gf.scale) * solve(space.mass @ b)
+            got = gf.apply_sqrt_C(b)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_covariance_action_is_numerical_error(tiny, bad):
+    _, space, gf = tiny
+    for shape in ((space.dim,), (space.dim, 3)):
+        b = np.ones(shape)
+        b[1] = bad
+        for action in (gf.apply_C_to_loads, gf.apply_C, gf.apply_sqrt_C):
+            with pytest.raises(NumericalError, match="non-finite"):
+                action(b)
+
+
+def test_field_whose_A_the_basis_does_not_diagonalize_is_numerical_error(tiny):
+    # the covariance actions trust Phi to diagonalize A, so a space whose
+    # stiffness left its factors after the space's own check fails at once
+    _, space, _ = tiny
+    moved = copy.copy(space)
+    moved.natural_stiffness = 1.001 * space.natural_stiffness
+    with pytest.raises(NumericalError) as exc:
+        GaussianField(moved, 2e-2, 4.0)
+    assert exc.value.residual > 0.0
 
 
 def test_sqrt_squares_to_C(tiny):
