@@ -47,9 +47,9 @@ from .ouu import (
     RiskAverseObjective,
     RiskReport,
     SaaObjective,
+    continuation,
     evaluate_true_risk,
     optimize,
-    optimize_saa,
 )
 from .config import (
     PROFILES,

@@ -39,17 +39,6 @@ def _fold(worst, err):
     return err if np.isnan(err) or err > worst else worst
 
 
-def _control_error(value, grad, z, components, h):
-    """Max relative componentwise FD error of a control gradient."""
-    worst = 0.0
-    for i in components:
-        e = np.zeros(len(z))
-        e[i] = 1.0
-        fd = _central(lambda t: value(np.asarray(z, dtype=float) + t * e), h)
-        worst = _fold(worst, _rel(abs(grad[i] - fd), abs(fd)))
-    return worst
-
-
 def check_gradient(problem, gf, z, n_dirs=3, seed=0, h=FD_STEP):
     """Max relative FD error of <grad, d> over random directions d of the
     field's law, for either model problem, expanded about its anchor."""
@@ -77,19 +66,19 @@ def check_hessian(problem, gf, z, n_dirs=2, seed=1, h=FD_STEP):
     return worst
 
 
-def check_ouu_gradient(problem, gf, cfg, z, components=None, h=FD_STEP):
-    """Max relative componentwise FD error of the risk-objective gradient."""
-    obj = RiskAverseObjective(problem, gf, cfg, nominal_control=z)
-    grad = obj.value_and_grad(z)[1]
-    idx = range(len(z)) if components is None else components
-    return _control_error(lambda zk: obj.evaluate(zk)[0].value, grad, z, idx, h)
-
-
-def check_saa_gradient(problem, gf, z, n_mc=6, components=(0, 7), seed=4,
-                       h=FD_STEP, beta=1.0, gamma=1e-5):
-    saa = SaaObjective(problem, gf, n_mc, beta, gamma, seed=seed)
-    grad = saa.value_and_grad(z)[1]
-    return _control_error(lambda zk: saa.evaluate(zk)[0], grad, z, components, h)
+def check_control_gradient(objective, z, components, h=FD_STEP):
+    """Max relative componentwise FD error of the gradient of a control
+    objective, ``RiskAverseObjective`` or ``SaaObjective``, over the given
+    control components."""
+    z = np.asarray(z, dtype=float)
+    grad = objective.gradient(objective.evaluate(z)[1])
+    worst = 0.0
+    for i in components:
+        e = np.zeros(len(z))
+        e[i] = 1.0
+        fd = _central(lambda t: objective.evaluate(z + t * e)[0].value, h)
+        worst = _fold(worst, _rel(abs(grad[i] - fd), abs(fd)))
+    return worst
 
 
 def run_derivative_checks(seed=0):
@@ -106,15 +95,15 @@ def run_derivative_checks(seed=0):
     sl_z = np.ones(sl_mesh.n_nodes)
 
     cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=4, beta_schedule=(1.0,), seed=seed)
+    risk = RiskAverseObjective(problem, gf, cfg, nominal_control=z)
+    saa = SaaObjective(problem, gf, 6, 1.0, 1e-5, seed=4)
     return [
         ("flow parameter gradient", check_gradient(problem, gf, z), FD_TOL),
         ("flow Hessian action", check_hessian(problem, gf, z), FD_TOL),
         ("semilinear gradient", check_gradient(sl, sl_gf, sl_z, seed=2), FD_TOL),
         ("semilinear Hessian action", check_hessian(sl, sl_gf, sl_z, seed=3), FD_TOL),
-        (
-            "risk objective control gradient",
-            check_ouu_gradient(problem, gf, cfg, z, components=(0, 9, 19)),
-            FD_TOL,
-        ),
-        ("sample-average control gradient", check_saa_gradient(problem, gf, z), FD_TOL),
+        ("risk objective control gradient",
+         check_control_gradient(risk, z, (0, 9, 19)), FD_TOL),
+        ("sample-average control gradient",
+         check_control_gradient(saa, z, (0, 7)), FD_TOL),
     ]

@@ -26,7 +26,8 @@ from .config import (
 )
 from .errors import ConfigError, NumericalError
 from .fem import build_mesh
-from .ouu import evaluate_true_risk, optimize, optimize_saa
+from .ouu import (RiskAverseObjective, SaaObjective, continuation,
+                  evaluate_true_risk, optimize)
 from .random_field import GaussianField, field_on_mesh
 from .semilinear import SemilinearProblem
 from .surrogate import truncation_rate_study
@@ -201,27 +202,28 @@ def cmd_compare_mc(args):
     if "quad_eigenbasis" in exp.compare_methods:
         _check_eigenbasis_size(cfg, "experiment: compare_n_tr", exp.compare_n_tr)
     out = _outdir(args)
-    controls, meta = [], []
     mesh, gf, problem = build_setup(cfg)
-    for beta in exp.compare_betas:
-        leg_cfg = replace(
-            cfg.ouu, beta=beta, beta_schedule=(0.0, beta) if beta > 0 else (beta,),
-            max_iter=exp.compare_max_iter,
-        )
-        for method in exp.compare_methods:
-            if method == "saa":
-                for n_mc in exp.compare_n_mc:
-                    ouu_cfg = replace(leg_cfg, trace_mode="randomized")
-                    res = optimize_saa(problem, gf, ouu_cfg, n_mc)
-                    controls.append(res.z)
-                    meta.append((method, beta, n_mc, 2 * n_mc))
-            else:
-                mode = method.removeprefix("quad_")
-                for n_tr in exp.compare_n_tr:
-                    ouu_cfg = replace(leg_cfg, n_tr=n_tr, trace_mode=mode)
-                    res = optimize(problem, gf, ouu_cfg)
-                    controls.append(res.z)
-                    meta.append((method, beta, n_tr, 4 + 4 * n_tr))
+    ouu = replace(cfg.ouu, max_iter=exp.compare_max_iter)
+    z0 = np.full(problem.n_controls, ouu.z0)
+
+    def objective(method, level):
+        if method == "saa":
+            return SaaObjective(problem, gf, level, ouu.beta, ouu.gamma, seed=ouu.seed)
+        c = replace(ouu, n_tr=level, trace_mode=method.removeprefix("quad_"))
+        return RiskAverseObjective(problem, gf, c, nominal_control=z0)
+
+    # one objective per method and work level: its continuations (0, beta)
+    # share their beta = 0 leg, which runs once
+    schedules = [(0.0, beta) if beta > 0 else (beta,) for beta in exp.compare_betas]
+    runs = [(method, level, continuation(objective(method, level), ouu, z0, schedules))
+            for method in (exp.compare_methods if schedules else ())
+            for level in (exp.compare_n_mc if method == "saa" else exp.compare_n_tr)]
+    controls, meta = [], []
+    for k, beta in enumerate(exp.compare_betas):
+        for method, level, results in runs:
+            per_eval = 2 * level if method == "saa" else 4 + 4 * level
+            controls.append(results[k].z)
+            meta.append((method, beta, level, per_eval))
     rows = []
     if controls:
         # every control on the same draws: one factorization per draw

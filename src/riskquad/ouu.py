@@ -42,8 +42,7 @@ class OuuConfig:
 
     ``seed`` seeds the trace probes (and the SAA draws); in a run
     configuration it is the root ``seed``.  ``z0`` is the uniform initial
-    control that ``optimize`` and ``optimize_saa`` start from when they are
-    given none.
+    control that ``optimize`` starts from when it is given none.
     """
 
     beta: float = 1.0
@@ -73,9 +72,13 @@ class OuuConfig:
             raise ValueError(f"unknown trace mode {self.trace_mode!r}")
         if not self.z_min < self.z_max:
             raise ValueError("z_min must be below z_max")
+        if not self.z_min <= self.z0 <= self.z_max:
+            raise ValueError("z0 must lie in [z_min, z_max]")
         sched = tuple(float(b) for b in self.beta_schedule)
         if sched != tuple(sorted(sched)):
             raise ValueError("beta schedule must be ascending")
+        if sched and sched[0] < 0.0:
+            raise ValueError("beta schedule entries must be nonnegative")
         if sched and abs(sched[-1] - self.beta) > 1e-15:
             raise ValueError("beta schedule must end at beta")
         self.beta_schedule = sched
@@ -189,11 +192,6 @@ class RiskAverseObjective:
         state.report.pde_solves += pr.counter.count - start
         return grad
 
-    def value_and_grad(self, z):
-        report, state = self.evaluate(z)
-        grad = self.gradient(state)
-        return report, grad
-
 
 # -- optimization -------------------------------------------------------------
 
@@ -204,7 +202,7 @@ class ContinuationLeg:
     rows: list
     converged: bool
     degraded: bool
-    report: RiskReport
+    report: object
     z: np.ndarray
 
 
@@ -219,36 +217,56 @@ class ContinuationResult:
         return self.legs[-1].report
 
 
-def _continuation(problem, base, cfg, z0, value, grad, report):
-    """Projected L-BFGS over a shallow copy of ``base`` with its ``beta``
-    set, for each beta of the schedule, each leg warm-started from the
-    previous optimum; the copies share the frozen probes or draws.
+def _leg(objective, cfg, beta, z, spent):
+    """Projected L-BFGS from z on a shallow copy of ``objective`` at
+    ``beta``: the leg, and the solves of its schedule through it, ``spent``
+    of them before it (its rows count from the schedule's start too)."""
+    obj = copy.copy(objective)
+    obj.beta = beta
+    counter = obj.problem.counter
+    start = counter.count - spent
 
-    ``value(obj, z) -> (f, aux)`` and ``grad(obj, z, aux)`` evaluate one
-    leg's objective; ``report(aux)`` is stored with the leg.  The iterate
-    rows count the problem's solves from the start of the first leg.
+    def value(zk):
+        report, state = obj.evaluate(zk)
+        return report.value, (report, state)
+
+    res = minimize_box_lbfgs(
+        value, lambda zk, aux: obj.gradient(aux[1]), z, cfg.z_min, cfg.z_max,
+        rel_tol=cfg.grad_reduction_tol, max_iter=cfg.max_iter,
+        solve_count=lambda: counter.count - start,
+    )
+    leg = ContinuationLeg(beta=beta, rows=res.rows, converged=res.converged,
+                          degraded=res.degraded, report=res.aux[0], z=res.z.copy())
+    return leg, counter.count - start
+
+
+def continuation(objective, cfg, z0, schedules):
+    """Beta continuation from ``z0``, one ``ContinuationResult`` per beta
+    schedule; each leg warm-starts from the previous optimum, and the legs
+    share the objective's frozen probes or draws.
+
+    ``objective`` answers ``evaluate(z) -> (report, state)``, with
+    ``report.value``, and ``gradient(state)``, as ``RiskAverseObjective``
+    and ``SaaObjective`` do; ``cfg`` gives the box and the stopping test.  A
+    leg depends only on the betas up to it, so a leg that schedules share
+    runs once (their results share its ``ContinuationLeg``), and each result
+    is the one its schedule gives alone.
     """
-    z = np.asarray(z0, dtype=float).copy()
-    legs = []
-    start = problem.counter.count
-    for beta in cfg.beta_schedule or (cfg.beta,):
-        obj = copy.copy(base)
-        obj.beta = float(beta)
-        res = minimize_box_lbfgs(
-            lambda zk, _o=obj: value(_o, zk),
-            lambda zk, aux, _o=obj: grad(_o, zk, aux),
-            z, cfg.z_min, cfg.z_max,
-            rel_tol=cfg.grad_reduction_tol, max_iter=cfg.max_iter,
-            solve_count=lambda: problem.counter.count - start,
-        )
-        z = res.z
-        legs.append(
-            ContinuationLeg(
-                beta=beta, rows=res.rows, converged=res.converged,
-                degraded=res.degraded, report=report(res.aux), z=z.copy(),
-            )
-        )
-    return ContinuationResult(z=z, legs=legs, degraded=any(l.degraded for l in legs))
+    z0 = np.asarray(z0, dtype=float)
+    done = {}  # betas up to a leg -> (leg, solves spent through it)
+    results = []
+    for schedule in schedules:
+        legs, z, spent = [], z0, 0
+        betas = tuple(map(float, schedule))
+        for k in range(1, len(betas) + 1):
+            if betas[:k] not in done:
+                done[betas[:k]] = _leg(objective, cfg, betas[k - 1], z, spent)
+            leg, spent = done[betas[:k]]
+            legs.append(leg)
+            z = leg.z
+        results.append(ContinuationResult(
+            z=z, legs=legs, degraded=any(leg.degraded for leg in legs)))
+    return results
 
 
 def optimize(problem, gf, cfg, z0=None):
@@ -261,19 +279,20 @@ def optimize(problem, gf, cfg, z0=None):
     Without ``z0`` it starts from the uniform control ``cfg.z0``.
     """
     z0 = np.full(problem.n_controls, cfg.z0) if z0 is None else z0
-    base = RiskAverseObjective(problem, gf, cfg, nominal_control=z0)
-
-    def value(obj, zk):
-        report, state = obj.evaluate(zk)
-        return report.value, state
-
-    return _continuation(
-        problem, base, cfg, z0, value,
-        lambda obj, zk, state: obj.gradient(state), lambda state: state.report,
-    )
+    objective = RiskAverseObjective(problem, gf, cfg, nominal_control=z0)
+    return continuation(objective, cfg, z0, [cfg.beta_schedule or (cfg.beta,)])[0]
 
 
 # -- sample average approximation baseline -------------------------------------
+
+
+@dataclass
+class SaaReport:
+    """The sample-average objective and the sample moments it is made of."""
+
+    value: float
+    mean: float
+    variance: float
 
 
 class SaaObjective:
@@ -282,8 +301,8 @@ class SaaObjective:
     J(z) = mean_i theta_i + beta/2 var_i + gamma/2 |z|^2 with the unbiased
     sample variance over a fixed set of parameter draws.  Factorizations are
     built once per sample and reused across all control evaluations; each
-    objective-plus-gradient batch costs 2*n_mc PDE solves (state + adjoint
-    per sample).
+    objective-plus-gradient costs 2*n_mc PDE solves (state + adjoint per
+    sample), with the protocol of ``RiskAverseObjective``.
     """
 
     def __init__(self, problem, gf, n_mc, beta, gamma, seed=0):
@@ -306,12 +325,11 @@ class SaaObjective:
         mean = float(np.mean(thetas))
         var = float(np.var(thetas, ddof=1))
         value = mean + 0.5 * self.beta * var + 0.5 * self.gamma * float(z @ z)
-        return value, (states, thetas, mean, var)
+        return SaaReport(value, mean, var), (z, states, thetas, mean)
 
-    def gradient(self, z, aux):
+    def gradient(self, state):
         pr = self.problem
-        states, thetas, mean, _ = aux
-        z = np.asarray(z, dtype=float)
+        z, states, thetas, mean = state
         weights = 1.0 / self.n_mc + self.beta * (thetas - mean) / (self.n_mc - 1)
         grad = self.gamma * z.copy()
         for w, u, solver in zip(weights, states, self.solvers):
@@ -319,21 +337,6 @@ class SaaObjective:
             adj = solver.solve(-(pr.obs_operator @ misfit))
             grad -= w * (pr.source_fields.T @ (pr.space.mass @ adj))
         return grad
-
-    def value_and_grad(self, z):
-        value, aux = self.evaluate(z)
-        return value, self.gradient(z, aux)
-
-
-def optimize_saa(problem, gf, cfg, n_mc, z0=None):
-    """Beta continuation over the sample-average objective (draws of
-    ``cfg.seed``), from the uniform control ``cfg.z0`` without ``z0``."""
-    z0 = np.full(problem.n_controls, cfg.z0) if z0 is None else z0
-    saa = SaaObjective(problem, gf, n_mc, cfg.beta, cfg.gamma, seed=cfg.seed)
-    return _continuation(
-        problem, saa, cfg, z0, SaaObjective.evaluate, SaaObjective.gradient,
-        lambda aux: None,
-    )
 
 
 # -- Monte Carlo evaluation of the true risk ------------------------------------

@@ -286,17 +286,20 @@ def test_criterion_7c_eigenbasis_dominates_randomized(canonical):
     ok = True
     details = []
     betas = (0.5, 0.1, 0.01)
-    controls, meta = [], []
-    for beta in betas:
-        for mode in ("randomized", "eigenbasis"):
-            for n_tr in (4, 16):
-                c = rq.OuuConfig(
-                    beta=beta, gamma=1e-5, n_tr=n_tr, trace_mode=mode,
-                    beta_schedule=(0.0, beta), max_iter=60, seed=0,
-                )
-                r = rq.optimize(problem, gf, c, z0=z0)
-                controls.append(r.z)
-                meta.append((beta, mode, n_tr))
+    modes = ("randomized", "eigenbasis")
+    found = {}
+    for mode in modes:
+        for n_tr in (4, 16):
+            # one objective per (mode, n_tr); the continuation runs each beta's
+            # schedule (0, beta) and their shared beta = 0 leg once
+            c = rq.OuuConfig(gamma=1e-5, n_tr=n_tr, trace_mode=mode,
+                             max_iter=60, seed=0)
+            obj = rq.RiskAverseObjective(problem, gf, c, nominal_control=z0)
+            runs = rq.continuation(obj, c, z0, [(0.0, b) for b in betas])
+            for beta, r in zip(betas, runs):
+                found[(beta, mode, n_tr)] = r.z
+    meta = [(b, m, n) for b in betas for m in modes for n in (4, 16)]
+    controls = [found[k] for k in meta]
     # every control of every beta on the same 2000 draws
     risk = rq.evaluate_true_risk(
         problem, gf, np.column_stack(controls), 2000, seed=11,

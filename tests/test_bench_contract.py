@@ -76,7 +76,7 @@ def test_ledger_sees_probe_draws_but_no_objective_covariance_solve(
     with traced.installed():
         objective = RiskAverseObjective(built.problem, built.gf, cfg)
         assert traced.ledger()["covariance"] == 40
-        objective.value_and_grad(built.z0)
+        objective.gradient(objective.evaluate(built.z0)[1])
         assert traced.ledger()["anchor"] == 164
         assert traced.ledger()["covariance"] == 40
         built.problem.surrogate(built.z0)

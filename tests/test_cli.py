@@ -285,6 +285,24 @@ def test_empty_control_box_exits_2_before_any_work(tmp_path, monkeypatch, capsys
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("ouu,message", [
+    ({"beta_schedule": [-5.0, 1.0], "max_iter": 5},
+     "beta schedule entries must be nonnegative"),
+    ({"z0": 20}, "z0 must lie in [z_min, z_max]"),
+    ({"z0": -1.0}, "z0 must lie in [z_min, z_max]"),
+])
+def test_ouu_outside_its_domain_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, ouu, message
+):
+    calls = count_factorizations(monkeypatch)
+    out = tmp_path / "out"
+    args = ["--profile", "desk", "--config",
+            write_config(tmp_path, {"ouu": ouu}), "--out", str(out)]
+    assert main(args + ["optimize"]) == 2
+    assert f"config error: ouu: {message}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_eigenbasis_n_tr_above_field_dimension_exits_2_before_any_work(
     tmp_path, monkeypatch, capsys
 ):
@@ -316,8 +334,9 @@ def test_compare_mc_factorizes_each_evaluation_draw_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, data)
     assert main(["--config", cfg, "--out", str(tmp_path), "compare-mc"]) == 0
     exp = data["experiment"]
-    # the SAA draws of each beta, then every control on one shared sample
-    saa_draws = len(exp["compare_betas"]) * sum(exp["compare_n_mc"])
+    # the SAA draws of each sample size, shared by every beta, then every
+    # control on one shared sample
+    saa_draws = sum(exp["compare_n_mc"])
     assert len(calls) == saa_draws + exp["compare_eval_samples"]
 
 

@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from riskquad.checks import check_ouu_gradient, check_saa_gradient
+from riskquad.checks import check_control_gradient
 from riskquad.cli import main as cli_main
 from riskquad.errors import NumericalError
 from riskquad.fem import build_mesh, grad_dot_load, weighted_stiffness_apply
@@ -11,9 +12,9 @@ from riskquad.ouu import (
     OuuConfig,
     RiskAverseObjective,
     SaaObjective,
+    continuation,
     evaluate_true_risk,
     optimize,
-    optimize_saa,
 )
 from riskquad.poisson import PoissonFlowProblem, WellConfig, default_wells
 from riskquad.random_field import FieldSpace, GaussianField
@@ -32,6 +33,13 @@ def setup():
     return make_setup()
 
 
+def ouu_gradient_error(problem, gf, cfg, z, components):
+    """The control-gradient check on the risk objective, with eigenbasis
+    probes at z."""
+    obj = RiskAverseObjective(problem, gf, cfg, nominal_control=z)
+    return check_control_gradient(obj, z, components)
+
+
 def test_ouu_config_validation():
     with pytest.raises(ValueError):
         OuuConfig(beta=-1.0)
@@ -47,6 +55,11 @@ def test_ouu_config_validation():
         OuuConfig(z_min=5.0, z_max=1.0)
     with pytest.raises(ValueError):
         OuuConfig(z_min=2.0, z_max=2.0)
+    with pytest.raises(ValueError, match="beta schedule entries"):
+        OuuConfig(beta_schedule=(-5.0, 1.0))
+    for z0 in (-1.0, 20.0):
+        with pytest.raises(ValueError, match="z0"):
+            OuuConfig(z0=z0)
 
 
 def test_control_cost_arithmetic(setup):
@@ -126,7 +139,7 @@ def test_objective_makes_no_covariance_solve(setup, monkeypatch):
     cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=40, beta_schedule=(1.0,), seed=0)
     obj = RiskAverseObjective(problem, gf, cfg)
     assert shapes == [(gf.dim, 40)]
-    obj.value_and_grad(np.full(problem.n_controls, 4.0))
+    obj.gradient(obj.evaluate(np.full(problem.n_controls, 4.0))[1])
     assert shapes == [(gf.dim, 40)]
 
 
@@ -134,11 +147,11 @@ def test_nan_control_gradient_fails_its_check(setup, monkeypatch):
     _, problem, gf = setup
     cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=2, beta_schedule=(1.0,), seed=0)
     z = np.full(problem.n_controls, 4.0)
-    finite = check_ouu_gradient(problem, gf, cfg, z, components=(0,))
+    finite = ouu_gradient_error(problem, gf, cfg, z, (0,))
     assert type(finite) is np.float64 and finite <= 1e-5
     monkeypatch.setattr(RiskAverseObjective, "gradient",
                         lambda obj, state: np.full(len(state.z), np.nan))
-    assert np.isnan(check_ouu_gradient(problem, gf, cfg, z, components=(0, 1)))
+    assert np.isnan(ouu_gradient_error(problem, gf, cfg, z, (0, 1)))
 
 
 def test_evaluate_guards_against_negative_variance(monkeypatch, tmp_path):
@@ -210,9 +223,7 @@ def test_gradient_is_control_cost_when_sources_vanish():
 def test_gradient_finite_difference_randomized(setup):
     _, problem, gf = setup
     cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=4, beta_schedule=(1.0,), seed=0)
-    err = check_ouu_gradient(
-        problem, gf, cfg, np.full(20, 4.0), components=(0, 7, 19)
-    )
+    err = ouu_gradient_error(problem, gf, cfg, np.full(20, 4.0), (0, 7, 19))
     assert err <= 1e-5
 
 
@@ -222,16 +233,14 @@ def test_gradient_finite_difference_eigenbasis(setup):
         beta=1.0, gamma=1e-5, n_tr=4, trace_mode="eigenbasis",
         beta_schedule=(1.0,), seed=0,
     )
-    err = check_ouu_gradient(
-        problem, gf, cfg, np.full(20, 4.0), components=(0, 13)
-    )
+    err = ouu_gradient_error(problem, gf, cfg, np.full(20, 4.0), (0, 13))
     assert err <= 1e-5
 
 
 def test_gradient_finite_difference_beta_zero_no_probes(setup):
     _, problem, gf = setup
     cfg = OuuConfig(beta=0.0, gamma=1e-5, n_tr=0, beta_schedule=(0.0,), seed=0)
-    err = check_ouu_gradient(problem, gf, cfg, np.full(20, 4.0), components=(3,))
+    err = ouu_gradient_error(problem, gf, cfg, np.full(20, 4.0), (3,))
     assert err <= 1e-5
 
 
@@ -319,15 +328,15 @@ def test_saa_mean_only_at_zero_spread(setup):
     _, problem, gf = setup
     saa = SaaObjective(problem, gf.scaled(0.0), n_mc=4, beta=1.0, gamma=1e-5, seed=0)
     z = np.full(20, 4.0)
-    value, aux = saa.evaluate(z)
-    _, _, mean, var = aux
-    assert var == pytest.approx(0.0, abs=1e-16)
-    assert mean == pytest.approx(problem.objective(z), rel=1e-12)
+    report, _ = saa.evaluate(z)
+    assert report.variance == pytest.approx(0.0, abs=1e-16)
+    assert report.mean == pytest.approx(problem.objective(z), rel=1e-12)
 
 
 def test_saa_gradient_finite_difference(setup):
     _, problem, gf = setup
-    assert check_saa_gradient(problem, gf, np.full(20, 4.0)) <= 1e-5
+    saa = SaaObjective(problem, gf, n_mc=6, beta=1.0, gamma=1e-5, seed=4)
+    assert check_control_gradient(saa, np.full(20, 4.0), (0, 7)) <= 1e-5
 
 
 def test_true_risk_rejects_threads_other_than_one(setup):
@@ -361,7 +370,7 @@ def test_saa_costs_two_solves_per_sample(setup):
     n_mc = 5
     saa = SaaObjective(problem, gf, n_mc=n_mc, beta=0.5, gamma=1e-5, seed=1)
     start = problem.counter.count
-    saa.value_and_grad(np.full(20, 4.0))
+    saa.gradient(saa.evaluate(np.full(20, 4.0))[1])
     assert problem.counter.count - start == 2 * n_mc
 
 
@@ -373,9 +382,9 @@ def test_quadratic_and_saa_agree_in_small_noise_limit(setup):
     for eps in (1e-2, 1e-4):
         scaled = gf.scaled(eps)
         quad_value = RiskAverseObjective(problem, scaled, cfg).evaluate(z)[0].value
-        saa_value, _ = SaaObjective(
+        saa_value = SaaObjective(
             problem, scaled, n_mc=400, beta=0.5, gamma=1e-5, seed=3
-        ).evaluate(z)
+        ).evaluate(z)[0].value
         theta = problem.objective(z)
         gaps.append(abs(quad_value - saa_value) / max(abs(theta), 1.0))
     assert gaps[1] < 0.2 * gaps[0]
@@ -538,10 +547,12 @@ def test_saa_optima_approach_a_limit(setup):
     _, problem, gf = setup
     beta = 0.5
     controls = []
+    cfg = OuuConfig(beta=beta, gamma=1e-5, n_tr=2,
+                    beta_schedule=(0.0, beta), max_iter=40, seed=0)
     for n_mc in (2, 8, 32):
-        cfg = OuuConfig(beta=beta, gamma=1e-5, n_tr=2,
-                        beta_schedule=(0.0, beta), max_iter=40, seed=0)
-        controls.append(optimize_saa(problem, gf, cfg, n_mc).z)
+        saa = SaaObjective(problem, gf, n_mc, beta, cfg.gamma, seed=cfg.seed)
+        controls.append(
+            continuation(saa, cfg, np.full(20, cfg.z0), [cfg.beta_schedule])[0].z)
     risk = evaluate_true_risk(
         problem, gf, np.column_stack(controls), 1500, seed=33,
         with_surrogates=False,
@@ -554,16 +565,100 @@ def test_saa_optima_approach_a_limit(setup):
     assert values[2] <= values[0] + noise
 
 
-def test_optimize_saa_runs_and_descends(setup):
+def test_saa_continuation_runs_and_descends(setup):
     _, problem, gf = setup
     cfg = OuuConfig(
         beta=0.5, gamma=1e-5, n_tr=2, beta_schedule=(0.0, 0.5),
         max_iter=15, seed=0,
     )
-    res = optimize_saa(problem, gf, cfg, n_mc=4)
+    saa = SaaObjective(problem, gf, 4, cfg.beta, cfg.gamma, seed=cfg.seed)
+    res = continuation(saa, cfg, np.full(20, cfg.z0), [cfg.beta_schedule])[0]
     for leg in res.legs:
         values = [row.value for row in leg.rows]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+SWEEP = [(0.0, 0.5), (0.0, 0.1), (0.0,)]
+
+
+def sweep_objective(problem, gf, kind):
+    """A fresh objective of either type and the settings of its sweep."""
+    cfg = OuuConfig(beta=0.5, gamma=1e-5, n_tr=3, beta_schedule=(0.0, 0.5),
+                    max_iter=12, seed=1)
+    if kind == "saa":
+        return SaaObjective(problem, gf, 4, cfg.beta, cfg.gamma, seed=cfg.seed), cfg
+    return RiskAverseObjective(problem, gf, cfg), cfg
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "saa"])
+def test_continuation_sweep_equals_separate_runs(setup, kind):
+    _, problem, gf = setup
+    obj, cfg = sweep_objective(problem, gf, kind)
+    z0 = np.full(20, cfg.z0)
+    swept = continuation(obj, cfg, z0, SWEEP)
+    assert len(swept) == len(SWEEP)
+    for schedule, res in zip(SWEEP, swept):
+        alone = continuation(sweep_objective(problem, gf, kind)[0], cfg, z0,
+                             [schedule])[0]
+        assert np.array_equal(res.z, alone.z)
+        assert res.degraded == alone.degraded
+        # a schedule's rows count its solves from its first leg's start on
+        solves = [row.solves for leg in alone.legs for row in leg.rows]
+        assert all(a < b for a, b in zip(solves, solves[1:]))
+        assert [leg.beta for leg in res.legs] == list(schedule)
+        assert len(res.legs) == len(alone.legs)
+        for leg, ref in zip(res.legs, alone.legs):
+            assert (leg.converged, leg.degraded) == (ref.converged, ref.degraded)
+            assert np.array_equal(leg.z, ref.z)
+            # every row, its cumulative solve count included, and the report
+            assert leg.rows == ref.rows
+            assert leg.report == ref.report
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "saa"])
+def test_continuation_runs_a_shared_leg_once(setup, monkeypatch, kind):
+    _, problem, gf = setup
+    obj, cfg = sweep_objective(problem, gf, kind)
+    calls = Counter()
+    for name in ("evaluate", "gradient"):
+        method = getattr(type(obj), name)
+        monkeypatch.setattr(
+            type(obj), name,
+            lambda o, arg, _m=method, _n=name: calls.update([(_n, o.beta)])
+            or _m(o, arg),
+        )
+    z0 = np.full(20, cfg.z0)
+    continuation(obj, cfg, z0, SWEEP)
+    swept, calls = calls, Counter()
+    for schedule in SWEEP:
+        continuation(obj, cfg, z0, [schedule])
+    for name in ("evaluate", "gradient"):
+        assert swept[name, 0.0] > 0
+        assert calls[name, 0.0] == len(SWEEP) * swept[name, 0.0]
+        for beta in (0.5, 0.1):
+            assert calls[name, beta] == swept[name, beta] > 0
+
+
+def test_empty_compare_betas_builds_no_objective(tmp_path, monkeypatch):
+    built, factorized = [], []
+    for cls in (RiskAverseObjective, SaaObjective):
+        monkeypatch.setattr(
+            cls, "__init__",
+            lambda self, *a, _init=cls.__init__, **k: built.append(self)
+            or _init(self, *a, **k),
+        )
+    solver_for = PoissonFlowProblem.solver_for
+    monkeypatch.setattr(PoissonFlowProblem, "solver_for",
+                        lambda pr, m: factorized.append(m) or solver_for(pr, m))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "mesh": {"nx": 8, "ny": 4}, "wells": {"sigma": 0.15},
+        "experiment": {"compare_betas": []},
+    }))
+    out = tmp_path / "out"
+    assert cli_main(["--config", str(config), "--out", str(out), "compare-mc"]) == 0
+    assert built == [] and factorized == []
+    assert (out / "compare_mc.csv").read_text().count("\n") == 1
 
 
 def per_probe_reference(obj, z):
@@ -620,7 +715,8 @@ def test_block_kernel_matches_per_probe_reference(setup, n_tr, mode):
                     beta_schedule=(0.7,), seed=2)
     z = np.linspace(2.0, 6.0, 20)
     obj = RiskAverseObjective(problem, gf, cfg, nominal_control=z)
-    report, grad = obj.value_and_grad(z)
+    report, state = obj.evaluate(z)
+    grad = obj.gradient(state)
     terms, ref_grad = per_probe_reference(obj, z)
     for name, ref in terms.items():
         assert getattr(report, name) == pytest.approx(ref, rel=1e-12, abs=0.0)
