@@ -45,13 +45,26 @@ class MeshSpec:
 
 @dataclass
 class MeanSpec:
-    """Mean log-conductivity: a constant, or a sum of Gaussian bumps."""
+    """Mean log-conductivity: a constant, or a sum of Gaussian bumps of a
+    positive ``width``."""
 
     type: str = "constant"
     value: float = 0.0
     centers: list = field(default_factory=list)
     amplitudes: list = field(default_factory=list)
     width: float = 0.25
+
+    def __post_init__(self):
+        if self.type not in ("constant", "bumps"):
+            raise ValueError(f"type: unknown mean type {self.type!r}")
+        w = self.width
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not w > 0.0:
+            raise ValueError(f"width: {w!r} is not a positive number")
+        if self.type == "bumps":
+            if len(self.centers) != len(self.amplitudes):
+                raise ValueError("bumps need one amplitude per center")
+            if any(np.shape(c) != (2,) for c in self.centers):
+                raise ValueError("bump centers must be (x, y) pairs")
 
 
 @dataclass
@@ -167,7 +180,7 @@ def _from_dict(cls, data, path=""):
         raise ConfigError(f"unknown config keys at {path or '<root>'}: {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        here = f"{path}.{name}" if path else name
+        here = f"{path}: {name}" if path else name
         if name in _SECTION_TYPES:
             kwargs[name] = _from_dict(_SECTION_TYPES[name], value, here)
         else:
@@ -261,20 +274,13 @@ def config_section(name):
 
 
 def build_mean_field(mesh, spec):
-    """Nodal mean log-conductivity from its config description."""
-    if spec.type == "constant":
-        return np.full(mesh.n_nodes, float(spec.value))
+    """Nodal mean log-conductivity from its (validated) config description."""
+    out = np.full(mesh.n_nodes, float(spec.value))
     if spec.type == "bumps":
-        if len(spec.centers) != len(spec.amplitudes):
-            raise ConfigError("mean bumps need one amplitude per center")
-        if any(np.shape(c) != (2,) for c in spec.centers):
-            raise ConfigError("mean bump centers must be (x, y) pairs")
-        out = np.full(mesh.n_nodes, float(spec.value))
         for (cx, cy), amp in zip(spec.centers, spec.amplitudes):
             r2 = (mesh.node_x - cx) ** 2 + (mesh.node_y - cy) ** 2
             out += amp * np.exp(-0.5 * r2 / spec.width**2)
-        return out
-    raise ConfigError(f"unknown mean type {spec.type!r}")
+    return out
 
 
 def build_wells(spec):

@@ -168,7 +168,9 @@ class RiskAverseObjective:
         mesh, em, ws = pr.mesh, state.ws.em, state.ws
         start = pr.counter.count
         zeta = self.probes.T
-        mix = 0.5 * self.weight * (zeta + self.beta * state.c_psi)
+        mix = self.beta * state.c_psi
+        mix += zeta
+        mix *= 0.5 * self.weight
         adj_inc_p, adj_inc_u = pr.incremental(ws, mix)
         coef = em * (self.beta * mesh.interp_gauss(state.c_grad)
                      + interp_dot(mesh, mix, zeta))

@@ -267,15 +267,21 @@ class PoissonFlowProblem:
             )
         k, W = ws.kernel, self.obs_operator
         solve = ws.solver.apply_inverse
-        inc_u = solve(-(k.B_u @ zeta))
-        inc_p = solve(-(W @ (W.T @ inc_u)) - k.B_p @ zeta)
+        rhs = k.B_u @ zeta
+        inc_u = solve(np.negative(rhs, out=rhs))
+        rhs = W @ (W.T @ inc_u)
+        rhs += k.B_p @ zeta
+        inc_p = solve(np.negative(rhs, out=rhs))
         return inc_u, inc_p
 
     def hessian_load(self, ws, zeta, inc_u, inc_p):
         """Hessian load M_w zeta + B_p^T inc_u + B_u^T inc_p of a direction or
         block ``zeta`` whose ``incremental`` pair on ``ws`` is (inc_u, inc_p)."""
         k = ws.kernel
-        return k.M_w @ zeta + k.B_pT @ inc_u + k.B_uT @ inc_p
+        load = k.M_w @ zeta
+        load += k.B_pT @ inc_u
+        load += k.B_uT @ inc_p
+        return load
 
     def hess_action(self, ws, zeta):
         """Hessian action on a direction (n,) or on each column of an (n, k)

@@ -174,6 +174,28 @@ def test_non_finite_config_number_exits_2_before_any_work(
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample-field", "optimize"])
+@pytest.mark.parametrize("mean,message", [
+    ({"type": "bumps", "width": 0}, "width: 0 is not a positive number"),
+    ({"type": "bumps", "width": -0.25}, "width: -0.25 is not a positive number"),
+    ({"width": 0.0}, "width: 0.0 is not a positive number"),
+    ({"type": "ridge"}, "type: unknown mean type 'ridge'"),
+])
+def test_bad_mean_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, command, mean, message
+):
+    # a zero bump width once wrote NaN samples and failed optimize with a
+    # traceback; a negative one was used as its absolute value
+    calls = count_factorizations(monkeypatch)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"random_field": {"mean": mean}})
+    args = ["--profile", "desk", "--config", path, "--out", str(out)]
+    assert main(args + [command]) == 2
+    assert (f"config error: random_field: mean: {message}"
+            in capsys.readouterr().err)
+    assert calls == [] and not out.exists()
+
+
 def test_non_finite_list_entry_is_a_config_error():
     with pytest.raises(ConfigError, match="ouu: beta_schedule: "):
         config_from_dict({"ouu": {"beta_schedule": [0.0, float("nan")]}})

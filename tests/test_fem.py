@@ -427,6 +427,33 @@ def test_constant_stiffness_solver_matches_band_path(mesh_name, c):
     assert counter.count == ticks
 
 
+@pytest.mark.parametrize("mesh_name", CONSTANT_MESHES)
+def test_constant_stiffness_column_bits_do_not_depend_on_block_width(mesh_name):
+    # the fast anchor solver on mesh.free_basis writes the free unknowns into
+    # a fresh output and copies the pinned left and right rows of the lifted
+    # right-hand side, which it does not write
+    mesh = CONSTANT_MESHES[mesh_name]()
+    solver = _constant_stiffness_solver(mesh, 0.7)
+    rng = np.random.default_rng(53)
+    bc = rng.standard_normal(len(mesh.dirichlet_nodes))
+    loads = rng.standard_normal((mesh.n_nodes, 41))
+    kept = loads.copy()
+    X = solver.solve_many(loads, bc)
+    assert np.array_equal(loads, kept)
+    for cols in (slice(0, 1), slice(0, 3), slice(5, 8)):
+        assert np.array_equal(solver.solve_many(loads[:, cols], bc), X[:, cols])
+    assert np.array_equal(solver.solve(loads[:, 7], bc), X[:, 7])
+    assert np.array_equal(solver.solve_many(np.asfortranarray(loads), bc), X)
+    d = mesh.dirichlet_nodes
+    for b in (solver._lifted(loads, bc), solver._lifted(loads[:, 4], bc)):
+        kept = b.copy()
+        x = solver.fast.solve(b)
+        assert np.array_equal(b, kept)
+        assert x.shape == b.shape and x.flags.c_contiguous
+        assert np.array_equal(x[d], b[d])
+        assert np.array_equal(x, X[:, 4] if b.ndim == 1 else X)
+
+
 def test_constant_stiffness_solver_without_interior_x_nodes():
     # with one element along x every node is pinned
     mesh = build_mesh(1, 5, 0.5, 1.0)
@@ -572,6 +599,23 @@ def test_separable_column_bits_do_not_depend_on_block_width(space_name):
     assert np.array_equal(solver.apply_inverse(np.asfortranarray(B)), X)
 
 
+@pytest.mark.parametrize("space_name", SEPARABLE_SPACES)
+def test_basis_transforms_keep_column_bits_and_round_trip(space_name):
+    space = SEPARABLE_SPACES[space_name](build_mesh(20, 10, 2.0, 1.0))
+    F = np.random.default_rng(44).standard_normal((space.dim, 41))
+    for transform in (space.to_coefficients, space.to_fields):
+        Y = transform(F)
+        assert Y.shape == F.shape and Y.flags.c_contiguous
+        assert np.array_equal(transform(F[:, :1]), Y[:, :1])
+        assert np.array_equal(transform(F[:, 2:5]), Y[:, 2:5])
+        assert np.array_equal(transform(F[:, 7]), Y[:, 7])
+        assert np.array_equal(transform(np.asfortranarray(F)), Y)
+    # Phi Phi^T M = I, since Phi^T M Phi = I and Phi is square
+    back = space.to_fields(space.to_coefficients(space.mass @ F))
+    err = np.linalg.norm(back - F, axis=0) / np.linalg.norm(F, axis=0)
+    assert np.max(err) <= 1e-13
+
+
 def test_separable_solve_rejects_inconsistent_operator_and_nan():
     space = volume_space(build_mesh(8, 5, 2.0, 1.0))
     b = np.random.default_rng(47).standard_normal((space.dim, 3))
@@ -685,3 +729,24 @@ def test_block_reductions_match_column_sums(canonical_fields):
     assert _rel(weighted_stiffness_sum(mesh, em, A, V), ref) <= 1e-12
     ref = sum(mesh.interp_gauss(A[:, k]) * mesh.interp_gauss(V[:, k]) for k in cols)
     assert _rel(interp_dot(mesh, A, V), ref) <= 1e-12
+
+
+def test_block_kernels_do_not_depend_on_block_layout(canonical_fields):
+    # gradient hands the kernels column-sliced views of a block, such as the
+    # covariance images c_all[:, 1:], and the probe block transposed
+    mesh, em, *_ = canonical_fields
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((mesh.n_nodes, 9))
+    V = np.column_stack([rng.standard_normal(mesh.n_nodes),
+                         rng.standard_normal((mesh.n_nodes, 9))])[:, 1:]
+    layouts = [(A, np.ascontiguousarray(V)), (np.asfortranarray(A), V),
+               (np.column_stack([V[:, 0], A])[:, 1:], np.asfortranarray(V))]
+    ref = interp_dot(mesh, *layouts[0]), weighted_stiffness_sum(mesh, em, *layouts[0])
+    for a, v in layouts[1:]:
+        assert np.array_equal(interp_dot(mesh, a, v), ref[0])
+        assert np.array_equal(weighted_stiffness_sum(mesh, em, a, v), ref[1])
+    f = A[:, 3]  # a strided column of a C block
+    want = mesh.interp_gauss(f.copy()), mesh.grad_gauss(f.copy())
+    for g in (f, np.asfortranarray(A)[:, 3]):
+        assert np.array_equal(mesh.interp_gauss(g), want[0])
+        assert all(map(np.array_equal, mesh.grad_gauss(g), want[1]))
