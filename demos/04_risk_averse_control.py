@@ -25,7 +25,7 @@ for leg in result.legs:
     print(f"  beta={leg.beta:<5} J={leg.report.value:9.4f} "
           f"mean={leg.report.mean_term:8.4f} "
           f"var={leg.report.variance_term:8.4f} "
-          f"solves/eval={4 + 4 * cfg.n_tr}")
+          f"solves/eval={leg.report.pde_solves}")
 
 print("\noptimal injection rates:")
 print(np.array2string(result.z, precision=2, suppress_small=True))

@@ -221,9 +221,8 @@ def cmd_compare_mc(args):
     controls, meta = [], []
     for k, beta in enumerate(exp.compare_betas):
         for method, level, results in runs:
-            per_eval = 2 * level if method == "saa" else 4 + 4 * level
             controls.append(results[k].z)
-            meta.append((method, beta, level, per_eval))
+            meta.append((method, beta, level, results[k].final_report.pde_solves))
     rows = []
     if controls:
         # every control on the same draws: one factorization per draw

@@ -22,8 +22,18 @@ import numpy as np
 from .errors import ConfigError, require_integers
 from .fem import build_mesh
 from .ouu import OuuConfig
-from .poisson import WellConfig, grid_points, parabolic_target_profile
+from .poisson import (CONTROL_XS, CONTROL_YS, PRODUCTION_XS, PRODUCTION_YS,
+                      WellConfig, grid_points, parabolic_target_profile)
 from .random_field import GaussianField
+
+
+def _require_real(name, v, positive=False):
+    """Raise ``ValueError`` unless v is a finite real number (a bool is
+    not), and a positive one if ``positive``."""
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+            or not np.isfinite(v) or (positive and not v > 0.0)):
+        kind = "positive number" if positive else "finite number"
+        raise ValueError(f"{name}: {v!r} is not a {kind}")
 
 
 @dataclass
@@ -36,11 +46,8 @@ class MeshSpec:
     def __post_init__(self):
         require_integers("nx", self.nx)
         require_integers("ny", self.ny)
-        for name in ("lx", "ly"):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or not 0.0 < v < np.inf):
-                raise ValueError(f"{name}: {v!r} is not a finite positive number")
+        _require_real("lx", self.lx, positive=True)
+        _require_real("ly", self.ly, positive=True)
 
 
 @dataclass
@@ -57,14 +64,17 @@ class MeanSpec:
     def __post_init__(self):
         if self.type not in ("constant", "bumps"):
             raise ValueError(f"type: unknown mean type {self.type!r}")
-        w = self.width
-        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not w > 0.0:
-            raise ValueError(f"width: {w!r} is not a positive number")
+        _require_real("value", self.value)
+        _require_real("width", self.width, positive=True)
         if self.type == "bumps":
             if len(self.centers) != len(self.amplitudes):
                 raise ValueError("bumps need one amplitude per center")
             if any(np.shape(c) != (2,) for c in self.centers):
                 raise ValueError("bump centers must be (x, y) pairs")
+            for x in (x for c in self.centers for x in c):
+                _require_real("centers", x)
+            for a in self.amplitudes:
+                _require_real("amplitudes", a)
 
 
 @dataclass
@@ -73,17 +83,24 @@ class FieldSpec:
     alpha: float = 4.0
     mean: MeanSpec = field(default_factory=MeanSpec)
 
+    def __post_init__(self):
+        _require_real("kappa", self.kappa, positive=True)
+        _require_real("alpha", self.alpha, positive=True)
+
 
 @dataclass
 class WellSpec:
+    """A well layout, by default ``poisson``'s canonical one."""
+
     sigma: float = 0.05
-    control_xs: list = field(
-        default_factory=lambda: [1.0 / 3.0, 2.0 / 3.0, 1.0, 4.0 / 3.0, 5.0 / 3.0]
-    )
-    control_ys: list = field(default_factory=lambda: [0.2, 0.4, 0.6, 0.8])
-    production_xs: list = field(default_factory=lambda: [0.4, 0.8, 1.2, 1.6])
-    production_ys: list = field(default_factory=lambda: [0.25, 0.5, 0.75])
+    control_xs: list = field(default_factory=lambda: list(CONTROL_XS))
+    control_ys: list = field(default_factory=lambda: list(CONTROL_YS))
+    production_xs: list = field(default_factory=lambda: list(PRODUCTION_XS))
+    production_ys: list = field(default_factory=lambda: list(PRODUCTION_YS))
     targets: object = "parabolic"
+
+    def __post_init__(self):
+        _require_real("sigma", self.sigma, positive=True)
 
 
 COMPARE_METHODS = ("quad_randomized", "quad_eigenbasis", "saa")
@@ -146,6 +163,8 @@ class RunConfig:
 
     def __post_init__(self):
         require_integers("seed", self.seed)
+        if self.seed < 0:
+            raise ValueError(f"seed: {self.seed} is negative")
         # the root seed is the only seed source; it also seeds the probes
         self.ouu = dataclasses.replace(self.ouu, seed=self.seed)
 

@@ -6,13 +6,15 @@ pairs accepted only when they keep the inverse Hessian approximation
 positive.  Progress is measured by the norm of the projected gradient
 z - P(z - g); iterations stop once it falls below a relative reduction of
 its starting value.  Everything is deterministic for fixed inputs, and
-accepted steps never increase the objective.
+accepted steps never increase the objective.  The objective is called by the
+protocol of ``ouu``: ``evaluate(z) -> (report, state)`` at every trial point,
+minimizing ``report.value``, and ``gradient(state)`` at accepted points only.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +35,13 @@ class IterRow:
 
 @dataclass
 class BoxResult:
+    """The last accepted iterate, its report, and one row per iterate."""
+
     z: np.ndarray
-    value: float
+    report: object
     converged: bool
     degraded: bool
-    rows: list = field(default_factory=list)
-    n_iters: int = 0
-    aux: object = None
+    rows: list
 
 
 def _project(z, lower, upper):
@@ -62,15 +64,15 @@ def _two_loop(grad, mem):
     return q
 
 
-def minimize_box_lbfgs(value_fn, grad_fn, z0, lower, upper, *, rel_tol=5e-4,
+def minimize_box_lbfgs(evaluate, gradient, z0, lower, upper, *, rel_tol=5e-4,
                        max_iter=100, solve_count=None):
-    """Minimize over a box using two callbacks sharing per-point state.
+    """Minimize ``report.value`` of ``evaluate`` over a box.
 
-    ``value_fn(z) -> (f, aux)`` evaluates the objective (line-search trials
-    use only this); ``grad_fn(z, aux) -> g`` finishes the gradient from the
-    state ``aux`` that the matching value call produced.  ``solve_count`` is
-    an optional zero-argument callable sampled for the iterate trace.  The
-    module constants ``ABS_TOL``, ``MEMORY``, ``ARMIJO_C1`` and
+    ``evaluate(z) -> (report, state)`` scores a point (line-search trials
+    use only this); ``gradient(state) -> g`` finishes the gradient at an
+    accepted point from the state its evaluation produced.  ``solve_count``
+    is an optional zero-argument callable sampled for the iterate trace.
+    The module constants ``ABS_TOL``, ``MEMORY``, ``ARMIJO_C1`` and
     ``MAX_BACKTRACKS`` fix the remaining settings.
     """
     lower = np.broadcast_to(np.asarray(lower, float), np.shape(z0)).copy()
@@ -78,8 +80,8 @@ def minimize_box_lbfgs(value_fn, grad_fn, z0, lower, upper, *, rel_tol=5e-4,
     z = _project(np.asarray(z0, dtype=float).copy(), lower, upper)
     count = solve_count if solve_count is not None else (lambda: 0)
 
-    f, aux = value_fn(z)
-    g = grad_fn(z, aux)
+    report, state = evaluate(z)
+    g = gradient(state)
     mem = deque(maxlen=MEMORY)
     rows = []
     edge = 1e-10 * np.maximum(upper - lower, 1.0)
@@ -91,14 +93,13 @@ def minimize_box_lbfgs(value_fn, grad_fn, z0, lower, upper, *, rel_tol=5e-4,
         return int(np.sum((zk <= lower + edge) | (zk >= upper - edge)))
 
     pg0 = projected_gradient_norm(z, g)
-    rows.append(IterRow(0, f, pg0, count(), n_active(z)))
+    rows.append(IterRow(0, report.value, pg0, count(), n_active(z)))
     if pg0 <= ABS_TOL:
-        return BoxResult(z, f, True, False, rows, 0, aux)
+        return BoxResult(z, report, True, False, rows)
     target = max(rel_tol * pg0, ABS_TOL)
 
     degraded = False
     converged = False
-    it = 0
     for it in range(1, max_iter + 1):
         active = ((z <= lower + edge) & (g > 0)) | ((z >= upper - edge) & (g < 0))
         g_free = np.where(active, 0.0, g)
@@ -111,37 +112,34 @@ def minimize_box_lbfgs(value_fn, grad_fn, z0, lower, upper, *, rel_tol=5e-4,
             break
 
         alpha = 1.0
-        accepted = False
-        f_new = f
-        z_new = z
-        aux_new = aux
+        trial = None
         for _ in range(MAX_BACKTRACKS):
             z_trial = _project(z + alpha * d, lower, upper)
             step = z_trial - z
             if np.linalg.norm(step) == 0.0:
                 break
-            f_trial, aux_trial = value_fn(z_trial)
-            if f_trial <= f + ARMIJO_C1 * (g @ step):
-                z_new, f_new, aux_new = z_trial, f_trial, aux_trial
-                accepted = True
+            report_trial, state_trial = evaluate(z_trial)
+            if report_trial.value <= report.value + ARMIJO_C1 * (g @ step):
+                trial = z_trial, report_trial, state_trial
                 break
             alpha *= 0.5
-        if not accepted:
+        if trial is None:
             degraded = True
             break
 
-        g_new = grad_fn(z_new, aux_new)
+        z_new, report, state = trial
+        g_new = gradient(state)
         s = z_new - z
         y = g_new - g
         sy = s @ y
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             mem.append((s, y, 1.0 / sy))
-        z, f, g, aux = z_new, f_new, g_new, aux_new
+        z, g = z_new, g_new
 
         pg = projected_gradient_norm(z, g)
-        rows.append(IterRow(it, f, pg, count(), n_active(z)))
+        rows.append(IterRow(it, report.value, pg, count(), n_active(z)))
         if pg <= target:
             converged = True
             break
 
-    return BoxResult(z, f, converged, degraded, rows, it, aux)
+    return BoxResult(z, report, converged, degraded, rows)

@@ -227,18 +227,13 @@ def _leg(objective, cfg, beta, z, spent):
     obj.beta = beta
     counter = obj.problem.counter
     start = counter.count - spent
-
-    def value(zk):
-        report, state = obj.evaluate(zk)
-        return report.value, (report, state)
-
     res = minimize_box_lbfgs(
-        value, lambda zk, aux: obj.gradient(aux[1]), z, cfg.z_min, cfg.z_max,
+        obj.evaluate, obj.gradient, z, cfg.z_min, cfg.z_max,
         rel_tol=cfg.grad_reduction_tol, max_iter=cfg.max_iter,
         solve_count=lambda: counter.count - start,
     )
     leg = ContinuationLeg(beta=beta, rows=res.rows, converged=res.converged,
-                          degraded=res.degraded, report=res.aux[0], z=res.z.copy())
+                          degraded=res.degraded, report=res.report, z=res.z.copy())
     return leg, counter.count - start
 
 
@@ -290,11 +285,12 @@ def optimize(problem, gf, cfg, z0=None):
 
 @dataclass
 class SaaReport:
-    """The sample-average objective and the sample moments it is made of."""
+    """Sample-average objective, its sample moments, and its PDE solves so far."""
 
     value: float
     mean: float
     variance: float
+    pde_solves: int = 0
 
 
 class SaaObjective:
@@ -321,23 +317,27 @@ class SaaObjective:
 
     def evaluate(self, z):
         pr = self.problem
+        start = pr.counter.count
         z = np.asarray(z, dtype=float)
         states = [pr.solve_state(z, s) for s in self.solvers]
         thetas = np.array([pr.objective_of_state(u) for u in states])
         mean = float(np.mean(thetas))
         var = float(np.var(thetas, ddof=1))
         value = mean + 0.5 * self.beta * var + 0.5 * self.gamma * float(z @ z)
-        return SaaReport(value, mean, var), (z, states, thetas, mean)
+        report = SaaReport(value, mean, var, pr.counter.count - start)
+        return report, (z, states, thetas, mean, report)
 
     def gradient(self, state):
         pr = self.problem
-        z, states, thetas, mean = state
+        start = pr.counter.count
+        z, states, thetas, mean, report = state
         weights = 1.0 / self.n_mc + self.beta * (thetas - mean) / (self.n_mc - 1)
         grad = self.gamma * z.copy()
         for w, u, solver in zip(weights, states, self.solvers):
             misfit = pr.observe(u) - pr.wells.targets
             adj = solver.solve(-(pr.obs_operator @ misfit))
             grad -= w * (pr.source_fields.T @ (pr.space.mass @ adj))
+        report.pde_solves += pr.counter.count - start
         return grad
 
 

@@ -28,6 +28,14 @@ from .random_field import volume_space
 from .surrogate import QuadraticSurrogate
 
 
+# The canonical well layout on (0,2)x(0,1): 20 injection wells on a 5x4
+# interior grid and 12 production wells on a 4x3 grid.
+CONTROL_XS = (1.0 / 3.0, 2.0 / 3.0, 1.0, 4.0 / 3.0, 5.0 / 3.0)
+CONTROL_YS = (0.2, 0.4, 0.6, 0.8)
+PRODUCTION_XS = (0.4, 0.8, 1.2, 1.6)
+PRODUCTION_YS = (0.25, 0.5, 0.75)
+
+
 def grid_points(xs, ys):
     """Cartesian product of coordinates, ordered y-major then x."""
     pts = [(x, y) for y in ys for x in xs]
@@ -66,15 +74,11 @@ class WellConfig:
 
 
 def default_wells(sigma=0.05):
-    """Canonical layout: 20 injection wells on a 5x4 interior grid and 12
-    production wells on a 4x3 grid of the (0,2)x(0,1) domain, with the
+    """The canonical layout (``CONTROL_XS`` ... ``PRODUCTION_YS``) with the
     parabolic target profile."""
-    control = grid_points(
-        [1.0 / 3.0, 2.0 / 3.0, 1.0, 4.0 / 3.0, 5.0 / 3.0], [0.2, 0.4, 0.6, 0.8]
-    )
-    production = grid_points([0.4, 0.8, 1.2, 1.6], [0.25, 0.5, 0.75])
+    production = grid_points(PRODUCTION_XS, PRODUCTION_YS)
     return WellConfig(
-        control_points=control,
+        control_points=grid_points(CONTROL_XS, CONTROL_YS),
         production_points=production,
         sigma=sigma,
         targets=parabolic_target_profile(production),

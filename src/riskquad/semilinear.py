@@ -86,10 +86,6 @@ class SemilinearProblem:
             self._laplacian_solver = SpdSolver(mesh, self.stiffness,
                                                self.counter, fast=laplacian)
 
-    @property
-    def boundary_dim(self):
-        return self.trace_space.dim
-
     def boundary_load(self, m_bnd):
         """Volume load of the Neumann boundary term <m, v> on the trace, for a
         flux (nb,) or for each column of an (nb, k) block."""

@@ -8,11 +8,14 @@ from riskquad.cli import main
 from riskquad.config import (
     PROFILES,
     RunConfig,
+    WellSpec,
+    build_wells,
     config_from_dict,
     config_to_dict,
     resolve_config,
 )
 from riskquad.errors import ConfigError
+from riskquad.poisson import default_wells
 
 TINY = {
     "mesh": {"nx": 8, "ny": 4},
@@ -171,6 +174,47 @@ def test_non_finite_config_number_exits_2_before_any_work(
     args = ["--profile", "desk", "--config", path, "--out", str(out)]
     assert main(args + [command]) == 2
     assert f"config error: {section}: {key}: " in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+SEMILINEAR = {"experiment": {"problem": "semilinear"}}
+
+
+@pytest.mark.parametrize("command,config,flags,message", [
+    ("sample-field", {"random_field": {"kappa": -1}}, [],
+     "random_field: kappa: -1 is not a positive number"),
+    ("optimize", {"random_field": {"alpha": 0}}, [],
+     "random_field: alpha: 0 is not a positive number"),
+    ("truncation-study", {**SEMILINEAR, "random_field": {"kappa": -1}}, [],
+     "random_field: kappa: -1 is not a positive number"),
+    ("optimize", {"random_field": {"kappa": "a"}}, [],
+     "random_field: kappa: 'a' is not a positive number"),
+    ("optimize", {"wells": {"sigma": "a"}}, [],
+     "wells: sigma: 'a' is not a positive number"),
+    ("sample-field", {"random_field": {"mean": {"value": "a"}}}, [],
+     "random_field: mean: value: 'a' is not a finite number"),
+    ("sample-field", {"random_field": {"mean": {
+        "type": "bumps", "centers": [["a", 0.5]], "amplitudes": [1.0]}}}, [],
+     "random_field: mean: centers: 'a' is not a finite number"),
+    ("optimize", {"random_field": {"mean": {
+        "type": "bumps", "centers": [[1.0, 0.5]], "amplitudes": ["a"]}}}, [],
+     "random_field: mean: amplitudes: 'a' is not a finite number"),
+    ("optimize", {"seed": -1}, [], "seed: -1 is negative"),
+    ("sample-field", {}, ["--seed", "-1"], "seed: -1 is negative"),
+], ids=["kappa", "alpha", "semilinear-kappa", "kappa-text", "sigma-text",
+        "mean-value-text", "bump-center-text", "bump-amplitude-text", "seed",
+        "seed-flag"])
+def test_bad_config_value_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, command, config, flags, message
+):
+    # each of these once ended in a traceback with exit code 1, the seed
+    # after the output directory had been made
+    calls = count_factorizations(monkeypatch)
+    out = tmp_path / "out"
+    args = ["--profile", "desk", "--config", write_config(tmp_path, config),
+            "--out", str(out), *flags]
+    assert main(args + [command]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
     assert calls == [] and not out.exists()
 
 
@@ -560,3 +604,10 @@ def test_outdir_env_var(tmp_path, monkeypatch):
 def test_profiles_cover_known_names():
     assert set(PROFILES) == {"paper_section6", "desk"}
     assert isinstance(resolve_config("desk"), RunConfig)
+
+
+def test_config_wells_default_to_the_canonical_layout():
+    canonical, built = default_wells(), build_wells(WellSpec())
+    for name in ("control_points", "production_points", "targets"):
+        assert np.array_equal(getattr(canonical, name), getattr(built, name))
+    assert canonical.sigma == built.sigma

@@ -1,35 +1,41 @@
+from types import SimpleNamespace
+
 import numpy as np
 
 from riskquad.optim import minimize_box_lbfgs
 
 
+def protocol(value, grad):
+    """``evaluate``/``gradient`` of the objective protocol from plain
+    functions of z: the report holds the value, the state is the point."""
+
+    def evaluate(z):
+        return SimpleNamespace(value=value(z)), z
+
+    return evaluate, grad
+
+
 def quadratic(target):
-    def value_fn(z):
-        d = z - target
-        return 0.5 * float(d @ d), None
-
-    def grad_fn(z, aux):
-        return z - target
-
-    return value_fn, grad_fn
+    return protocol(lambda z: 0.5 * float((z - target) @ (z - target)),
+                    lambda z: z - target)
 
 
 def test_quadratic_interior_minimum():
     target = np.array([0.3, 0.7, 0.5, 0.9])
-    value_fn, grad_fn = quadratic(target)
+    evaluate, gradient = quadratic(target)
     res = minimize_box_lbfgs(
-        value_fn, grad_fn, np.zeros(4), 0.0, 1.0, rel_tol=1e-12, max_iter=30
+        evaluate, gradient, np.zeros(4), 0.0, 1.0, rel_tol=1e-12, max_iter=30
     )
     assert res.converged
-    assert res.n_iters <= 30
+    assert len(res.rows) - 1 <= 30
     assert np.abs(res.z - target).max() <= 1e-6
 
 
 def test_bound_active_minimum():
     target = np.array([-2.0, 0.5, 3.0])
-    value_fn, grad_fn = quadratic(target)
+    evaluate, gradient = quadratic(target)
     res = minimize_box_lbfgs(
-        value_fn, grad_fn, np.full(3, 0.5), 0.0, 1.0, rel_tol=1e-10, max_iter=60
+        evaluate, gradient, np.full(3, 0.5), 0.0, 1.0, rel_tol=1e-10, max_iter=60
     )
     assert np.allclose(res.z, [0.0, 0.5, 1.0], atol=1e-8)
     assert res.rows[-1].active_bounds == 2
@@ -41,14 +47,11 @@ def test_iterates_stay_in_box_and_descend():
     Q = Q @ Q.T + 6 * np.eye(6)
     b = rng.standard_normal(6)
 
-    def value_fn(z):
-        return 0.5 * float(z @ (Q @ z)) - float(b @ z), None
-
-    def grad_fn(z, aux):
-        return Q @ z - b
+    evaluate, gradient = protocol(lambda z: 0.5 * float(z @ (Q @ z)) - float(b @ z),
+                                 lambda z: Q @ z - b)
 
     res = minimize_box_lbfgs(
-        value_fn, grad_fn, np.full(6, 0.5), 0.0, 1.0, rel_tol=1e-8, max_iter=100
+        evaluate, gradient, np.full(6, 0.5), 0.0, 1.0, rel_tol=1e-8, max_iter=100
     )
     values = [row.value for row in res.rows]
     assert all(y <= x + 1e-14 for x, y in zip(values, values[1:]))
@@ -57,9 +60,9 @@ def test_iterates_stay_in_box_and_descend():
 
 def test_gradient_norm_reduction_target():
     target = np.full(5, 0.4)
-    value_fn, grad_fn = quadratic(target)
+    evaluate, gradient = quadratic(target)
     res = minimize_box_lbfgs(
-        value_fn, grad_fn, np.ones(5), 0.0, 1.0, rel_tol=5e-4, max_iter=200
+        evaluate, gradient, np.ones(5), 0.0, 1.0, rel_tol=5e-4, max_iter=200
     )
     assert res.converged
     assert res.rows[-1].grad_norm <= 5e-4 * res.rows[0].grad_norm
@@ -69,15 +72,11 @@ def test_deterministic():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((8, 5))
 
-    def value_fn(z):
-        r = A @ z - 1.0
-        return 0.5 * float(r @ r), None
+    evaluate, gradient = protocol(lambda z: 0.5 * float((A @ z - 1.0) @ (A @ z - 1.0)),
+                                 lambda z: A.T @ (A @ z - 1.0))
 
-    def grad_fn(z, aux):
-        return A.T @ (A @ z - 1.0)
-
-    r1 = minimize_box_lbfgs(value_fn, grad_fn, np.zeros(5), -2.0, 2.0)
-    r2 = minimize_box_lbfgs(value_fn, grad_fn, np.zeros(5), -2.0, 2.0)
+    r1 = minimize_box_lbfgs(evaluate, gradient, np.zeros(5), -2.0, 2.0)
+    r2 = minimize_box_lbfgs(evaluate, gradient, np.zeros(5), -2.0, 2.0)
     assert np.array_equal(r1.z, r2.z)
     assert [row.value for row in r1.rows] == [row.value for row in r2.rows]
 
@@ -85,13 +84,9 @@ def test_deterministic():
 def test_inconsistent_gradient_degrades_not_crashes():
     # a gradient that lies about the descent direction stalls the line
     # search; the solver flags it and returns the best iterate
-    def value_fn(z):
-        return 1.0, None
+    evaluate, gradient = protocol(lambda z: 1.0, np.ones_like)
 
-    def grad_fn(z, aux):
-        return np.ones_like(z)
-
-    res = minimize_box_lbfgs(value_fn, grad_fn, np.full(3, 0.5), 0.0, 1.0)
+    res = minimize_box_lbfgs(evaluate, gradient, np.full(3, 0.5), 0.0, 1.0)
     assert res.degraded
     assert not res.converged
     assert np.allclose(res.z, 0.5)
@@ -100,16 +95,38 @@ def test_inconsistent_gradient_degrades_not_crashes():
 def test_solve_count_recorded():
     counter = {"n": 0}
 
-    def value_fn(z):
+    def value(z):
         counter["n"] += 1
-        d = z - 0.25
-        return 0.5 * float(d @ d), None
+        return 0.5 * float((z - 0.25) @ (z - 0.25))
 
-    def grad_fn(z, aux):
-        return z - 0.25
+    evaluate, gradient = protocol(value, lambda z: z - 0.25)
 
     res = minimize_box_lbfgs(
-        value_fn, grad_fn, np.zeros(2), 0.0, 1.0,
+        evaluate, gradient, np.zeros(2), 0.0, 1.0,
         solve_count=lambda: counter["n"],
     )
     assert res.rows[-1].solves == counter["n"]
+
+
+def test_report_is_the_accepted_iterates_after_rejected_trials():
+    # |z|_1 from 0.5 with the gradient of its z > 0 branch: the line search
+    # accepts z = 0, then rejects every trial from there and degrades, so
+    # the last evaluation is a rejected trial; the result carries the report
+    # of the accepted iterate, on whose state the gradient ran last
+    evaluated, graded = [], []
+
+    def evaluate(z):
+        report = SimpleNamespace(value=float(np.sum(np.abs(z))))
+        evaluated.append(report)
+        return report, report
+
+    def gradient(report):
+        graded.append(report)
+        return np.ones(3)
+
+    res = minimize_box_lbfgs(evaluate, gradient, np.full(3, 0.5), -1.0, 1.0)
+    assert res.degraded
+    assert len(evaluated) > len(res.rows)
+    assert evaluated[-1].value != res.report.value
+    assert res.report.value == res.rows[-1].value
+    assert graded[-1] is res.report

@@ -374,6 +374,17 @@ def test_saa_costs_two_solves_per_sample(setup):
     assert problem.counter.count - start == 2 * n_mc
 
 
+def test_saa_report_counts_its_solves(setup):
+    # compare-mc reads the cost of one evaluation from the final report
+    _, problem, gf = setup
+    n_mc = 5
+    saa = SaaObjective(problem, gf, n_mc=n_mc, beta=0.5, gamma=1e-5, seed=1)
+    report, state = saa.evaluate(np.full(20, 4.0))
+    assert report.pde_solves == n_mc
+    saa.gradient(state)
+    assert report.pde_solves == 2 * n_mc
+
+
 def test_quadratic_and_saa_agree_in_small_noise_limit(setup):
     _, problem, gf = setup
     z = np.full(20, 4.0)

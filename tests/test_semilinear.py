@@ -26,7 +26,7 @@ def setup():
 def test_trivial_zero_state():
     problem = SemilinearProblem(build_mesh(6, 6, 1.0, 1.0), c=0.0)
     u, _, history = problem.solve_state(
-        np.zeros(problem.mesh.n_nodes), np.zeros(problem.boundary_dim)
+        np.zeros(problem.mesh.n_nodes), np.zeros(problem.trace_space.dim)
     )
     assert np.abs(u).max() == 0.0
     assert history[0] <= problem.newton_tol
@@ -37,7 +37,7 @@ def test_c_zero_is_a_single_linear_solve():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(problem.mesh.n_nodes)
     start = problem.counter.count
-    _, _, history = problem.solve_state(z, np.zeros(problem.boundary_dim))
+    _, _, history = problem.solve_state(z, np.zeros(problem.trace_space.dim))
     assert problem.counter.count - start == 1
     assert len(history) == 2 and history[-1] <= problem.newton_tol
 
@@ -53,7 +53,7 @@ def test_c_zero_newton_builds_no_band_factorization(monkeypatch):
     rng = np.random.default_rng(1)
     z = rng.standard_normal(problem.mesh.n_nodes)
     for _ in range(3):
-        problem.objective(z, rng.standard_normal(problem.boundary_dim))
+        problem.objective(z, rng.standard_normal(problem.trace_space.dim))
     assert problem.counter.count == 3
     assert factorizations == []
     assert "band_plan" not in vars(problem.mesh)
@@ -69,7 +69,7 @@ def _manufactured_error(n):
     problem = SemilinearProblem(mesh, c=1.0)
     exact = mesh.node_x * (1.0 - mesh.node_x)
     z = 2.0 + exact**3
-    u, _, _ = problem.solve_state(z, np.zeros(problem.boundary_dim))
+    u, _, _ = problem.solve_state(z, np.zeros(problem.trace_space.dim))
     M = assemble_mass(mesh)
     e = u - exact
     return float(np.sqrt(e @ (M @ e)))
@@ -84,7 +84,7 @@ def test_manufactured_solution_converges():
 def test_newton_monotone_and_fast(setup):
     mesh, problem, gf = setup
     z = 20.0 * np.ones(mesh.n_nodes)
-    m = 3.0 * np.ones(problem.boundary_dim)
+    m = 3.0 * np.ones(problem.trace_space.dim)
     _, _, history = problem.solve_state(z, m)
     assert all(b < a for a, b in zip(history, history[1:]))
     assert history[-1] <= problem.newton_tol
@@ -96,7 +96,7 @@ def test_newton_budget_exhaustion_reports_history():
                                 newton_max_iter=2)
     z = 50.0 * np.ones(problem.mesh.n_nodes)
     with pytest.raises(NumericalError) as exc:
-        problem.solve_state(z, np.zeros(problem.boundary_dim))
+        problem.solve_state(z, np.zeros(problem.trace_space.dim))
     assert isinstance(exc.value.residual, list)
     assert len(exc.value.residual) == 2
 
@@ -105,9 +105,9 @@ def test_gradient_zero_for_matched_target(setup):
     mesh, _, _ = setup
     z = np.ones(mesh.n_nodes)
     scratch = SemilinearProblem(mesh, c=1.0)
-    u, _, _ = scratch.solve_state(z, np.zeros(scratch.boundary_dim))
+    u, _, _ = scratch.solve_state(z, np.zeros(scratch.trace_space.dim))
     matched = SemilinearProblem(mesh, c=1.0, desired=u)
-    ws = matched.workspace(z, np.zeros(matched.boundary_dim))
+    ws = matched.workspace(z, np.zeros(matched.trace_space.dim))
     assert matched.trace_space.norm(matched.grad_boundary(ws)) < 1e-9
 
 
@@ -122,29 +122,29 @@ def test_c_zero_gradient_linear_in_misfit():
     mesh = build_mesh(10, 10, 1.0, 1.0)
     base = SemilinearProblem(mesh, c=0.0)
     z = np.ones(mesh.n_nodes)
-    u, _, _ = base.solve_state(z, np.zeros(base.boundary_dim))
+    u, _, _ = base.solve_state(z, np.zeros(base.trace_space.dim))
     # desired states with single and doubled misfit
     offset = 0.1 * np.sin(np.pi * mesh.node_x)
     single = SemilinearProblem(mesh, c=0.0, desired=u - offset)
     double = SemilinearProblem(mesh, c=0.0, desired=u - 2.0 * offset)
-    g1 = single.grad_boundary(single.workspace(z, np.zeros(single.boundary_dim)))
-    g2 = double.grad_boundary(double.workspace(z, np.zeros(double.boundary_dim)))
+    g1 = single.grad_boundary(single.workspace(z, np.zeros(single.trace_space.dim)))
+    g2 = double.grad_boundary(double.workspace(z, np.zeros(double.trace_space.dim)))
     assert np.allclose(g2, 2.0 * g1, rtol=1e-10, atol=1e-14)
 
 
 def test_hessian_zero_direction(setup):
     _, problem, _ = setup
     ws = problem.workspace(
-        np.ones(problem.mesh.n_nodes), np.zeros(problem.boundary_dim)
+        np.ones(problem.mesh.n_nodes), np.zeros(problem.trace_space.dim)
     )
-    psi = problem.hess_action(ws, np.zeros(problem.boundary_dim))
+    psi = problem.hess_action(ws, np.zeros(problem.trace_space.dim))
     assert problem.trace_space.norm(psi) == 0.0
 
 
 def test_hessian_self_adjoint(setup):
     _, problem, gf = setup
     ws = problem.workspace(
-        np.ones(problem.mesh.n_nodes), np.zeros(problem.boundary_dim)
+        np.ones(problem.mesh.n_nodes), np.zeros(problem.trace_space.dim)
     )
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -206,13 +206,13 @@ def test_newton_max_iter_must_be_a_positive_integer(n):
 def test_default_flux_is_the_zero_flux(setup):
     mesh, problem, _ = setup
     z = np.ones(mesh.n_nodes)
-    zero = np.zeros(problem.boundary_dim)
+    zero = np.zeros(problem.trace_space.dim)
     assert problem.objective(z) == problem.objective(z, zero)
     ws, ws0 = problem.workspace(z), problem.workspace(z, zero)
     for name in ("m", "u", "p"):
         assert np.array_equal(getattr(ws, name), getattr(ws0, name)), name
     surr, surr0 = problem.surrogate(z), problem.surrogate(z, zero)
-    M = np.random.default_rng(11).standard_normal((problem.boundary_dim, 3))
+    M = np.random.default_rng(11).standard_normal((problem.trace_space.dim, 3))
     assert surr.theta_bar == surr0.theta_bar
     assert np.array_equal(surr.anchor, zero)
     assert np.array_equal(surr.grad, surr0.grad)
@@ -222,8 +222,8 @@ def test_default_flux_is_the_zero_flux(setup):
 def test_block_hessian_matches_columns(setup):
     mesh, problem, _ = setup
     assert problem.c > 0.0
-    ws = problem.workspace(np.ones(mesh.n_nodes), np.zeros(problem.boundary_dim))
-    M = np.random.default_rng(9).standard_normal((problem.boundary_dim, 4))
+    ws = problem.workspace(np.ones(mesh.n_nodes), np.zeros(problem.trace_space.dim))
+    M = np.random.default_rng(9).standard_normal((problem.trace_space.dim, 4))
     block = problem.hess_action(ws, M)
     for k in range(M.shape[1]):
         col = problem.hess_action(ws, M[:, k])
@@ -233,8 +233,8 @@ def test_block_hessian_matches_columns(setup):
 def test_hessian_weighted_mass_is_built_once_per_workspace(setup, monkeypatch):
     mesh, problem, _ = setup
     assert problem.c > 0.0
-    ws = problem.workspace(np.ones(mesh.n_nodes), np.zeros(problem.boundary_dim))
-    m_hat = np.random.default_rng(10).standard_normal(problem.boundary_dim)
+    ws = problem.workspace(np.ones(mesh.n_nodes), np.zeros(problem.trace_space.dim))
+    m_hat = np.random.default_rng(10).standard_normal(problem.trace_space.dim)
     first = problem.hess_action(ws, m_hat)
 
     calls = []
