@@ -21,7 +21,6 @@ from .config import (
     PROFILES,
     build_mean_field,
     build_setup,
-    config_section,
     resolve_config,
 )
 from .errors import ConfigError, NumericalError
@@ -93,8 +92,7 @@ def _rate_setup(cfg):
     if cfg.experiment.problem == "poisson":
         mesh, gf, problem = build_setup(cfg)
         return problem, gf, np.full(problem.n_controls, cfg.ouu.z0)
-    with config_section("mesh"):
-        mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, 1.0, 1.0)
+    mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=cfg.experiment.semilinear_c)
     gf = GaussianField(problem.trace_space, cfg.random_field.kappa,
                        cfg.random_field.alpha)
@@ -248,8 +246,7 @@ def cmd_compare_mc(args):
 def cmd_sample_field(args):
     cfg = _load(args)
     out = _outdir(args)
-    with config_section("mesh"):
-        mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
+    mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
     gf = field_on_mesh(
         mesh, cfg.random_field.kappa, cfg.random_field.alpha,
         mean=build_mean_field(mesh, cfg.random_field.mean),

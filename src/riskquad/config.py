@@ -3,51 +3,49 @@
 The ``paper_section6`` profile reproduces the canonical study setup
 (79x39 mesh of (0,2)x(0,1), kappa = 2e-2, alpha = 4, gamma = 1e-5,
 n_tr = 40, bounds [0, 16], uniform initial control 4).  Unknown keys are
-rejected so silently ignored typos cannot skew an experiment.  The ``ouu``
-section is the runtime ``OuuConfig`` itself, validated when the file is
-parsed; its ``seed`` is not a key of its own but the root ``seed``, which
-seeds the field draws and the trace probes alike.
+rejected so silently ignored typos cannot skew an experiment.
+
+Each field of a section states its kind once (``errors.setting``), and
+the section checks every key by kind and range when it is built, so a bad
+value is a ``ConfigError`` reading ``<section>: <key>: ...`` before any
+output exists.  Only the checks between fields are written by hand: the
+beta schedule is ascending and ends at beta, z0 lies in the box, the eps
+values are distinct, bump centers pair with amplitudes, and there is one
+target per production well.  The ``ouu`` section is the runtime
+``OuuConfig`` itself; its ``seed`` is not a key of its own but the root
+``seed``, which seeds the field draws and the trace probes alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, require_integers
+from .errors import (COUNT, INTEGER, NATURAL, NONNEGATIVE, POSITIVE, REAL,
+                     ConfigError, check_settings, choice, kind, list_of, setting)
 from .fem import build_mesh
 from .ouu import OuuConfig
 from .poisson import (CONTROL_XS, CONTROL_YS, PRODUCTION_XS, PRODUCTION_YS,
                       WellConfig, grid_points, parabolic_target_profile)
 from .random_field import GaussianField
 
-
-def _require_real(name, v, positive=False):
-    """Raise ``ValueError`` unless v is a finite real number (a bool is
-    not), and a positive one if ``positive``."""
-    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-            or not np.isfinite(v) or (positive and not v > 0.0)):
-        kind = "positive number" if positive else "finite number"
-        raise ValueError(f"{name}: {v!r} is not a {kind}")
+REALS = list_of(REAL)
+COORDINATES = list_of(REAL, nonempty=True)
+POINT = kind(lambda v: len(v) == 2, "{key}: {v!r} is not an (x, y) pair", REALS)
 
 
 @dataclass
 class MeshSpec:
-    nx: int = 79
-    ny: int = 39
-    lx: float = 2.0
-    ly: float = 1.0
+    nx: int = setting(COUNT, 79)
+    ny: int = setting(COUNT, 39)
+    lx: float = setting(POSITIVE, 2.0)
+    ly: float = setting(POSITIVE, 1.0)
 
     def __post_init__(self):
-        require_integers("nx", self.nx)
-        require_integers("ny", self.ny)
-        _require_real("lx", self.lx, positive=True)
-        _require_real("ly", self.ly, positive=True)
+        check_settings(self)
 
 
 @dataclass
@@ -55,52 +53,55 @@ class MeanSpec:
     """Mean log-conductivity: a constant, or a sum of Gaussian bumps of a
     positive ``width``."""
 
-    type: str = "constant"
-    value: float = 0.0
-    centers: list = field(default_factory=list)
-    amplitudes: list = field(default_factory=list)
-    width: float = 0.25
+    type: str = setting(choice("mean type", "constant", "bumps"), "constant")
+    value: float = setting(REAL, 0.0)
+    centers: list = setting(list_of(POINT), [])
+    amplitudes: list = setting(REALS, [])
+    width: float = setting(POSITIVE, 0.25)
 
     def __post_init__(self):
-        if self.type not in ("constant", "bumps"):
-            raise ValueError(f"type: unknown mean type {self.type!r}")
-        _require_real("value", self.value)
-        _require_real("width", self.width, positive=True)
-        if self.type == "bumps":
-            if len(self.centers) != len(self.amplitudes):
-                raise ValueError("bumps need one amplitude per center")
-            if any(np.shape(c) != (2,) for c in self.centers):
-                raise ValueError("bump centers must be (x, y) pairs")
-            for x in (x for c in self.centers for x in c):
-                _require_real("centers", x)
-            for a in self.amplitudes:
-                _require_real("amplitudes", a)
+        check_settings(self)
+        if self.type == "bumps" and len(self.centers) != len(self.amplitudes):
+            raise ValueError(f"amplitudes: {len(self.amplitudes)} values for "
+                             f"{len(self.centers)} centers")
 
 
 @dataclass
 class FieldSpec:
-    kappa: float = 2e-2
-    alpha: float = 4.0
+    kappa: float = setting(POSITIVE, 2e-2)
+    alpha: float = setting(POSITIVE, 4.0)
     mean: MeanSpec = field(default_factory=MeanSpec)
 
     def __post_init__(self):
-        _require_real("kappa", self.kappa, positive=True)
-        _require_real("alpha", self.alpha, positive=True)
+        check_settings(self)
+
+
+TARGET_PROFILE = choice("target profile", "parabolic")
+
+
+def _targets(key, v):
+    """The name of a target profile, or a list of target values."""
+    (TARGET_PROFILE if isinstance(v, str) else REALS)(key, v)
 
 
 @dataclass
 class WellSpec:
-    """A well layout, by default ``poisson``'s canonical one."""
+    """A well layout, by default ``poisson``'s canonical one; ``targets`` is
+    the name of a target profile or one target per production well."""
 
-    sigma: float = 0.05
-    control_xs: list = field(default_factory=lambda: list(CONTROL_XS))
-    control_ys: list = field(default_factory=lambda: list(CONTROL_YS))
-    production_xs: list = field(default_factory=lambda: list(PRODUCTION_XS))
-    production_ys: list = field(default_factory=lambda: list(PRODUCTION_YS))
-    targets: object = "parabolic"
+    sigma: float = setting(POSITIVE, 0.05)
+    control_xs: list = setting(COORDINATES, list(CONTROL_XS))
+    control_ys: list = setting(COORDINATES, list(CONTROL_YS))
+    production_xs: list = setting(COORDINATES, list(PRODUCTION_XS))
+    production_ys: list = setting(COORDINATES, list(PRODUCTION_YS))
+    targets: object = setting(_targets, "parabolic")
 
     def __post_init__(self):
-        _require_real("sigma", self.sigma, positive=True)
+        check_settings(self)
+        wells = len(self.production_xs) * len(self.production_ys)
+        if not isinstance(self.targets, str) and len(self.targets) != wells:
+            raise ValueError(f"targets: {len(self.targets)} values for "
+                             f"{wells} production wells")
 
 
 COMPARE_METHODS = ("quad_randomized", "quad_eigenbasis", "saa")
@@ -108,48 +109,28 @@ COMPARE_METHODS = ("quad_randomized", "quad_eigenbasis", "saa")
 
 @dataclass
 class ExperimentSpec:
-    problem: str = "poisson"
-    semilinear_c: float = 1.0
-    eps_list: list = field(default_factory=lambda: [2.0**-k for k in range(7)])
-    rate_n_mc: int = 2000
-    n_samples: int = 3
-    sample_eps: float = 1.0
-    true_risk_samples: int = 10000
-    compare_betas: list = field(default_factory=lambda: [0.5, 0.1, 0.01])
-    compare_n_tr: list = field(default_factory=lambda: [4, 16])
-    compare_n_mc: list = field(default_factory=lambda: [4, 16])
-    compare_eval_samples: int = 2000
-    compare_max_iter: int = 40
-    compare_methods: list = field(default_factory=lambda: list(COMPARE_METHODS))
+    problem: str = setting(choice("experiment problem", "poisson", "semilinear"),
+                           "poisson")
+    semilinear_c: float = setting(NONNEGATIVE, 1.0)
+    eps_list: list = setting(list_of(POSITIVE), [2.0**-k for k in range(7)])
+    rate_n_mc: int = setting(COUNT, 2000)
+    n_samples: int = setting(COUNT, 3)
+    sample_eps: float = setting(NONNEGATIVE, 1.0)
+    true_risk_samples: int = setting(COUNT, 10000)
+    compare_betas: list = setting(list_of(NONNEGATIVE), [0.5, 0.1, 0.01])
+    compare_n_tr: list = setting(list_of(NATURAL), [4, 16])
+    compare_n_mc: list = setting(
+        list_of(kind(lambda v: v >= 2, "{key}: {v!r} is below 2", INTEGER)), [4, 16])
+    compare_eval_samples: int = setting(COUNT, 2000)
+    compare_max_iter: int = setting(COUNT, 40)
+    compare_methods: list = setting(
+        list_of(choice("compare method", *COMPARE_METHODS)), list(COMPARE_METHODS))
 
     def __post_init__(self):
-        if self.problem not in ("poisson", "semilinear"):
-            raise ValueError(f"unknown experiment problem {self.problem!r}")
-        if not set(self.compare_methods) <= set(COMPARE_METHODS):
-            raise ValueError(f"unknown compare method in {self.compare_methods}")
-        for name in ("rate_n_mc", "n_samples", "true_risk_samples",
-                     "compare_eval_samples", "compare_max_iter"):
-            require_integers(name, getattr(self, name))
-        for name in ("compare_n_tr", "compare_n_mc"):
-            require_integers(f"{name} entries", *getattr(self, name))
-        for name in ("rate_n_mc", "n_samples", "true_risk_samples",
-                     "compare_eval_samples", "compare_max_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if any(n < 2 for n in self.compare_n_mc):
-            raise ValueError("compare_n_mc entries must be at least 2")
-        if self.sample_eps < 0.0:
-            raise ValueError("sample_eps must be nonnegative")
-        if self.semilinear_c < 0.0:
-            raise ValueError("semilinear_c must be nonnegative")
-        for name in ("compare_betas", "compare_n_tr"):
-            if any(v < 0 for v in getattr(self, name)):
-                raise ValueError(f"{name} entries must be nonnegative")
-        if any(e <= 0.0 for e in self.eps_list):
-            raise ValueError("eps_list entries must be positive")
+        check_settings(self)
         if len(set(self.eps_list)) < 2:
-            raise ValueError("eps_list needs at least two distinct values "
-                             "to fit a rate")
+            raise ValueError(f"eps_list: {self.eps_list!r} has fewer than two "
+                             "distinct values to fit a rate")
 
 
 @dataclass
@@ -159,63 +140,40 @@ class RunConfig:
     wells: WellSpec = field(default_factory=WellSpec)
     ouu: OuuConfig = field(default_factory=OuuConfig)
     experiment: ExperimentSpec = field(default_factory=ExperimentSpec)
-    seed: int = 0
+    seed: int = setting(NATURAL, 0)
 
     def __post_init__(self):
-        require_integers("seed", self.seed)
-        if self.seed < 0:
-            raise ValueError(f"seed: {self.seed} is negative")
+        check_settings(self)
         # the root seed is the only seed source; it also seeds the probes
         self.ouu = dataclasses.replace(self.ouu, seed=self.seed)
 
 
-_SECTION_TYPES = {
-    "mesh": MeshSpec,
-    "random_field": FieldSpec,
-    "wells": WellSpec,
-    "ouu": OuuConfig,
-    "experiment": ExperimentSpec,
-    "mean": MeanSpec,
-}
-
-
-# fields that a config file may not set: ``ouu.seed`` is the root ``seed``
-_DERIVED = {OuuConfig: {"seed"}}
-
-
-def _finite(value):
-    """False for NaN or an infinity (JSON admits both), also inside lists."""
-    if isinstance(value, list):
-        return all(map(_finite, value))
-    return not isinstance(value, float) or np.isfinite(value)
-
-
 def _from_dict(cls, data, path=""):
+    """Build ``cls`` from a mapping; a field whose default is a section is
+    built from its own mapping first."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {path or cls.__name__!r} must be a mapping")
-    known = {f.name for f in dataclasses.fields(cls)} - _DERIVED.get(cls, set())
-    unknown = set(data) - known
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    if cls is OuuConfig:  # a config file may not set it: it is the root seed
+        del fields["seed"]
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config keys at {path or '<root>'}: {sorted(unknown)}")
-    kwargs = {}
+    kwargs = dict(data)
     for name, value in data.items():
-        here = f"{path}: {name}" if path else name
-        if name in _SECTION_TYPES:
-            kwargs[name] = _from_dict(_SECTION_TYPES[name], value, here)
-        else:
-            kwargs[name] = value
+        section = fields[name].default_factory
+        if dataclasses.is_dataclass(section):
+            here = f"{path}: {name}" if path else name
+            kwargs[name] = _from_dict(section, value, here)
     try:
-        for name, value in kwargs.items():
-            if not _finite(value):
-                raise ValueError(f"{name}: {value!r} is not finite")
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def config_from_dict(data):
-    """Strictly parse a nested mapping into a RunConfig; a section that its
-    dataclass rejects (``OuuConfig`` validates itself) is a ConfigError."""
+    """Strictly parse a nested mapping into a RunConfig; a value that its
+    section rejects is a ConfigError."""
     return _from_dict(RunConfig, data)
 
 
@@ -282,16 +240,6 @@ def resolve_config(profile=None, config_path=None, overrides=None):
 # -- builders -------------------------------------------------------------------
 
 
-@contextmanager
-def config_section(name):
-    """Turn a ``ValueError`` from building config section ``name`` into a
-    ``ConfigError``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
 def build_mean_field(mesh, spec):
     """Nodal mean log-conductivity from its (validated) config description."""
     out = np.full(mesh.n_nodes, float(spec.value))
@@ -304,19 +252,15 @@ def build_mean_field(mesh, spec):
 
 def build_wells(spec):
     production = grid_points(spec.production_xs, spec.production_ys)
-    if isinstance(spec.targets, str):
-        if spec.targets != "parabolic":
-            raise ConfigError(f"unknown target profile {spec.targets!r}")
+    targets = spec.targets
+    if isinstance(targets, str):  # the only profile is "parabolic"
         targets = parabolic_target_profile(production)
-    else:
-        targets = spec.targets
-    with config_section("wells"):
-        return WellConfig(
-            control_points=grid_points(spec.control_xs, spec.control_ys),
-            production_points=production,
-            sigma=spec.sigma,
-            targets=targets,
-        )
+    return WellConfig(
+        control_points=grid_points(spec.control_xs, spec.control_ys),
+        production_points=production,
+        sigma=spec.sigma,
+        targets=targets,
+    )
 
 
 def build_ouu_config(ouu, seed):
@@ -329,8 +273,7 @@ def build_setup(cfg):
     """Mesh, Gaussian field, and flow problem from a RunConfig."""
     from .poisson import PoissonFlowProblem
 
-    with config_section("mesh"):
-        mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
+    mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
     mean = build_mean_field(mesh, cfg.random_field.mean)
     problem = PoissonFlowProblem(mesh, wells=build_wells(cfg.wells), mean=mean)
     gf = GaussianField(problem.space, cfg.random_field.kappa,

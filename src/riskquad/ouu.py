@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_integers
+from .errors import (INTEGER, NATURAL, NONNEGATIVE, POSITIVE, REAL, UNIT,
+                     check_settings, choice, kind, list_of, setting)
 from .fem import (
     grad_dot_load,
     interp_dot,
@@ -42,45 +43,37 @@ class OuuConfig:
 
     ``seed`` seeds the trace probes (and the SAA draws); in a run
     configuration it is the root ``seed``.  ``z0`` is the uniform initial
-    control that ``optimize`` starts from when it is given none.
+    control that ``optimize`` starts from when it is given none.  Every
+    field is checked by kind when the config is built.
     """
 
-    beta: float = 1.0
-    gamma: float = 1e-5
-    n_tr: int = 40
-    trace_mode: str = "randomized"
-    beta_schedule: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
-    grad_reduction_tol: float = 5e-4
-    max_iter: int = 100
-    seed: int = 0
-    z0: float = 4.0
-    z_min: float = 0.0
-    z_max: float = 16.0
+    beta: float = setting(NONNEGATIVE, 1.0)
+    gamma: float = setting(POSITIVE, 1e-5)
+    n_tr: int = setting(NATURAL, 40)
+    trace_mode: str = setting(choice("trace mode", "randomized", "eigenbasis"),
+                              "randomized")
+    beta_schedule: tuple = setting(list_of(kind(
+        lambda v: v >= 0, "beta schedule entries must be nonnegative", REAL)),
+        (0.0, 0.25, 0.5, 0.75, 1.0))
+    grad_reduction_tol: float = setting(UNIT, 5e-4)
+    max_iter: int = setting(kind(lambda v: v >= 1, "{key} must be at least 1",
+                                 INTEGER), 100)
+    seed: int = setting(NATURAL, 0)
+    z0: float = setting(REAL, 4.0)
+    z_min: float = setting(REAL, 0.0)
+    z_max: float = setting(REAL, 16.0)
 
     def __post_init__(self):
-        require_integers("n_tr", self.n_tr)
-        require_integers("max_iter", self.max_iter)
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.n_tr < 0:
-            raise ValueError("n_tr must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.trace_mode not in ("randomized", "eigenbasis"):
-            raise ValueError(f"unknown trace mode {self.trace_mode!r}")
+        check_settings(self)
         if not self.z_min < self.z_max:
             raise ValueError("z_min must be below z_max")
         if not self.z_min <= self.z0 <= self.z_max:
             raise ValueError("z0 must lie in [z_min, z_max]")
         sched = tuple(float(b) for b in self.beta_schedule)
         if sched != tuple(sorted(sched)):
-            raise ValueError("beta schedule must be ascending")
-        if sched and sched[0] < 0.0:
-            raise ValueError("beta schedule entries must be nonnegative")
+            raise ValueError(f"beta_schedule: {sched} is not ascending")
         if sched and abs(sched[-1] - self.beta) > 1e-15:
-            raise ValueError("beta schedule must end at beta")
+            raise ValueError(f"beta_schedule: {sched} does not end at beta")
         self.beta_schedule = sched
 
 

@@ -95,11 +95,11 @@ def mollifier_fields(mesh, space, points, sigma):
     """
     pts = np.atleast_2d(np.asarray(points, float))
     cols = np.zeros((mesh.n_nodes, len(pts)))
-    ones = np.ones(mesh.n_nodes)
+    lumped = space.mass @ np.ones(mesh.n_nodes)
     for k, (px, py) in enumerate(pts):
         r2 = (mesh.node_x - px) ** 2 + (mesh.node_y - py) ** 2
         w = np.where(r2 <= (4.0 * sigma) ** 2, np.exp(-0.5 * r2 / sigma**2), 0.0)
-        total = float(w @ (space.mass @ ones))
+        total = float(w @ lumped)
         if total < 1e-12:
             raise ConfigError(
                 f"mollifier at ({px}, {py}) is unresolved on this mesh"

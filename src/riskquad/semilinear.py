@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericalError, require_integers
+from .errors import COUNT, NumericalError
 from .fem import (
     SolveCounter,
     SpdSolver,
@@ -60,9 +60,7 @@ class SemilinearProblem:
     def __init__(self, mesh, c=1.0, desired=None, newton_max_iter=25):
         if c < 0.0:
             raise ValueError("the cubic coefficient must be nonnegative")
-        require_integers("newton_max_iter", newton_max_iter)
-        if newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be at least 1")
+        COUNT("newton_max_iter", newton_max_iter)
         self.mesh = mesh
         self.c = float(c)
         self.space = volume_space(self.mesh)

@@ -406,6 +406,63 @@ def test_compare_mc_factorizes_each_evaluation_draw_once(tmp_path, monkeypatch):
     assert len(calls) == saa_draws + exp["compare_eval_samples"]
 
 
+INF = float("inf")
+# an out-of-range value of every numeric or list key, by section
+OUT_OF_RANGE = {
+    "mesh": {"nx": 0, "ny": 0, "lx": 0.0, "ly": -1.0},
+    "random_field": {"kappa": -1, "alpha": 0},
+    "random_field: mean": {"value": INF, "centers": [[1.0]], "amplitudes": [INF],
+                           "width": 0},
+    "wells": {"sigma": 0, "control_xs": [], "control_ys": [], "production_xs": [],
+              "production_ys": [], "targets": [1, 2]},
+    "ouu": {"beta": -1, "gamma": 0, "n_tr": -1, "beta_schedule": [1.0, 0.5],
+            "grad_reduction_tol": -1, "max_iter": 0, "z0": INF, "z_min": INF,
+            "z_max": -INF},
+    "experiment": {"semilinear_c": -1, "eps_list": [0.5, 0.5], "rate_n_mc": 0,
+                   "n_samples": 0, "sample_eps": -1, "true_risk_samples": 0,
+                   "compare_betas": [-0.1], "compare_n_tr": [-1],
+                   "compare_n_mc": [1], "compare_eval_samples": 0,
+                   "compare_max_iter": 0},
+    "": {"seed": -1},
+}
+CHOICES = {"random_field: mean": "type", "ouu": "trace_mode",
+           "experiment": "problem"}
+BAD_KEYS = [
+    *[(section, key, value) for section, keys in OUT_OF_RANGE.items()
+      for key, bad in keys.items() for value in ("a", True, bad)],
+    *[(section, key, value) for section, key in CHOICES.items()
+      for value in ("a", True)],
+    ("ouu", "grad_reduction_tol", 0), ("ouu", "grad_reduction_tol", 1),
+    ("ouu", "beta_schedule", "abc"), ("wells", "targets", "flat"),
+    ("experiment", "compare_betas", ["a"]), ("experiment", "eps_list", [1, "b"]),
+    ("experiment", "compare_n_tr", 3), ("experiment", "compare_methods", ["bogus"]),
+    ("experiment", "compare_methods", "saa"),
+]
+# wording that older tests pin
+MESSAGES = {("ouu", "max_iter", "0"): "ouu: max_iter must be at least 1"}
+
+
+@pytest.mark.parametrize(
+    "section,key,value", BAD_KEYS,
+    ids=[f"{section or 'root'}.{key}={json.dumps(value)}"
+         for section, key, value in BAD_KEYS])
+def test_every_config_key_is_checked_when_read(
+    tmp_path, monkeypatch, capsys, section, key, value
+):
+    calls = count_factorizations(monkeypatch)
+    data = {key: value}
+    for name in reversed(section.split(": ") if section else []):
+        data = {name: data}
+    out = tmp_path / "out"
+    args = ["--profile", "desk", "--config", write_config(tmp_path, data),
+            "--out", str(out)]
+    assert main(args + ["optimize"]) == 2
+    message = MESSAGES.get((section, key, json.dumps(value)),
+                           f"{section}: {key}: " if section else f"{key}: ")
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_unknown_profile_rejected():
     with pytest.raises(ConfigError):
         resolve_config("nope")

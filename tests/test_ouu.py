@@ -60,6 +60,12 @@ def test_ouu_config_validation():
     for z0 in (-1.0, 20.0):
         with pytest.raises(ValueError, match="z0"):
             OuuConfig(z0=z0)
+    # a library caller's bad value names its field, as a config file's does
+    for name, value in [("gamma", True), ("beta", "a"), ("grad_reduction_tol", -1),
+                        ("grad_reduction_tol", 0), ("grad_reduction_tol", 1),
+                        ("beta_schedule", "abc")]:
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            OuuConfig(**{name: value})
 
 
 def test_control_cost_arithmetic(setup):
