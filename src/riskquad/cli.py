@@ -103,8 +103,8 @@ def _rate_setup(cfg):
 def cmd_truncation_study(args):
     cfg = _load(args)
     _check_semilinear_settings(cfg, args.profile)
-    out = _outdir(args)
     problem, gf, z0 = _rate_setup(cfg)
+    out = _outdir(args)
     study = truncation_rate_study(
         problem, gf, z0, cfg.experiment.eps_list, cfg.experiment.rate_n_mc,
         seed=cfg.seed,
@@ -161,8 +161,8 @@ def cmd_optimize(args):
     cfg = _load(args)
     if cfg.ouu.trace_mode == "eigenbasis":
         _check_eigenbasis_size(cfg, "ouu: n_tr", [cfg.ouu.n_tr])
-    out = _outdir(args)
     mesh, gf, problem = build_setup(cfg)
+    out = _outdir(args)
     z0 = np.full(problem.n_controls, cfg.ouu.z0)
 
     result = optimize(problem, gf, cfg.ouu, z0=z0)
@@ -199,8 +199,8 @@ def cmd_compare_mc(args):
     exp = cfg.experiment
     if "quad_eigenbasis" in exp.compare_methods:
         _check_eigenbasis_size(cfg, "experiment: compare_n_tr", exp.compare_n_tr)
-    out = _outdir(args)
     mesh, gf, problem = build_setup(cfg)
+    out = _outdir(args)
     ouu = replace(cfg.ouu, max_iter=exp.compare_max_iter)
     z0 = np.full(problem.n_controls, ouu.z0)
 
@@ -245,12 +245,12 @@ def cmd_compare_mc(args):
 
 def cmd_sample_field(args):
     cfg = _load(args)
-    out = _outdir(args)
     mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
     gf = field_on_mesh(
         mesh, cfg.random_field.kappa, cfg.random_field.alpha,
         mean=build_mean_field(mesh, cfg.random_field.mean),
     )
+    out = _outdir(args)
     n = cfg.experiment.n_samples
     draws = gf.scaled(cfg.experiment.sample_eps).sample_batch(n, seed=cfg.seed)
     header = ["x", "y"] + [f"sample_{k}" for k in range(n)]

@@ -24,15 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (INTEGER, NATURAL, NONNEGATIVE, POSITIVE, REAL, UNIT,
-                     check_settings, choice, kind, list_of, setting)
+from .errors import (COUNT, NATURAL, NONNEGATIVE, POSITIVE, REAL, UNIT,
+                     check_settings, choice, list_of, setting)
 from .fem import (
     grad_dot_load,
     interp_dot,
     weighted_stiffness_apply,
     weighted_stiffness_sum,
 )
-from .optim import minimize_box_lbfgs
+from .optim import BoxResult, minimize_box_lbfgs
 from .surrogate import (RiskReport, expansion_moments, over_draw_chunks,
                         trace_probes)
 
@@ -52,12 +52,10 @@ class OuuConfig:
     n_tr: int = setting(NATURAL, 40)
     trace_mode: str = setting(choice("trace mode", "randomized", "eigenbasis"),
                               "randomized")
-    beta_schedule: tuple = setting(list_of(kind(
-        lambda v: v >= 0, "beta schedule entries must be nonnegative", REAL)),
-        (0.0, 0.25, 0.5, 0.75, 1.0))
+    beta_schedule: tuple = setting(list_of(NONNEGATIVE),
+                                   (0.0, 0.25, 0.5, 0.75, 1.0))
     grad_reduction_tol: float = setting(UNIT, 5e-4)
-    max_iter: int = setting(kind(lambda v: v >= 1, "{key} must be at least 1",
-                                 INTEGER), 100)
+    max_iter: int = setting(COUNT, 100)
     seed: int = setting(NATURAL, 0)
     z0: float = setting(REAL, 4.0)
     z_min: float = setting(REAL, 0.0)
@@ -192,13 +190,10 @@ class RiskAverseObjective:
 
 
 @dataclass
-class ContinuationLeg:
+class ContinuationLeg(BoxResult):
+    """The optimizer's result on one continuation leg, at its ``beta``."""
+
     beta: float
-    rows: list
-    converged: bool
-    degraded: bool
-    report: object
-    z: np.ndarray
 
 
 @dataclass
@@ -225,9 +220,7 @@ def _leg(objective, cfg, beta, z, spent):
         rel_tol=cfg.grad_reduction_tol, max_iter=cfg.max_iter,
         solve_count=lambda: counter.count - start,
     )
-    leg = ContinuationLeg(beta=beta, rows=res.rows, converged=res.converged,
-                          degraded=res.degraded, report=res.report, z=res.z.copy())
-    return leg, counter.count - start
+    return ContinuationLeg(**vars(res), beta=beta), counter.count - start
 
 
 def continuation(objective, cfg, z0, schedules):

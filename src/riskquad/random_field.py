@@ -137,7 +137,7 @@ class FieldSpace:
                 lam, Y = np.zeros(k), np.eye(n, k)
         order = np.argsort(-lam, kind="stable")
         Y = Y[:, order]
-        return EigenBasis(lam[order], self.to_fields(Y), Y)
+        return EigenBasis(lam[order], Y)
 
 
 def _check_diagonal(basis, op, diag):
@@ -196,11 +196,10 @@ def neumann_trace_space(mesh):
 
 @dataclass
 class EigenBasis:
-    """Eigenvalues sorted descending, M-orthonormal eigenvectors (columns)
-    and their orthonormal Phi coefficients (``vectors = Phi coefficients``)."""
+    """Eigenvalues sorted descending and the orthonormal Phi coefficients of
+    the M-orthonormal eigenvectors, ``space.to_fields(coefficients)``."""
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
     coefficients: np.ndarray
 
 

@@ -23,7 +23,6 @@ from .fem import (
     SolveCounter,
     SpdSolver,
     assemble_weighted_mass,
-    assemble_weighted_stiffness,
     nodal_load,
 )
 from .random_field import neumann_trace_space, volume_space
@@ -73,7 +72,8 @@ class SemilinearProblem:
         # the flux that m=None means, as PoissonFlowProblem.mean is the field
         self.mean = np.zeros(self.trace_space.dim)
         self.counter = SolveCounter()
-        self.stiffness = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
+        # the Laplacian, on the mesh's read-only CSR pattern
+        self.stiffness = self.space.natural_stiffness
         laplacian = (mesh.free_basis, 1.0, 0.0)
         # Laplacian solve used only for the dual norm of Newton residuals
         self._norm_solver = SpdSolver(mesh, self.stiffness, fast=laplacian)

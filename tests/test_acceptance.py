@@ -5,8 +5,8 @@ study (79x39 mesh, n_tr = 40, full beta continuation) and dominates the
 suite's runtime.  Tolerances are fixed here, not calibrated elsewhere.
 """
 
-import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,19 +330,8 @@ def test_criterion_7c_eigenbasis_dominates_randomized(canonical):
 
 
 def test_criterion_8_deterministic_csvs(tmp_path):
-    config = {
-        "mesh": {"nx": 10, "ny": 5},
-        "wells": {"sigma": 0.15},
-        "ouu": {"n_tr": 3, "max_iter": 8, "beta_schedule": [0.0, 1.0]},
-        "experiment": {
-            "rate_n_mc": 10,
-            "eps_list": [1.0, 0.5],
-            "true_risk_samples": 20,
-            "n_samples": 2,
-        },
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    # the config whose outputs tests/test_golden.py compares with tests/golden
+    path = Path(__file__).parent / "golden" / "config.json"
     pairs = []
     for run in ("r1", "r2"):
         out = tmp_path / run

@@ -157,6 +157,24 @@ def test_bad_mesh_extent_exits_2_before_any_work(
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["optimize", "compare-mc", "truncation-study"])
+@pytest.mark.parametrize("wells,message", [
+    ({"control_xs": [3.0]}, "strictly inside the domain"),
+    ({"sigma": 0.01}, "unresolved on this mesh"),
+], ids=["well outside the domain", "mollifier on no node"])
+def test_build_time_config_error_exits_2_before_any_output(
+    tmp_path, monkeypatch, capsys, command, wells, message
+):
+    calls = count_factorizations(monkeypatch)
+    out = tmp_path / "out"
+    args = ["--profile", "desk", "--config",
+            write_config(tmp_path, {"wells": wells}), "--out", str(out)]
+    assert main(args + [command]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("command,section,key", [
     ("sample-field", "experiment", "sample_eps"),
@@ -255,7 +273,8 @@ def test_ouu_max_iter_below_one_exits_2_before_any_work(
     data["ouu"]["max_iter"] = max_iter
     assert main(["--config", write_config(tmp_path, data), "--out", str(out),
                  "optimize"]) == 2
-    assert "config error: ouu: max_iter must be at least 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: ouu: max_iter: {max_iter} is below 1" in err
     assert calls == [] and not out.exists()
 
 
@@ -353,7 +372,7 @@ def test_empty_control_box_exits_2_before_any_work(tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("ouu,message", [
     ({"beta_schedule": [-5.0, 1.0], "max_iter": 5},
-     "beta schedule entries must be nonnegative"),
+     "beta_schedule: -5.0 is not a nonnegative number"),
     ({"z0": 20}, "z0 must lie in [z_min, z_max]"),
     ({"z0": -1.0}, "z0 must lie in [z_min, z_max]"),
 ])
@@ -438,8 +457,6 @@ BAD_KEYS = [
     ("experiment", "compare_n_tr", 3), ("experiment", "compare_methods", ["bogus"]),
     ("experiment", "compare_methods", "saa"),
 ]
-# wording that older tests pin
-MESSAGES = {("ouu", "max_iter", "0"): "ouu: max_iter must be at least 1"}
 
 
 @pytest.mark.parametrize(
@@ -457,8 +474,7 @@ def test_every_config_key_is_checked_when_read(
     args = ["--profile", "desk", "--config", write_config(tmp_path, data),
             "--out", str(out)]
     assert main(args + ["optimize"]) == 2
-    message = MESSAGES.get((section, key, json.dumps(value)),
-                           f"{section}: {key}: " if section else f"{key}: ")
+    message = f"{section}: {key}: " if section else f"{key}: "
     assert f"config error: {message}" in capsys.readouterr().err
     assert calls == [] and not out.exists()
 

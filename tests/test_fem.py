@@ -260,7 +260,8 @@ def test_band_order_matches_native_order():
     # the 79x39 mesh is factorized in band order, its 39x79 transpose in
     # native order; both have bandwidth 41
     for mesh in (build_mesh(79, 39, 2.0, 1.0), build_mesh(39, 79, 1.0, 2.0)):
-        assert (mesh.band_order is None) == (mesh.nx <= mesh.ny)
+        native = np.array_equal(mesh.band_order, np.arange(mesh.n_nodes))
+        assert native == (mesh.nx <= mesh.ny)
         gf = field_on_mesh(mesh, 2e-2, 4.0)
         rng = np.random.default_rng(12)
         dirichlet = mesh.dirichlet_nodes
@@ -549,11 +550,8 @@ def test_solves_match_cho_solve_banded_and_keep_inputs(order_name, shape):
     lifted = b.copy()
     wide = b.ndim == 2 and b.shape[1] >= UPPER_MIN_COLUMNS
     factor = (solver._upper_factor, False) if wide else (solver._factor, True)
-    if order is None:
-        ref = cho_solve_banded(factor, b, check_finite=False)
-    else:
-        ref = cho_solve_banded(factor, b[order], check_finite=False)
-        ref = ref[solver.plan.position]
+    ref = cho_solve_banded(factor, b[order], check_finite=False)
+    ref = ref[solver.plan.position]
     assert np.array_equal(x, ref)
     assert np.array_equal(solver._raw_solve(b), ref)
     assert np.array_equal(b, lifted)

@@ -55,7 +55,8 @@ def test_ouu_config_validation():
         OuuConfig(z_min=5.0, z_max=1.0)
     with pytest.raises(ValueError):
         OuuConfig(z_min=2.0, z_max=2.0)
-    with pytest.raises(ValueError, match="beta schedule entries"):
+    with pytest.raises(ValueError,
+                       match="beta_schedule: -5.0 is not a nonnegative number"):
         OuuConfig(beta_schedule=(-5.0, 1.0))
     for z0 in (-1.0, 20.0):
         with pytest.raises(ValueError, match="z0"):
