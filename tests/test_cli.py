@@ -371,8 +371,9 @@ def test_empty_control_box_exits_2_before_any_work(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("ouu,message", [
-    ({"beta_schedule": [-5.0, 1.0], "max_iter": 5},
-     "beta_schedule: -5.0 is not a nonnegative number"),
+    pytest.param({"beta_schedule": [-5.0, 1.0], "max_iter": 5},
+                 "beta_schedule: -5.0 is not a nonnegative number",
+                 id="ouu0-beta schedule entries must be nonnegative"),
     ({"z0": 20}, "z0 must lie in [z_min, z_max]"),
     ({"z0": -1.0}, "z0 must lie in [z_min, z_max]"),
 ])
