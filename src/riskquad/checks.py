@@ -28,9 +28,9 @@ def _rel(err, ref):
     return err / max(ref, 1e-300)
 
 
-def _central(f, h):
-    """Second-order central difference of f at 0."""
-    return (f(h) - f(-h)) / (2.0 * h)
+def _central(f):
+    """Second-order central difference of f at 0, at step ``FD_STEP``."""
+    return (f(FD_STEP) - f(-FD_STEP)) / (2.0 * FD_STEP)
 
 
 def _fold(worst, err):
@@ -39,7 +39,7 @@ def _fold(worst, err):
     return err if np.isnan(err) or err > worst else worst
 
 
-def check_gradient(problem, gf, z, n_dirs=3, seed=0, h=FD_STEP):
+def check_gradient(problem, gf, z, n_dirs=3, seed=0):
     """Max relative FD error of <grad, d> over random directions d of the
     field's law, for either model problem, expanded about its anchor."""
     surr = problem.surrogate(z)
@@ -47,12 +47,12 @@ def check_gradient(problem, gf, z, n_dirs=3, seed=0, h=FD_STEP):
     worst = 0.0
     for _ in range(n_dirs):
         d = gf.sample(rng) - gf.mean
-        fd = _central(lambda t: problem.objective(z, surr.anchor + t * d), h)
+        fd = _central(lambda t: problem.objective(z, surr.anchor + t * d))
         worst = _fold(worst, _rel(abs(surr.space.inner(surr.grad, d) - fd), abs(fd)))
     return worst
 
 
-def check_hessian(problem, gf, z, n_dirs=2, seed=1, h=FD_STEP):
+def check_hessian(problem, gf, z, n_dirs=2, seed=1):
     """Max relative FD error of the Hessian action at the anchor against
     differences of the gradients of the expansions about anchor +- h d."""
     surr = problem.surrogate(z)
@@ -61,12 +61,12 @@ def check_hessian(problem, gf, z, n_dirs=2, seed=1, h=FD_STEP):
     for _ in range(n_dirs):
         d = gf.sample(rng) - gf.mean
         psi = surr.hess_action(d)
-        fd = _central(lambda t: problem.surrogate(z, surr.anchor + t * d).grad, h)
+        fd = _central(lambda t: problem.surrogate(z, surr.anchor + t * d).grad)
         worst = _fold(worst, _rel(surr.space.norm(psi - fd), surr.space.norm(psi)))
     return worst
 
 
-def check_control_gradient(objective, z, components, h=FD_STEP):
+def check_control_gradient(objective, z, components):
     """Max relative componentwise FD error of the gradient of a control
     objective, ``RiskAverseObjective`` or ``SaaObjective``, over the given
     control components."""
@@ -76,7 +76,7 @@ def check_control_gradient(objective, z, components, h=FD_STEP):
     for i in components:
         e = np.zeros(len(z))
         e[i] = 1.0
-        fd = _central(lambda t: objective.evaluate(z + t * e)[0].value, h)
+        fd = _central(lambda t: objective.evaluate(z + t * e)[0].value)
         worst = _fold(worst, _rel(abs(grad[i] - fd), abs(fd)))
     return worst
 

@@ -21,6 +21,7 @@ from .config import (
     PROFILES,
     build_mean_field,
     build_setup,
+    check_eigenbasis_size,
     resolve_config,
 )
 from .errors import ConfigError, NumericalError
@@ -60,13 +61,6 @@ def _outdir(args):
 def _load(args):
     over = {} if args.seed is None else {"seed": args.seed}
     return resolve_config(args.profile, args.config, over)
-
-
-def _check_eigenbasis_size(cfg, name, n_trs):
-    """An eigenbasis of the field has at most one vector per mesh node."""
-    nodes = (cfg.mesh.nx + 1) * (cfg.mesh.ny + 1)
-    if max(n_trs, default=0) > nodes:
-        raise ConfigError(f"{name} exceeds the {nodes} mesh nodes of an eigenbasis")
 
 
 def _check_semilinear_settings(cfg, profile):
@@ -159,8 +153,6 @@ def _report_text(report, z):
 
 def cmd_optimize(args):
     cfg = _load(args)
-    if cfg.ouu.trace_mode == "eigenbasis":
-        _check_eigenbasis_size(cfg, "ouu: n_tr", [cfg.ouu.n_tr])
     mesh, gf, problem = build_setup(cfg)
     out = _outdir(args)
     z0 = np.full(problem.n_controls, cfg.ouu.z0)
@@ -198,7 +190,7 @@ def cmd_compare_mc(args):
     cfg = _load(args)
     exp = cfg.experiment
     if "quad_eigenbasis" in exp.compare_methods:
-        _check_eigenbasis_size(cfg, "experiment: compare_n_tr", exp.compare_n_tr)
+        check_eigenbasis_size(cfg.mesh, "experiment: compare_n_tr", exp.compare_n_tr)
     mesh, gf, problem = build_setup(cfg)
     out = _outdir(args)
     ouu = replace(cfg.ouu, max_iter=exp.compare_max_iter)

@@ -10,10 +10,12 @@ the section checks every key by kind and range when it is built, so a bad
 value is a ``ConfigError`` reading ``<section>: <key>: ...`` before any
 output exists.  Only the checks between fields are written by hand: the
 beta schedule is ascending and ends at beta, z0 lies in the box, the eps
-values are distinct, bump centers pair with amplitudes, and there is one
-target per production well.  The ``ouu`` section is the runtime
-``OuuConfig`` itself; its ``seed`` is not a key of its own but the root
-``seed``, which seeds the field draws and the trace probes alike.
+values are distinct, bump centers pair with amplitudes (a constant mean
+has neither), there is one target per production well, and an eigenbasis
+n_tr fits the mesh (``check_eigenbasis_size``).  The ``ouu`` section is
+the runtime ``OuuConfig`` itself; its ``seed`` is not a key of its own
+but the root ``seed``, which seeds the field draws and the trace probes
+alike.
 """
 
 from __future__ import annotations
@@ -61,7 +63,12 @@ class MeanSpec:
 
     def __post_init__(self):
         check_settings(self)
-        if self.type == "bumps" and len(self.centers) != len(self.amplitudes):
+        if self.type == "constant":
+            for key in ("centers", "amplitudes"):
+                if getattr(self, key):
+                    raise ValueError(f"{key}: {getattr(self, key)!r} given for a "
+                                     "constant mean, which has no bumps")
+        elif len(self.centers) != len(self.amplitudes):
             raise ValueError(f"amplitudes: {len(self.amplitudes)} values for "
                              f"{len(self.centers)} centers")
 
@@ -133,6 +140,14 @@ class ExperimentSpec:
                              "distinct values to fit a rate")
 
 
+def check_eigenbasis_size(mesh, key, n_trs):
+    """An eigenbasis has at most one vector per node of ``mesh``, a MeshSpec."""
+    nodes = (mesh.nx + 1) * (mesh.ny + 1)
+    if max(n_trs, default=0) > nodes:
+        raise ConfigError(f"{key}: {max(n_trs)} exceeds the {nodes} mesh nodes "
+                          "of an eigenbasis")
+
+
 @dataclass
 class RunConfig:
     mesh: MeshSpec = field(default_factory=MeshSpec)
@@ -144,6 +159,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_settings(self)
+        if self.ouu.trace_mode == "eigenbasis":
+            check_eigenbasis_size(self.mesh, "ouu: n_tr", [self.ouu.n_tr])
         # the root seed is the only seed source; it also seeds the probes
         self.ouu = dataclasses.replace(self.ouu, seed=self.seed)
 
@@ -273,6 +290,9 @@ def build_setup(cfg):
     """Mesh, Gaussian field, and flow problem from a RunConfig."""
     from .poisson import PoissonFlowProblem
 
+    if cfg.experiment.problem != "poisson":  # checked before any work
+        raise ConfigError(f"experiment: problem: {cfg.experiment.problem!r} has "
+                          "no wells to control; only truncation-study runs it")
     mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
     mean = build_mean_field(mesh, cfg.random_field.mean)
     problem = PoissonFlowProblem(mesh, wells=build_wells(cfg.wells), mean=mean)

@@ -1,12 +1,12 @@
 """Well-rate control of Darcy pressure with uncertain log conductivity.
 
 State equation: -div(exp(m) grad u) = sum_i z_i f_i on a rectangle, with
-fixed pressure on the left/right sides and no-flux top/bottom.  The f_i are
-mollified point sources at injection wells; observations are mollified
-averages at production wells.  The tracking objective, its gradient with
-respect to the log-conductivity field, and Hessian actions via incremental
-solves are all exact derivatives of the discrete objective, so finite
-difference checks hold to quadrature precision.
+pressure 1 on the left side, 0 on the right and no flux top/bottom.  The
+f_i are mollified point sources at injection wells; observations are
+mollified averages at production wells.  The tracking objective, its
+gradient with respect to the log-conductivity field, and Hessian actions
+via incremental solves are all exact derivatives of the discrete
+objective, so finite difference checks hold to quadrature precision.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class PoissonFlowProblem:
     field passed to ``solver_for``.
     """
 
-    def __init__(self, mesh, wells=None, mean=None, dirichlet_values=(1.0, 0.0)):
+    def __init__(self, mesh, wells=None, mean=None):
         self.mesh = mesh
         self.space = volume_space(mesh)
         self.wells = default_wells() if wells is None else wells
@@ -177,11 +177,8 @@ class PoissonFlowProblem:
         if np.ptp(self.mean) == 0.0:
             fast = (mesh.free_basis, np.exp(self.mean[0]), 0.0)
         self.anchor_solver = SpdSolver(mesh, op, self.counter, fast=fast)
-        g_left, g_right = dirichlet_values
-        bc = np.where(
-            np.isclose(mesh.node_x[mesh.dirichlet_nodes], 0.0), g_left, g_right
-        )
-        self.dirichlet_bc = bc
+        self.dirichlet_bc = np.where(
+            np.isclose(mesh.node_x[mesh.dirichlet_nodes], 0.0), 1.0, 0.0)
 
     def _check_wells_inside(self):
         for pts in (self.wells.control_points, self.wells.production_points):

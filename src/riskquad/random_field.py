@@ -17,7 +17,8 @@ s Phi D^{-2} Phi^T and sqrt(s C) = sqrt(s) Phi D^{-1} Phi^T M, two basis
 transforms each (``fem.FastDiagonalization``).  In Phi coefficients
 sqrt(C) is the diagonal d = sqrt(s) / D and an M-self-adjoint operator is
 a symmetric matrix, so the covariance-preconditioned eigenproblem is a
-standard symmetric one that needs no mass or covariance solve.
+standard symmetric one that needs no mass or covariance solve; its one
+solver is ``GaussianField.preconditioned_eigenpairs``.
 """
 
 from __future__ import annotations
@@ -94,50 +95,6 @@ class FieldSpace:
         if np.min(np.abs(np.diag(R))) < 1e-12 * max(np.max(np.abs(np.diag(R))), 1e-30):
             raise NumericalError("rank-deficient block in M-orthonormalization")
         return self.to_fields(Q)
-
-    def eigenpairs(self, form, k, seed, weights=None):
-        """The k eigenpairs of largest |eigenvalue| of the M-self-adjoint
-        ``W M^{-1} form W``, for a symmetric ``form`` from fields (a vector or
-        a block) to loads and ``W = Phi diag(weights) Phi^T M`` (identity
-        without ``weights``).
-
-        In Phi coefficients the map is the symmetric ``y -> w * Phi^T
-        form(Phi (w * y))``, so ARPACK Lanczos runs in standard mode (mode 1)
-        from ``Phi^T M v0``, v0 normal with ``seed``, to relative accuracy
-        ``EIG_TOL`` at one action of ``form`` per step; k = dim, which ARPACK
-        cannot take, is a dense Rayleigh-Ritz on Phi.  A zero operator
-        (ARPACK error -9: its start vector, the first action, is zero) gives
-        zero eigenvalues and the first k columns of Phi; a non-finite action
-        raises ``NumericalError``.
-        """
-        n = self.dim
-        if not 1 <= k <= n:
-            raise ValueError("need 1 <= k <= dimension")
-        w = np.ones(n) if weights is None else np.asarray(weights)
-
-        def op(y):
-            load = form(self.to_fields((w * y.T).T))
-            if not np.all(np.isfinite(load)):
-                raise NumericalError("non-finite operator action in the eigensolve")
-            return (w * self.to_coefficients(load).T).T
-
-        if k == n:
-            lam, Y = np.linalg.eigh(op(np.eye(n)))
-        else:
-            A = spla.LinearOperator((n, n), op, dtype=float)
-            v0 = np.random.default_rng(seed).standard_normal(n)
-            try:
-                lam, Y = spla.eigsh(A, k, which="LM", tol=EIG_TOL,
-                                    v0=self.to_coefficients(self.mass @ v0))
-            except spla.ArpackNoConvergence as exc:
-                raise NumericalError(f"Lanczos eigensolver: {exc}") from exc
-            except spla.ArpackError as exc:
-                if not str(exc).startswith("ARPACK error -9:"):
-                    raise
-                lam, Y = np.zeros(k), np.eye(n, k)
-        order = np.argsort(-lam, kind="stable")
-        Y = Y[:, order]
-        return EigenBasis(lam[order], Y)
 
 
 def _check_diagonal(basis, op, diag):
@@ -312,14 +269,47 @@ class GaussianField:
     # -- spectral machinery ---------------------------------------------------
 
     def preconditioned_eigenpairs(self, hess_load, k, seed=7):
-        """Dominant eigenpairs of sqrt(C) H sqrt(C) without forming matrices,
-        by ``FieldSpace.eigenpairs`` with the weights ``sqrt_C_diagonal``.
-        ``hess_load`` is the symmetric form M H (fields to loads) on a field
-        and on a block of fields; the sqrt(C) image of an eigenvector is
-        ``space.to_fields(sqrt_C_diagonal * coefficients)``.
+        """The k eigenpairs of largest |eigenvalue| of sqrt(C) H sqrt(C),
+        without forming matrices, for the symmetric form ``hess_load`` = M H
+        (fields to loads) on a field and on a block of fields.
+
+        In Phi coefficients, with d = ``sqrt_C_diagonal``, the operator is the
+        symmetric ``y -> d * Phi^T hess_load(Phi (d * y))``, so ARPACK Lanczos
+        runs in standard mode (mode 1) from ``Phi^T M v0``, v0 normal with
+        ``seed``, to relative accuracy ``EIG_TOL`` at one action of the form
+        per step; k = dim, which ARPACK cannot take, is a dense Rayleigh-Ritz
+        on Phi.  A zero operator (ARPACK error -9: its start vector, the first
+        action, is zero) gives zero eigenvalues and the first k columns of
+        Phi; a non-finite action raises ``NumericalError``.  The sqrt(C)
+        image of an eigenvector is ``space.to_fields(d * coefficients)``.
         """
-        return self.space.eigenpairs(hess_load, k, seed,
-                                     weights=self.sqrt_C_diagonal)
+        space, n = self.space, self.dim
+        if not 1 <= k <= n:
+            raise ValueError("need 1 <= k <= dimension")
+        d = self.sqrt_C_diagonal
+
+        def op(y):
+            load = hess_load(space.to_fields((d * y.T).T))
+            if not np.all(np.isfinite(load)):
+                raise NumericalError("non-finite operator action in the eigensolve")
+            return (d * space.to_coefficients(load).T).T
+
+        if k == n:
+            lam, Y = np.linalg.eigh(op(np.eye(n)))
+        else:
+            A = spla.LinearOperator((n, n), op, dtype=float)
+            v0 = np.random.default_rng(seed).standard_normal(n)
+            try:
+                lam, Y = spla.eigsh(A, k, which="LM", tol=EIG_TOL,
+                                    v0=space.to_coefficients(space.mass @ v0))
+            except spla.ArpackNoConvergence as exc:
+                raise NumericalError(f"Lanczos eigensolver: {exc}") from exc
+            except spla.ArpackError as exc:
+                if not str(exc).startswith("ARPACK error -9:"):
+                    raise
+                lam, Y = np.zeros(k), np.eye(n, k)
+        order = np.argsort(-lam, kind="stable")
+        return EigenBasis(lam[order], Y[:, order])
 
 
 def field_on_mesh(mesh, kappa, alpha, mean=None):

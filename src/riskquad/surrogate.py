@@ -60,11 +60,7 @@ class QuadraticSurrogate:
         an (n, k) block; costs exactly one (block) Hessian load and no mass
         solve, since <d, H d>_M is the sum of d times its load M H d."""
         d = self._offset(m)
-        return (
-            self.theta_bar
-            + self.grad @ (self.space.mass @ d)
-            + 0.5 * np.sum(d * self.hess_load(d), axis=0)
-        )
+        return self.eval_lin(m) + 0.5 * np.sum(d * self.hess_load(d), axis=0)
 
 
 def over_draw_chunks(fn, fields):

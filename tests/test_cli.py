@@ -242,6 +242,10 @@ def test_bad_config_value_exits_2_before_any_work(
     ({"type": "bumps", "width": -0.25}, "width: -0.25 is not a positive number"),
     ({"width": 0.0}, "width: 0.0 is not a positive number"),
     ({"type": "ridge"}, "type: unknown mean type 'ridge'"),
+    ({"centers": [[1.0, 0.5]], "amplitudes": [3.0]},
+     "centers: [[1.0, 0.5]] given for a constant mean, which has no bumps"),
+    ({"type": "constant", "amplitudes": [3.0]},
+     "amplitudes: [3.0] given for a constant mean, which has no bumps"),
 ])
 def test_bad_mean_exits_2_before_any_work(
     tmp_path, monkeypatch, capsys, command, mean, message
@@ -403,6 +407,29 @@ def test_eigenbasis_n_tr_above_field_dimension_exits_2_before_any_work(
     data["ouu"]["n_tr"] = 45  # a complete eigenbasis
     args = ["--config", write_config(tmp_path, data), "--out", str(out)]
     assert main(args + ["optimize"]) == 0
+
+
+def test_eigenbasis_n_tr_above_field_dimension_is_rejected_when_parsed():
+    with pytest.raises(ConfigError, match=r"^ouu: n_tr: 46 exceeds the 45 mesh "
+                                          "nodes of an eigenbasis$"):
+        config_from_dict({"mesh": {"nx": 8, "ny": 4},
+                          "ouu": {"trace_mode": "eigenbasis", "n_tr": 46}})
+
+
+@pytest.mark.parametrize("command", ["optimize", "compare-mc"])
+def test_semilinear_problem_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, command
+):
+    # both commands control the flow problem's wells; they once ran it
+    # silently when the config selected the semilinear problem
+    calls = count_factorizations(monkeypatch)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"experiment": {"problem": "semilinear"}})
+    args = ["--profile", "desk", "--config", path, "--out", str(out)]
+    assert main(args + [command]) == 2
+    assert ("config error: experiment: problem: 'semilinear'"
+            in capsys.readouterr().err)
+    assert calls == [] and not out.exists()
 
 
 def test_optimize_factorizes_each_evaluation_draw_once(tmp_path, monkeypatch):

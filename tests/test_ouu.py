@@ -198,9 +198,8 @@ def test_objective_reduces_to_tracking_value_when_state_is_flat():
         wells.control_points, wells.production_points, wells.sigma,
         np.zeros(12),
     )
-    problem = zeroed_sources(
-        PoissonFlowProblem(mesh, wells=flat_targets, dirichlet_values=(1.0, 1.0))
-    )
+    problem = zeroed_sources(PoissonFlowProblem(mesh, wells=flat_targets))
+    problem.dirichlet_bc = np.ones_like(problem.dirichlet_bc)
     gf = GaussianField(problem.space, 2e-2, 4.0)
     cfg = OuuConfig(beta=0.0, gamma=1e-12, n_tr=4, beta_schedule=(0.0,), seed=0)
     obj = RiskAverseObjective(problem, gf, cfg)

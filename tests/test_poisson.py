@@ -130,9 +130,8 @@ def test_objective_zero_misfit_and_constant_observation(small_problem):
 
 def test_gradient_vanishes_for_constant_state(small_problem):
     mesh, problem, _ = small_problem
-    flat = PoissonFlowProblem(
-        mesh, wells=problem.wells, dirichlet_values=(1.0, 1.0)
-    )
+    flat = PoissonFlowProblem(mesh, wells=problem.wells)
+    flat.dirichlet_bc = np.ones_like(flat.dirichlet_bc)  # pressure 1 on both sides
     ws = flat.workspace(np.zeros(flat.n_controls))
     assert np.abs(ws.u - 1.0).max() < 1e-10
     assert flat.space.norm(flat.grad_field(ws)) < 1e-10
