@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem import build_mesh
+from .config import build_setup, config_from_dict
 from .ouu import OuuConfig, RiskAverseObjective, SaaObjective
-from .poisson import PoissonFlowProblem, default_wells
-from .random_field import GaussianField
-from .semilinear import SemilinearProblem
 
 FD_STEP = 1e-4
 FD_TOL = 1e-5
@@ -82,16 +79,15 @@ def check_control_gradient(objective, z, components):
 
 
 def run_derivative_checks(seed=0):
-    """The full tower on a 16x8 mesh; returns (name, rel_err, tol) triples."""
-    mesh = build_mesh(16, 8, 2.0, 1.0)
-    wells = default_wells(sigma=0.1)
-    problem = PoissonFlowProblem(mesh, wells=wells)
-    gf = GaussianField(problem.space, 2e-2, 4.0)
+    """The full tower on a 16x8 flow mesh and a 12x12 semilinear one;
+    returns (name, rel_err, tol) triples."""
+    _, gf, problem = build_setup(config_from_dict(
+        {"mesh": {"nx": 16, "ny": 8}, "wells": {"sigma": 0.1}}))
     z = np.full(problem.n_controls, 4.0)
 
-    sl_mesh = build_mesh(12, 12, 1.0, 1.0)
-    sl = SemilinearProblem(sl_mesh, c=1.0)
-    sl_gf = GaussianField(sl.trace_space, 5e-2, 2.0)
+    sl_mesh, sl_gf, sl = build_setup(config_from_dict(
+        {"mesh": {"nx": 12, "ny": 12}, "experiment": {"problem": "semilinear"},
+         "random_field": {"kappa": 5e-2, "alpha": 2.0}}))
     sl_z = np.ones(sl_mesh.n_nodes)
 
     cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=4, beta_schedule=(1.0,), seed=seed)

@@ -17,19 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    PROFILES,
-    build_mean_field,
-    build_setup,
-    check_eigenbasis_size,
-    resolve_config,
-)
+from .config import PROFILES, build_setup, check_eigenbasis_size, resolve_config
 from .errors import ConfigError, NumericalError
-from .fem import build_mesh
 from .ouu import (RiskAverseObjective, SaaObjective, continuation,
                   evaluate_true_risk, optimize)
-from .random_field import GaussianField, field_on_mesh
-from .semilinear import SemilinearProblem
 from .surrogate import truncation_rate_study
 
 OUTDIR_ENV = "RISKQUAD_OUTDIR"
@@ -63,41 +54,21 @@ def _load(args):
     return resolve_config(args.profile, args.config, over)
 
 
-def _check_semilinear_settings(cfg, profile):
-    """The semilinear problem meshes the unit square with a zero-mean random
-    flux and no wells, so a semilinear run rejects each of those settings
-    that differs from the profile's rather than ignore it."""
-    if cfg.experiment.problem != "semilinear":
-        return
-
-    def unread(c):
-        return {"mesh.lx": c.mesh.lx, "mesh.ly": c.mesh.ly,
-                "random_field.mean": c.random_field.mean, "wells": c.wells}
-
-    given, base = unread(cfg), unread(resolve_config(profile))
-    changed = [key for key in given if given[key] != base[key]]
-    if changed:
-        raise ConfigError(
-            f"the semilinear problem does not read {', '.join(changed)}")
-
-
-def _rate_setup(cfg):
-    """Problem + field + nominal control for the truncation study."""
-    if cfg.experiment.problem == "poisson":
-        mesh, gf, problem = build_setup(cfg)
-        return problem, gf, np.full(problem.n_controls, cfg.ouu.z0)
-    mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, 1.0, 1.0)
-    problem = SemilinearProblem(mesh, c=cfg.experiment.semilinear_c)
-    gf = GaussianField(problem.trace_space, cfg.random_field.kappa,
-                       cfg.random_field.alpha)
-    z0 = np.full(mesh.n_nodes, 1.0)
-    return problem, gf, z0
+def _flow_setup(cfg):
+    """``build_setup`` for the commands that control the flow problem's wells."""
+    if cfg.experiment.problem != "poisson":  # checked before any work
+        raise ConfigError(f"experiment: problem: {cfg.experiment.problem!r} has "
+                          "no wells to control; only truncation-study and "
+                          "sample-field run it")
+    return build_setup(cfg)
 
 
 def cmd_truncation_study(args):
     cfg = _load(args)
-    _check_semilinear_settings(cfg, args.profile)
-    problem, gf, z0 = _rate_setup(cfg)
+    mesh, gf, problem = build_setup(cfg)
+    # the configured uniform well rate, or a unit semilinear source
+    z0 = (np.full(problem.n_controls, cfg.ouu.z0)
+          if cfg.experiment.problem == "poisson" else np.ones(mesh.n_nodes))
     out = _outdir(args)
     study = truncation_rate_study(
         problem, gf, z0, cfg.experiment.eps_list, cfg.experiment.rate_n_mc,
@@ -153,7 +124,7 @@ def _report_text(report, z):
 
 def cmd_optimize(args):
     cfg = _load(args)
-    mesh, gf, problem = build_setup(cfg)
+    mesh, gf, problem = _flow_setup(cfg)
     out = _outdir(args)
     z0 = np.full(problem.n_controls, cfg.ouu.z0)
 
@@ -191,7 +162,7 @@ def cmd_compare_mc(args):
     exp = cfg.experiment
     if "quad_eigenbasis" in exp.compare_methods:
         check_eigenbasis_size(cfg.mesh, "experiment: compare_n_tr", exp.compare_n_tr)
-    mesh, gf, problem = build_setup(cfg)
+    mesh, gf, problem = _flow_setup(cfg)
     out = _outdir(args)
     ouu = replace(cfg.ouu, max_iter=exp.compare_max_iter)
     z0 = np.full(problem.n_controls, ouu.z0)
@@ -237,16 +208,14 @@ def cmd_compare_mc(args):
 
 def cmd_sample_field(args):
     cfg = _load(args)
-    mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
-    gf = field_on_mesh(
-        mesh, cfg.random_field.kappa, cfg.random_field.alpha,
-        mean=build_mean_field(mesh, cfg.random_field.mean),
-    )
+    mesh, gf, _ = build_setup(cfg)
     out = _outdir(args)
     n = cfg.experiment.n_samples
     draws = gf.scaled(cfg.experiment.sample_eps).sample_batch(n, seed=cfg.seed)
     header = ["x", "y"] + [f"sample_{k}" for k in range(n)]
-    rows = zip(mesh.node_x, mesh.node_y, *[draws[:, k] for k in range(n)])
+    nodes = gf.space.node_index
+    rows = zip(mesh.node_x[nodes], mesh.node_y[nodes],
+               *[draws[:, k] for k in range(n)])
     path = out / "field_samples.csv"
     _write_csv(path, header, rows)
     print(f"wrote {path}")

@@ -12,10 +12,11 @@ output exists.  Only the checks between fields are written by hand: the
 beta schedule is ascending and ends at beta, z0 lies in the box, the eps
 values are distinct, bump centers pair with amplitudes (a constant mean
 has neither), there is one target per production well, and an eigenbasis
-n_tr fits the mesh (``check_eigenbasis_size``).  The ``ouu`` section is
-the runtime ``OuuConfig`` itself; its ``seed`` is not a key of its own
-but the root ``seed``, which seeds the field draws and the trace probes
-alike.
+n_tr fits the mesh (``check_eigenbasis_size``); ``resolve_config`` also
+refuses a semilinear mesh extent, mean or wells other than the profile's.
+The ``ouu`` section is the runtime ``OuuConfig`` itself; its ``seed`` is
+not a key of its own but the root ``seed``, which seeds the field draws
+and the trace probes alike.  ``build_setup`` builds every run.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,8 +33,10 @@ from .errors import (COUNT, INTEGER, NATURAL, NONNEGATIVE, POSITIVE, REAL,
 from .fem import build_mesh
 from .ouu import OuuConfig
 from .poisson import (CONTROL_XS, CONTROL_YS, PRODUCTION_XS, PRODUCTION_YS,
-                      WellConfig, grid_points, parabolic_target_profile)
+                      PoissonFlowProblem, WellConfig, grid_points,
+                      parabolic_target_profile)
 from .random_field import GaussianField
+from .semilinear import SemilinearProblem
 
 REALS = list_of(REAL)
 COORDINATES = list_of(REAL, nonempty=True)
@@ -251,7 +255,17 @@ def resolve_config(profile=None, config_path=None, overrides=None):
         data = _merge(data, _read_json(config_path))
     if overrides:
         data = _merge(data, overrides)
-    return config_from_dict(data)
+    cfg = config_from_dict(data)
+    if cfg.experiment.problem == "semilinear":
+        # the problem meshes the unit square with a zero-mean flux and no
+        # wells, so a run rejects each of those settings not the profile's
+        base = config_from_dict(PROFILES[profile])
+        changed = [key for key in ("mesh.lx", "mesh.ly", "random_field.mean", "wells")
+                   if attrgetter(key)(cfg) != attrgetter(key)(base)]
+        if changed:
+            raise ConfigError(
+                f"the semilinear problem does not read {', '.join(changed)}")
+    return cfg
 
 
 # -- builders -------------------------------------------------------------------
@@ -287,12 +301,15 @@ def build_ouu_config(ouu, seed):
 
 
 def build_setup(cfg):
-    """Mesh, Gaussian field, and flow problem from a RunConfig."""
-    from .poisson import PoissonFlowProblem
-
-    if cfg.experiment.problem != "poisson":  # checked before any work
-        raise ConfigError(f"experiment: problem: {cfg.experiment.problem!r} has "
-                          "no wells to control; only truncation-study runs it")
+    """Mesh, Gaussian field, and the problem ``experiment.problem`` names:
+    the flow problem, its field about the configured mean, or the
+    semilinear one on the unit square, its field the flux on the trace."""
+    if cfg.experiment.problem == "semilinear":
+        mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, 1.0, 1.0)
+        problem = SemilinearProblem(mesh, c=cfg.experiment.semilinear_c)
+        gf = GaussianField(problem.trace_space, cfg.random_field.kappa,
+                           cfg.random_field.alpha)
+        return mesh, gf, problem
     mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
     mean = build_mean_field(mesh, cfg.random_field.mean)
     problem = PoissonFlowProblem(mesh, wells=build_wells(cfg.wells), mean=mean)

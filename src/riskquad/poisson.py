@@ -181,11 +181,14 @@ class PoissonFlowProblem:
             np.isclose(mesh.node_x[mesh.dirichlet_nodes], 0.0), 1.0, 0.0)
 
     def _check_wells_inside(self):
-        for pts in (self.wells.control_points, self.wells.production_points):
-            x, y = pts[:, 0], pts[:, 1]
-            inside = (x > 0) & (x < self.mesh.lx) & (y > 0) & (y < self.mesh.ly)
-            if not np.all(inside):
-                raise ConfigError("well locations must lie strictly inside the domain")
+        lx, ly = self.mesh.lx, self.mesh.ly
+        for kind, pts in (("control", self.wells.control_points),
+                          ("production", self.wells.production_points)):
+            for x, y in pts:
+                if not (0 < x < lx and 0 < y < ly):
+                    raise ConfigError(
+                        f"{kind} point ({x}, {y}) must lie strictly inside the "
+                        f"domain (0, {lx}) x (0, {ly})")
 
     @property
     def n_controls(self):

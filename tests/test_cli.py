@@ -157,9 +157,11 @@ def test_bad_mesh_extent_exits_2_before_any_work(
     assert calls == [] and not out.exists()
 
 
-@pytest.mark.parametrize("command", ["optimize", "compare-mc", "truncation-study"])
+@pytest.mark.parametrize("command", ["optimize", "compare-mc", "truncation-study",
+                                     "sample-field"])
 @pytest.mark.parametrize("wells,message", [
-    ({"control_xs": [3.0]}, "strictly inside the domain"),
+    ({"control_xs": [3.0]}, "control point (3.0, 0.2) must lie strictly inside "
+                            "the domain (0, 2.0) x (0, 1.0)"),
     ({"sigma": 0.01}, "unresolved on this mesh"),
 ], ids=["well outside the domain", "mollifier on no node"])
 def test_build_time_config_error_exits_2_before_any_output(
@@ -427,7 +429,8 @@ def test_semilinear_problem_exits_2_before_any_work(
     path = write_config(tmp_path, {"experiment": {"problem": "semilinear"}})
     args = ["--profile", "desk", "--config", path, "--out", str(out)]
     assert main(args + [command]) == 2
-    assert ("config error: experiment: problem: 'semilinear'"
+    assert ("config error: experiment: problem: 'semilinear' has no wells to "
+            "control; only truncation-study and sample-field run it"
             in capsys.readouterr().err)
     assert calls == [] and not out.exists()
 
@@ -556,15 +559,20 @@ SEMILINEAR_UNREAD = {
 }
 
 
-@pytest.mark.parametrize("key", SEMILINEAR_UNREAD)
-def test_semilinear_truncation_study_rejects_unread_settings(tmp_path, capsys, key):
+@pytest.mark.parametrize("key,command", [
+    pytest.param(key, command, id=key + suffix)
+    for command, suffix in (("truncation-study", ""), ("sample-field", "-sample-field"))
+    for key in SEMILINEAR_UNREAD])
+def test_semilinear_truncation_study_rejects_unread_settings(
+    tmp_path, capsys, key, command
+):
     data = json.loads(json.dumps(TINY))
     del data["wells"]
     data["experiment"]["problem"] = "semilinear"
     data.setdefault(key.split(".")[0], {}).update(SEMILINEAR_UNREAD[key])
     out = tmp_path / "out"
     args = ["--config", write_config(tmp_path, data), "--out", str(out)]
-    assert main(args + ["truncation-study"]) == 2
+    assert main(args + [command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert not out.exists()
@@ -574,9 +582,31 @@ def test_semilinear_truncation_study_accepts_profile_settings(tmp_path):
     # the desk profile sets wells.sigma; only settings a run adds are rejected
     data = {"experiment": {"problem": "semilinear", "rate_n_mc": 3,
                            "eps_list": [1.0, 0.5]}}
+    args = ["--profile", "desk", "--config", write_config(tmp_path, data)]
+    for command in ("truncation-study", "sample-field"):
+        out = tmp_path / command
+        assert main(args + ["--out", str(out), command]) == 0, command
+
+
+def test_semilinear_sample_field_draws_the_neumann_flux(tmp_path):
+    # the semilinear field is the flux on the bottom, then the top side of
+    # the unit square, not the flow problem's volume field
+    from riskquad.fem import build_mesh
+    from riskquad.semilinear import SemilinearProblem
+
+    data = {"experiment": {"problem": "semilinear", "sample_eps": 0.0}}
+    out = tmp_path / "out"
     args = ["--profile", "desk", "--config", write_config(tmp_path, data),
-            "--out", str(tmp_path / "out")]
-    assert main(args + ["truncation-study"]) == 0
+            "--out", str(out)]
+    assert main(args + ["sample-field"]) == 0
+    _, rows, _ = read_csv(out / "field_samples.csv")
+    mesh = build_mesh(20, 10, 1.0, 1.0)
+    nodes = SemilinearProblem(mesh).trace_space.node_index
+    assert len(rows) == len(nodes) == 42
+    values = np.array(rows, dtype=float)
+    assert np.array_equal(values[:, 0], mesh.node_x[nodes])
+    assert np.array_equal(values[:, 1], mesh.node_y[nodes])
+    assert np.all(values[:, 2:] == 0.0)
 
 
 def test_sample_field_reproducible_and_mean_at_zero_eps(tmp_path):
