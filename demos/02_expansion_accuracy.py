@@ -9,7 +9,7 @@ with a frozen Monte Carlo sample shared across all eps values.
 import numpy as np
 
 import riskquad as rq
-from riskquad.surrogate import truncation_rate_study
+from riskquad.ouu import truncation_rate_study
 
 mesh = rq.build_mesh(20, 10, 2.0, 1.0)
 problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.1))

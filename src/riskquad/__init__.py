@@ -39,7 +39,6 @@ from .surrogate import (
     QuadraticSurrogate,
     estimate_traces,
     expansion_moments,
-    truncation_rate_study,
 )
 from .optim import minimize_box_lbfgs
 from .ouu import (
@@ -50,6 +49,7 @@ from .ouu import (
     continuation,
     evaluate_true_risk,
     optimize,
+    truncation_rate_study,
 )
 from .config import (
     PROFILES,

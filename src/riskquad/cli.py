@@ -20,8 +20,7 @@ import numpy as np
 from .config import PROFILES, build_setup, check_eigenbasis_size, resolve_config
 from .errors import ConfigError, NumericalError
 from .ouu import (RiskAverseObjective, SaaObjective, continuation,
-                  evaluate_true_risk, optimize)
-from .surrogate import truncation_rate_study
+                  evaluate_true_risk, optimize, truncation_rate_study)
 
 OUTDIR_ENV = "RISKQUAD_OUTDIR"
 

@@ -13,7 +13,7 @@ beta schedule is ascending and ends at beta, z0 lies in the box, the eps
 values are distinct, bump centers pair with amplitudes (a constant mean
 has neither), there is one target per production well, and an eigenbasis
 n_tr fits the mesh (``check_eigenbasis_size``); ``resolve_config`` also
-refuses a semilinear mesh extent, mean or wells other than the profile's.
+refuses a semilinear mesh extent, mean, wells or z0 other than the profile's.
 The ``ouu`` section is the runtime ``OuuConfig`` itself; its ``seed`` is
 not a key of its own but the root ``seed``, which seeds the field draws
 and the trace probes alike.  ``build_setup`` builds every run.
@@ -257,10 +257,11 @@ def resolve_config(profile=None, config_path=None, overrides=None):
         data = _merge(data, overrides)
     cfg = config_from_dict(data)
     if cfg.experiment.problem == "semilinear":
-        # the problem meshes the unit square with a zero-mean flux and no
-        # wells, so a run rejects each of those settings not the profile's
+        # the problem meshes the unit square with a zero-mean flux, no wells
+        # and a unit source; a run rejects each of those settings not the profile's
         base = config_from_dict(PROFILES[profile])
-        changed = [key for key in ("mesh.lx", "mesh.ly", "random_field.mean", "wells")
+        changed = [key for key in ("mesh.lx", "mesh.ly", "random_field.mean",
+                                   "wells", "ouu.z0")
                    if attrgetter(key)(cfg) != attrgetter(key)(base)]
         if changed:
             raise ConfigError(

@@ -367,7 +367,9 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, with_surrogates=True,
     """Estimate mean and variance of the objective by sampling the field.
 
     ``z`` is a control vector or an (n_controls, k) block of controls that
-    share the draws (see ``TrueRisk``).  Each draw costs one assembly, one
+    share the draws (see ``TrueRisk``).  It is the one Monte Carlo
+    evaluator: the ``optimize`` and ``compare-mc`` commands score their
+    controls with it, and ``truncation_rate_study`` each eps.  Each draw costs one assembly, one
     band scatter and one LAPACK factorization on the mesh's band plan
     (``solver_for``), and one counted solve per control; no factor is
     reused across draws.  When ``with_surrogates`` is set, each control's
@@ -401,3 +403,45 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, with_surrogates=True,
         variance=np.var(theta, axis=0, ddof=1 if n_mc > 1 else 0),
         samples=theta, lin_samples=lin, quad_samples=quad,
     )
+
+
+@dataclass
+class RateStudy:
+    """Mean absolute expansion errors against the covariance scaling."""
+
+    eps: np.ndarray
+    err_lin: np.ndarray
+    err_quad: np.ndarray
+    slope_lin: float
+    slope_quad: float
+    n_mc: int
+    seed: int
+
+
+def _loglog_slope(eps, err):
+    err = np.maximum(np.asarray(err), 1e-300)
+    return float(np.polyfit(np.log(eps), np.log(err), 1)[0])
+
+
+def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0):
+    """Mean absolute errors of the linear and quadratic expansions under
+    N(mean, eps*C) for each eps, and their log-log slopes over the eps range.
+
+    Each eps is one ``evaluate_true_risk`` call on ``gf.scaled(eps)`` with one
+    seed, so every eps colors the same normals (common random numbers); on
+    the flow problem it costs 2 + 3*n_mc solves and n_mc factorizations.
+    The eps values and the expansion anchor are checked before any solve.
+    """
+    eps = np.asarray(list(eps_list), dtype=float)
+    if np.any(eps <= 0.0):
+        raise ValueError("eps values must be positive")
+    if len(set(eps)) < 2:
+        raise ValueError("need at least two distinct eps values to fit a rate")
+    if not np.allclose(problem.mean, gf.mean, atol=1e-12):
+        raise ValueError("expansion anchor must match the field mean")
+    risks = [evaluate_true_risk(problem, gf.scaled(e), z, n_mc, seed) for e in eps]
+    err_lin = np.array([np.mean(np.abs(r.samples - r.lin_samples)) for r in risks])
+    err_quad = np.array([np.mean(np.abs(r.samples - r.quad_samples)) for r in risks])
+    return RateStudy(eps=eps, err_lin=err_lin, err_quad=err_quad,
+                     slope_lin=_loglog_slope(eps, err_lin),
+                     slope_quad=_loglog_slope(eps, err_quad), n_mc=n_mc, seed=seed)

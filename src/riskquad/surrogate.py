@@ -148,68 +148,3 @@ def estimate_traces(surr, gf, mode="randomized", n_tr=40, seed=0):
         gf, surr.theta_bar, surr.space.mass @ surr.grad, probes.T,
         surr.hess_load(probes.T), weight,
     )[0]
-
-
-@dataclass
-class RateStudy:
-    """Mean absolute expansion errors against the covariance scaling."""
-
-    eps: np.ndarray
-    err_lin: np.ndarray
-    err_quad: np.ndarray
-    slope_lin: float
-    slope_quad: float
-    n_mc: int
-    seed: int
-
-
-def _loglog_slope(eps, err):
-    err = np.maximum(np.asarray(err), 1e-300)
-    return float(np.polyfit(np.log(eps), np.log(err), 1)[0])
-
-
-def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0):
-    """Mean absolute errors of the linear and quadratic expansions under
-    N(mean, eps*C) for each eps, with one frozen Monte Carlo sample.
-
-    The same colored noise b_i is reused across eps values (common random
-    numbers), so the decay of the error columns is smooth in eps.  The draw
-    at eps is then anchor + sqrt(eps) b_i, and both expansions are
-    polynomials in sqrt(eps) with coefficients <g, b_i> and <H b_i, b_i>,
-    so each draw costs one Hessian action for the whole eps range; the
-    draws are taken ``DRAW_CHUNK`` at a time, one block Hessian load per
-    chunk.  The true objective costs one factorization and one solve per
-    draw and eps, taken serially.  Also returns least-squares log-log slopes
-    over the eps range.
-    """
-    eps = np.asarray(list(eps_list), dtype=float)
-    if np.any(eps <= 0.0):
-        raise ValueError("eps values must be positive")
-    if len(set(eps)) < 2:
-        raise ValueError("need at least two distinct eps values to fit a rate")
-    surr = problem.surrogate(z)
-    if not np.allclose(surr.anchor, gf.mean, atol=1e-12):
-        raise ValueError("expansion anchor must match the field mean")
-    base = gf.zero_mean_batch(n_mc, seed)
-    grad_b = surr.grad @ (surr.space.mass @ base)
-    hess_bb = over_draw_chunks(
-        lambda B: np.sum(B * surr.hess_load(B), axis=0), base
-    )
-    err_lin = np.empty(len(eps))
-    err_quad = np.empty(len(eps))
-    for k, e in enumerate(eps):
-        fields = gf.mean[:, None] + np.sqrt(e) * base
-        theta = np.array([problem.objective(z, fields[:, i]) for i in range(n_mc)])
-        lin = surr.theta_bar + np.sqrt(e) * grad_b
-        quad = lin + 0.5 * e * hess_bb
-        err_lin[k] = np.mean(np.abs(theta - lin))
-        err_quad[k] = np.mean(np.abs(theta - quad))
-    return RateStudy(
-        eps=eps,
-        err_lin=err_lin,
-        err_quad=err_quad,
-        slope_lin=_loglog_slope(eps, err_lin),
-        slope_quad=_loglog_slope(eps, err_quad),
-        n_mc=n_mc,
-        seed=seed,
-    )

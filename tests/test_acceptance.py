@@ -14,9 +14,10 @@ import pytest
 import riskquad as rq
 from riskquad.checks import run_derivative_checks
 from riskquad.cli import main as cli_main
+from riskquad.ouu import truncation_rate_study
 from riskquad.random_field import GaussianField
 from riskquad.semilinear import SemilinearProblem
-from riskquad.surrogate import estimate_traces, truncation_rate_study
+from riskquad.surrogate import estimate_traces
 
 
 def _report(name, ok, detail=""):

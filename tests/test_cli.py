@@ -556,6 +556,7 @@ SEMILINEAR_UNREAD = {
     "mesh.ly": {"ly": 2.0},
     "random_field.mean": {"mean": {"value": 0.5}},
     "wells": {"sigma": 0.2},
+    "ouu.z0": {"z0": 2.0},
 }
 
 

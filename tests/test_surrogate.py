@@ -6,6 +6,7 @@ import pytest
 
 from riskquad.errors import NumericalError
 from riskquad.fem import assemble_coupling, build_mesh
+from riskquad.ouu import truncation_rate_study
 from riskquad.poisson import PoissonFlowProblem, default_wells
 from riskquad.random_field import FieldSpace, GaussianField
 from riskquad.semilinear import SemilinearProblem
@@ -13,7 +14,6 @@ from riskquad.surrogate import (
     QuadraticSurrogate,
     estimate_traces,
     expansion_moments,
-    truncation_rate_study,
 )
 
 
@@ -384,6 +384,16 @@ def test_rate_study_needs_two_distinct_eps(tiny_flow, eps_list):
     assert problem.counter.count == start
 
 
+def test_rate_study_checks_the_anchor_before_any_solve(tiny_flow):
+    _, problem, gf = tiny_flow
+    shifted = GaussianField(problem.space, 2e-2, 4.0, mean=problem.mean + 0.5)
+    z = np.full(problem.n_controls, 4.0)
+    start = problem.counter.count
+    with pytest.raises(ValueError, match="anchor must match the field mean"):
+        truncation_rate_study(problem, shifted, z, [1.0, 0.5], n_mc=2, seed=0)
+    assert problem.counter.count == start
+
+
 def test_rate_study_exact_for_linear_state_map():
     mesh = build_mesh(8, 8, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=0.0)
@@ -426,9 +436,9 @@ def test_rate_study_one_hessian_action_per_draw(tiny_flow):
     z = np.full(problem.n_controls, 4.0)
     start = problem.counter.count
     truncation_rate_study(problem, gf, z, [1.0, 0.5, 0.25], n_mc=4, seed=0)
-    # surrogate workspace (2) + one Hessian action (2) per draw; the
-    # per-draw objectives use their own solvers, which count too
-    assert problem.counter.count - start == 2 + 2 * 4 + 3 * 4
+    # per eps: surrogate workspace (2), one objective solve per draw on its
+    # own factorization, and one Hessian action (2) per draw
+    assert problem.counter.count - start == 3 * (2 + 3 * 4)
 
 
 def test_rate_study_slopes_small_mesh():
