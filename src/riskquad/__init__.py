@@ -29,7 +29,6 @@ from .random_field import (
 from .poisson import (
     PoissonFlowProblem,
     WellConfig,
-    default_wells,
     grid_points,
     mollifier_fields,
     parabolic_target_profile,

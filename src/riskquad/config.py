@@ -16,7 +16,8 @@ n_tr fits the mesh (``check_eigenbasis_size``); ``resolve_config`` also
 refuses a semilinear mesh extent, mean, wells or z0 other than the profile's.
 The ``ouu`` section is the runtime ``OuuConfig`` itself; its ``seed`` is
 not a key of its own but the root ``seed``, which seeds the field draws
-and the trace probes alike.  ``build_setup`` builds every run.
+and the trace probes alike.  The ``wells`` section is the flow problem's
+``WellConfig`` itself.  ``build_setup`` builds every run.
 """
 
 from __future__ import annotations
@@ -32,14 +33,11 @@ from .errors import (COUNT, INTEGER, NATURAL, NONNEGATIVE, POSITIVE, REAL,
                      ConfigError, check_settings, choice, kind, list_of, setting)
 from .fem import build_mesh
 from .ouu import OuuConfig
-from .poisson import (CONTROL_XS, CONTROL_YS, PRODUCTION_XS, PRODUCTION_YS,
-                      PoissonFlowProblem, WellConfig, grid_points,
-                      parabolic_target_profile)
+from .poisson import PoissonFlowProblem, WellConfig
 from .random_field import GaussianField
 from .semilinear import SemilinearProblem
 
 REALS = list_of(REAL)
-COORDINATES = list_of(REAL, nonempty=True)
 POINT = kind(lambda v: len(v) == 2, "{key}: {v!r} is not an (x, y) pair", REALS)
 
 
@@ -87,34 +85,6 @@ class FieldSpec:
         check_settings(self)
 
 
-TARGET_PROFILE = choice("target profile", "parabolic")
-
-
-def _targets(key, v):
-    """The name of a target profile, or a list of target values."""
-    (TARGET_PROFILE if isinstance(v, str) else REALS)(key, v)
-
-
-@dataclass
-class WellSpec:
-    """A well layout, by default ``poisson``'s canonical one; ``targets`` is
-    the name of a target profile or one target per production well."""
-
-    sigma: float = setting(POSITIVE, 0.05)
-    control_xs: list = setting(COORDINATES, list(CONTROL_XS))
-    control_ys: list = setting(COORDINATES, list(CONTROL_YS))
-    production_xs: list = setting(COORDINATES, list(PRODUCTION_XS))
-    production_ys: list = setting(COORDINATES, list(PRODUCTION_YS))
-    targets: object = setting(_targets, "parabolic")
-
-    def __post_init__(self):
-        check_settings(self)
-        wells = len(self.production_xs) * len(self.production_ys)
-        if not isinstance(self.targets, str) and len(self.targets) != wells:
-            raise ValueError(f"targets: {len(self.targets)} values for "
-                             f"{wells} production wells")
-
-
 COMPARE_METHODS = ("quad_randomized", "quad_eigenbasis", "saa")
 
 
@@ -156,7 +126,7 @@ def check_eigenbasis_size(mesh, key, n_trs):
 class RunConfig:
     mesh: MeshSpec = field(default_factory=MeshSpec)
     random_field: FieldSpec = field(default_factory=FieldSpec)
-    wells: WellSpec = field(default_factory=WellSpec)
+    wells: WellConfig = field(default_factory=WellConfig)
     ouu: OuuConfig = field(default_factory=OuuConfig)
     experiment: ExperimentSpec = field(default_factory=ExperimentSpec)
     seed: int = setting(NATURAL, 0)
@@ -282,19 +252,6 @@ def build_mean_field(mesh, spec):
     return out
 
 
-def build_wells(spec):
-    production = grid_points(spec.production_xs, spec.production_ys)
-    targets = spec.targets
-    if isinstance(targets, str):  # the only profile is "parabolic"
-        targets = parabolic_target_profile(production)
-    return WellConfig(
-        control_points=grid_points(spec.control_xs, spec.control_ys),
-        production_points=production,
-        sigma=spec.sigma,
-        targets=targets,
-    )
-
-
 def build_ouu_config(ouu, seed):
     """``ouu`` with its probe seed replaced by ``seed``.  A parsed
     ``RunConfig.ouu`` already carries the root seed and needs no call."""
@@ -313,7 +270,7 @@ def build_setup(cfg):
         return mesh, gf, problem
     mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
     mean = build_mean_field(mesh, cfg.random_field.mean)
-    problem = PoissonFlowProblem(mesh, wells=build_wells(cfg.wells), mean=mean)
+    problem = PoissonFlowProblem(mesh, wells=cfg.wells, mean=mean)
     gf = GaussianField(problem.space, cfg.random_field.kappa,
                        cfg.random_field.alpha, mean=mean)
     return mesh, gf, problem

@@ -111,6 +111,7 @@ def minimize_box_lbfgs(evaluate, gradient, z0, lower, upper, *, rel_tol=5e-4,
             converged = True
             break
 
+        # hold the accepted state: freed, glibc trims it and each trial faults it back
         alpha = 1.0
         trial = None
         for _ in range(MAX_BACKTRACKS):

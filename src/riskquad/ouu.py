@@ -320,7 +320,7 @@ class SaaObjective:
         weights = 1.0 / self.n_mc + self.beta * (thetas - mean) / (self.n_mc - 1)
         grad = self.gamma * z.copy()
         for w, u, solver in zip(weights, states, self.solvers):
-            misfit = pr.observe(u) - pr.wells.targets
+            misfit = pr.observe(u) - pr.targets
             adj = solver.solve(-(pr.obs_operator @ misfit))
             grad -= w * (pr.source_fields.T @ (pr.space.mass @ adj))
         report.pde_solves += pr.counter.count - start
@@ -369,13 +369,14 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, with_surrogates=True,
     ``z`` is a control vector or an (n_controls, k) block of controls that
     share the draws (see ``TrueRisk``).  It is the one Monte Carlo
     evaluator: the ``optimize`` and ``compare-mc`` commands score their
-    controls with it, and ``truncation_rate_study`` each eps.  Each draw costs one assembly, one
-    band scatter and one LAPACK factorization on the mesh's band plan
-    (``solver_for``), and one counted solve per control; no factor is
-    reused across draws.  When ``with_surrogates`` is set, each control's
-    linear and quadratic expansion values on the same draws are returned
-    too, after its workspace (two solves), ``surrogate.DRAW_CHUNK`` draws at
-    a time with one block Hessian action (two solves per draw) per chunk.
+    controls with it, and ``truncation_rate_study`` each eps.  Each draw
+    costs one assembly, one band scatter and one LAPACK factorization on
+    the mesh's band plan (``solver_for``), and one counted solve per
+    control; no factor is reused across draws.  When ``with_surrogates`` is
+    set, each control's linear and quadratic expansion values on the same
+    draws are returned too, after its workspace (two solves),
+    ``surrogate.DRAW_CHUNK`` draws at a time with one block Hessian action
+    (two solves per draw) per chunk.
 
     Draws run serially: scipy's banded Cholesky holds the interpreter lock,
     so a thread pool draws no faster.  ``threads`` therefore accepts only 1
@@ -428,9 +429,14 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0):
     N(mean, eps*C) for each eps, and their log-log slopes over the eps range.
 
     Each eps is one ``evaluate_true_risk`` call on ``gf.scaled(eps)`` with one
-    seed, so every eps colors the same normals (common random numbers); on
-    the flow problem it costs 2 + 3*n_mc solves and n_mc factorizations.
-    The eps values and the expansion anchor are checked before any solve.
+    seed, so every eps colors the same normals (common random numbers).  Only
+    the first eps, e0, evaluates the expansions; on the draws of eps, which
+    are those of e0 scaled by sqrt(eps/e0) about the anchor, they are
+    lin = theta_bar + sqrt(eps/e0) (lin0 - theta_bar) and
+    quad = lin + (eps/e0) (quad0 - lin0).  On the flow problem the study
+    costs 1 + (2 + 3*n_mc) + (len(eps) - 1)*n_mc solves and len(eps)*n_mc
+    factorizations.  The eps values and the expansion anchor are checked
+    before any solve.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if np.any(eps <= 0.0):
@@ -439,9 +445,16 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0):
         raise ValueError("need at least two distinct eps values to fit a rate")
     if not np.allclose(problem.mean, gf.mean, atol=1e-12):
         raise ValueError("expansion anchor must match the field mean")
-    risks = [evaluate_true_risk(problem, gf.scaled(e), z, n_mc, seed) for e in eps]
-    err_lin = np.array([np.mean(np.abs(r.samples - r.lin_samples)) for r in risks])
-    err_quad = np.array([np.mean(np.abs(r.samples - r.quad_samples)) for r in risks])
-    return RateStudy(eps=eps, err_lin=err_lin, err_quad=err_quad,
+    theta_bar = problem.objective(z)
+    first = evaluate_true_risk(problem, gf.scaled(eps[0]), z, n_mc, seed)
+    err_lin, err_quad = [], []
+    for e in eps:
+        risk = first if e == eps[0] else evaluate_true_risk(
+            problem, gf.scaled(e), z, n_mc, seed, with_surrogates=False)
+        lin = theta_bar + np.sqrt(e / eps[0]) * (first.lin_samples - theta_bar)
+        quad = lin + e / eps[0] * (first.quad_samples - first.lin_samples)
+        err_lin.append(np.mean(np.abs(risk.samples - lin)))
+        err_quad.append(np.mean(np.abs(risk.samples - quad)))
+    return RateStudy(eps=eps, err_lin=np.array(err_lin), err_quad=np.array(err_quad),
                      slope_lin=_loglog_slope(eps, err_lin),
                      slope_quad=_loglog_slope(eps, err_quad), n_mc=n_mc, seed=seed)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import (POSITIVE, REAL, ConfigError, check_settings, choice, list_of,
+                     setting)
 from .fem import (
     SolveCounter,
     SpdSolver,
@@ -28,18 +29,10 @@ from .random_field import volume_space
 from .surrogate import QuadraticSurrogate
 
 
-# The canonical well layout on (0,2)x(0,1): 20 injection wells on a 5x4
-# interior grid and 12 production wells on a 4x3 grid.
-CONTROL_XS = (1.0 / 3.0, 2.0 / 3.0, 1.0, 4.0 / 3.0, 5.0 / 3.0)
-CONTROL_YS = (0.2, 0.4, 0.6, 0.8)
-PRODUCTION_XS = (0.4, 0.8, 1.2, 1.6)
-PRODUCTION_YS = (0.25, 0.5, 0.75)
-
-
 def grid_points(xs, ys):
     """Cartesian product of coordinates, ordered y-major then x."""
     pts = [(x, y) for y in ys for x in xs]
-    return np.array(pts)
+    return np.array(pts, dtype=float)
 
 
 def parabolic_target_profile(points):
@@ -48,41 +41,51 @@ def parabolic_target_profile(points):
     return 3.0 - 4.0 * (pts[:, 0] - 1.0) ** 2 - 8.0 * (pts[:, 1] - 0.5) ** 2
 
 
+COORDINATES = list_of(REAL, nonempty=True)
+
+
+def _targets(key, v):
+    """The name of a target profile, or a list of target values."""
+    (choice("target profile", "parabolic") if isinstance(v, str)
+     else list_of(REAL))(key, v)
+
+
 @dataclass
 class WellConfig:
-    """Injection/production well layout with a shared mollifier width."""
+    """A well layout with a shared mollifier width ``sigma``, by default the
+    canonical one on (0,2)x(0,1): 20 injection wells on a 5x4 interior grid
+    and 12 production wells on a 4x3 grid.  ``targets`` is the name of a
+    target profile or one target per production well.
 
-    control_points: np.ndarray
-    production_points: np.ndarray
-    sigma: float
-    targets: np.ndarray
+    Every key is checked by kind when the layout is built, which then derives
+    ``control_points`` and ``production_points`` (``grid_points``) and the
+    target array ``target_values`` once; ``dataclasses.replace`` builds a
+    changed layout.
+    """
+
+    sigma: float = setting(POSITIVE, 0.05)
+    control_xs: list = setting(COORDINATES,
+                               [1.0 / 3.0, 2.0 / 3.0, 1.0, 4.0 / 3.0, 5.0 / 3.0])
+    control_ys: list = setting(COORDINATES, [0.2, 0.4, 0.6, 0.8])
+    production_xs: list = setting(COORDINATES, [0.4, 0.8, 1.2, 1.6])
+    production_ys: list = setting(COORDINATES, [0.25, 0.5, 0.75])
+    targets: object = setting(_targets, "parabolic")
 
     def __post_init__(self):
-        self.control_points = np.atleast_2d(np.asarray(self.control_points, float))
-        self.production_points = np.atleast_2d(
-            np.asarray(self.production_points, float)
-        )
-        self.targets = np.asarray(self.targets, dtype=float)
-        if self.sigma <= 0.0:
-            raise ValueError("mollifier width must be positive")
-        if self.targets.shape != (len(self.production_points),):
-            raise ValueError("one target per production well required")
+        check_settings(self)
+        self.control_points = grid_points(self.control_xs, self.control_ys)
+        self.production_points = grid_points(self.production_xs, self.production_ys)
+        if isinstance(self.targets, str):  # the only profile is "parabolic"
+            self.target_values = parabolic_target_profile(self.production_points)
+        elif len(self.targets) == len(self.production_points):
+            self.target_values = np.asarray(self.targets, dtype=float)
+        else:
+            raise ValueError(f"targets: {len(self.targets)} values for "
+                             f"{len(self.production_points)} production wells")
 
     @property
     def n_controls(self):
         return len(self.control_points)
-
-
-def default_wells(sigma=0.05):
-    """The canonical layout (``CONTROL_XS`` ... ``PRODUCTION_YS``) with the
-    parabolic target profile."""
-    production = grid_points(PRODUCTION_XS, PRODUCTION_YS)
-    return WellConfig(
-        control_points=grid_points(CONTROL_XS, CONTROL_YS),
-        production_points=production,
-        sigma=sigma,
-        targets=parabolic_target_profile(production),
-    )
 
 
 def mollifier_fields(mesh, space, points, sigma):
@@ -142,7 +145,9 @@ class PdeWorkspace:
 
 
 class PoissonFlowProblem:
-    """Discrete control problem bound to a mesh, well layout, and anchor field.
+    """Discrete control problem bound to a mesh, well layout (by default
+    ``WellConfig()``), and anchor field.  Every misfit reads the layout's
+    target array, stored once as ``targets``.
 
     The anchor log-conductivity ``mean`` (the field that m=None means) gets
     one solver, reused for every state, adjoint, and incremental solve;
@@ -155,8 +160,9 @@ class PoissonFlowProblem:
     def __init__(self, mesh, wells=None, mean=None):
         self.mesh = mesh
         self.space = volume_space(mesh)
-        self.wells = default_wells() if wells is None else wells
+        self.wells = WellConfig() if wells is None else wells
         self._check_wells_inside()
+        self.targets = self.wells.target_values
         self.mean = (
             np.zeros(mesh.n_nodes) if mean is None else np.asarray(mean, float)
         )
@@ -223,7 +229,7 @@ class PoissonFlowProblem:
 
     def objective_of_state(self, u):
         """Misfit 1/2 |Qu - q|^2 of a state (n,), or of each column of (n, k)."""
-        r = (self.observe(u).T - self.wells.targets).T
+        r = (self.observe(u).T - self.targets).T
         return 0.5 * float(r @ r) if r.ndim == 1 else 0.5 * np.sum(r**2, axis=0)
 
     def objective(self, z, m=None):
@@ -245,7 +251,7 @@ class PoissonFlowProblem:
             solver, em = self.solver_for(m), np.exp(self.mesh.interp_gauss(m))
         z = np.asarray(z, dtype=float)
         u = self.solve_state(z, solver)
-        misfit = self.observe(u) - self.wells.targets
+        misfit = self.observe(u) - self.targets
         p = solver.solve(-(self.obs_operator @ misfit))
         return PdeWorkspace(z=z, m=m, u=u, p=p, misfit=misfit, solver=solver,
                             em=em)

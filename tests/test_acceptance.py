@@ -36,7 +36,7 @@ def test_criterion_1_derivative_tower():
 
     # second-order decay of the finite-difference error in h
     mesh = rq.build_mesh(16, 8, 2.0, 1.0)
-    problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.1))
+    problem = rq.PoissonFlowProblem(mesh, wells=rq.WellConfig(sigma=0.1))
     gf = rq.GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
     surr = problem.surrogate(z)
@@ -71,7 +71,7 @@ def test_criterion_1_derivative_tower():
 @pytest.fixture(scope="module")
 def dense_setup():
     mesh = rq.build_mesh(6, 3, 2.0, 1.0)
-    problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.3))
+    problem = rq.PoissonFlowProblem(mesh, wells=rq.WellConfig(sigma=0.3))
     gf = rq.GaussianField(problem.space, 2e-2, 4.0)
     surr = problem.surrogate(np.full(problem.n_controls, 4.0))
     n = mesh.n_nodes
@@ -150,7 +150,7 @@ def test_criterion_3_trace_unbiasedness(dense_setup):
 def test_criterion_4_truncation_rates():
     t0 = time.time()
     mesh = rq.build_mesh(40, 20, 2.0, 1.0)
-    problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.05))
+    problem = rq.PoissonFlowProblem(mesh, wells=rq.WellConfig(sigma=0.05))
     gf = rq.GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
     study = truncation_rate_study(
@@ -197,7 +197,7 @@ def test_criterion_5_quadratic_exact_for_c_zero():
 
 def test_criterion_6_solve_accounting():
     mesh = rq.build_mesh(12, 6, 2.0, 1.0)
-    problem = rq.PoissonFlowProblem(mesh, wells=rq.default_wells(sigma=0.12))
+    problem = rq.PoissonFlowProblem(mesh, wells=rq.WellConfig(sigma=0.12))
     gf = rq.GaussianField(problem.space, 2e-2, 4.0)
     ok = True
     details = []

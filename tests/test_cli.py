@@ -8,14 +8,15 @@ from riskquad.cli import main
 from riskquad.config import (
     PROFILES,
     RunConfig,
-    WellSpec,
-    build_wells,
+    build_setup,
     config_from_dict,
     config_to_dict,
     resolve_config,
 )
 from riskquad.errors import ConfigError
-from riskquad.poisson import default_wells
+from riskquad.fem import build_mesh
+from riskquad.poisson import (PoissonFlowProblem, WellConfig, grid_points,
+                              parabolic_target_profile)
 
 TINY = {
     "mesh": {"nx": 8, "ny": 4},
@@ -738,8 +739,32 @@ def test_profiles_cover_known_names():
     assert isinstance(resolve_config("desk"), RunConfig)
 
 
-def test_config_wells_default_to_the_canonical_layout():
-    canonical, built = default_wells(), build_wells(WellSpec())
-    for name in ("control_points", "production_points", "targets"):
-        assert np.array_equal(getattr(canonical, name), getattr(built, name))
-    assert canonical.sigma == built.sigma
+def test_config_wells_section_reaches_the_flow_problem():
+    wells = {"sigma": 0.15, "control_xs": [0.5, 1.5], "control_ys": [0.5],
+             "production_xs": [1.0], "production_ys": [0.25, 0.75],
+             "targets": [0.5, 0.6]}
+    cfg = config_from_dict({"mesh": {"nx": 8, "ny": 4}, "wells": wells})
+    _, _, problem = build_setup(cfg)
+    assert problem.wells == cfg.wells == WellConfig(**wells)
+    assert np.array_equal(problem.wells.control_points, [[0.5, 0.5], [1.5, 0.5]])
+    assert np.array_equal(problem.wells.production_points,
+                          [[1.0, 0.25], [1.0, 0.75]])
+    assert np.array_equal(problem.targets, [0.5, 0.6])
+    # each mollifier observes the constant 1 exactly: 1/2 (0.5^2 + 0.4^2)
+    assert problem.objective_of_state(np.ones(problem.mesh.n_nodes)) == (
+        pytest.approx(0.205, rel=1e-12))
+
+
+def test_config_and_flow_problem_default_to_the_canonical_layout():
+    config_wells = RunConfig().wells
+    problem_wells = PoissonFlowProblem(build_mesh(40, 20, 2.0, 1.0)).wells
+    assert type(config_wells) is type(problem_wells) is WellConfig
+    assert config_wells == problem_wells
+    control = grid_points([1 / 3, 2 / 3, 1.0, 4 / 3, 5 / 3], [0.2, 0.4, 0.6, 0.8])
+    production = grid_points([0.4, 0.8, 1.2, 1.6], [0.25, 0.5, 0.75])
+    for wells in (config_wells, problem_wells):
+        assert wells.sigma == 0.05 and wells.targets == "parabolic"
+        assert np.array_equal(wells.control_points, control)
+        assert np.array_equal(wells.production_points, production)
+        assert np.array_equal(wells.target_values,
+                              parabolic_target_profile(production))

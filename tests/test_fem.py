@@ -25,7 +25,7 @@ from riskquad.fem import (
     weighted_stiffness_apply,
     weighted_stiffness_sum,
 )
-from riskquad.poisson import PoissonFlowProblem, default_wells
+from riskquad.poisson import PoissonFlowProblem, WellConfig
 from riskquad.random_field import (
     GaussianField,
     field_on_mesh,
@@ -367,7 +367,7 @@ def test_per_draw_solvers_share_the_anchor_plan():
     # plan; the default constant anchor is solved by the fast backend and
     # builds none
     mesh = build_mesh(12, 6, 2.0, 1.0)
-    wells = default_wells(sigma=0.12)
+    wells = WellConfig(sigma=0.12)
     problem = PoissonFlowProblem(mesh, wells=wells)
     assert isinstance(problem.anchor_solver.fast, FastDiagonalization)
     assert "band_plan" not in vars(mesh)
@@ -631,7 +631,7 @@ def test_every_library_solver_is_an_spd_solver_with_its_rtol():
     # mesh operators are checked at 1e-10, the field's covariance and mass
     # operators at 1e-12, all through the one class
     mesh = build_mesh(12, 6, 2.0, 1.0)
-    wells = default_wells(sigma=0.12)
+    wells = WellConfig(sigma=0.12)
     m = np.random.default_rng(25).standard_normal(mesh.n_nodes)
     constant = PoissonFlowProblem(mesh, wells=wells)
     variable = PoissonFlowProblem(mesh, wells=wells, mean=m)

@@ -16,14 +16,14 @@ from riskquad.ouu import (
     evaluate_true_risk,
     optimize,
 )
-from riskquad.poisson import PoissonFlowProblem, WellConfig, default_wells
+from riskquad.poisson import PoissonFlowProblem, WellConfig
 from riskquad.random_field import FieldSpace, GaussianField
 from riskquad.surrogate import DRAW_CHUNK, estimate_traces
 
 
 def make_setup(nx=12, ny=6, sigma=0.12):
     mesh = build_mesh(nx, ny, 2.0, 1.0)
-    problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=sigma))
+    problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=sigma))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     return mesh, problem, gf
 
@@ -193,11 +193,7 @@ def test_objective_reduces_to_tracking_value_when_state_is_flat():
     # constant Dirichlet data and no sources: u == 1, so the expansion
     # gradient and every Hessian action vanish and J = theta + control cost
     mesh = build_mesh(8, 4, 2.0, 1.0)
-    wells = default_wells(sigma=0.15)
-    flat_targets = WellConfig(
-        wells.control_points, wells.production_points, wells.sigma,
-        np.zeros(12),
-    )
+    flat_targets = WellConfig(sigma=0.15, targets=[0.0] * 12)
     problem = zeroed_sources(PoissonFlowProblem(mesh, wells=flat_targets))
     problem.dirichlet_bc = np.ones_like(problem.dirichlet_bc)
     gf = GaussianField(problem.space, 2e-2, 4.0)
@@ -215,7 +211,7 @@ def test_objective_reduces_to_tracking_value_when_state_is_flat():
 def test_gradient_is_control_cost_when_sources_vanish():
     mesh = build_mesh(8, 4, 2.0, 1.0)
     problem = zeroed_sources(
-        PoissonFlowProblem(mesh, wells=default_wells(sigma=0.15))
+        PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.15))
     )
     gf = GaussianField(problem.space, 2e-2, 4.0)
     cfg = OuuConfig(beta=1.0, gamma=1e-3, n_tr=3, beta_schedule=(1.0,), seed=0)

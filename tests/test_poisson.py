@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from riskquad.fem import build_mesh
 from riskquad.poisson import (
     PoissonFlowProblem,
     WellConfig,
-    default_wells,
     grid_points,
     mollifier_fields,
     parabolic_target_profile,
@@ -19,13 +20,13 @@ from riskquad.random_field import GaussianField, volume_space
 @pytest.fixture(scope="module")
 def small_problem():
     mesh = build_mesh(16, 8, 2.0, 1.0)
-    problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.1))
+    problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.1))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     return mesh, problem, gf
 
 
 def test_default_layout_counts():
-    wells = default_wells()
+    wells = WellConfig()
     assert wells.n_controls == 20
     assert len(wells.production_points) == 12
 
@@ -41,7 +42,8 @@ def test_parabolic_targets_formula():
 
 def test_wells_outside_domain_rejected():
     mesh = build_mesh(4, 4, 2.0, 1.0)
-    bad = WellConfig([[2.5, 0.5]], [[1.0, 0.5]], 0.3, [1.0])
+    bad = WellConfig(sigma=0.3, control_xs=[2.5], control_ys=[0.5],
+                     production_xs=[1.0], production_ys=[0.5], targets=[1.0])
     with pytest.raises(ValueError):
         PoissonFlowProblem(mesh, wells=bad)
 
@@ -51,7 +53,7 @@ def test_mollifier_unit_integral_and_resolution():
     # to one within 2% on the canonical mesh
     mesh = build_mesh(79, 39, 2.0, 1.0)
     space = volume_space(mesh)
-    pts = default_wells().control_points
+    pts = WellConfig().control_points
     sigma = 0.05
     ones = np.ones(mesh.n_nodes)
     for px, py in pts[:5]:
@@ -81,7 +83,8 @@ def test_state_harmonic_profile(small_problem):
 
 def test_state_symmetry_about_midline():
     mesh = build_mesh(10, 8, 2.0, 1.0)
-    wells = WellConfig([[1.0, 0.5]], [[0.5, 0.5]], 0.2, [1.0])
+    wells = WellConfig(sigma=0.2, control_xs=[1.0], control_ys=[0.5],
+                       production_xs=[0.5], production_ys=[0.5], targets=[1.0])
     problem = PoissonFlowProblem(mesh, wells=wells)
     u = problem.solve_state(np.array([1.0]))
     ny, nx = mesh.ny, mesh.nx
@@ -106,24 +109,12 @@ def test_objective_zero_misfit_and_constant_observation(small_problem):
     mesh, problem, _ = small_problem
     u = problem.solve_state(np.full(problem.n_controls, 3.0))
     exact = PoissonFlowProblem(
-        mesh,
-        wells=WellConfig(
-            problem.wells.control_points,
-            problem.wells.production_points,
-            problem.wells.sigma,
-            problem.observe(u),
-        ),
+        mesh, wells=replace(problem.wells, targets=list(problem.observe(u)))
     )
     assert exact.objective_of_state(u) == pytest.approx(0.0, abs=1e-18)
     # observing the constant one with zero targets: 12 wells -> 1/2 * 12
     zero_targets = PoissonFlowProblem(
-        mesh,
-        wells=WellConfig(
-            problem.wells.control_points,
-            problem.wells.production_points,
-            problem.wells.sigma,
-            np.zeros(12),
-        ),
+        mesh, wells=replace(problem.wells, targets=[0.0] * 12)
     )
     assert zero_targets.objective_of_state(np.ones(mesh.n_nodes)) == pytest.approx(6.0)
 
@@ -142,13 +133,7 @@ def test_gradient_vanishes_for_zero_misfit(small_problem):
     z = np.full(problem.n_controls, 2.0)
     u = problem.solve_state(z)
     matched = PoissonFlowProblem(
-        mesh,
-        wells=WellConfig(
-            problem.wells.control_points,
-            problem.wells.production_points,
-            problem.wells.sigma,
-            problem.observe(u),
-        ),
+        mesh, wells=replace(problem.wells, targets=list(problem.observe(u)))
     )
     ws = matched.workspace(z)
     assert matched.space.norm(ws.p) < 1e-10
@@ -220,7 +205,7 @@ def test_nan_derivative_fails_the_checks(monkeypatch, capsys, tmp_path):
     # max(0.0, nan) is 0.0, so a fold by max would pass a NaN gradient with
     # error 0; the checks return NaN and the command line exits 3
     mesh = build_mesh(8, 4, 2.0, 1.0)
-    problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.25))
+    problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.25))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
     finite = check_gradient(problem, gf, z), check_hessian(problem, gf, z)

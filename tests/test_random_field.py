@@ -317,7 +317,9 @@ def test_eigenpairs_flow_hessian_matches_dense():
     from riskquad.poisson import PoissonFlowProblem, WellConfig
 
     mesh = build_mesh(5, 5, 1.0, 1.0)
-    wells = WellConfig([[0.5, 0.52]], [[0.3, 0.3], [0.7, 0.7]], 0.25, [1.0, 1.0])
+    wells = WellConfig(sigma=0.25, control_xs=[0.5], control_ys=[0.52],
+                       production_xs=[0.3, 0.7], production_ys=[0.3, 0.7],
+                       targets=[1.0] * 4)
     problem = PoissonFlowProblem(mesh, wells=wells)
     gf = GaussianField(problem.space, 5e-2, 2.0)
     surr = problem.surrogate(np.array([4.0]))

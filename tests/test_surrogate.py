@@ -7,7 +7,7 @@ import pytest
 from riskquad.errors import NumericalError
 from riskquad.fem import assemble_coupling, build_mesh
 from riskquad.ouu import truncation_rate_study
-from riskquad.poisson import PoissonFlowProblem, default_wells
+from riskquad.poisson import PoissonFlowProblem, WellConfig
 from riskquad.random_field import FieldSpace, GaussianField
 from riskquad.semilinear import SemilinearProblem
 from riskquad.surrogate import (
@@ -20,7 +20,7 @@ from riskquad.surrogate import (
 @pytest.fixture(scope="module")
 def tiny_flow():
     mesh = build_mesh(6, 3, 2.0, 1.0)
-    problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.3))
+    problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.3))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     return mesh, problem, gf
 
@@ -421,7 +421,7 @@ def _rate_study_per_eps(problem, gf, z, eps_list, n_mc, seed):
 
 def test_rate_study_matches_per_eps_evaluation():
     mesh = build_mesh(12, 6, 2.0, 1.0)
-    problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.12))
+    problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.12))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
     eps_list = [1.0, 0.5, 0.25]
@@ -436,14 +436,15 @@ def test_rate_study_one_hessian_action_per_draw(tiny_flow):
     z = np.full(problem.n_controls, 4.0)
     start = problem.counter.count
     truncation_rate_study(problem, gf, z, [1.0, 0.5, 0.25], n_mc=4, seed=0)
-    # per eps: surrogate workspace (2), one objective solve per draw on its
-    # own factorization, and one Hessian action (2) per draw
-    assert problem.counter.count - start == 3 * (2 + 3 * 4)
+    # the anchor objective (1); at the first eps the surrogate workspace (2),
+    # one objective solve per draw on its own factorization and one Hessian
+    # action (2) per draw; at every other eps one objective solve per draw
+    assert problem.counter.count - start == 1 + (2 + 3 * 4) + 2 * 4
 
 
 def test_rate_study_slopes_small_mesh():
     mesh = build_mesh(16, 8, 2.0, 1.0)
-    problem = PoissonFlowProblem(mesh, wells=default_wells(sigma=0.1))
+    problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.1))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
     study = truncation_rate_study(
