@@ -11,7 +11,7 @@ import numpy as np
 
 import riskquad as rq
 
-mesh = rq.build_mesh(40, 20, 2.0, 1.0)
+mesh = rq.Mesh(40, 20, 2.0, 1.0)
 gf = rq.field_on_mesh(mesh, kappa=2e-2, alpha=4.0)
 
 print("three realizations at full covariance:")

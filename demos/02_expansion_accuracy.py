@@ -11,7 +11,7 @@ import numpy as np
 import riskquad as rq
 from riskquad.ouu import truncation_rate_study
 
-mesh = rq.build_mesh(20, 10, 2.0, 1.0)
+mesh = rq.Mesh(20, 10, 2.0, 1.0)
 problem = rq.PoissonFlowProblem(mesh, wells=rq.WellConfig(sigma=0.1))
 gf = rq.GaussianField(problem.space, 2e-2, 4.0)
 z = np.full(problem.n_controls, 4.0)

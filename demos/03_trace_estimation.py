@@ -13,7 +13,7 @@ import numpy as np
 import riskquad as rq
 from riskquad.surrogate import estimate_traces
 
-mesh = rq.build_mesh(8, 4, 2.0, 1.0)
+mesh = rq.Mesh(8, 4, 2.0, 1.0)
 problem = rq.PoissonFlowProblem(mesh, wells=rq.WellConfig(sigma=0.2))
 gf = rq.GaussianField(problem.space, 2e-2, 4.0)
 surr = problem.surrogate(np.full(problem.n_controls, 4.0))

@@ -11,7 +11,7 @@ import numpy as np
 
 import riskquad as rq
 
-mesh = rq.build_mesh(24, 12, 2.0, 1.0)
+mesh = rq.Mesh(24, 12, 2.0, 1.0)
 problem = rq.PoissonFlowProblem(mesh, wells=rq.WellConfig(sigma=0.08))
 gf = rq.GaussianField(problem.space, 2e-2, 4.0)
 cfg = rq.OuuConfig(beta=1.0, gamma=1e-5, n_tr=10,

@@ -16,7 +16,6 @@ from .fem import (
     SpdSolver,
     assemble_mass,
     assemble_weighted_stiffness,
-    build_mesh,
 )
 from .random_field import (
     EigenBasis,

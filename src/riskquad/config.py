@@ -12,12 +12,12 @@ output exists.  Only the checks between fields are written by hand: the
 beta schedule is ascending and ends at beta, z0 lies in the box, the eps
 values are distinct, bump centers pair with amplitudes (a constant mean
 has neither), there is one target per production well, and an eigenbasis
-n_tr fits the mesh (``check_eigenbasis_size``); ``resolve_config`` also
-refuses a semilinear mesh extent, mean, wells or z0 other than the profile's.
-The ``ouu`` section is the runtime ``OuuConfig`` itself; its ``seed`` is
-not a key of its own but the root ``seed``, which seeds the field draws
-and the trace probes alike.  The ``wells`` section is the flow problem's
-``WellConfig`` itself.  ``build_setup`` builds every run.
+n_tr fits the mesh (``check_eigenbasis_size``); a semilinear config may not
+set a mesh extent, mean, wells or z0 that its profile does not.  The ``mesh``
+section is ``fem.Mesh`` itself, and the ``wells`` section the flow problem's
+``WellConfig``.  The ``ouu`` section is the runtime ``OuuConfig`` itself; its
+``seed`` is not a key of its own but the root ``seed``, which seeds the field
+draws and the trace probes alike.  ``build_setup`` builds every run.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (COUNT, INTEGER, NATURAL, NONNEGATIVE, POSITIVE, REAL,
                      ConfigError, check_settings, choice, kind, list_of, setting)
-from .fem import build_mesh
+from .fem import Mesh
 from .ouu import OuuConfig
 from .poisson import PoissonFlowProblem, WellConfig
 from .random_field import GaussianField
@@ -39,17 +39,6 @@ from .semilinear import SemilinearProblem
 
 REALS = list_of(REAL)
 POINT = kind(lambda v: len(v) == 2, "{key}: {v!r} is not an (x, y) pair", REALS)
-
-
-@dataclass
-class MeshSpec:
-    nx: int = setting(COUNT, 79)
-    ny: int = setting(COUNT, 39)
-    lx: float = setting(POSITIVE, 2.0)
-    ly: float = setting(POSITIVE, 1.0)
-
-    def __post_init__(self):
-        check_settings(self)
 
 
 @dataclass
@@ -115,16 +104,15 @@ class ExperimentSpec:
 
 
 def check_eigenbasis_size(mesh, key, n_trs):
-    """An eigenbasis has at most one vector per node of ``mesh``, a MeshSpec."""
-    nodes = (mesh.nx + 1) * (mesh.ny + 1)
-    if max(n_trs, default=0) > nodes:
-        raise ConfigError(f"{key}: {max(n_trs)} exceeds the {nodes} mesh nodes "
-                          "of an eigenbasis")
+    """An eigenbasis has at most one vector per node of ``mesh``."""
+    if max(n_trs, default=0) > mesh.n_nodes:
+        raise ConfigError(f"{key}: {max(n_trs)} exceeds the {mesh.n_nodes} mesh "
+                          "nodes of an eigenbasis")
 
 
 @dataclass
 class RunConfig:
-    mesh: MeshSpec = field(default_factory=MeshSpec)
+    mesh: Mesh = field(default_factory=Mesh)
     random_field: FieldSpec = field(default_factory=FieldSpec)
     wells: WellConfig = field(default_factory=WellConfig)
     ouu: OuuConfig = field(default_factory=OuuConfig)
@@ -162,10 +150,24 @@ def _from_dict(cls, data, path=""):
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
+def _reject_unread(cfg, base):
+    """``cfg``, unless it is semilinear and sets a mesh extent, mean, wells or
+    z0 that the profile mapping ``base`` does not: that problem reads none."""
+    if cfg.experiment.problem == "semilinear":
+        base = _from_dict(RunConfig, base)
+        changed = [key for key in ("mesh.lx", "mesh.ly", "random_field.mean",
+                                   "wells", "ouu.z0")
+                   if attrgetter(key)(cfg) != attrgetter(key)(base)]
+        if changed:
+            raise ConfigError(
+                f"the semilinear problem does not read {', '.join(changed)}")
+    return cfg
+
+
 def config_from_dict(data):
     """Strictly parse a nested mapping into a RunConfig; a value that its
-    section rejects is a ConfigError."""
-    return _from_dict(RunConfig, data)
+    section rejects, or a semilinear setting it does not read, is a ConfigError."""
+    return _reject_unread(_from_dict(RunConfig, data), PROFILES["paper_section6"])
 
 
 def config_to_dict(cfg):
@@ -179,9 +181,12 @@ def config_to_dict(cfg):
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return data
 
 
 PROFILES = {
@@ -225,18 +230,7 @@ def resolve_config(profile=None, config_path=None, overrides=None):
         data = _merge(data, _read_json(config_path))
     if overrides:
         data = _merge(data, overrides)
-    cfg = config_from_dict(data)
-    if cfg.experiment.problem == "semilinear":
-        # the problem meshes the unit square with a zero-mean flux, no wells
-        # and a unit source; a run rejects each of those settings not the profile's
-        base = config_from_dict(PROFILES[profile])
-        changed = [key for key in ("mesh.lx", "mesh.ly", "random_field.mean",
-                                   "wells", "ouu.z0")
-                   if attrgetter(key)(cfg) != attrgetter(key)(base)]
-        if changed:
-            raise ConfigError(
-                f"the semilinear problem does not read {', '.join(changed)}")
-    return cfg
+    return _reject_unread(_from_dict(RunConfig, data), PROFILES[profile])
 
 
 # -- builders -------------------------------------------------------------------
@@ -260,17 +254,16 @@ def build_ouu_config(ouu, seed):
 
 def build_setup(cfg):
     """Mesh, Gaussian field, and the problem ``experiment.problem`` names:
-    the flow problem, its field about the configured mean, or the
-    semilinear one on the unit square, its field the flux on the trace."""
+    the flow problem on ``cfg.mesh``, its field about the configured mean, or
+    the semilinear one on the unit square, its field the flux on the trace."""
     if cfg.experiment.problem == "semilinear":
-        mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, 1.0, 1.0)
+        mesh = Mesh(cfg.mesh.nx, cfg.mesh.ny, 1.0, 1.0)
         problem = SemilinearProblem(mesh, c=cfg.experiment.semilinear_c)
         gf = GaussianField(problem.trace_space, cfg.random_field.kappa,
                            cfg.random_field.alpha)
         return mesh, gf, problem
-    mesh = build_mesh(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.lx, cfg.mesh.ly)
-    mean = build_mean_field(mesh, cfg.random_field.mean)
-    problem = PoissonFlowProblem(mesh, wells=cfg.wells, mean=mean)
+    mean = build_mean_field(cfg.mesh, cfg.random_field.mean)
+    problem = PoissonFlowProblem(cfg.mesh, wells=cfg.wells, mean=mean)
     gf = GaussianField(problem.space, cfg.random_field.kappa,
                        cfg.random_field.alpha, mean=mean)
-    return mesh, gf, problem
+    return cfg.mesh, gf, problem

@@ -27,19 +27,21 @@ tables are shared and every loop is vectorized over elements.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky_banded, eigh, get_lapack_funcs
 
-from .errors import NumericalError
+from .errors import COUNT, POSITIVE, NumericalError, check_settings, setting
 
 PAIR_CHUNK = 256  # elements per chunk of the products in _pair_sums
 UPPER_MIN_COLUMNS = 8  # narrowest block solved on the upper-storage copy
 _PBTRS = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
+@dataclass
 class Mesh:
     """Uniform nx-by-ny grid of rectangular Q1 elements on (0,lx) x (0,ly).
 
@@ -54,17 +56,19 @@ class Mesh:
     where the native order already runs along the shorter side.
     ``dirichlet_nodes`` and ``band_order`` are read-only, as are the CSR
     index arrays that every matrix assembled on the mesh shares, since
-    ``band_plan`` is built from them once.
+    ``band_plan`` is built from them once.  Each key is checked by kind when
+    the mesh is built; ``Mesh()``, the canonical mesh, is the config default.
     """
 
-    def __init__(self, nx, ny, lx, ly):
-        if nx < 1 or ny < 1:
-            raise ValueError("mesh needs at least one element per axis")
-        if lx <= 0.0 or ly <= 0.0:
-            raise ValueError("domain extents must be positive")
+    nx: int = setting(COUNT, 79)
+    ny: int = setting(COUNT, 39)
+    lx: float = setting(POSITIVE, 2.0)
+    ly: float = setting(POSITIVE, 1.0)
 
-        self.nx, self.ny = int(nx), int(ny)
-        self.lx, self.ly = float(lx), float(ly)
+    def __post_init__(self):
+        check_settings(self)
+        self.nx, self.ny = int(self.nx), int(self.ny)
+        self.lx, self.ly = float(self.lx), float(self.ly)
         self.hx = self.lx / self.nx
         self.hy = self.ly / self.ny
 
@@ -210,11 +214,6 @@ class Mesh:
         """Nodal field -> gradient components at Gauss points, (gx, gy)."""
         uc = np.take(u, self.conn, axis=0)
         return uc @ self.dphx.T, uc @ self.dphy.T
-
-
-def build_mesh(nx, ny, lx, ly):
-    """Build a structured rectangle mesh."""
-    return Mesh(nx, ny, lx, ly)
 
 
 # -- assembly ---------------------------------------------------------------

@@ -75,6 +75,12 @@ class OuuConfig:
         self.beta_schedule = sched
 
 
+def _check_anchor(problem, gf):
+    """The expansions' moments hold only for a field centred at the anchor."""
+    if not np.allclose(problem.mean, gf.mean, atol=1e-12):
+        raise ValueError("expansion anchor must match the field mean")
+
+
 @dataclass
 class OuuState:
     """What the gradient cascade reuses from one objective evaluation; the
@@ -99,7 +105,8 @@ class RiskAverseObjective:
     two anchor solves per step and no covariance or mass solve; these ticks
     reach the problem's counter but no report's ``pde_solves``).
     Objective and gradient apply the incremental kernel to the whole probe
-    block at once.
+    block at once.  A field not centred at the problem's anchor raises
+    ``ValueError`` before any solve.
     """
 
     def __init__(self, problem, gf, cfg, nominal_control=None):
@@ -107,6 +114,7 @@ class RiskAverseObjective:
         self.gf = gf
         self.cfg = cfg
         self.beta = cfg.beta
+        _check_anchor(problem, gf)
         if cfg.n_tr == 0:
             self.probes, self.weight = np.empty((0, problem.mesh.n_nodes)), 0.0
             return
@@ -443,8 +451,7 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0):
         raise ValueError("eps values must be positive")
     if len(set(eps)) < 2:
         raise ValueError("need at least two distinct eps values to fit a rate")
-    if not np.allclose(problem.mean, gf.mean, atol=1e-12):
-        raise ValueError("expansion anchor must match the field mean")
+    _check_anchor(problem, gf)
     theta_bar = problem.objective(z)
     first = evaluate_true_risk(problem, gf.scaled(eps[0]), z, n_mc, seed)
     err_lin, err_quad = [], []

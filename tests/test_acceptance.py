@@ -35,7 +35,7 @@ def test_criterion_1_derivative_tower():
     ok = all(err <= tol for _, err, tol in results)
 
     # second-order decay of the finite-difference error in h
-    mesh = rq.build_mesh(16, 8, 2.0, 1.0)
+    mesh = rq.Mesh(16, 8, 2.0, 1.0)
     problem = rq.PoissonFlowProblem(mesh, wells=rq.WellConfig(sigma=0.1))
     gf = rq.GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
@@ -70,7 +70,7 @@ def test_criterion_1_derivative_tower():
 
 @pytest.fixture(scope="module")
 def dense_setup():
-    mesh = rq.build_mesh(6, 3, 2.0, 1.0)
+    mesh = rq.Mesh(6, 3, 2.0, 1.0)
     problem = rq.PoissonFlowProblem(mesh, wells=rq.WellConfig(sigma=0.3))
     gf = rq.GaussianField(problem.space, 2e-2, 4.0)
     surr = problem.surrogate(np.full(problem.n_controls, 4.0))
@@ -149,7 +149,7 @@ def test_criterion_3_trace_unbiasedness(dense_setup):
 @pytest.mark.slow
 def test_criterion_4_truncation_rates():
     t0 = time.time()
-    mesh = rq.build_mesh(40, 20, 2.0, 1.0)
+    mesh = rq.Mesh(40, 20, 2.0, 1.0)
     problem = rq.PoissonFlowProblem(mesh, wells=rq.WellConfig(sigma=0.05))
     gf = rq.GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
@@ -174,7 +174,7 @@ def test_criterion_4_truncation_rates():
 
 
 def test_criterion_5_quadratic_exact_for_c_zero():
-    mesh = rq.build_mesh(12, 12, 1.0, 1.0)
+    mesh = rq.Mesh(12, 12, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=0.0)
     gf = GaussianField(problem.trace_space, 5e-2, 2.0)
     z = np.ones(mesh.n_nodes)
@@ -196,7 +196,7 @@ def test_criterion_5_quadratic_exact_for_c_zero():
 
 
 def test_criterion_6_solve_accounting():
-    mesh = rq.build_mesh(12, 6, 2.0, 1.0)
+    mesh = rq.Mesh(12, 6, 2.0, 1.0)
     problem = rq.PoissonFlowProblem(mesh, wells=rq.WellConfig(sigma=0.12))
     gf = rq.GaussianField(problem.space, 2e-2, 4.0)
     ok = True
@@ -225,7 +225,7 @@ def test_criterion_6_solve_accounting():
 
 @pytest.fixture(scope="module")
 def canonical():
-    mesh = rq.build_mesh(79, 39, 2.0, 1.0)
+    mesh = rq.Mesh(79, 39, 2.0, 1.0)
     problem = rq.PoissonFlowProblem(mesh)
     gf = rq.GaussianField(problem.space, 2e-2, 4.0)
     cfg = rq.OuuConfig(

@@ -14,7 +14,7 @@ from riskquad.config import (
     resolve_config,
 )
 from riskquad.errors import ConfigError
-from riskquad.fem import build_mesh
+from riskquad.fem import Mesh
 from riskquad.poisson import (PoissonFlowProblem, WellConfig, grid_points,
                               parabolic_target_profile)
 
@@ -59,7 +59,9 @@ def test_config_round_trip():
 
 def test_canonical_profile_defaults():
     cfg = resolve_config("paper_section6")
-    assert (cfg.mesh.nx, cfg.mesh.ny) == (79, 39)
+    assert type(cfg.mesh) is Mesh and cfg.mesh == Mesh() == RunConfig().mesh
+    assert (cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.n_nodes) == (79, 39, 80 * 40)
+    assert (cfg.mesh.node_x.max(), cfg.mesh.node_y.max()) == (2.0, 1.0)
     assert cfg.random_field.kappa == pytest.approx(2e-2)
     assert cfg.random_field.alpha == pytest.approx(4.0)
     assert cfg.ouu.gamma == pytest.approx(1e-5)
@@ -593,7 +595,6 @@ def test_semilinear_truncation_study_accepts_profile_settings(tmp_path):
 def test_semilinear_sample_field_draws_the_neumann_flux(tmp_path):
     # the semilinear field is the flux on the bottom, then the top side of
     # the unit square, not the flow problem's volume field
-    from riskquad.fem import build_mesh
     from riskquad.semilinear import SemilinearProblem
 
     data = {"experiment": {"problem": "semilinear", "sample_eps": 0.0}}
@@ -602,7 +603,7 @@ def test_semilinear_sample_field_draws_the_neumann_flux(tmp_path):
             "--out", str(out)]
     assert main(args + ["sample-field"]) == 0
     _, rows, _ = read_csv(out / "field_samples.csv")
-    mesh = build_mesh(20, 10, 1.0, 1.0)
+    mesh = Mesh(20, 10, 1.0, 1.0)
     nodes = SemilinearProblem(mesh).trace_space.node_index
     assert len(rows) == len(nodes) == 42
     values = np.array(rows, dtype=float)
@@ -636,10 +637,9 @@ def test_sample_field_reproducible_and_mean_at_zero_eps(tmp_path):
 
 def test_sample_statistics_match_covariance_diagonal(tmp_path):
     # nodal variance of many draws agrees with the dense covariance diagonal
-    from riskquad.fem import build_mesh
     from riskquad.random_field import GaussianField, volume_space
 
-    mesh = build_mesh(3, 2, 2.0, 1.0)
+    mesh = Mesh(3, 2, 2.0, 1.0)
     space = volume_space(mesh)
     gf = GaussianField(space, 2e-2, 4.0)
     draws = gf.sample_batch(10_000, seed=0) - gf.mean[:, None]
@@ -757,7 +757,7 @@ def test_config_wells_section_reaches_the_flow_problem():
 
 def test_config_and_flow_problem_default_to_the_canonical_layout():
     config_wells = RunConfig().wells
-    problem_wells = PoissonFlowProblem(build_mesh(40, 20, 2.0, 1.0)).wells
+    problem_wells = PoissonFlowProblem(Mesh(40, 20, 2.0, 1.0)).wells
     assert type(config_wells) is type(problem_wells) is WellConfig
     assert config_wells == problem_wells
     control = grid_points([1 / 3, 2 / 3, 1.0, 4 / 3, 5 / 3], [0.2, 0.4, 0.6, 0.8])
@@ -768,3 +768,32 @@ def test_config_and_flow_problem_default_to_the_canonical_layout():
         assert np.array_equal(wells.production_points, production)
         assert np.array_equal(wells.target_values,
                               parabolic_target_profile(production))
+
+
+def test_flow_setup_is_on_the_config_mesh_and_semilinear_on_the_unit_square():
+    flow = config_from_dict({"mesh": {"nx": 8, "ny": 4}, "wells": {"sigma": 0.15}})
+    mesh, _, problem = build_setup(flow)
+    assert mesh is problem.mesh is flow.mesh
+    semilinear = config_from_dict({"mesh": {"nx": 8, "ny": 4},
+                                   "experiment": {"problem": "semilinear"}})
+    mesh, _, problem = build_setup(semilinear)
+    assert problem.mesh is mesh and mesh == Mesh(8, 4, 1.0, 1.0)
+    assert (mesh.node_x.max(), mesh.node_y.max()) == (1.0, 1.0)
+
+
+def test_semilinear_config_rejects_unread_settings_for_a_library_caller():
+    # the semilinear problem meshes the unit square, so mesh.lx is not read
+    with pytest.raises(ConfigError, match="does not read mesh.lx"):
+        config_from_dict({"experiment": {"problem": "semilinear"},
+                          "mesh": {"lx": 3.0}})
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null", "3"])
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "sample-field"]) == 2
+    assert ("config error: config file must hold a JSON object"
+            in capsys.readouterr().err)
+    assert not out.exists()

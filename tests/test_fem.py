@@ -11,13 +11,13 @@ from riskquad.errors import NumericalError
 from riskquad.fem import (
     UPPER_MIN_COLUMNS,
     FastDiagonalization,
+    Mesh,
     SolveCounter,
     SpdSolver,
     assemble_coupling,
     assemble_mass,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
-    build_mesh,
     grad_dot_load,
     interp_dot,
     mass_matrix_1d,
@@ -36,20 +36,20 @@ from riskquad.semilinear import SemilinearProblem
 
 
 def test_canonical_mesh_counts():
-    mesh = build_mesh(79, 39, 2.0, 1.0)
+    mesh = Mesh(79, 39, 2.0, 1.0)
     assert mesh.n_elems == 3081
     assert mesh.n_nodes == 3200
 
 
 def test_smallest_mesh():
-    mesh = build_mesh(1, 1, 1.0, 1.0)
+    mesh = Mesh(1, 1, 1.0, 1.0)
     assert mesh.n_nodes == 4
     assert mesh.n_elems == 1
     assert len(mesh.dirichlet_nodes) == 4
 
 
 def test_4x2_boundary_tags_by_hand():
-    mesh = build_mesh(4, 2, 2.0, 1.0)
+    mesh = Mesh(4, 2, 2.0, 1.0)
     assert mesh.n_nodes == 15
     assert mesh.n_elems == 8
     # hand enumeration of the 4x2 grid: node (i, j) has index 5j + i
@@ -65,49 +65,59 @@ def test_4x2_boundary_tags_by_hand():
 
 def test_zero_element_count_rejected():
     with pytest.raises(ValueError):
-        build_mesh(0, 3, 1.0, 1.0)
+        Mesh(0, 3, 1.0, 1.0)
     with pytest.raises(ValueError):
-        build_mesh(3, 3, 0.0, 1.0)
+        Mesh(3, 3, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("args,key", [
+    ((4.7, 2, 2.0, 1.0), "nx"), ((4, 2, float("nan"), 1.0), "lx"),
+    ((4, 2, float("inf"), 1.0), "lx"), ((True, 2, 2.0, 1.0), "nx"),
+], ids=["fractional nx", "nan lx", "infinite lx", "boolean nx"])
+def test_mesh_rejects_a_bad_key_by_name(args, key):
+    # a library caller gets the same check as a config file's mesh section
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        Mesh(*args)
 
 
 @pytest.mark.parametrize("nx,ny,lx,ly,area", [(5, 7, 1.0, 1.0, 1.0), (8, 4, 2.0, 1.0, 2.0)])
 def test_mass_integrates_constants(nx, ny, lx, ly, area):
-    mesh = build_mesh(nx, ny, lx, ly)
+    mesh = Mesh(nx, ny, lx, ly)
     M = assemble_mass(mesh)
     ones = np.ones(mesh.n_nodes)
     assert ones @ (M @ ones) == pytest.approx(area, rel=1e-13)
 
 
 def test_mass_integrates_linear_field_exactly():
-    mesh = build_mesh(6, 5, 1.0, 1.0)
+    mesh = Mesh(6, 5, 1.0, 1.0)
     M = assemble_mass(mesh)
     f = mesh.node_x
     assert f @ (M @ np.ones(mesh.n_nodes)) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_stiffness_constants_in_kernel():
-    mesh = build_mesh(5, 4, 2.0, 1.0)
+    mesh = Mesh(5, 4, 2.0, 1.0)
     rng = np.random.default_rng(0)
     K = assemble_weighted_stiffness(mesh, rng.standard_normal(mesh.n_nodes))
     assert np.abs(K @ np.ones(mesh.n_nodes)).max() < 1e-12 * np.abs(K.data).max()
 
 
 def test_stiffness_dirichlet_energy_of_x():
-    mesh = build_mesh(4, 4, 1.0, 1.0)
+    mesh = Mesh(4, 4, 1.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     u = mesh.node_x
     assert u @ (K @ u) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_constant_coefficient_factors_out():
-    mesh = build_mesh(3, 3, 1.0, 1.0)
+    mesh = Mesh(3, 3, 1.0, 1.0)
     K0 = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     K2 = assemble_weighted_stiffness(mesh, np.full(mesh.n_nodes, np.log(2.0)))
     assert abs(K2 - 2.0 * K0).max() < 1e-12 * abs(K0).max()
 
 
 def test_stiffness_symmetry():
-    mesh = build_mesh(9, 6, 2.0, 1.0)
+    mesh = Mesh(9, 6, 2.0, 1.0)
     rng = np.random.default_rng(1)
     K = assemble_weighted_stiffness(mesh, 0.5 * rng.standard_normal(mesh.n_nodes))
     asym = abs(K - K.T).max()
@@ -115,7 +125,7 @@ def test_stiffness_symmetry():
 
 
 def test_nonfinite_coefficient_rejected():
-    mesh = build_mesh(2, 2, 1.0, 1.0)
+    mesh = Mesh(2, 2, 1.0, 1.0)
     m = np.zeros(mesh.n_nodes)
     m[3] = np.nan
     with pytest.raises(ValueError):
@@ -123,7 +133,7 @@ def test_nonfinite_coefficient_rejected():
 
 
 def test_constrained_operator_positive_definite():
-    mesh = build_mesh(6, 4, 2.0, 1.0)
+    mesh = Mesh(6, 4, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     solver = SpdSolver(mesh, K)
     Kc = solver.constrained
@@ -133,7 +143,7 @@ def test_constrained_operator_positive_definite():
 
 
 def test_harmonic_profile_exact():
-    mesh = build_mesh(8, 5, 2.0, 1.0)
+    mesh = Mesh(8, 5, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     bc = np.where(np.isclose(mesh.node_x[mesh.dirichlet_nodes], 0.0), 1.0, 0.0)
     u = SpdSolver(mesh, K).solve(np.zeros(mesh.n_nodes), bc)
@@ -141,7 +151,7 @@ def test_harmonic_profile_exact():
 
 
 def test_zero_rhs_homogeneous_bc():
-    mesh = build_mesh(4, 4, 1.0, 1.0)
+    mesh = Mesh(4, 4, 1.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     u = SpdSolver(mesh, K).solve(np.zeros(mesh.n_nodes), 0.0)
     assert np.abs(u).max() == 0.0
@@ -149,7 +159,7 @@ def test_zero_rhs_homogeneous_bc():
 
 def _manufactured_l2_error(n):
     # u* = sin(pi x) cos(pi y): zero on left/right, natural on top/bottom
-    mesh = build_mesh(n, n, 1.0, 1.0)
+    mesh = Mesh(n, n, 1.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     M = assemble_mass(mesh)
     exact = np.sin(np.pi * mesh.node_x) * np.cos(np.pi * mesh.node_y)
@@ -166,7 +176,7 @@ def test_manufactured_solution_second_order():
 
 
 def test_dirichlet_lift_residual_contract():
-    mesh = build_mesh(7, 3, 2.0, 1.0)
+    mesh = Mesh(7, 3, 2.0, 1.0)
     rng = np.random.default_rng(5)
     m = 0.3 * rng.standard_normal(mesh.n_nodes)
     K = assemble_weighted_stiffness(mesh, m)
@@ -181,7 +191,7 @@ def test_dirichlet_lift_residual_contract():
 
 
 def test_unreachable_tolerance_raises_with_residual():
-    mesh = build_mesh(4, 4, 1.0, 1.0)
+    mesh = Mesh(4, 4, 1.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     # no solve meets this tolerance, so the residual check must reject it
     solver = SpdSolver(mesh, K)
@@ -205,7 +215,7 @@ def test_one_dimensional_operators():
 
 
 def test_mass_cholesky_exact():
-    mesh = build_mesh(11, 7, 2.0, 1.0)
+    mesh = Mesh(11, 7, 2.0, 1.0)
     M = assemble_mass(mesh)
     L = volume_space(mesh).sqrt_mass
     assert abs(L @ L.T - M).max() < 1e-15
@@ -232,7 +242,7 @@ def _assert_matches_spsolve(mesh, op, rhs, bc):
 
 
 def test_banded_cholesky_matches_spsolve_per_draw_operators():
-    mesh = build_mesh(79, 39, 2.0, 1.0)
+    mesh = Mesh(79, 39, 2.0, 1.0)
     gf = field_on_mesh(mesh, 2e-2, 4.0)
     draws = gf.sample_batch(3, seed=11)
     rng = np.random.default_rng(4)
@@ -248,8 +258,8 @@ def test_banded_cholesky_matches_spsolve_per_draw_operators():
 # the same domain and element sizes with the long side along x (numbered
 # in band order) and along y (native order is already the band order)
 BAND_MESHES = {
-    "band order": lambda: build_mesh(12, 6, 2.0, 1.0),
-    "native order": lambda: build_mesh(6, 12, 1.0, 2.0),
+    "band order": lambda: Mesh(12, 6, 2.0, 1.0),
+    "native order": lambda: Mesh(6, 12, 1.0, 2.0),
 }
 
 
@@ -259,7 +269,7 @@ def test_band_order_matches_native_order():
 
     # the 79x39 mesh is factorized in band order, its 39x79 transpose in
     # native order; both have bandwidth 41
-    for mesh in (build_mesh(79, 39, 2.0, 1.0), build_mesh(39, 79, 1.0, 2.0)):
+    for mesh in (Mesh(79, 39, 2.0, 1.0), Mesh(39, 79, 1.0, 2.0)):
         native = np.array_equal(mesh.band_order, np.arange(mesh.n_nodes))
         assert native == (mesh.nx <= mesh.ny)
         gf = field_on_mesh(mesh, 2e-2, 4.0)
@@ -282,7 +292,7 @@ def test_band_order_matches_native_order():
 
 
 def test_indefinite_operator_raises():
-    for mesh in (build_mesh(6, 4, 2.0, 1.0), build_mesh(4, 6, 1.0, 2.0)):
+    for mesh in (Mesh(6, 4, 2.0, 1.0), Mesh(4, 6, 1.0, 2.0)):
         K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
         # K - 50 M on the mesh's pattern; the shift lies inside the spectrum
         # of K v = lambda M v
@@ -321,7 +331,7 @@ def test_shared_plan_matches_fresh_solver(order_name):
 
 
 def test_indefinite_operator_raises_through_shared_plan():
-    mesh = build_mesh(6, 4, 2.0, 1.0)
+    mesh = Mesh(6, 4, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     anchor = SpdSolver(mesh, K)
     shifted = _on_pattern(mesh, K.data - 50.0 * assemble_mass(mesh).data)
@@ -335,11 +345,11 @@ def test_indefinite_operator_raises_through_shared_plan():
 
 def test_plan_not_reused_for_another_pattern():
     # an operator that is not on the mesh's read-only CSR pattern is refused
-    mesh = build_mesh(12, 6, 2.0, 1.0)
+    mesh = Mesh(12, 6, 2.0, 1.0)
     m = np.random.default_rng(22).standard_normal(mesh.n_nodes)
     K = assemble_weighted_stiffness(mesh, m)
-    twin = build_mesh(12, 6, 2.0, 1.0)
-    other = build_mesh(10, 6, 2.0, 1.0)
+    twin = Mesh(12, 6, 2.0, 1.0)
+    other = Mesh(10, 6, 2.0, 1.0)
     others = [
         assemble_weighted_stiffness(twin, m),
         sp.csr_matrix((K.data, K.indices.copy(), K.indptr.copy()), shape=K.shape),
@@ -355,7 +365,7 @@ def test_plan_not_reused_for_another_pattern():
 
 
 def test_dirichlet_nodes_are_read_only():
-    mesh = build_mesh(12, 6, 2.0, 1.0)
+    mesh = Mesh(12, 6, 2.0, 1.0)
     with pytest.raises(ValueError):
         mesh.dirichlet_nodes[0] = 1
     with pytest.raises(ValueError):
@@ -366,7 +376,7 @@ def test_per_draw_solvers_share_the_anchor_plan():
     # a variable anchor and every draw are factorized on the mesh's one band
     # plan; the default constant anchor is solved by the fast backend and
     # builds none
-    mesh = build_mesh(12, 6, 2.0, 1.0)
+    mesh = Mesh(12, 6, 2.0, 1.0)
     wells = WellConfig(sigma=0.12)
     problem = PoissonFlowProblem(mesh, wells=wells)
     assert isinstance(problem.anchor_solver.fast, FastDiagonalization)
@@ -388,8 +398,8 @@ def _constant_stiffness_solver(mesh, c, counter=None):
 
 # the canonical mesh (band order) and one with nx <= ny (native order)
 CONSTANT_MESHES = {
-    "79x39": lambda: build_mesh(79, 39, 2.0, 1.0),
-    "6x12": lambda: build_mesh(6, 12, 1.0, 2.0),
+    "79x39": lambda: Mesh(79, 39, 2.0, 1.0),
+    "6x12": lambda: Mesh(6, 12, 1.0, 2.0),
 }
 
 
@@ -457,7 +467,7 @@ def test_constant_stiffness_column_bits_do_not_depend_on_block_width(mesh_name):
 
 def test_constant_stiffness_solver_without_interior_x_nodes():
     # with one element along x every node is pinned
-    mesh = build_mesh(1, 5, 0.5, 1.0)
+    mesh = Mesh(1, 5, 0.5, 1.0)
     m = np.full(mesh.n_nodes, 0.7)
     counter = SolveCounter()
     solver = _constant_stiffness_solver(mesh, 0.7, counter)
@@ -475,7 +485,7 @@ def test_constant_stiffness_solver_rejects_a_variable_field():
     # the fast backend of a constant field, given the stiffness of a variable
     # log coefficient, fails the residual check; a non-finite field is
     # refused when the stiffness is assembled
-    mesh = build_mesh(6, 4, 2.0, 1.0)
+    mesh = Mesh(6, 4, 2.0, 1.0)
     variable = SpdSolver(mesh, assemble_weighted_stiffness(mesh, 0.1 * mesh.node_x),
                          fast=(mesh.free_basis, 1.0, 0.0))
     c = np.random.default_rng(48).standard_normal((mesh.n_nodes, 3))
@@ -488,7 +498,7 @@ def test_constant_stiffness_solver_rejects_a_variable_field():
 
 
 def test_solve_many_checks_and_counts_every_column():
-    mesh = build_mesh(7, 3, 2.0, 1.0)
+    mesh = Mesh(7, 3, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     counter = SolveCounter()
     solver = SpdSolver(mesh, K, counter)
@@ -501,7 +511,7 @@ def test_solve_many_checks_and_counts_every_column():
 
 
 def test_wide_block_on_upper_storage_matches_vector_solves():
-    mesh = build_mesh(79, 39, 2.0, 1.0)
+    mesh = Mesh(79, 39, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     counter = SolveCounter()
     solver = SpdSolver(mesh, K, counter)
@@ -574,7 +584,7 @@ def _separable(space, s, t):
                          ids=SEPARABLE_SHAPES.keys())
 def test_separable_solve_matches_spd_solver_and_keeps_inputs(space_name,
                                                              coefficients, shape):
-    space = SEPARABLE_SPACES[space_name](build_mesh(12, 6, 2.0, 1.0))
+    space = SEPARABLE_SPACES[space_name](Mesh(12, 6, 2.0, 1.0))
     op, solver = _separable(space, *coefficients)
     loads = np.random.default_rng(41).standard_normal((space.dim, *shape))
     kept = loads.copy()
@@ -587,7 +597,7 @@ def test_separable_solve_matches_spd_solver_and_keeps_inputs(space_name,
 
 @pytest.mark.parametrize("space_name", SEPARABLE_SPACES)
 def test_separable_column_bits_do_not_depend_on_block_width(space_name):
-    space = SEPARABLE_SPACES[space_name](build_mesh(20, 10, 2.0, 1.0))
+    space = SEPARABLE_SPACES[space_name](Mesh(20, 10, 2.0, 1.0))
     _, solver = _separable(space, 2e-2, 4.0)
     B = np.random.default_rng(43).standard_normal((space.dim, 515))
     X = solver.apply_inverse(B)
@@ -599,7 +609,7 @@ def test_separable_column_bits_do_not_depend_on_block_width(space_name):
 
 @pytest.mark.parametrize("space_name", SEPARABLE_SPACES)
 def test_basis_transforms_keep_column_bits_and_round_trip(space_name):
-    space = SEPARABLE_SPACES[space_name](build_mesh(20, 10, 2.0, 1.0))
+    space = SEPARABLE_SPACES[space_name](Mesh(20, 10, 2.0, 1.0))
     F = np.random.default_rng(44).standard_normal((space.dim, 41))
     for transform in (space.to_coefficients, space.to_fields):
         Y = transform(F)
@@ -615,7 +625,7 @@ def test_basis_transforms_keep_column_bits_and_round_trip(space_name):
 
 
 def test_separable_solve_rejects_inconsistent_operator_and_nan():
-    space = volume_space(build_mesh(8, 5, 2.0, 1.0))
+    space = volume_space(Mesh(8, 5, 2.0, 1.0))
     b = np.random.default_rng(47).standard_normal((space.dim, 3))
     wrong = SpdSolver(None, 1.001 * space.mass, fast=(space.basis, 0.0, 1.0))
     for load in (b, b[:, 0]):
@@ -630,12 +640,12 @@ def test_separable_solve_rejects_inconsistent_operator_and_nan():
 def test_every_library_solver_is_an_spd_solver_with_its_rtol():
     # mesh operators are checked at 1e-10, the field's covariance and mass
     # operators at 1e-12, all through the one class
-    mesh = build_mesh(12, 6, 2.0, 1.0)
+    mesh = Mesh(12, 6, 2.0, 1.0)
     wells = WellConfig(sigma=0.12)
     m = np.random.default_rng(25).standard_normal(mesh.n_nodes)
     constant = PoissonFlowProblem(mesh, wells=wells)
     variable = PoissonFlowProblem(mesh, wells=wells, mean=m)
-    flux = [SemilinearProblem(build_mesh(6, 6, 1.0, 1.0), c=c) for c in (0.0, 1.0)]
+    flux = [SemilinearProblem(Mesh(6, 6, 1.0, 1.0), c=c) for c in (0.0, 1.0)]
     u = np.random.default_rng(26).standard_normal(flux[0].mesh.n_nodes)
     on_mesh = [constant.anchor_solver, variable.anchor_solver, constant.solver_for(m)]
     on_mesh += [s for p in flux for s in (p._norm_solver, p._linearized_solver(u))]
@@ -650,7 +660,7 @@ def test_every_library_solver_is_an_spd_solver_with_its_rtol():
 
 
 def test_solve_many_bad_block_raises():
-    mesh = build_mesh(7, 3, 2.0, 1.0)
+    mesh = Mesh(7, 3, 2.0, 1.0)
     K = assemble_weighted_stiffness(mesh, np.zeros(mesh.n_nodes))
     counter = SolveCounter()
     B = np.random.default_rng(9).standard_normal((mesh.n_nodes, 3))
@@ -691,7 +701,7 @@ def _rel(a, b):
 
 @pytest.fixture(scope="module")
 def canonical_fields():
-    mesh = build_mesh(79, 39, 2.0, 1.0)
+    mesh = Mesh(79, 39, 2.0, 1.0)
     rng = np.random.default_rng(11)
     em = np.exp(mesh.interp_gauss(0.5 * rng.standard_normal(mesh.n_nodes)))
     u, p, zeta, w = rng.standard_normal((4, mesh.n_nodes))

@@ -7,7 +7,7 @@ import pytest
 from riskquad.checks import check_control_gradient
 from riskquad.cli import main as cli_main
 from riskquad.errors import NumericalError
-from riskquad.fem import build_mesh, grad_dot_load, weighted_stiffness_apply
+from riskquad.fem import Mesh, grad_dot_load, weighted_stiffness_apply
 from riskquad.ouu import (
     OuuConfig,
     RiskAverseObjective,
@@ -22,7 +22,7 @@ from riskquad.surrogate import DRAW_CHUNK, estimate_traces
 
 
 def make_setup(nx=12, ny=6, sigma=0.12):
-    mesh = build_mesh(nx, ny, 2.0, 1.0)
+    mesh = Mesh(nx, ny, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=sigma))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     return mesh, problem, gf
@@ -111,6 +111,18 @@ def test_solve_accounting_exact(setup, n_tr):
     assert state.report.pde_solves == 4 + 4 * n_tr
 
 
+@pytest.mark.parametrize("mode", ["randomized", "eigenbasis"])
+def test_objective_rejects_a_field_off_the_anchor_before_any_solve(setup, mode):
+    # the expansion moments hold only for a field centred at the anchor
+    _, problem, gf = setup
+    shifted = GaussianField(problem.space, 2e-2, 4.0, mean=problem.mean + 0.5)
+    cfg = OuuConfig(n_tr=3, trace_mode=mode, beta_schedule=(1.0,))
+    start = problem.counter.count
+    with pytest.raises(ValueError, match="anchor must match the field mean"):
+        RiskAverseObjective(problem, shifted, cfg, nominal_control=np.full(20, 4.0))
+    assert problem.counter.count == start
+
+
 @pytest.mark.parametrize("mode,n_tr", [("randomized", 5), ("eigenbasis", 3)])
 def test_evaluate_moments_match_estimate_traces(setup, mode, n_tr, monkeypatch):
     # the optimizer's moments are the ones the trace-estimation criteria
@@ -192,7 +204,7 @@ def zeroed_sources(problem):
 def test_objective_reduces_to_tracking_value_when_state_is_flat():
     # constant Dirichlet data and no sources: u == 1, so the expansion
     # gradient and every Hessian action vanish and J = theta + control cost
-    mesh = build_mesh(8, 4, 2.0, 1.0)
+    mesh = Mesh(8, 4, 2.0, 1.0)
     flat_targets = WellConfig(sigma=0.15, targets=[0.0] * 12)
     problem = zeroed_sources(PoissonFlowProblem(mesh, wells=flat_targets))
     problem.dirichlet_bc = np.ones_like(problem.dirichlet_bc)
@@ -209,7 +221,7 @@ def test_objective_reduces_to_tracking_value_when_state_is_flat():
 
 
 def test_gradient_is_control_cost_when_sources_vanish():
-    mesh = build_mesh(8, 4, 2.0, 1.0)
+    mesh = Mesh(8, 4, 2.0, 1.0)
     problem = zeroed_sources(
         PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.15))
     )

@@ -6,7 +6,7 @@ import pytest
 from riskquad import checks
 from riskquad.checks import check_gradient, check_hessian
 from riskquad.cli import main
-from riskquad.fem import build_mesh
+from riskquad.fem import Mesh
 from riskquad.poisson import (
     PoissonFlowProblem,
     WellConfig,
@@ -19,7 +19,7 @@ from riskquad.random_field import GaussianField, volume_space
 
 @pytest.fixture(scope="module")
 def small_problem():
-    mesh = build_mesh(16, 8, 2.0, 1.0)
+    mesh = Mesh(16, 8, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.1))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     return mesh, problem, gf
@@ -41,7 +41,7 @@ def test_parabolic_targets_formula():
 
 
 def test_wells_outside_domain_rejected():
-    mesh = build_mesh(4, 4, 2.0, 1.0)
+    mesh = Mesh(4, 4, 2.0, 1.0)
     bad = WellConfig(sigma=0.3, control_xs=[2.5], control_ys=[0.5],
                      production_xs=[1.0], production_ys=[0.5], targets=[1.0])
     with pytest.raises(ValueError):
@@ -51,7 +51,7 @@ def test_wells_outside_domain_rejected():
 def test_mollifier_unit_integral_and_resolution():
     # discrete normalization is exact; the analytic bump already integrates
     # to one within 2% on the canonical mesh
-    mesh = build_mesh(79, 39, 2.0, 1.0)
+    mesh = Mesh(79, 39, 2.0, 1.0)
     space = volume_space(mesh)
     pts = WellConfig().control_points
     sigma = 0.05
@@ -67,7 +67,7 @@ def test_mollifier_unit_integral_and_resolution():
 
 
 def test_unresolved_mollifier_rejected():
-    mesh = build_mesh(3, 2, 2.0, 1.0)
+    mesh = Mesh(3, 2, 2.0, 1.0)
     space = volume_space(mesh)
     # bump of radius 0.004 between nodes of a coarse grid touches no node
     with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ def test_state_harmonic_profile(small_problem):
 
 
 def test_state_symmetry_about_midline():
-    mesh = build_mesh(10, 8, 2.0, 1.0)
+    mesh = Mesh(10, 8, 2.0, 1.0)
     wells = WellConfig(sigma=0.2, control_xs=[1.0], control_ys=[0.5],
                        production_xs=[0.5], production_ys=[0.5], targets=[1.0])
     problem = PoissonFlowProblem(mesh, wells=wells)
@@ -204,7 +204,7 @@ def test_hessian_finite_difference(small_problem):
 def test_nan_derivative_fails_the_checks(monkeypatch, capsys, tmp_path):
     # max(0.0, nan) is 0.0, so a fold by max would pass a NaN gradient with
     # error 0; the checks return NaN and the command line exits 3
-    mesh = build_mesh(8, 4, 2.0, 1.0)
+    mesh = Mesh(8, 4, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.25))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from riskquad.errors import NumericalError
-from riskquad.fem import build_mesh
+from riskquad.fem import Mesh
 from riskquad.random_field import (
     COLOR_CHUNK,
     FieldSpace,
@@ -18,7 +18,7 @@ from riskquad.random_field import (
 
 @pytest.fixture(scope="module")
 def tiny():
-    mesh = build_mesh(3, 2, 2.0, 1.0)
+    mesh = Mesh(3, 2, 2.0, 1.0)
     space = volume_space(mesh)
     gf = GaussianField(space, 2e-2, 4.0)
     return mesh, space, gf
@@ -39,7 +39,7 @@ def test_apply_C_zero(tiny):
 
 def test_apply_C_identity_limit():
     # with kappa -> 0 and alpha = 1, A -> M and the covariance -> identity
-    mesh = build_mesh(2, 2, 1.0, 1.0)
+    mesh = Mesh(2, 2, 1.0, 1.0)
     space = volume_space(mesh)
     gf = GaussianField(space, 1e-8, 1.0)
     rng = np.random.default_rng(0)
@@ -76,7 +76,7 @@ def test_apply_C_matches_loads_action_on_mass_image(tiny):
 def test_covariance_actions_match_the_solve_oracles(make_space):
     # the diagonals in Phi against two checked solves with A around a mass
     # product, and against one solve for the square root
-    space = make_space(build_mesh(12, 6, 2.0, 1.0))
+    space = make_space(Mesh(12, 6, 2.0, 1.0))
     field = GaussianField(space, 2e-2, 4.0)
     rng = np.random.default_rng(5)
     for gf in (field, field.scaled(0.3)):
@@ -122,7 +122,7 @@ def test_sqrt_squares_to_C(tiny):
 
 
 def test_sample_zero_eps_is_exact_mean():
-    mesh = build_mesh(2, 2, 1.0, 1.0)
+    mesh = Mesh(2, 2, 1.0, 1.0)
     mean = np.linspace(-1.0, 1.0, mesh.n_nodes)
     gf = field_on_mesh(mesh, 1e-2, 2.0, mean=mean).scaled(0.0)
     assert np.array_equal(gf.sample(np.random.default_rng(0)), mean)
@@ -148,7 +148,7 @@ def test_sample_mean_matches(tiny):
 
 
 def test_chunked_draws_match_one_shot_coloring():
-    mesh = build_mesh(20, 10, 2.0, 1.0)
+    mesh = Mesh(20, 10, 2.0, 1.0)
     mean = np.sin(np.arange(mesh.n_nodes))
     gf = field_on_mesh(mesh, 2e-2, 4.0, mean=mean).scaled(1.7)
     n = 2 * COLOR_CHUNK + 3  # not a multiple of the chunk; a tail of 3 columns
@@ -274,7 +274,7 @@ def test_space_off_its_factors_is_numerical_error(tiny):
 @pytest.mark.parametrize("make_space", [volume_space, neumann_trace_space])
 def test_basis_is_m_orthonormal_and_diagonalizes_sqrt_C(make_space):
     # canonical 79x39 mesh and field, on a seeded block of Phi's columns
-    space = make_space(build_mesh(79, 39, 2.0, 1.0))
+    space = make_space(Mesh(79, 39, 2.0, 1.0))
     gf = GaussianField(space, 2e-2, 4.0).scaled(0.7)
     rng = np.random.default_rng(9)
     cols = rng.choice(space.dim, 40, replace=False)
@@ -316,7 +316,7 @@ def test_eigenpairs_m_orthonormal(tiny):
 def test_eigenpairs_flow_hessian_matches_dense():
     from riskquad.poisson import PoissonFlowProblem, WellConfig
 
-    mesh = build_mesh(5, 5, 1.0, 1.0)
+    mesh = Mesh(5, 5, 1.0, 1.0)
     wells = WellConfig(sigma=0.25, control_xs=[0.5], control_ys=[0.52],
                        production_xs=[0.3, 0.7], production_ys=[0.3, 0.7],
                        targets=[1.0] * 4)
@@ -416,7 +416,7 @@ def test_eigenpairs_no_convergence_is_numerical_error(tiny, monkeypatch):
 
 
 def test_invalid_parameters():
-    mesh = build_mesh(2, 2, 1.0, 1.0)
+    mesh = Mesh(2, 2, 1.0, 1.0)
     with pytest.raises(ValueError):
         field_on_mesh(mesh, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -430,7 +430,7 @@ def test_invalid_parameters():
 
 @pytest.mark.parametrize("nx, ny", [(11, 7), (5, 9), (1, 6)])
 def test_kronecker_factors_reproduce_assembled_matrices(nx, ny):
-    mesh = build_mesh(nx, ny, 2.0, 1.0)
+    mesh = Mesh(nx, ny, 2.0, 1.0)
     for space in (volume_space(mesh), neumann_trace_space(mesh)):
         (mass_x, stiff_x), (mass_y, stiff_y) = space.factors
         kron_mass = sp.kron(mass_y, mass_x)
@@ -442,7 +442,7 @@ def test_kronecker_factors_reproduce_assembled_matrices(nx, ny):
 
 
 def test_boundary_field_segments():
-    mesh = build_mesh(6, 4, 1.0, 1.0)
+    mesh = Mesh(6, 4, 1.0, 1.0)
     space = neumann_trace_space(mesh)
     # bottom and top sides, corners included on each segment
     assert space.dim == 2 * (mesh.nx + 1)

@@ -7,10 +7,10 @@ from riskquad.checks import check_gradient, check_hessian
 from riskquad.errors import NumericalError
 from riskquad.fem import (
     FastDiagonalization,
+    Mesh,
     SpdSolver,
     assemble_mass,
     assemble_weighted_mass,
-    build_mesh,
 )
 from riskquad.random_field import GaussianField
 from riskquad.semilinear import SemilinearProblem
@@ -18,14 +18,14 @@ from riskquad.semilinear import SemilinearProblem
 
 @pytest.fixture(scope="module")
 def setup():
-    mesh = build_mesh(12, 12, 1.0, 1.0)
+    mesh = Mesh(12, 12, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=1.0)
     gf = GaussianField(problem.trace_space, 5e-2, 2.0)
     return mesh, problem, gf
 
 
 def test_trivial_zero_state():
-    problem = SemilinearProblem(build_mesh(6, 6, 1.0, 1.0), c=0.0)
+    problem = SemilinearProblem(Mesh(6, 6, 1.0, 1.0), c=0.0)
     u, _, history = problem.solve_state(
         np.zeros(problem.mesh.n_nodes), np.zeros(problem.trace_space.dim)
     )
@@ -34,7 +34,7 @@ def test_trivial_zero_state():
 
 
 def test_c_zero_is_a_single_linear_solve():
-    problem = SemilinearProblem(build_mesh(8, 8, 1.0, 1.0), c=0.0)
+    problem = SemilinearProblem(Mesh(8, 8, 1.0, 1.0), c=0.0)
     rng = np.random.default_rng(0)
     z = rng.standard_normal(problem.mesh.n_nodes)
     start = problem.counter.count
@@ -50,7 +50,7 @@ def test_c_zero_newton_builds_no_band_factorization(monkeypatch):
     band_cholesky = SpdSolver._banded_cholesky
     monkeypatch.setattr(SpdSolver, "_banded_cholesky",
                         lambda s: factorizations.append(s) or band_cholesky(s))
-    problem = SemilinearProblem(build_mesh(8, 8, 1.0, 1.0), c=0.0)
+    problem = SemilinearProblem(Mesh(8, 8, 1.0, 1.0), c=0.0)
     rng = np.random.default_rng(1)
     z = rng.standard_normal(problem.mesh.n_nodes)
     for _ in range(3):
@@ -66,7 +66,7 @@ def test_c_zero_newton_builds_no_band_factorization(monkeypatch):
 
 def _manufactured_error(n):
     # u* = x(1-x): zero on the Dirichlet sides, zero flux top/bottom
-    mesh = build_mesh(n, n, 1.0, 1.0)
+    mesh = Mesh(n, n, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=1.0)
     exact = mesh.node_x * (1.0 - mesh.node_x)
     z = 2.0 + exact**3
@@ -93,7 +93,7 @@ def test_newton_monotone_and_fast(setup):
 
 
 def test_newton_budget_exhaustion_reports_history():
-    problem = SemilinearProblem(build_mesh(6, 6, 1.0, 1.0), c=1.0)
+    problem = SemilinearProblem(Mesh(6, 6, 1.0, 1.0), c=1.0)
     problem.newton_max_iter = 2
     z = 50.0 * np.ones(problem.mesh.n_nodes)
     with pytest.raises(NumericalError) as exc:
@@ -121,7 +121,7 @@ def test_gradient_finite_difference(setup):
 
 
 def test_c_zero_gradient_linear_in_misfit():
-    mesh = build_mesh(10, 10, 1.0, 1.0)
+    mesh = Mesh(10, 10, 1.0, 1.0)
     base = SemilinearProblem(mesh, c=0.0)
     z = np.ones(mesh.n_nodes)
     u, _, _ = base.solve_state(z, np.zeros(base.trace_space.dim))
@@ -167,7 +167,7 @@ def test_hessian_finite_difference(setup):
 
 
 def test_c_zero_quadratic_expansion_is_exact():
-    mesh = build_mesh(10, 10, 1.0, 1.0)
+    mesh = Mesh(10, 10, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=0.0)
     gf = GaussianField(problem.trace_space, 5e-2, 2.0)
     z = np.ones(mesh.n_nodes)
@@ -192,8 +192,8 @@ def _hessian_norm(problem):
 
 
 def test_hessian_norm_mesh_stable():
-    coarse = SemilinearProblem(build_mesh(8, 8, 1.0, 1.0), c=1.0)
-    fine = SemilinearProblem(build_mesh(16, 16, 1.0, 1.0), c=1.0)
+    coarse = SemilinearProblem(Mesh(8, 8, 1.0, 1.0), c=1.0)
+    fine = SemilinearProblem(Mesh(16, 16, 1.0, 1.0), c=1.0)
     nc = _hessian_norm(coarse)
     nf = _hessian_norm(fine)
     assert np.isfinite(nc) and np.isfinite(nf) and nc > 0
@@ -202,7 +202,7 @@ def test_hessian_norm_mesh_stable():
 
 def test_negative_c_rejected():
     with pytest.raises(ValueError):
-        SemilinearProblem(build_mesh(4, 4, 1.0, 1.0), c=-1.0)
+        SemilinearProblem(Mesh(4, 4, 1.0, 1.0), c=-1.0)
 
 
 def test_default_flux_is_the_zero_flux(setup):
@@ -247,7 +247,7 @@ def test_hessian_weighted_mass_is_built_once_per_workspace(setup, monkeypatch):
 
 
 def test_newton_solvers_share_the_band_plan():
-    problem = SemilinearProblem(build_mesh(12, 12, 1.0, 1.0), c=1.0)
+    problem = SemilinearProblem(Mesh(12, 12, 1.0, 1.0), c=1.0)
     mesh = problem.mesh
     u = np.sin(np.pi * mesh.node_x) * (1.0 + mesh.node_y)
     solver = problem._linearized_solver(u)

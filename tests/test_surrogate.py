@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riskquad.errors import NumericalError
-from riskquad.fem import assemble_coupling, build_mesh
+from riskquad.fem import assemble_coupling, Mesh
 from riskquad.ouu import truncation_rate_study
 from riskquad.poisson import PoissonFlowProblem, WellConfig
 from riskquad.random_field import FieldSpace, GaussianField
@@ -19,7 +19,7 @@ from riskquad.surrogate import (
 
 @pytest.fixture(scope="module")
 def tiny_flow():
-    mesh = build_mesh(6, 3, 2.0, 1.0)
+    mesh = Mesh(6, 3, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.3))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     return mesh, problem, gf
@@ -395,7 +395,7 @@ def test_rate_study_checks_the_anchor_before_any_solve(tiny_flow):
 
 
 def test_rate_study_exact_for_linear_state_map():
-    mesh = build_mesh(8, 8, 1.0, 1.0)
+    mesh = Mesh(8, 8, 1.0, 1.0)
     problem = SemilinearProblem(mesh, c=0.0)
     gf = GaussianField(problem.trace_space, 5e-2, 2.0)
     z = np.ones(mesh.n_nodes)
@@ -420,7 +420,7 @@ def _rate_study_per_eps(problem, gf, z, eps_list, n_mc, seed):
 
 
 def test_rate_study_matches_per_eps_evaluation():
-    mesh = build_mesh(12, 6, 2.0, 1.0)
+    mesh = Mesh(12, 6, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.12))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
@@ -443,7 +443,7 @@ def test_rate_study_one_hessian_action_per_draw(tiny_flow):
 
 
 def test_rate_study_slopes_small_mesh():
-    mesh = build_mesh(16, 8, 2.0, 1.0)
+    mesh = Mesh(16, 8, 2.0, 1.0)
     problem = PoissonFlowProblem(mesh, wells=WellConfig(sigma=0.1))
     gf = GaussianField(problem.space, 2e-2, 4.0)
     z = np.full(problem.n_controls, 4.0)
