@@ -4,10 +4,10 @@ Each check compares an adjoint-based derivative against a second-order
 finite difference at step h = 1e-4 and reports the relative error.  The
 field checks ``check_gradient`` and ``check_hessian`` take either model
 problem, since both expand about a field m through ``objective(z, m)`` and
-``surrogate(z, m)``; the Hessian check differences the gradients of the
-expansions about anchor +- h d.  These are the same checks the test suite
-runs; the CLI exposes them so a modified build can be revalidated in
-seconds.
+``surrogate(z, m)``; the Hessian check differences the gradient loads of the
+expansions about anchor +- h d, in the M-norm of their fields, which is the
+norm of their coefficients in the space's M-orthonormal basis.  The CLI runs
+the test suite's checks so that a modified build is revalidated in seconds.
 """
 
 from __future__ import annotations
@@ -37,29 +37,31 @@ def _fold(worst, err):
 
 
 def check_gradient(problem, gf, z, n_dirs=3, seed=0):
-    """Max relative FD error of <grad, d> over random directions d of the
-    field's law, for either model problem, expanded about its anchor."""
+    """Max relative FD error of <grad_load, d> over random directions d of
+    the field's law, for either model problem, expanded about its anchor."""
     surr = problem.surrogate(z)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_dirs):
         d = gf.sample(rng) - gf.mean
         fd = _central(lambda t: problem.objective(z, surr.anchor + t * d))
-        worst = _fold(worst, _rel(abs(surr.space.inner(surr.grad, d) - fd), abs(fd)))
+        worst = _fold(worst, _rel(abs(float(surr.grad_load @ d) - fd), abs(fd)))
     return worst
 
 
 def check_hessian(problem, gf, z, n_dirs=2, seed=1):
-    """Max relative FD error of the Hessian action at the anchor against
-    differences of the gradients of the expansions about anchor +- h d."""
+    """Max relative M-norm error of the Hessian load at the anchor against the
+    difference of the gradient loads about anchor +- h d (|Phi^T load|)."""
     surr = problem.surrogate(z)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_dirs):
         d = gf.sample(rng) - gf.mean
-        psi = surr.hess_action(d)
-        fd = _central(lambda t: problem.surrogate(z, surr.anchor + t * d).grad)
-        worst = _fold(worst, _rel(surr.space.norm(psi - fd), surr.space.norm(psi)))
+        psi = surr.space.to_coefficients(surr.hess_load(d))
+        fd = surr.space.to_coefficients(_central(
+            lambda t: problem.surrogate(z, surr.anchor + t * d).grad_load))
+        worst = _fold(worst, _rel(float(np.linalg.norm(psi - fd)),
+                                  float(np.linalg.norm(psi))))
     return worst
 
 

@@ -422,8 +422,8 @@ class SpdSolver:
     CSR data (unit diagonal, lifted right-hand side), so the constrained
     operator stays SPD; ``op`` must be a CSR matrix on the mesh's read-only
     pattern, as every matrix assembled on the mesh is, and any other
-    operator raises ``ValueError``.  On a field space nothing is pinned and
-    the right-hand sides are solved as given.
+    operator raises ``ValueError``.  On a field space nothing is pinned, the
+    right-hand sides are solved as given, and ``fast`` is required.
 
     The raw solve has two backends.  ``fast=(basis, s, t)`` selects
     ``FastDiagonalization`` in a ``TensorBasis``, for an operator whose free
@@ -463,6 +463,8 @@ class SpdSolver:
         if fast is not None:
             basis, s, t = fast
             self.fast = FastDiagonalization(basis, basis.eigenvalues(s, t))
+        elif mesh is None:
+            raise ValueError("a solver on a field space needs fast=(basis, s, t)")
         else:
             self.plan = mesh.band_plan
             self._factor = self._banded_cholesky()

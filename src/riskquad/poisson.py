@@ -256,10 +256,6 @@ class PoissonFlowProblem:
         return PdeWorkspace(z=z, m=m, u=u, p=p, misfit=misfit, solver=solver,
                             em=em)
 
-    def grad_field(self, ws):
-        """Nodal L2 representation of the parameter gradient at ``ws.m``."""
-        return self.space.project(grad_dot_load(self.mesh, ws.em, ws.u, ws.p))
-
     def incremental(self, ws, zeta):
         """Incremental states and adjoints for a direction (n,) or for each
         column of an (n, k) block (2 counted solves per column):
@@ -306,7 +302,7 @@ class PoissonFlowProblem:
         return QuadraticSurrogate(
             space=self.space,
             theta_bar=self.objective_of_state(ws.u),
-            grad=self.grad_field(ws),
+            grad_load=grad_dot_load(self.mesh, ws.em, ws.u, ws.p),
             hess_load=lambda zeta: self.hessian_load(
                 ws, zeta, *self.incremental(ws, zeta)),
             anchor=ws.m,

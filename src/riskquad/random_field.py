@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NumericalError
+from .errors import POSITIVE, NumericalError
 from .fem import (
     FastDiagonalization,
     SpdSolver,
@@ -175,8 +175,8 @@ class GaussianField:
     """
 
     def __init__(self, space, kappa, alpha, mean=None):
-        if kappa <= 0.0 or alpha <= 0.0:
-            raise ValueError("kappa and alpha must be positive")
+        POSITIVE("kappa", kappa)
+        POSITIVE("alpha", alpha)
         self.space = space
         self.kappa = float(kappa)
         self.alpha = float(alpha)

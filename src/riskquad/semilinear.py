@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericalError
+from .errors import NONNEGATIVE, NumericalError
 from .fem import (
     SolveCounter,
     SpdSolver,
@@ -59,8 +59,7 @@ class SemilinearProblem:
     newton_max_iter = 25  # Newton steps before the solve raises
 
     def __init__(self, mesh, c=1.0):
-        if c < 0.0:
-            raise ValueError("the cubic coefficient must be nonnegative")
+        NONNEGATIVE("c", c)
         self.mesh = mesh
         self.c = float(c)
         self.space = volume_space(self.mesh)
@@ -177,12 +176,11 @@ class SemilinearProblem:
     def surrogate(self, z, m=None):
         """Quadratic expansion of flux -> objective about m, with m=None the
         zero flux (see ``workspace``)."""
-        ws = self.workspace(z, m)
+        ws, mass = self.workspace(z, m), self.trace_space.mass
         return QuadraticSurrogate(
             space=self.trace_space,
             theta_bar=self.objective_of_state(ws.u),
-            grad=self.grad_boundary(ws),
-            hess_load=lambda m_hat: (self.trace_space.mass
-                                     @ self.hess_action(ws, m_hat)),
+            grad_load=mass @ self.grad_boundary(ws),
+            hess_load=lambda m_hat: mass @ self.hess_action(ws, m_hat),
             anchor=ws.m,
         )

@@ -11,6 +11,10 @@ The traces are estimated either with Gaussian probe vectors drawn from
 N(0, C) (unbiased, averaged) or by summing over sqrt(C) images of dominant
 eigenvectors of the covariance-preconditioned Hessian (accurate for rapidly
 decaying spectra, exact with a complete basis).
+
+The moments pair g and H only with fields, so the expansion keeps them as
+loads (dual vectors M f): ``grad_load``, ``hess_load`` and the input of
+``apply_C_to_loads`` are loads, ``hess_action`` and ``project`` fields.
 """
 
 from __future__ import annotations
@@ -29,16 +33,13 @@ DRAW_CHUNK = 64  # Monte Carlo draws per block Hessian action
 class QuadraticSurrogate:
     """Second-order expansion of the parameter-to-objective map.
 
-    The Hessian is given as a form: ``hess_load`` maps a field (n,) to the
-    load M H m of the Hessian action, or an (n, k) block to the loads of
-    each column, and is symmetric.  ``hess_action`` is its nodal
-    representation.  The eigensolve works on the form, which needs no mass
-    solve.
+    ``grad_load`` is the load M g of the gradient g, and the symmetric form
+    ``hess_load`` maps a field (n,), or each column of (n, k), to M H m.
     """
 
     space: object
     theta_bar: float
-    grad: np.ndarray
+    grad_load: np.ndarray
     hess_load: Callable[[np.ndarray], np.ndarray]
     anchor: np.ndarray
 
@@ -53,7 +54,7 @@ class QuadraticSurrogate:
     def eval_lin(self, m):
         """First-order value at a parameter field (n,), or the values at each
         column of an (n, k) block."""
-        return self.theta_bar + self.grad @ (self.space.mass @ self._offset(m))
+        return self.theta_bar + self.grad_load @ self._offset(m)
 
     def eval_quad(self, m):
         """Second-order value at a field (n,), or the values at each column of
@@ -145,6 +146,6 @@ def estimate_traces(surr, gf, mode="randomized", n_tr=40, seed=0):
     actions in eigenbasis mode."""
     probes, weight = trace_probes(surr, gf, mode, n_tr, seed)
     return expansion_moments(
-        gf, surr.theta_bar, surr.space.mass @ surr.grad, probes.T,
+        gf, surr.theta_bar, surr.grad_load, probes.T,
         surr.hess_load(probes.T), weight,
     )[0]

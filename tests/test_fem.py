@@ -364,6 +364,13 @@ def test_plan_not_reused_for_another_pattern():
                           SpdSolver(mesh, K)._factor)
 
 
+def test_a_solver_on_a_field_space_needs_the_fast_backend():
+    # a field space has no band plan for the banded backend
+    space = volume_space(Mesh(6, 3, 2.0, 1.0))
+    with pytest.raises(ValueError, match="field space needs fast"):
+        SpdSolver(None, space.mass)
+
+
 def test_dirichlet_nodes_are_read_only():
     mesh = Mesh(12, 6, 2.0, 1.0)
     with pytest.raises(ValueError):

@@ -428,6 +428,16 @@ def test_invalid_parameters():
         gf.preconditioned_eigenpairs(lambda f: gf.space.mass @ f, 0)
 
 
+@pytest.mark.parametrize("kappa, alpha, key", [
+    (float("nan"), 1.0, "kappa"), (float("inf"), 1.0, "kappa"),
+    (1.0, float("nan"), "alpha"), (1.0, float("inf"), "alpha"),
+], ids=["nan kappa", "inf kappa", "nan alpha", "inf alpha"])
+def test_non_finite_parameters_rejected_by_name(kappa, alpha, key):
+    # a NaN or infinite value used to pass and fail in the basis check
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        GaussianField(volume_space(Mesh(2, 2, 1.0, 1.0)), kappa, alpha)
+
+
 @pytest.mark.parametrize("nx, ny", [(11, 7), (5, 9), (1, 6)])
 def test_kronecker_factors_reproduce_assembled_matrices(nx, ny):
     mesh = Mesh(nx, ny, 2.0, 1.0)

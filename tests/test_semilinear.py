@@ -205,6 +205,13 @@ def test_negative_c_rejected():
         SemilinearProblem(Mesh(4, 4, 1.0, 1.0), c=-1.0)
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_c_rejected_by_name(c):
+    # a NaN or infinite coefficient used to pass and fail in the first solve
+    with pytest.raises(ValueError, match="^c: "):
+        SemilinearProblem(Mesh(4, 4, 1.0, 1.0), c=c)
+
+
 def test_default_flux_is_the_zero_flux(setup):
     mesh, problem, _ = setup
     z = np.ones(mesh.n_nodes)
@@ -217,7 +224,7 @@ def test_default_flux_is_the_zero_flux(setup):
     M = np.random.default_rng(11).standard_normal((problem.trace_space.dim, 3))
     assert surr.theta_bar == surr0.theta_bar
     assert np.array_equal(surr.anchor, zero)
-    assert np.array_equal(surr.grad, surr0.grad)
+    assert np.array_equal(surr.grad_load, surr0.grad_load)
     assert np.array_equal(surr.hess_load(M), surr0.hess_load(M))
 
 

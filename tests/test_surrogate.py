@@ -72,7 +72,7 @@ def test_flow_surrogate_about_a_moved_field(tiny_flow, monkeypatch):
     assert problem.counter.count - start == 2
     assert surr.theta_bar == ref.theta_bar
     assert np.array_equal(surr.anchor, m)
-    assert np.array_equal(surr.grad, ref.grad)
+    assert np.array_equal(surr.grad_load, ref.grad_load)
     assert np.array_equal(surr.hess_load(D), ref.hess_load(D))
 
 
@@ -140,7 +140,7 @@ def test_zero_gradient_linear_expansion_is_flat(tiny_flow):
     _, problem, _ = tiny_flow
     space = problem.space
     surr = QuadraticSurrogate(
-        space=space, theta_bar=2.5, grad=np.zeros(space.dim),
+        space=space, theta_bar=2.5, grad_load=np.zeros(space.dim),
         hess_load=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
     )
     rng = np.random.default_rng(0)
@@ -155,7 +155,8 @@ def test_eval_lin_matches_dense_formula(tiny_flow):
     M = problem.space.mass.toarray()
     rng = np.random.default_rng(1)
     m = gf.sample(rng)
-    expected = surr.theta_bar + surr.grad @ (M @ (m - surr.anchor))
+    grad = problem.space.project(surr.grad_load)
+    expected = surr.theta_bar + grad @ (M @ (m - surr.anchor))
     assert surr.eval_lin(m) == pytest.approx(expected, rel=1e-12)
 
 
@@ -183,7 +184,7 @@ def test_eval_quad_sums_the_hessian_load_without_a_projection(tiny_flow,
     def projected(m):
         d = m - (surr.anchor if m.ndim == 1 else surr.anchor[:, None])
         md = mass @ d
-        return (surr.theta_bar + surr.grad @ md
+        return (surr.theta_bar + surr.space.project(surr.grad_load) @ md
                 + 0.5 * np.sum(surr.hess_action(d) * md, axis=0))
 
     expected = [projected(m) for m in (fields[:, 0], fields)]
@@ -197,6 +198,32 @@ def test_eval_quad_sums_the_hessian_load_without_a_projection(tiny_flow,
     assert projections == []
     for g, e in zip(got, expected):
         np.testing.assert_allclose(g, e, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("which", ["flow", "semilinear"])
+def test_expansion_makes_no_mass_projection(tiny_flow, which, monkeypatch):
+    # the gradient is kept as a load, so neither building an expansion nor
+    # its values project a load onto a field
+    if which == "flow":
+        _, problem, gf = tiny_flow
+        z = np.full(problem.n_controls, 4.0)
+    else:
+        mesh = Mesh(6, 6, 1.0, 1.0)
+        problem = SemilinearProblem(mesh)
+        gf = GaussianField(problem.trace_space, 5e-2, 2.0)
+        z = np.ones(mesh.n_nodes)
+    fields = gf.sample_batch(3, seed=7)
+    projections = []
+    project = FieldSpace.project
+    monkeypatch.setattr(
+        FieldSpace, "project",
+        lambda space, load: projections.append(load) or project(space, load),
+    )
+    surr = problem.surrogate(z)
+    for m in (fields[:, 0], fields):
+        surr.eval_lin(m)
+        surr.eval_quad(m)
+    assert projections == []
 
 
 def test_quadratic_beats_linear_near_anchor(tiny_flow):
@@ -218,7 +245,7 @@ def test_analytic_mean_zero_hessian(tiny_flow):
     _, problem, gf = tiny_flow
     space = problem.space
     surr = QuadraticSurrogate(
-        space=space, theta_bar=1.5, grad=np.ones(space.dim),
+        space=space, theta_bar=1.5, grad_load=space.mass @ np.ones(space.dim),
         hess_load=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
     )
     tr = estimate_traces(surr, gf, "randomized", n_tr=5, seed=0)
@@ -246,13 +273,14 @@ def test_analytic_moments_match_monte_carlo(tiny_flow):
     tr_hc = np.trace(C_op @ H)
     tr_hc_sq = np.trace(C_op @ H @ C_op @ H)
     mean = surr.theta_bar + 0.5 * tr_hc
-    var = (M @ surr.grad) @ (C_op @ surr.grad) + 0.5 * tr_hc_sq
+    grad = surr.space.project(surr.grad_load)
+    var = surr.grad_load @ (C_op @ grad) + 0.5 * tr_hc_sq
 
     n = 100_000
     D = gf.sample_batch(n, seed=5) - gf.mean[:, None]
     vals = (
         surr.theta_bar
-        + (M @ surr.grad) @ D
+        + surr.grad_load @ D
         + 0.5 * np.einsum("in,in->n", D, (M @ H) @ D)
     )
     se_mean = vals.std(ddof=1) / np.sqrt(n)
@@ -269,11 +297,10 @@ def test_linear_variance_decomposition(tiny_flow):
     # gradient term alone equals the Monte Carlo variance of the linear part
     _, problem, gf = tiny_flow
     surr = problem.surrogate(np.full(problem.n_controls, 4.0))
-    M = problem.space.mass.toarray()
-    grad_term = surr.space.inner(surr.grad, gf.apply_C(surr.grad))
+    grad_term = surr.grad_load @ gf.apply_C_to_loads(surr.grad_load)
     n = 50_000
     D = gf.sample_batch(n, seed=6) - gf.mean[:, None]
-    lin = (M @ surr.grad) @ D
+    lin = surr.grad_load @ D
     sample_var = np.var(lin, ddof=1)
     se = sample_var * np.sqrt(2.0 / (n - 1))
     assert abs(sample_var - grad_term) <= 5.0 * se
@@ -283,7 +310,7 @@ def test_traces_zero_hessian_both_modes(tiny_flow):
     _, problem, gf = tiny_flow
     space = problem.space
     surr = QuadraticSurrogate(
-        space=space, theta_bar=0.0, grad=np.zeros(space.dim),
+        space=space, theta_bar=0.0, grad_load=np.zeros(space.dim),
         hess_load=lambda d: np.zeros_like(d), anchor=np.zeros(space.dim),
     )
     for mode in ("randomized", "eigenbasis"):
