@@ -207,10 +207,11 @@ def cmd_compare_mc(args):
 
 def cmd_sample_field(args):
     cfg = _load(args)
-    mesh, gf, _ = build_setup(cfg)
+    mesh, gf, problem = build_setup(cfg)
     out = _outdir(args)
     n = cfg.experiment.n_samples
     draws = gf.scaled(cfg.experiment.sample_eps).sample_batch(n, seed=cfg.seed)
+    draws += problem.mean[:, None]
     header = ["x", "y"] + [f"sample_{k}" for k in range(n)]
     nodes = gf.space.node_index
     rows = zip(mesh.node_x[nodes], mesh.node_y[nodes],

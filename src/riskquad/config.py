@@ -39,6 +39,7 @@ from .semilinear import SemilinearProblem
 
 REALS = list_of(REAL)
 POINT = kind(lambda v: len(v) == 2, "{key}: {v!r} is not an (x, y) pair", REALS)
+AT_LEAST_TWO = kind(lambda v: v >= 2, "{key}: {v!r} is below 2", INTEGER)
 
 
 @dataclass
@@ -86,12 +87,11 @@ class ExperimentSpec:
     rate_n_mc: int = setting(COUNT, 2000)
     n_samples: int = setting(COUNT, 3)
     sample_eps: float = setting(NONNEGATIVE, 1.0)
-    true_risk_samples: int = setting(COUNT, 10000)
+    true_risk_samples: int = setting(AT_LEAST_TWO, 10000)
     compare_betas: list = setting(list_of(NONNEGATIVE), [0.5, 0.1, 0.01])
     compare_n_tr: list = setting(list_of(NATURAL), [4, 16])
-    compare_n_mc: list = setting(
-        list_of(kind(lambda v: v >= 2, "{key}: {v!r} is below 2", INTEGER)), [4, 16])
-    compare_eval_samples: int = setting(COUNT, 2000)
+    compare_n_mc: list = setting(list_of(AT_LEAST_TWO), [4, 16])
+    compare_eval_samples: int = setting(AT_LEAST_TWO, 2000)
     compare_max_iter: int = setting(COUNT, 40)
     compare_methods: list = setting(
         list_of(choice("compare method", *COMPARE_METHODS)), list(COMPARE_METHODS))
@@ -253,9 +253,9 @@ def build_ouu_config(ouu, seed):
 
 
 def build_setup(cfg):
-    """Mesh, Gaussian field, and the problem ``experiment.problem`` names:
-    the flow problem on ``cfg.mesh``, its field about the configured mean, or
-    the semilinear one on the unit square, its field the flux on the trace."""
+    """Mesh, centered Gaussian field, and the problem ``experiment.problem``
+    names: the flow problem on ``cfg.mesh`` about the configured mean, or the
+    semilinear one on the unit square, its field the flux on the trace."""
     if cfg.experiment.problem == "semilinear":
         mesh = Mesh(cfg.mesh.nx, cfg.mesh.ny, 1.0, 1.0)
         problem = SemilinearProblem(mesh, c=cfg.experiment.semilinear_c)
@@ -265,5 +265,5 @@ def build_setup(cfg):
     mean = build_mean_field(cfg.mesh, cfg.random_field.mean)
     problem = PoissonFlowProblem(cfg.mesh, wells=cfg.wells, mean=mean)
     gf = GaussianField(problem.space, cfg.random_field.kappa,
-                       cfg.random_field.alpha, mean=mean)
+                       cfg.random_field.alpha)
     return cfg.mesh, gf, problem

@@ -75,12 +75,6 @@ class OuuConfig:
         self.beta_schedule = sched
 
 
-def _check_anchor(problem, gf):
-    """The expansions' moments hold only for a field centred at the anchor."""
-    if not np.allclose(problem.mean, gf.mean, atol=1e-12):
-        raise ValueError("expansion anchor must match the field mean")
-
-
 @dataclass
 class OuuState:
     """What the gradient cascade reuses from one objective evaluation; the
@@ -105,8 +99,7 @@ class RiskAverseObjective:
     two anchor solves per step and no covariance or mass solve; these ticks
     reach the problem's counter but no report's ``pde_solves``).
     Objective and gradient apply the incremental kernel to the whole probe
-    block at once.  A field not centred at the problem's anchor raises
-    ``ValueError`` before any solve.
+    block at once.
     """
 
     def __init__(self, problem, gf, cfg, nominal_control=None):
@@ -114,7 +107,6 @@ class RiskAverseObjective:
         self.gf = gf
         self.cfg = cfg
         self.beta = cfg.beta
-        _check_anchor(problem, gf)
         if cfg.n_tr == 0:
             self.probes, self.weight = np.empty((0, problem.mesh.n_nodes)), 0.0
             return
@@ -305,6 +297,7 @@ class SaaObjective:
         self.gamma = float(gamma)
         self.n_mc = int(n_mc)
         self.samples = gf.sample_batch(n_mc, seed=seed)
+        self.samples += problem.mean[:, None]
         self.solvers = [
             problem.solver_for(self.samples[:, i]) for i in range(n_mc)
         ]
@@ -356,10 +349,12 @@ class TrueRisk:
         ``beta`` is a scalar or one weight per column.  The error is the
         delta-method estimate from the sample moments: Var[mean] = var/n,
         Var[var] = (m4 - var^2)/n and Cov[mean, var] = m3/n, with m3 and m4
-        the central moments.
+        the central moments.  It needs at least two samples.
         """
         beta = np.asarray(beta, dtype=float)
         n = len(self.samples)
+        if n < 2:
+            raise ValueError("a standard error needs at least two samples")
         centered = self.samples - self.mean
         var_of_mean = self.variance / n
         var_of_var = np.maximum(np.mean(centered**4, axis=0) - self.variance**2, 0) / n
@@ -372,7 +367,7 @@ class TrueRisk:
 
 def evaluate_true_risk(problem, gf, z, n_mc, seed=0, with_surrogates=True,
                        threads=1):
-    """Estimate mean and variance of the objective by sampling the field.
+    """Estimate mean and variance of the objective over parameter draws.
 
     ``z`` is a control vector or an (n_controls, k) block of controls that
     share the draws (see ``TrueRisk``).  It is the one Monte Carlo
@@ -397,6 +392,7 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, with_surrogates=True,
         raise ValueError("n_mc must be positive")
     z = np.asarray(z, dtype=float)
     fields = gf.sample_batch(n_mc, seed=seed)
+    fields += problem.mean[:, None]
     theta = np.array([problem.objective(z, fields[:, i]) for i in range(n_mc)])
     lin = quad = None
     if with_surrogates:
@@ -443,15 +439,13 @@ def truncation_rate_study(problem, gf, z, eps_list, n_mc, seed=0):
     lin = theta_bar + sqrt(eps/e0) (lin0 - theta_bar) and
     quad = lin + (eps/e0) (quad0 - lin0).  On the flow problem the study
     costs 1 + (2 + 3*n_mc) + (len(eps) - 1)*n_mc solves and len(eps)*n_mc
-    factorizations.  The eps values and the expansion anchor are checked
-    before any solve.
+    factorizations.  The eps values are checked before any solve.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if np.any(eps <= 0.0):
         raise ValueError("eps values must be positive")
     if len(set(eps)) < 2:
         raise ValueError("need at least two distinct eps values to fit a rate")
-    _check_anchor(problem, gf)
     theta_bar = problem.objective(z)
     first = evaluate_true_risk(problem, gf.scaled(eps[0]), z, n_mc, seed)
     err_lin, err_quad = [], []

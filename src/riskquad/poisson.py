@@ -203,7 +203,10 @@ class PoissonFlowProblem:
     # -- forward machinery ----------------------------------------------------
 
     def source_load(self, z):
-        return self.space.mass @ (self.source_fields @ np.asarray(z, float))
+        z = np.asarray(z, float)
+        if z.shape[:1] != (self.n_controls,):
+            raise ValueError(f"control of shape {z.shape}: n_controls is {self.n_controls}")
+        return self.space.mass @ (self.source_fields @ z)
 
     def observe(self, u):
         """Mollified-average observations W^T u at the production wells, of a

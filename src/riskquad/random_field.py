@@ -1,6 +1,6 @@
 """Gaussian random fields with squared-inverse-elliptic covariance.
 
-The law is N(mean, s*C) with C discretized as A^{-1} M A^{-1} where
+The law is the centered N(0, s*C), with C discretized as A^{-1} M A^{-1} where
 A = kappa*K + alpha*M is a shifted stiffness with natural boundary
 conditions and M is the mass matrix.  All inner products are M-weighted, so
 the covariance action on a field f is A^{-1} M A^{-1} M f, which is
@@ -161,7 +161,9 @@ class EigenBasis:
 
 
 class GaussianField:
-    """Gaussian measure N(mean, scale*C) on a FieldSpace, C = A^{-1} M A^{-1}.
+    """Centered Gaussian measure N(0, scale*C) on a FieldSpace,
+    C = A^{-1} M A^{-1}; a parameter draw is a problem's ``mean`` plus a
+    draw of this law.
 
     ``solver_A`` is the ``SpdSolver`` of A on the space, by fast
     diagonalization in the space's basis Phi; it colors every draw,
@@ -174,18 +176,13 @@ class GaussianField:
     seed or generator, so concurrent batches can partition the seed space.
     """
 
-    def __init__(self, space, kappa, alpha, mean=None):
+    def __init__(self, space, kappa, alpha):
         POSITIVE("kappa", kappa)
         POSITIVE("alpha", alpha)
         self.space = space
         self.kappa = float(kappa)
         self.alpha = float(alpha)
         self.scale = 1.0
-        self.mean = (
-            np.zeros(space.dim) if mean is None else np.asarray(mean, dtype=float)
-        )
-        if self.mean.shape != (space.dim,):
-            raise ValueError("mean has wrong length")
         A = kappa * space.natural_stiffness + alpha * space.mass
         self.solver_A = SpdSolver(None, A, fast=(space.basis, self.kappa,
                                                  self.alpha))
@@ -243,23 +240,15 @@ class GaussianField:
         return np.sqrt(self.scale) * y
 
     def sample(self, rng):
-        """One draw from N(mean, scale*C) with the generator ``rng``."""
-        return self.mean + self._colored(rng.standard_normal(self.dim))
+        """One draw from N(0, scale*C) with the generator ``rng``."""
+        return self._colored(rng.standard_normal(self.dim))
 
     def sample_batch(self, n, seed):
-        """(dim, n) matrix of independent draws, deterministic per seed."""
-        draws = self.zero_mean_batch(n, seed)
-        draws += self.mean[:, None]
-        return draws
-
-    def zero_mean_batch(self, n, seed):
-        """(dim, n) zero-mean draws with covariance scale*C.
-
-        The normals are drawn in one piece, so the random stream does not
-        depend on the chunking, and are colored in place in chunks of at most
-        ``COLOR_CHUNK`` columns: the peak memory is the output plus one
-        chunk's temporaries.
-        """
+        """(dim, n) matrix of independent draws from N(0, scale*C),
+        deterministic per seed.  The normals are drawn in one piece, so the
+        random stream does not depend on the chunking, and are colored in
+        place in chunks of at most ``COLOR_CHUNK`` columns: the peak memory is
+        the output plus one chunk's temporaries."""
         draws = np.random.default_rng(seed).standard_normal((self.dim, n))
         for a in range(0, n, COLOR_CHUNK):
             chunk = draws[:, a:a + COLOR_CHUNK]
@@ -312,6 +301,6 @@ class GaussianField:
         return EigenBasis(lam[order], Y[:, order])
 
 
-def field_on_mesh(mesh, kappa, alpha, mean=None):
-    """Gaussian field over the volume nodes of a mesh."""
-    return GaussianField(volume_space(mesh), kappa, alpha, mean=mean)
+def field_on_mesh(mesh, kappa, alpha):
+    """Centered Gaussian field over the volume nodes of a mesh."""
+    return GaussianField(volume_space(mesh), kappa, alpha)

@@ -116,8 +116,10 @@ class SemilinearProblem:
         adjoint and incremental equations), and the residual history in the
         discrete dual norm.
         """
-        m = self.mean if m is None else m
-        rhs = self.space.mass @ np.asarray(z, float) + self.boundary_load(m)
+        z = np.asarray(z, float)
+        if z.shape != (self.mesh.n_nodes,):
+            raise ValueError(f"source of shape {z.shape}: n_nodes is {self.mesh.n_nodes}")
+        rhs = self.space.mass @ z + self.boundary_load(self.mean if m is None else m)
         u = np.zeros(self.mesh.n_nodes)
         history = []
         solver = None

@@ -104,7 +104,7 @@ def trace_probes(surr, gf, mode, n_tr, seed):
     if n_tr < 1:
         raise ValueError("n_tr must be at least 1")
     if mode == "randomized":
-        return gf.zero_mean_batch(n_tr, seed).T, 1.0 / n_tr
+        return gf.sample_batch(n_tr, seed).T, 1.0 / n_tr
     if mode != "eigenbasis":
         raise ValueError(f"unknown trace mode {mode!r}")
     basis = gf.preconditioned_eigenpairs(surr.hess_load, n_tr, seed=seed)

@@ -340,6 +340,9 @@ BAD_EXPERIMENT_SIZES = [
     ("compare-mc", "compare_n_mc", [3.0]),
     ("compare-mc", "compare_max_iter", 0),
     ("compare-mc", "compare_max_iter", -2),
+    # one draw has no sample variance, so no spread or standard error
+    ("optimize", "true_risk_samples", 1),
+    ("compare-mc", "compare_eval_samples", 1),
 ]
 
 
@@ -635,6 +638,22 @@ def test_sample_field_reproducible_and_mean_at_zero_eps(tmp_path):
         assert float(row[2]) == 0.0 and float(row[3]) == 0.0
 
 
+def test_sample_field_adds_the_configured_mean(tmp_path):
+    # the field is centered: a draw is the problem's mean plus the same
+    # centered draw at every mean
+    values = []
+    for k, mean in enumerate((0.0, 0.5)):
+        data = dict(TINY, random_field={"mean": {"value": mean}})
+        out = tmp_path / f"out{k}"
+        args = ["--config", write_config(tmp_path, data, f"{k}.json"),
+                "--out", str(out), "--seed", "9", "sample-field"]
+        assert main(args) == 0
+        values.append(np.array(read_csv(out / "field_samples.csv")[1], float))
+    assert np.array_equal(values[1][:, :2], values[0][:, :2])
+    assert np.allclose(values[1][:, 2:] - values[0][:, 2:], 0.5, rtol=0.0,
+                       atol=1e-12)
+
+
 def test_sample_statistics_match_covariance_diagonal(tmp_path):
     # nodal variance of many draws agrees with the dense covariance diagonal
     from riskquad.random_field import GaussianField, volume_space
@@ -642,7 +661,7 @@ def test_sample_statistics_match_covariance_diagonal(tmp_path):
     mesh = Mesh(3, 2, 2.0, 1.0)
     space = volume_space(mesh)
     gf = GaussianField(space, 2e-2, 4.0)
-    draws = gf.sample_batch(10_000, seed=0) - gf.mean[:, None]
+    draws = gf.sample_batch(10_000, seed=0)
     A = (gf.kappa * space.natural_stiffness + gf.alpha * space.mass).toarray()
     Ainv = np.linalg.inv(A)
     diag = np.diag(Ainv @ space.mass.toarray() @ Ainv)

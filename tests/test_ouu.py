@@ -6,6 +6,7 @@ import pytest
 
 from riskquad.checks import check_control_gradient
 from riskquad.cli import main as cli_main
+from riskquad.config import build_setup, config_from_dict
 from riskquad.errors import NumericalError
 from riskquad.fem import Mesh, grad_dot_load, weighted_stiffness_apply
 from riskquad.ouu import (
@@ -111,18 +112,6 @@ def test_solve_accounting_exact(setup, n_tr):
     assert state.report.pde_solves == 4 + 4 * n_tr
 
 
-@pytest.mark.parametrize("mode", ["randomized", "eigenbasis"])
-def test_objective_rejects_a_field_off_the_anchor_before_any_solve(setup, mode):
-    # the expansion moments hold only for a field centred at the anchor
-    _, problem, gf = setup
-    shifted = GaussianField(problem.space, 2e-2, 4.0, mean=problem.mean + 0.5)
-    cfg = OuuConfig(n_tr=3, trace_mode=mode, beta_schedule=(1.0,))
-    start = problem.counter.count
-    with pytest.raises(ValueError, match="anchor must match the field mean"):
-        RiskAverseObjective(problem, shifted, cfg, nominal_control=np.full(20, 4.0))
-    assert problem.counter.count == start
-
-
 @pytest.mark.parametrize("mode,n_tr", [("randomized", 5), ("eigenbasis", 3)])
 def test_evaluate_moments_match_estimate_traces(setup, mode, n_tr, monkeypatch):
     # the optimizer's moments are the ones the trace-estimation criteria
@@ -166,7 +155,7 @@ def test_nan_control_gradient_fails_its_check(setup, monkeypatch):
     cfg = OuuConfig(beta=1.0, gamma=1e-5, n_tr=2, beta_schedule=(1.0,), seed=0)
     z = np.full(problem.n_controls, 4.0)
     finite = ouu_gradient_error(problem, gf, cfg, z, (0,))
-    assert type(finite) is np.float64 and finite <= 1e-5
+    assert type(finite) is float and finite <= 1e-5
     monkeypatch.setattr(RiskAverseObjective, "gradient",
                         lambda obj, state: np.full(len(state.z), np.nan))
     assert np.isnan(ouu_gradient_error(problem, gf, cfg, z, (0, 1)))
@@ -540,6 +529,33 @@ def test_risk_measure_matches_the_standard_error_formula(setup):
         one.risk_measure(0.01)[1], old_standard_error(one.samples, 0.01),
         rtol=1e-12, atol=0.0,
     )
+
+
+def test_risk_measure_needs_two_samples(setup):
+    # one draw has no sample variance, so no standard error
+    _, problem, gf = setup
+    one = evaluate_true_risk(problem, gf, np.full(20, 4.0), 1, seed=0,
+                             with_surrogates=False)
+    with pytest.raises(ValueError, match="at least two samples"):
+        one.risk_measure(0.5)
+
+
+def test_parameter_draws_are_the_anchor_plus_centered_draws():
+    # the problem holds the mean of the parameter law and the field is
+    # centered: every Monte Carlo and SAA draw is the anchor plus a draw
+    _, gf, problem = build_setup(config_from_dict({
+        "mesh": {"nx": 8, "ny": 4}, "wells": {"sigma": 0.3},
+        "random_field": {"mean": {"type": "bumps",
+                                  "centers": [[0.5, 0.5], [1.5, 0.4]],
+                                  "amplitudes": [0.7, -0.4]}}}))
+    assert np.ptp(problem.mean) > 0.0
+    z, n, seed = np.full(problem.n_controls, 4.0), 5, 3
+    draws = gf.sample_batch(n, seed)
+    risk = evaluate_true_risk(problem, gf, z, n, seed)
+    for i in range(n):
+        assert risk.samples[i] == problem.objective(z, problem.mean + draws[:, i])
+    saa = SaaObjective(problem, gf, n, 0.5, 1e-5, seed=seed)
+    assert np.array_equal(saa.samples, problem.mean[:, None] + draws)
 
 
 def test_linear_surrogate_optimum_weakly_worse(setup):

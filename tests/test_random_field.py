@@ -123,15 +123,14 @@ def test_sqrt_squares_to_C(tiny):
 
 def test_sample_zero_eps_is_exact_mean():
     mesh = Mesh(2, 2, 1.0, 1.0)
-    mean = np.linspace(-1.0, 1.0, mesh.n_nodes)
-    gf = field_on_mesh(mesh, 1e-2, 2.0, mean=mean).scaled(0.0)
-    assert np.array_equal(gf.sample(np.random.default_rng(0)), mean)
+    gf = field_on_mesh(mesh, 1e-2, 2.0).scaled(0.0)
+    assert np.array_equal(gf.sample(np.random.default_rng(0)), np.zeros(mesh.n_nodes))
 
 
 def test_sample_covariance_matches_dense(tiny):
     _, space, gf = tiny
     n = 10_000
-    draws = gf.sample_batch(n, seed=42) - gf.mean[:, None]
+    draws = gf.sample_batch(n, seed=42)
     emp = draws @ draws.T / n
     C = dense_cov(space, gf)
     se = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / n)
@@ -144,19 +143,18 @@ def test_sample_mean_matches(tiny):
     draws = gf.sample_batch(n, seed=7)
     C = dense_cov(space, gf)
     se = np.sqrt(np.diag(C) / n)
-    assert np.all(np.abs(draws.mean(axis=1) - gf.mean) <= 5.0 * se)
+    assert np.all(np.abs(draws.mean(axis=1)) <= 5.0 * se)
 
 
 def test_chunked_draws_match_one_shot_coloring():
     mesh = Mesh(20, 10, 2.0, 1.0)
-    mean = np.sin(np.arange(mesh.n_nodes))
-    gf = field_on_mesh(mesh, 2e-2, 4.0, mean=mean).scaled(1.7)
+    gf = field_on_mesh(mesh, 2e-2, 4.0).scaled(1.7)
     n = 2 * COLOR_CHUNK + 3  # not a multiple of the chunk; a tail of 3 columns
     normals = np.random.default_rng(5).standard_normal((gf.dim, n))
-    assert np.array_equal(gf.zero_mean_batch(n, seed=5), gf._colored(normals))
+    assert np.array_equal(gf.sample_batch(n, seed=5), gf._colored(normals))
     g = gf.scaled(0.3)
     draws = g.sample_batch(n, seed=5)
-    assert np.array_equal(draws, mean[:, None] + g._colored(normals))
+    assert np.array_equal(draws, g._colored(normals))
     assert draws.flags.c_contiguous
 
 
@@ -165,7 +163,7 @@ def test_probe_variance_scales_with_eps(tiny):
     rng = np.random.default_rng(3)
     n = 4000
     for eps in (1.0, 0.25):
-        draws = gf.scaled(eps).sample_batch(n, seed=11) - gf.mean[:, None]
+        draws = gf.scaled(eps).sample_batch(n, seed=11)
         for _ in range(2):
             f = rng.standard_normal(space.dim)
             vals = f @ (space.mass @ draws)
@@ -180,7 +178,7 @@ def test_trace_identity_monte_carlo(tiny):
     C_op = dense_cov(space, gf) @ space.mass.toarray()
     tr = np.trace(C_op)
     n = 10_000
-    draws = gf.sample_batch(n, seed=13) - gf.mean[:, None]
+    draws = gf.sample_batch(n, seed=13)
     sq = np.einsum("in,in->n", draws, space.mass.toarray() @ draws)
     assert abs(sq.mean() - tr) <= 5.0 * sq.std() / np.sqrt(n)
     eigs = np.linalg.eigvals(C_op).real
@@ -189,18 +187,18 @@ def test_trace_identity_monte_carlo(tiny):
 
 def test_trace_vectors_count_and_determinism(tiny):
     _, space, gf = tiny
-    vecs = gf.zero_mean_batch(40, seed=5).T
+    vecs = gf.sample_batch(40, seed=5).T
     assert len(vecs) == 40
-    again = gf.zero_mean_batch(40, seed=5).T
+    again = gf.sample_batch(40, seed=5).T
     assert all(np.array_equal(a, b) for a, b in zip(vecs, again))
-    other = gf.zero_mean_batch(40, seed=6).T
+    other = gf.sample_batch(40, seed=6).T
     assert not np.array_equal(vecs[0], other[0])
 
 
 def test_trace_vectors_zero_mean(tiny):
     _, space, gf = tiny
     n = 10_000
-    draws = np.column_stack(gf.zero_mean_batch(n, seed=8).T)
+    draws = np.column_stack(gf.sample_batch(n, seed=8).T)
     C = dense_cov(space, gf)
     se = np.sqrt(np.diag(C) / n)
     assert np.all(np.abs(draws.mean(axis=1)) <= 5.0 * se)
@@ -222,10 +220,8 @@ def test_scaled_is_the_only_scale(tiny):
             gf.scaled(bad)
     quarter = gf.scaled(0.5).scaled(0.5)
     assert (gf.scale, quarter.scale) == (1.0, 0.25)
-    zero_mean = gf.zero_mean_batch(5, seed=3)
-    assert np.array_equal(
-        quarter.sample_batch(5, seed=3), gf.mean[:, None] + 0.5 * zero_mean
-    )
+    assert np.array_equal(quarter.sample_batch(5, seed=3),
+                          0.5 * gf.sample_batch(5, seed=3))
 
 
 def test_eigenpairs_zero_operator(tiny):

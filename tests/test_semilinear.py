@@ -24,6 +24,15 @@ def setup():
     return mesh, problem, gf
 
 
+def test_source_of_the_wrong_length_fails_before_any_solve(setup):
+    mesh, problem, _ = setup
+    start = problem.counter.count
+    for z in (np.ones(3), np.ones((mesh.n_nodes, 2))):
+        with pytest.raises(ValueError, match=f"n_nodes is {mesh.n_nodes}"):
+            problem.objective(z)
+    assert problem.counter.count == start
+
+
 def test_trivial_zero_state():
     problem = SemilinearProblem(Mesh(6, 6, 1.0, 1.0), c=0.0)
     u, _, history = problem.solve_state(
