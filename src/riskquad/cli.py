@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,20 +103,11 @@ def _write_trace(path, legs):
 
 
 def _report_text(report, z):
-    lines = [
-        "risk-averse objective report",
-        f"J              = {fmt(report.value)}",
-        f"theta_bar      = {fmt(report.theta_bar)}",
-        f"tr_hc          = {fmt(report.tr_hc)}",
-        f"tr_hc_sq       = {fmt(report.tr_hc_sq)}",
-        f"grad_term      = {fmt(report.grad_term)}",
-        f"mean_term      = {fmt(report.mean_term)}",
-        f"variance_term  = {fmt(report.variance_term)}",
-        f"control_cost   = {fmt(report.control_cost)}",
-        f"pde_solves     = {report.pde_solves}",
-        f"grad_norm      = {fmt(report.grad_norm)}",
-        "control vector:",
-    ]
+    """``J`` (the report's ``value``), then its other fields in declared order."""
+    lines = ["risk-averse objective report", f"J              = {fmt(report.value)}"]
+    lines += [f"{f.name:<15}= {fmt(getattr(report, f.name))}"
+              for f in fields(report) if f.name != "value"]
+    lines.append("control vector:")
     lines += [f"  z[{i:2d}] = {fmt(v)}" for i, v in enumerate(z)]
     return "\n".join(lines) + "\n"
 
@@ -152,6 +143,10 @@ def cmd_optimize(args):
         )
     if result.degraded:
         print("warning: line search stalled; returned best iterate", file=sys.stderr)
+    for leg in result.legs:
+        if not (leg.converged or leg.degraded):
+            print(f"warning: leg beta={leg.beta:g} stopped at max_iter "
+                  f"{cfg.ouu.max_iter} before converging", file=sys.stderr)
     print(f"wrote results to {out}")
     return 0
 

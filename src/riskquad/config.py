@@ -10,14 +10,15 @@ the section checks every key by kind and range when it is built, so a bad
 value is a ``ConfigError`` reading ``<section>: <key>: ...`` before any
 output exists.  Only the checks between fields are written by hand: the
 beta schedule is ascending and ends at beta, z0 lies in the box, the eps
-values are distinct, bump centers pair with amplitudes (a constant mean
-has neither), there is one target per production well, and an eigenbasis
-n_tr fits the mesh (``check_eigenbasis_size``); a semilinear config may not
-set a mesh extent, mean, wells or z0 that its profile does not.  The ``mesh``
-section is ``fem.Mesh`` itself, and the ``wells`` section the flow problem's
-``WellConfig``.  The ``ouu`` section is the runtime ``OuuConfig`` itself; its
-``seed`` is not a key of its own but the root ``seed``, which seeds the field
-draws and the trace probes alike.  ``build_setup`` builds every run.
+values are distinct, bump centers pair with amplitudes (a mean with no
+centers is constant), there is one target per production well, and an
+eigenbasis n_tr fits the mesh (``check_eigenbasis_size``); a semilinear
+config may not set a mesh extent, mean, wells or z0 that its profile does
+not.  The ``mesh`` section is ``fem.Mesh`` itself, and the ``wells`` section
+the flow problem's ``WellConfig``.  The ``ouu`` section is the runtime
+``OuuConfig`` itself; its ``seed`` is not a key of its own but the root
+``seed``, which seeds the field draws and the trace probes alike.
+``build_setup`` builds every run.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ AT_LEAST_TWO = kind(lambda v: v >= 2, "{key}: {v!r} is below 2", INTEGER)
 
 @dataclass
 class MeanSpec:
-    """Mean log-conductivity: a constant, or a sum of Gaussian bumps of a
-    positive ``width``."""
+    """Mean log-conductivity: ``value`` plus one Gaussian bump of a positive
+    ``width`` per center; a mean with no centers is constant."""
 
-    type: str = setting(choice("mean type", "constant", "bumps"), "constant")
     value: float = setting(REAL, 0.0)
     centers: list = setting(list_of(POINT), [])
     amplitudes: list = setting(REALS, [])
@@ -55,12 +55,7 @@ class MeanSpec:
 
     def __post_init__(self):
         check_settings(self)
-        if self.type == "constant":
-            for key in ("centers", "amplitudes"):
-                if getattr(self, key):
-                    raise ValueError(f"{key}: {getattr(self, key)!r} given for a "
-                                     "constant mean, which has no bumps")
-        elif len(self.centers) != len(self.amplitudes):
+        if len(self.centers) != len(self.amplitudes):
             raise ValueError(f"amplitudes: {len(self.amplitudes)} values for "
                              f"{len(self.centers)} centers")
 
@@ -239,10 +234,9 @@ def resolve_config(profile=None, config_path=None, overrides=None):
 def build_mean_field(mesh, spec):
     """Nodal mean log-conductivity from its (validated) config description."""
     out = np.full(mesh.n_nodes, float(spec.value))
-    if spec.type == "bumps":
-        for (cx, cy), amp in zip(spec.centers, spec.amplitudes):
-            r2 = (mesh.node_x - cx) ** 2 + (mesh.node_y - cy) ** 2
-            out += amp * np.exp(-0.5 * r2 / spec.width**2)
+    for (cx, cy), amp in zip(spec.centers, spec.amplitudes):
+        r2 = (mesh.node_x - cx) ** 2 + (mesh.node_y - cy) ** 2
+        out += amp * np.exp(-0.5 * r2 / spec.width**2)
     return out
 
 

@@ -128,7 +128,7 @@ class RiskAverseObjective:
         start = pr.counter.count
         z = np.asarray(z, dtype=float)
         ws = pr.workspace(z)
-        theta_bar = 0.5 * float(ws.misfit @ ws.misfit)
+        theta_bar = pr.objective_of_state(ws.u)
         grad_load = grad_dot_load(pr.mesh, ws.em, ws.u, ws.p)
         zeta = self.probes.T
         inc_u, inc_p = pr.incremental(ws, zeta)
@@ -335,7 +335,8 @@ class SaaObjective:
 class TrueRisk:
     """Monte Carlo estimates of the distribution of the control objective:
     true and expansion samples (n_mc,) and scalar moments for one control,
-    or (n_mc, k) samples and (k,) moments, a column per control of a block."""
+    or (n_mc, k) samples and (k,) moments, a column per control of a block.
+    The unbiased sample ``variance`` of one draw is NaN."""
 
     mean: float
     variance: float
@@ -405,7 +406,7 @@ def evaluate_true_risk(problem, gf, z, n_mc, seed=0, with_surrogates=True,
         )
     return TrueRisk(
         mean=np.mean(theta, axis=0),
-        variance=np.var(theta, axis=0, ddof=1 if n_mc > 1 else 0),
+        variance=np.var(theta, axis=0, ddof=1) if n_mc > 1 else np.nan * theta[0],
         samples=theta, lin_samples=lin, quad_samples=quad,
     )
 

@@ -134,7 +134,6 @@ class PdeWorkspace:
     built by the first ``incremental`` on it and serves every later
     incremental pair and Hessian load, for vectors and blocks alike."""
 
-    z: np.ndarray
     m: np.ndarray
     u: np.ndarray
     p: np.ndarray
@@ -152,9 +151,9 @@ class PoissonFlowProblem:
     The anchor log-conductivity ``mean`` (the field that m=None means) gets
     one solver, reused for every state, adjoint, and incremental solve;
     the shared counter ticks once per SPD solve.  A constant anchor, such as
-    every configured ``constant`` mean, is solved by the fast-diagonalization
-    backend of ``SpdSolver``, any other by banded Cholesky, as is every
-    field passed to ``solver_for``.
+    every configured mean with no centers, is solved by the
+    fast-diagonalization backend of ``SpdSolver``, any other by banded
+    Cholesky, as is every field passed to ``solver_for``.
     """
 
     def __init__(self, mesh, wells=None, mean=None):
@@ -252,12 +251,10 @@ class PoissonFlowProblem:
         else:
             m = np.asarray(m, float)
             solver, em = self.solver_for(m), np.exp(self.mesh.interp_gauss(m))
-        z = np.asarray(z, dtype=float)
         u = self.solve_state(z, solver)
         misfit = self.observe(u) - self.targets
         p = solver.solve(-(self.obs_operator @ misfit))
-        return PdeWorkspace(z=z, m=m, u=u, p=p, misfit=misfit, solver=solver,
-                            em=em)
+        return PdeWorkspace(m=m, u=u, p=p, misfit=misfit, solver=solver, em=em)
 
     def incremental(self, ws, zeta):
         """Incremental states and adjoints for a direction (n,) or for each

@@ -81,9 +81,6 @@ class FieldSpace:
         """Discrete L2 inner product <u, M v>."""
         return float(np.asarray(u) @ (self.mass @ np.asarray(v)))
 
-    def norm(self, u):
-        return float(np.sqrt(max(self.inner(u, u), 0.0)))
-
     def project(self, load):
         """Nodal representation of a linear functional (n,) or of each column
         of an (n, k) block: solve M g = load."""

@@ -40,7 +40,6 @@ class SemilinearWorkspace:
     """State, adjoint, and linearized solver at one (control, flux) pair,
     with the Hessian's weighted mass once ``hess_action`` has built it."""
 
-    z: np.ndarray
     m: np.ndarray
     u: np.ndarray
     p: np.ndarray
@@ -152,8 +151,7 @@ class SemilinearProblem:
         m = self.mean if m is None else np.asarray(m, float)
         u, solver, _ = self.solve_state(z, m)
         p = solver.solve(-(self.space.mass @ (u - self.desired)))
-        return SemilinearWorkspace(z=np.asarray(z, float), m=m, u=u, p=p,
-                                   solver=solver)
+        return SemilinearWorkspace(m=m, u=u, p=p, solver=solver)
 
     def grad_boundary(self, ws):
         """Gradient of the objective with respect to the boundary flux."""

@@ -1,10 +1,11 @@
 import json
 from collections import Counter
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
-from riskquad.cli import main
+from riskquad.cli import _report_text, main
 from riskquad.config import (
     PROFILES,
     RunConfig,
@@ -17,6 +18,7 @@ from riskquad.errors import ConfigError
 from riskquad.fem import Mesh
 from riskquad.poisson import (PoissonFlowProblem, WellConfig, grid_points,
                               parabolic_target_profile)
+from riskquad.surrogate import RiskReport
 
 TINY = {
     "mesh": {"nx": 8, "ny": 4},
@@ -124,7 +126,7 @@ def test_unresolved_mesh_exits_2(tmp_path, capsys):
     ("optimize", {"wells": {"sigma": -0.1}}),
     ("optimize", {"wells": {"control_xs": [3.0]}}),
     ("sample-field", {"random_field": {"mean": {
-        "type": "bumps", "centers": [1.0], "amplitudes": [0.5]}}}),
+        "centers": [1.0], "amplitudes": [0.5]}}}),
     ("optimize", {"experiment": {"problem": "bogus"}}),
     ("sample-field", {"mesh": {"nx": 20.5}}),
     ("sample-field", {"mesh": {"ny": True}}),
@@ -217,10 +219,10 @@ SEMILINEAR = {"experiment": {"problem": "semilinear"}}
     ("sample-field", {"random_field": {"mean": {"value": "a"}}}, [],
      "random_field: mean: value: 'a' is not a finite number"),
     ("sample-field", {"random_field": {"mean": {
-        "type": "bumps", "centers": [["a", 0.5]], "amplitudes": [1.0]}}}, [],
+        "centers": [["a", 0.5]], "amplitudes": [1.0]}}}, [],
      "random_field: mean: centers: 'a' is not a finite number"),
     ("optimize", {"random_field": {"mean": {
-        "type": "bumps", "centers": [[1.0, 0.5]], "amplitudes": ["a"]}}}, [],
+        "centers": [[1.0, 0.5]], "amplitudes": ["a"]}}}, [],
      "random_field: mean: amplitudes: 'a' is not a finite number"),
     ("optimize", {"seed": -1}, [], "seed: -1 is negative"),
     ("sample-field", {}, ["--seed", "-1"], "seed: -1 is negative"),
@@ -243,27 +245,26 @@ def test_bad_config_value_exits_2_before_any_work(
 
 @pytest.mark.parametrize("command", ["sample-field", "optimize"])
 @pytest.mark.parametrize("mean,message", [
-    ({"type": "bumps", "width": 0}, "width: 0 is not a positive number"),
-    ({"type": "bumps", "width": -0.25}, "width: -0.25 is not a positive number"),
+    ({"width": 0}, "width: 0 is not a positive number"),
+    ({"width": -0.25}, "width: -0.25 is not a positive number"),
     ({"width": 0.0}, "width: 0.0 is not a positive number"),
-    ({"type": "ridge"}, "type: unknown mean type 'ridge'"),
-    ({"centers": [[1.0, 0.5]], "amplitudes": [3.0]},
-     "centers: [[1.0, 0.5]] given for a constant mean, which has no bumps"),
-    ({"type": "constant", "amplitudes": [3.0]},
-     "amplitudes: [3.0] given for a constant mean, which has no bumps"),
+    ({"type": "bumps"}, "['type']"),
+    ({"amplitudes": [3.0]}, "amplitudes: 1 values for 0 centers"),
 ])
 def test_bad_mean_exits_2_before_any_work(
     tmp_path, monkeypatch, capsys, command, mean, message
 ):
     # a zero bump width once wrote NaN samples and failed optimize with a
-    # traceback; a negative one was used as its absolute value
+    # traceback; a negative one was used as its absolute value.  A mean has
+    # no ``type`` key: it is constant when it has no centers
     calls = count_factorizations(monkeypatch)
     out = tmp_path / "out"
     path = write_config(tmp_path, {"random_field": {"mean": mean}})
     args = ["--profile", "desk", "--config", path, "--out", str(out)]
     assert main(args + [command]) == 2
-    assert (f"config error: random_field: mean: {message}"
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"random_field: mean: {message}" in err
     assert calls == [] and not out.exists()
 
 
@@ -481,8 +482,7 @@ OUT_OF_RANGE = {
                    "compare_max_iter": 0},
     "": {"seed": -1},
 }
-CHOICES = {"random_field: mean": "type", "ouu": "trace_mode",
-           "experiment": "problem"}
+CHOICES = {"ouu": "trace_mode", "experiment": "problem"}
 BAD_KEYS = [
     *[(section, key, value) for section, keys in OUT_OF_RANGE.items()
       for key, bad in keys.items() for value in ("a", True, bad)],
@@ -701,6 +701,42 @@ def test_optimize_deterministic_output(tmp_path):
     assert main(["--config", cfg, "--out", str(out2), "optimize"]) == 0
     for name in ("iterates.csv", "optimal_control.csv", "true_risk_optimal.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_optimize_warns_of_each_leg_that_ran_out_of_iterations(tmp_path, capsys):
+    # here the beta = 0 leg converges and the other two stop at max_iter
+    ouu = {**TINY["ouu"], "max_iter": 3, "grad_reduction_tol": 0.1,
+           "beta_schedule": [0.0, 0.5, 1.0]}
+    cfg = write_config(tmp_path, {**TINY, "ouu": ouu})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "optimize"]) == 0
+    _, rows, _ = read_csv(out / "iterates.csv")
+    last = {float(row[0]): int(row[1]) for row in rows}
+    out_of_iterations = [beta for beta, it in last.items() if it == 3]
+    assert 0 < len(out_of_iterations) < len(last)
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if "before converging" in line]
+    assert warned == [f"warning: leg beta={beta:g} stopped at max_iter 3 "
+                      "before converging" for beta in out_of_iterations]
+
+
+def test_report_lists_every_field_of_its_record():
+    # a field added to RiskReport reaches risk_report.txt in its declared
+    # place, after J and the fields before it
+    @dataclass
+    class Extended(RiskReport):
+        error_bound: float = 0.125
+
+    report = Extended(theta_bar=1.0, tr_hc=2.0, tr_hc_sq=3.0, grad_term=4.0,
+                      mean_term=5.0, variance_term=6.0, value=7.0, pde_solves=164)
+    lines = _report_text(report, [4.0, 0.5]).splitlines()
+    names = [f.name for f in fields(RiskReport) if f.name != "value"]
+    assert [line.split("=")[0].rstrip() for line in lines[1:-3]] == (
+        ["J", *names, "error_bound"])
+    assert lines[1] == "J              = 7"
+    assert "pde_solves     = 164" in lines
+    assert lines[-4:] == ["error_bound    = 0.125", "control vector:",
+                          "  z[ 0] = 4", "  z[ 1] = 0.5"]
 
 
 def test_compare_mc_structure(tmp_path):

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from riskquad.checks import check_control_gradient
+from riskquad.checks import FD_TOL, check_control_gradient
 from riskquad.cli import main as cli_main
 from riskquad.config import build_setup, config_from_dict
 from riskquad.errors import NumericalError
@@ -110,6 +110,40 @@ def test_solve_accounting_exact(setup, n_tr):
     obj.gradient(state)
     assert problem.counter.count - start == 4 + 4 * n_tr
     assert state.report.pde_solves == 4 + 4 * n_tr
+
+
+CONTROL_GRIDS = {
+    "20-controls": {},
+    "80-controls": {"control_xs": np.linspace(0.2, 1.8, 10).tolist(),
+                    "control_ys": np.linspace(0.15, 0.85, 8).tolist()},
+}
+
+
+@pytest.mark.parametrize("mode", ["randomized", "eigenbasis"])
+@pytest.mark.parametrize("grid", CONTROL_GRIDS)
+def test_solves_do_not_depend_on_the_control_dimension(mode, grid):
+    # the cost model holds for 20 and 80 controls alike: every evaluate
+    # spends 2 + 2*n_tr solves, and the gradient as many again
+    problem = PoissonFlowProblem(Mesh(40, 20, 2.0, 1.0),
+                                 wells=WellConfig(sigma=0.1, **CONTROL_GRIDS[grid]))
+    gf = GaussianField(problem.space, 2e-2, 4.0)
+    n, n_tr = problem.n_controls, 6
+    z = np.full(n, 4.0)
+    obj = RiskAverseObjective(problem, gf, OuuConfig(n_tr=n_tr, trace_mode=mode),
+                              nominal_control=z)
+    reports, evaluate = [], obj.evaluate
+
+    def recorded(zk):
+        report, state = evaluate(zk)
+        reports.append(report)
+        return report, state
+
+    obj.evaluate = recorded
+    start = problem.counter.count
+    assert check_control_gradient(obj, z, (0, n // 2, n - 1)) <= FD_TOL
+    # the first evaluate has its gradient; the six difference quotients do not
+    assert [r.pde_solves for r in reports] == [4 + 4 * n_tr] + [2 + 2 * n_tr] * 6
+    assert problem.counter.count - start == sum(r.pde_solves for r in reports)
 
 
 @pytest.mark.parametrize("mode,n_tr", [("randomized", 5), ("eigenbasis", 3)])
@@ -540,13 +574,27 @@ def test_risk_measure_needs_two_samples(setup):
         one.risk_measure(0.5)
 
 
+@pytest.mark.parametrize("shape", [(20,), (20, 2)])
+def test_one_draw_has_no_sample_variance(setup, shape):
+    # NaN, with no numpy warning, in the shape two draws give: one value per
+    # control
+    _, problem, gf = setup
+    one = evaluate_true_risk(problem, gf, np.full(shape, 4.0), 1, seed=0,
+                             with_surrogates=False)
+    two = evaluate_true_risk(problem, gf, np.full(shape, 4.0), 2, seed=0,
+                             with_surrogates=False)
+    assert np.shape(one.variance) == np.shape(two.variance) == shape[1:]
+    assert np.all(np.isnan(one.variance))
+    with pytest.raises(ValueError, match="at least two samples"):
+        one.risk_measure(0.5)
+
+
 def test_parameter_draws_are_the_anchor_plus_centered_draws():
     # the problem holds the mean of the parameter law and the field is
     # centered: every Monte Carlo and SAA draw is the anchor plus a draw
     _, gf, problem = build_setup(config_from_dict({
         "mesh": {"nx": 8, "ny": 4}, "wells": {"sigma": 0.3},
-        "random_field": {"mean": {"type": "bumps",
-                                  "centers": [[0.5, 0.5], [1.5, 0.4]],
+        "random_field": {"mean": {"centers": [[0.5, 0.5], [1.5, 0.4]],
                                   "amplitudes": [0.7, -0.4]}}}))
     assert np.ptp(problem.mean) > 0.0
     z, n, seed = np.full(problem.n_controls, 4.0), 5, 3
