@@ -5,11 +5,12 @@ prescribed normal flux m on the top/bottom sides of a unit square; the
 state tracks the fixed target ``default_desired_state``.  The cubic term is
 monotone, so Newton's method from a zero initial guess converges without
 globalization at desk scale, well within its ``newton_max_iter`` steps.
-The gradient of the tracking objective with respect to the boundary flux
-is the negative trace of the adjoint on the Neumann boundary; a Hessian
-action costs two linearized solves.  For c = 0 the map from flux to
-objective is exactly quadratic, which makes this problem the sharpest
-end-to-end check of the derivative stack.
+The flux m enters as the volume load B m of the flux operator B = E^T M_b
+(E gathers the trace nodes, M_b is the trace mass).  The gradient is the
+trace load -B^T p of the adjoint p, and a Hessian load costs two
+linearized solves.  For c = 0 the map from flux to objective is exactly
+quadratic, which makes this problem the sharpest end-to-end check of the
+derivative stack.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def default_desired_state(mesh):
 @dataclass
 class SemilinearWorkspace:
     """State, adjoint, and linearized solver at one (control, flux) pair,
-    with the Hessian's weighted mass once ``hess_action`` has built it."""
+    with the Hessian's weighted mass once ``hess_load`` has built it."""
 
     m: np.ndarray
     u: np.ndarray
@@ -66,6 +67,9 @@ class SemilinearProblem:
         self.desired = default_desired_state(self.mesh)
         # the flux that m=None means, as PoissonFlowProblem.mean is the field
         self.mean = np.zeros(self.trace_space.dim)
+        # B = E^T M_b, sorted so that B m and B^T v keep the trace mass's bits
+        gather = sp.identity(mesh.n_nodes, format="csr")[self.trace_space.node_index]
+        self.flux_operator = (gather.T @ self.trace_space.mass).tocsr().sorted_indices()
         self.counter = SolveCounter()
         # the Laplacian, on the mesh's read-only CSR pattern
         self.stiffness = self.space.natural_stiffness
@@ -78,17 +82,6 @@ class SemilinearProblem:
         if self.c == 0.0:
             self._laplacian_solver = SpdSolver(mesh, self.stiffness,
                                                self.counter, fast=laplacian)
-
-    def boundary_load(self, m_bnd):
-        """Volume load of the Neumann boundary term <m, v> on the trace, for a
-        flux (nb,) or for each column of an (nb, k) block."""
-        m_bnd = np.asarray(m_bnd, float)
-        out = np.zeros((self.mesh.n_nodes,) + m_bnd.shape[1:])
-        out[self.trace_space.node_index] = self.trace_space.mass @ m_bnd
-        return out
-
-    def boundary_trace(self, u):
-        return np.asarray(u)[self.trace_space.node_index]
 
     def _dual_norm(self, residual):
         r = residual.copy()
@@ -118,7 +111,12 @@ class SemilinearProblem:
         z = np.asarray(z, float)
         if z.shape != (self.mesh.n_nodes,):
             raise ValueError(f"source of shape {z.shape}: n_nodes is {self.mesh.n_nodes}")
-        rhs = self.space.mass @ z + self.boundary_load(self.mean if m is None else m)
+        m = self.mean if m is None else np.asarray(m, float)
+        if m.shape != self.mean.shape:
+            raise ValueError(f"flux of shape {m.shape}: the trace has {self.mean.size} nodes")
+        if not np.isfinite(m).all():
+            raise ValueError("flux must be finite")
+        rhs = self.space.mass @ z + self.flux_operator @ m
         u = np.zeros(self.mesh.n_nodes)
         history = []
         solver = None
@@ -153,16 +151,12 @@ class SemilinearProblem:
         p = solver.solve(-(self.space.mass @ (u - self.desired)))
         return SemilinearWorkspace(m=m, u=u, p=p, solver=solver)
 
-    def grad_boundary(self, ws):
-        """Gradient of the objective with respect to the boundary flux."""
-        return -self.boundary_trace(ws.p)
-
-    def hess_action(self, ws, m_hat):
-        """Hessian action on a boundary flux direction (nb,) or on each column
-        of an (nb, k) block (2 linearized solves per direction).  For c > 0
-        the mass weighted by 6c u p is built once per workspace."""
+    def hess_load(self, ws, m_hat):
+        """Hessian load of a flux direction (nb,) or of each column of an
+        (nb, k) block (2 linearized solves per direction).  For c > 0 the
+        mass weighted by 6c u p is built once per workspace."""
         solve = ws.solver.apply_inverse
-        inc_u = solve(self.boundary_load(m_hat))
+        inc_u = solve(self.flux_operator @ m_hat)
         load = self.space.mass @ inc_u
         if self.c > 0.0:
             if ws.weighted_mass is None:
@@ -170,17 +164,16 @@ class SemilinearProblem:
                 ws.weighted_mass = assemble_weighted_mass(self.mesh,
                                                           6.0 * self.c * up)
             load = load + ws.weighted_mass @ inc_u
-        inc_p = solve(-load)
-        return -self.boundary_trace(inc_p)
+        return -(self.flux_operator.T @ solve(-load))
 
     def surrogate(self, z, m=None):
         """Quadratic expansion of flux -> objective about m, with m=None the
         zero flux (see ``workspace``)."""
-        ws, mass = self.workspace(z, m), self.trace_space.mass
+        ws = self.workspace(z, m)
         return QuadraticSurrogate(
             space=self.trace_space,
             theta_bar=self.objective_of_state(ws.u),
-            grad_load=mass @ self.grad_boundary(ws),
-            hess_load=lambda m_hat: mass @ self.hess_action(ws, m_hat),
+            grad_load=-(self.flux_operator.T @ ws.p),
+            hess_load=lambda m_hat: self.hess_load(ws, m_hat),
             anchor=ws.m,
         )

@@ -704,20 +704,30 @@ def test_optimize_deterministic_output(tmp_path):
 
 
 def test_optimize_warns_of_each_leg_that_ran_out_of_iterations(tmp_path, capsys):
-    # here the beta = 0 leg converges and the other two stop at max_iter
-    ouu = {**TINY["ouu"], "max_iter": 3, "grad_reduction_tol": 0.1,
-           "beta_schedule": [0.0, 0.5, 1.0]}
-    cfg = write_config(tmp_path, {**TINY, "ouu": ouu})
-    out = tmp_path / "out"
-    assert main(["--config", cfg, "--out", str(out), "optimize"]) == 0
-    _, rows, _ = read_csv(out / "iterates.csv")
-    last = {float(row[0]): int(row[1]) for row in rows}
-    out_of_iterations = [beta for beta, it in last.items() if it == 3]
-    assert 0 < len(out_of_iterations) < len(last)
-    warned = [line for line in capsys.readouterr().err.splitlines()
-              if "before converging" in line]
-    assert warned == [f"warning: leg beta={beta:g} stopped at max_iter 3 "
-                      "before converging" for beta in out_of_iterations]
+    # at max_iter 3 the beta = 0 leg converges before it and the other two
+    # stop there; at max_iter 2 all three legs end at iteration 2, but the
+    # beta = 0 leg converges on that iteration and is not warned of
+    for max_iter, legs_at_max_iter in ((3, 2), (2, 3)):
+        ouu = {**TINY["ouu"], "max_iter": max_iter, "grad_reduction_tol": 0.1,
+               "beta_schedule": [0.0, 0.5, 1.0]}
+        cfg = write_config(tmp_path, {**TINY, "ouu": ouu})
+        out = tmp_path / f"out{max_iter}"
+        assert main(["--config", cfg, "--out", str(out), "optimize"]) == 0
+        _, rows, _ = read_csv(out / "iterates.csv")
+        legs = {}
+        for row in rows:
+            legs.setdefault(float(row[0]), []).append((int(row[1]), float(row[3])))
+        # the optimizer's stopping test, on the leg's first and last rows
+        out_of_iterations = [
+            beta for beta, leg in legs.items()
+            if leg[-1][0] == max_iter and leg[-1][1] > max(0.1 * leg[0][1], 1e-14)]
+        assert sum(leg[-1][0] == max_iter for leg in legs.values()) == legs_at_max_iter
+        assert len(out_of_iterations) == 2
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if "before converging" in line]
+        assert warned == [f"warning: leg beta={beta:g} stopped at max_iter "
+                          f"{max_iter} before converging"
+                          for beta in out_of_iterations]
 
 
 def test_report_lists_every_field_of_its_record():

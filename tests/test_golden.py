@@ -1,5 +1,7 @@
 """Golden outputs: the criterion-8 config (tests/golden/config.json) run at
-seed 9 against the seven files committed in tests/golden.
+seed 9 against the seven files committed in tests/golden, and the
+semilinear config (tests/golden/semilinear.json) against the two files in
+tests/golden/semilinear.
 
 Every number may move by ``GOLDEN_RTOL`` relative; integers (counts,
 iteration numbers, seeds) and the text around the numbers must match
@@ -21,6 +23,10 @@ COMMANDS = ("truncation-study", "optimize", "sample-field")
 FILES = ("truncation_rates.csv", "iterates.csv", "optimal_control.csv",
          "risk_report.txt", "true_risk_initial.csv", "true_risk_optimal.csv",
          "field_samples.csv")
+# the semilinear problem runs no optimize
+SEMILINEAR = GOLDEN / "semilinear"
+SEMILINEAR_COMMANDS = ("truncation-study", "sample-field")
+SEMILINEAR_FILES = ("truncation_rates.csv", "field_samples.csv")
 GOLDEN_RTOL = 1e-10
 
 # a number that is not part of a name, so the 0 of sample_0 stays text
@@ -28,13 +34,18 @@ NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+(?:\.\d*)?(?:e[-+]?\d+)?|nan|inf)(?![
 INTEGER = re.compile(r"[-+]?\d+")
 
 
-def run_config(out):
-    """Run ``COMMANDS`` on the golden config at ``SEED``, writing to ``out``."""
-    for command in COMMANDS:
-        code = cli_main(["--config", str(GOLDEN / "config.json"), "--out", str(out),
+def run_config(out, config=GOLDEN / "config.json", commands=COMMANDS):
+    """Run ``commands`` on the golden ``config`` at ``SEED``, writing to ``out``."""
+    for command in commands:
+        code = cli_main(["--config", str(config), "--out", str(out),
                          "--seed", str(SEED), command])
         if code != 0:
             raise RuntimeError(f"{command} exited with code {code}")
+
+
+def run_semilinear(out):
+    """Run ``SEMILINEAR_COMMANDS`` on the semilinear golden config at ``SEED``."""
+    run_config(out, GOLDEN / "semilinear.json", SEMILINEAR_COMMANDS)
 
 
 def largest_change(new, old):
@@ -64,9 +75,20 @@ def test_largest_change_reads_numbers_integers_and_text():
     assert largest_change(old.replace("0.5", "nan"), old) == math.inf
 
 
+def largest_changes(out, golden, files):
+    """``largest_change`` of each of ``files`` from ``golden`` to ``out``."""
+    return {name: largest_change((out / name).read_text(),
+                                 (golden / name).read_text())
+            for name in files}
+
+
 def test_golden_outputs_match_at_stated_tolerance(tmp_path):
     run_config(tmp_path)
-    changes = {name: largest_change((tmp_path / name).read_text(),
-                                    (GOLDEN / name).read_text())
-               for name in FILES}
+    changes = largest_changes(tmp_path, GOLDEN, FILES)
+    assert max(changes.values()) <= GOLDEN_RTOL, changes
+
+
+def test_semilinear_golden_outputs_match_at_stated_tolerance(tmp_path):
+    run_semilinear(tmp_path)
+    changes = largest_changes(tmp_path, SEMILINEAR, SEMILINEAR_FILES)
     assert max(changes.values()) <= GOLDEN_RTOL, changes

@@ -33,6 +33,37 @@ def test_source_of_the_wrong_length_fails_before_any_solve(setup):
     assert problem.counter.count == start
 
 
+@pytest.mark.parametrize("flux, message", [
+    (np.ones(3), r"^flux of shape \(3,\): the trace has 26 nodes$"),
+    (np.ones((26, 2)), r"^flux of shape \(26, 2\): the trace has 26 nodes$"),
+    (np.full(26, np.nan), "^flux must be finite$"),
+], ids=["length", "block", "nan"])
+def test_bad_flux_fails_by_name_before_any_solve(setup, flux, message):
+    mesh, problem, _ = setup
+    z = np.ones(mesh.n_nodes)
+    start = problem.counter.count
+    for call in (problem.objective, problem.workspace, problem.surrogate):
+        with pytest.raises(ValueError, match=message):
+            call(z, flux)
+    assert problem.counter.count == start
+
+
+@pytest.mark.parametrize("nx, ny", [(12, 12), (7, 3)])
+def test_flux_operator_is_the_trace_scatter_and_gather_bit_for_bit(nx, ny):
+    # B m is the trace mass product scattered to the trace nodes, and B^T v
+    # the trace mass times the gathered values, in the same bits
+    problem = SemilinearProblem(Mesh(nx, ny, 1.0, 1.0))
+    B, trace, n = problem.flux_operator, problem.trace_space, problem.mesh.n_nodes
+    rng = np.random.default_rng(12)
+    for cols in ((), (5,)):
+        m = rng.standard_normal((trace.dim,) + cols)
+        scatter = np.zeros((n,) + cols)
+        scatter[trace.node_index] = trace.mass @ m
+        assert np.array_equal(B @ m, scatter)
+        v = rng.standard_normal((n,) + cols)
+        assert np.array_equal(B.T @ v, trace.mass @ v[trace.node_index])
+
+
 def test_trivial_zero_state():
     problem = SemilinearProblem(Mesh(6, 6, 1.0, 1.0), c=0.0)
     u, _, history = problem.solve_state(
@@ -118,9 +149,8 @@ def test_gradient_zero_for_matched_target(setup):
     u, _, _ = scratch.solve_state(z, np.zeros(scratch.trace_space.dim))
     matched = SemilinearProblem(mesh, c=1.0)
     matched.desired = u
-    ws = matched.workspace(z, np.zeros(matched.trace_space.dim))
-    grad = matched.grad_boundary(ws)
-    assert np.sqrt(matched.trace_space.inner(grad, grad)) < 1e-9
+    grad = matched.surrogate(z, np.zeros(matched.trace_space.dim)).grad_load
+    assert np.linalg.norm(matched.trace_space.to_coefficients(grad)) < 1e-9
 
 
 def test_gradient_finite_difference(setup):
@@ -141,8 +171,8 @@ def test_c_zero_gradient_linear_in_misfit():
     single.desired = u - offset
     double = SemilinearProblem(mesh, c=0.0)
     double.desired = u - 2.0 * offset
-    g1 = single.grad_boundary(single.workspace(z, np.zeros(single.trace_space.dim)))
-    g2 = double.grad_boundary(double.workspace(z, np.zeros(double.trace_space.dim)))
+    g1 = single.surrogate(z, np.zeros(single.trace_space.dim)).grad_load
+    g2 = double.surrogate(z, np.zeros(double.trace_space.dim)).grad_load
     assert np.allclose(g2, 2.0 * g1, rtol=1e-10, atol=1e-14)
 
 
@@ -151,8 +181,8 @@ def test_hessian_zero_direction(setup):
     ws = problem.workspace(
         np.ones(problem.mesh.n_nodes), np.zeros(problem.trace_space.dim)
     )
-    psi = problem.hess_action(ws, np.zeros(problem.trace_space.dim))
-    assert np.sqrt(problem.trace_space.inner(psi, psi)) == 0.0
+    psi = problem.hess_load(ws, np.zeros(problem.trace_space.dim))
+    assert np.linalg.norm(problem.trace_space.to_coefficients(psi)) == 0.0
 
 
 def test_hessian_self_adjoint(setup):
@@ -164,8 +194,8 @@ def test_hessian_self_adjoint(setup):
     for _ in range(5):
         m1 = gf.sample(rng)
         m2 = gf.sample(rng)
-        lhs = problem.trace_space.inner(m1, problem.hess_action(ws, m2))
-        rhs = problem.trace_space.inner(m2, problem.hess_action(ws, m1))
+        lhs = m1 @ problem.hess_load(ws, m2)
+        rhs = m2 @ problem.hess_load(ws, m1)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
 
@@ -243,9 +273,9 @@ def test_block_hessian_matches_columns(setup):
     assert problem.c > 0.0
     ws = problem.workspace(np.ones(mesh.n_nodes), np.zeros(problem.trace_space.dim))
     M = np.random.default_rng(9).standard_normal((problem.trace_space.dim, 4))
-    block = problem.hess_action(ws, M)
+    block = problem.hess_load(ws, M)
     for k in range(M.shape[1]):
-        col = problem.hess_action(ws, M[:, k])
+        col = problem.hess_load(ws, M[:, k])
         assert np.linalg.norm(block[:, k] - col) <= 1e-12 * np.linalg.norm(col)
 
 
@@ -254,12 +284,12 @@ def test_hessian_weighted_mass_is_built_once_per_workspace(setup, monkeypatch):
     assert problem.c > 0.0
     ws = problem.workspace(np.ones(mesh.n_nodes), np.zeros(problem.trace_space.dim))
     m_hat = np.random.default_rng(10).standard_normal(problem.trace_space.dim)
-    first = problem.hess_action(ws, m_hat)
+    first = problem.hess_load(ws, m_hat)
 
     calls = []
     monkeypatch.setattr("riskquad.semilinear.assemble_weighted_mass",
                         lambda *a: calls.append(a) or assemble_weighted_mass(*a))
-    assert np.array_equal(problem.hess_action(ws, m_hat), first)
+    assert np.array_equal(problem.hess_load(ws, m_hat), first)
     assert calls == []
 
 
